@@ -1,18 +1,18 @@
-"""Pickle-safety of the payloads crossing the scheduler's process boundary.
+"""Pickle-safety of the payloads crossing the shard runtime's process boundary.
 
 ``_ShardTask`` / ``_ShardResult`` (and everything reachable from their
-fields) are pickled into worker processes every generation.  A lock, an open
-handle, an executor or a lambda smuggled into that graph fails at *dispatch*
-time — deep inside a generation, where the scheduler degrades with a warning
-and quietly eats the whole speedup.  This checker fails at *lint* time
-instead.
+fields) are pickled into worker processes every generation, for both sharded
+engines.  A lock, an open handle, an executor or a lambda smuggled into that
+graph fails at *dispatch* time — deep inside a generation, where the runtime
+degrades with a warning and quietly eats the whole speedup.  This checker
+fails at *lint* time instead.
 
 Root payloads are discovered two ways:
 
 * a standalone ``# repro: pickle-boundary`` comment on the line above the
   class definition (the explicit, self-documenting marker used in
-  :mod:`repro.execution.scheduler`), or
-* the scheduler's payload naming convention ``_Shard*`` as a fallback, so
+  :mod:`repro.execution.shards` and on the other payload classes), or
+* the runtime's payload naming convention ``_Shard*`` as a fallback, so
   deleting a marker cannot silently un-check the real payloads.
 
 From each root the checker walks field annotations recursively through

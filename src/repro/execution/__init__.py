@@ -55,21 +55,13 @@ Noise-free terms run on the batched statevector backend, and shot-based
 (real-QC-style) searches on the pinned-seed shot sampler.
 
 **Sharded multi-process scheduling.**  ``EstimatorConfig(workers=N)`` routes
-whole-population evaluation through :class:`ShardedExecutionEngine`
-(:mod:`repro.execution.scheduler`): structure groups are deterministically
-partitioned across a persistent ``ProcessPoolExecutor``, worker-local caches
-stay warm across generations, and every worker's new cache entries and
-counter deltas are merged back into the parent estimator's caches after each
-generation.  The scheduler's determinism contract (see its module docstring)
-keeps scores bit-for-bit independent of the worker count.
-
-**Resilience & fault injection.**  Shard failures are classified
-(:mod:`repro.execution.resilience`): infrastructure faults (broken pools,
-watchdog-detected deadline timeouts) are retried with capped backoff onto
-surviving workers — healthy shards' results are kept — while worker task
-errors are confirmed once in-process and re-raised if they reproduce.
-Whole-generation degradation is the last resort only.  A deterministic
-fault-injection harness (:mod:`repro.execution.faults`, ``REPRO_FAULTS``)
+whole-population evaluation through :class:`ShardedExecutionEngine`, an
+adapter over the shard runtime (:mod:`repro.execution.shards`) that also
+runs sharded parameter-shift gradients: structure groups are partitioned
+across persistent workers whose warm caches merge back after every
+generation, bit-for-bit independent of the worker count.  Worker faults are
+classified and retried (:mod:`repro.execution.resilience`), and the
+deterministic ``REPRO_FAULTS`` harness (:mod:`repro.execution.faults`)
 drives the chaos tests that prove a fault can delay a generation but never
 change a score.  See ``src/repro/execution/README.md``.
 
@@ -93,7 +85,8 @@ from .resilience import (
     ShardDeadlineExceeded,
     classify_failure,
 )
-from .scheduler import SchedulerStats, ShardedExecutionEngine
+from .scheduler import ShardedExecutionEngine
+from .shards import SchedulerStats
 from .stats import MergeableStats
 
 # REPRO_SANITIZE=1 arms the runtime cache-mutation sanitizer: every cache

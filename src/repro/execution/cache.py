@@ -35,10 +35,7 @@ from ..transpile.parametric import (
     parametric_fingerprint,
     parametric_transpile,
 )
-# Re-exported here for backwards compatibility: stable_seed grew users outside
-# the execution layer (repro.backends pins shot seeds with it) and now lives
-# with the other determinism helpers in repro.utils.rng.
-from ..utils.rng import stable_seed  # noqa: F401
+from ..utils.rng import stable_seed
 from ..utils import clock
 from .. import telemetry
 from .stats import MergeableStats
@@ -48,7 +45,6 @@ __all__ = [
     "TranspileCache",
     "ParametricCacheStats",
     "ParametricTranspileCache",
-    "stable_seed",
 ]
 
 

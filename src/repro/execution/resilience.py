@@ -3,15 +3,15 @@
 Before this layer existed, any single worker fault in a sharded engine
 discarded every healthy shard's scores and re-ran the whole generation in
 the parent process, and a hung worker blocked ``future.result()`` forever.
-This module gives both sharded engines (:class:`~repro.execution.scheduler.
-ShardedExecutionEngine`, :class:`~repro.gradients.sharded.
-ShardedGradientEngine`) a common liveness/retry substrate:
+This module is the liveness/retry layer beneath the shard runtime
+(:class:`~repro.execution.shards.ShardRuntime`, which both sharded engines
+run on):
 
 **Failure classification.**  A shard failure is either an *infrastructure*
 fault — a broken/dead pool, or a deadline timeout — or a *task error*, an
 exception the task function itself raised.  Infrastructure faults are
 retried (the unit of work is hermetic, so a re-run is bitwise identical);
-task errors are **not** retried blindly: the owning engine re-runs the unit
+task errors are **not** retried blindly: the runtime re-runs the unit
 in-process once, and an error that reproduces is re-raised as a real bug
 instead of being degraded into a slow retry loop.
 
@@ -32,13 +32,14 @@ generation are respawned in the background after the generation completes,
 so later generations return to full width.
 
 **Last resort.**  Only when every retry round is exhausted does
-:class:`RetriesExhausted` reach the engine, which then (and only then)
+:class:`RetriesExhausted` reach the runtime, which then (and only then)
 degrades the whole generation to the in-process path.
 
-The dispatcher mutates a stats object through the
-:class:`ResilienceCounters` field names, which both engines' scheduler
-stats dataclasses carry; counters merge through the usual
-:class:`~repro.execution.stats.MergeableStats` protocol.
+The dispatcher increments the resilience counters of the stats object it
+is handed (``worker_failures``, ``retried_shards``, ``rebalanced_shards``,
+``respawned_pools``, ``deadline_timeouts``, ``watchdog_wait_seconds`` — the
+runtime's :class:`~repro.execution.shards.SchedulerStats`); counters merge
+through the usual :class:`~repro.execution.stats.MergeableStats` protocol.
 """
 
 from __future__ import annotations
@@ -252,11 +253,7 @@ class WorkerPoolGroup:
             # round's ensure() will try again.  ensure() may already have
             # constructed a pool (and forked its worker) before the ping
             # submit blew up — kill it, or the worker process leaks.
-            executor = self._slots[index]
-            self._slots[index] = None
-            self.dead[index] = True
-            if executor is not None:
-                kill_executor(executor)
+            self.kill(index)
             return False
         return True
 
@@ -274,29 +271,11 @@ class WorkerPoolGroup:
                 kill_executor(executor)
 
 
-class ResilienceCounters:
-    """The stats field names :class:`ResilientDispatcher` increments.
-
-    Both scheduler stats dataclasses define these as ordinary ``int``
-    fields (plus ``watchdog_wait_seconds`` as a float), so resilience
-    accounting merges across processes like every other counter.
-    """
-
-    FIELDS = (
-        "worker_failures",
-        "retried_shards",
-        "rebalanced_shards",
-        "respawned_pools",
-        "deadline_timeouts",
-        "watchdog_wait_seconds",
-    )
-
-
 class ResilientDispatcher:
     """Runs one generation's shard tasks under the retry/deadline policy.
 
     Engine-agnostic: tasks are opaque beyond two mutable attributes the
-    schedulers stamp (``shard_index``, ``attempt``) and a picklable form
+    runtime stamps (``shard_index``, ``attempt``) and a picklable form
     ``submit`` can ship.  :meth:`run` returns ``(results, task_errors)``;
     infrastructure faults never appear in ``task_errors`` — they are
     consumed by retries or surface as :class:`RetriesExhausted`.

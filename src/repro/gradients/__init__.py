@@ -6,8 +6,9 @@ is exactly the workload :mod:`repro.backends` batches for population
 evaluation.  This package routes the full shift-rule gradient through the
 backend dispatcher (:class:`BatchedGradientEngine`) and shards its
 evaluation rows across persistent worker processes
-(:class:`ShardedGradientEngine`) under the same bit-for-bit determinism
-contract as the population scheduler.
+(:class:`ShardedGradientEngine`) on the same shard runtime
+(:mod:`repro.execution.shards`) and bit-for-bit determinism contract as the
+population scheduler.
 """
 
 from .engine import (
@@ -15,12 +16,12 @@ from .engine import (
     GradientEngineConfig,
     GradientEngineStats,
 )
-from .sharded import GradientShardStats, ShardedGradientEngine
+from .sharded import ShardedGradientEngine, make_gradient_engine
 
 __all__ = [
     "BatchedGradientEngine",
     "GradientEngineConfig",
     "GradientEngineStats",
-    "GradientShardStats",
     "ShardedGradientEngine",
+    "make_gradient_engine",
 ]

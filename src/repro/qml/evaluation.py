@@ -9,17 +9,12 @@ for Table V and Fig. 16.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from ..devices.backend import QuantumBackend
-from ..gradients import (
-    BatchedGradientEngine,
-    GradientEngineConfig,
-    ShardedGradientEngine,
-)
+from ..gradients import make_gradient_engine
 from ..quantum.autodiff import parameter_shift_jacobian
 from ..quantum.statevector import expectation_z_all, run_parameterized
 from ..transpile.compiler import transpile
@@ -152,34 +147,11 @@ class ParameterShiftGradient:
         self._scheduler_snapshot = None
         if engine == "legacy":
             return
-        if workers is None:
-            workers = int(os.environ.get("REPRO_WORKERS", "1"))
-        device = backend.device if backend is not None else None
-        if backend is None:
-            resolved_shots = 0
-        else:
-            resolved_shots = int(backend.shots if shots is None else shots)
-        config = GradientEngineConfig(
-            shots=resolved_shots,
-            seed=int(seed),
-            optimization_level=int(optimization_level),
-            max_density_qubits=int(getattr(backend, "max_density_qubits", 10)),
+        self._engine = make_gradient_engine(
+            backend, initial_layout=initial_layout, shots=shots, seed=seed,
+            optimization_level=optimization_level, workers=workers,
+            engine=engine,
         )
-        if int(workers) > 1:
-            self._engine = ShardedGradientEngine(
-                device, config,
-                initial_layout=initial_layout, workers=int(workers),
-            )
-        else:
-            # share the backend's caches, so gradient compilations flow into
-            # the same warm state the forward/evaluation paths reuse
-            self._engine = BatchedGradientEngine(
-                device, config,
-                initial_layout=initial_layout,
-                transpile_cache=getattr(backend, "transpile_cache", None),
-                parametric_cache=getattr(backend, "parametric_cache", None),
-                engine=engine,
-            )
         self._stats_snapshot = self._engine.stats.copy()
         scheduler_stats = getattr(self._engine, "scheduler_stats", None)
         if scheduler_stats is not None:

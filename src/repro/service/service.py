@@ -29,7 +29,7 @@ from .. import telemetry
 from ..core.evolution import EvolutionResult
 from ..utils import clock
 from ..execution.resilience import WorkerPoolGroup
-from ..execution.scheduler import _init_service_worker
+from ..execution.shards import _init_worker
 from .jobs import JobHandle, SearchJob, TenantStats, _JobRuntime
 
 __all__ = ["CoSearchService", "edd_order"]
@@ -90,7 +90,7 @@ class CoSearchService:
             raise ValueError("max_concurrent_jobs must be >= 1")
         #: the one pool group every tenant's shard tasks dispatch onto
         self.pools = WorkerPoolGroup(
-            self.max_workers, _init_service_worker, _service_initargs
+            self.max_workers, _init_worker, _service_initargs
         )
         self.handles: Dict[str, JobHandle] = {}
         self.tenant_stats: Dict[str, TenantStats] = {}

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import repro
 from repro.analysis import Severity, analyze_paths
+from repro.analysis.suppressions import parse_suppressions
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +56,22 @@ def test_justified_field_is_suppressed(report):
     assert report.suppressed[0].rule == "pickle-unsafe-field"
 
 
-def test_real_scheduler_payloads_are_clean():
-    """The production _ShardTask/_ShardResult/_ValidationView graphs lint
-    clean — the regression the checker exists to hold."""
-    scheduler = Path(repro.__file__).parent / "execution" / "scheduler.py"
-    report = analyze_paths([scheduler], checkers=["pickle-safety"])
+#: every module defining a class marked ``# repro: pickle-boundary``
+BOUNDARY_MODULES = [
+    "execution/shards.py",      # _ShardTask / _ShardResult
+    "execution/scheduler.py",   # _ValidationView
+    "execution/faults.py",      # FaultInjector
+    "gradients/engine.py",      # GradientEngineConfig
+]
+
+
+@pytest.mark.parametrize("module", BOUNDARY_MODULES)
+def test_real_scheduler_payloads_are_clean(module):
+    """The production payload graphs lint clean — the regression the
+    checker exists to hold.  Each module must still carry a marker, so a
+    payload that moves elsewhere cannot pass vacuously."""
+    path = Path(repro.__file__).parent / module
+    _, markers = parse_suppressions(path.read_text())
+    assert markers, f"{module} has no pickle-boundary marker"
+    report = analyze_paths([path], checkers=["pickle-safety"])
     assert report.findings == []

@@ -5,8 +5,8 @@ worker fault — crash, hang past deadline, slow shard, flaky task error — at
 any instrumented lifecycle point, in any generation, for either sharded
 engine, the search completes with final scores and trajectories bitwise
 identical to the fault-free run, *without* whole-generation in-process
-degradation: ``degraded_generations == 0`` / ``degraded_steps == 0`` and
-the retry/recovery counters account for what happened.
+degradation: ``degraded_generations == 0`` and the retry/recovery counters
+account for what happened.
 
 Faults are injected through the deterministic ``REPRO_FAULTS`` plan seam
 (:mod:`repro.execution.faults`), so every scenario here is exactly
@@ -242,9 +242,10 @@ class TestGradientChaosMatrix:
                     )
             assert np.array_equal(values, reference)
             assert_recovered_cleanly(
-                engine.scheduler_stats, kind, "sharded_steps", "degraded_steps"
+                engine.scheduler_stats, kind,
+                "sharded_generations", "degraded_generations",
             )
-            assert engine.scheduler_stats.sharded_steps == 1
+            assert engine.scheduler_stats.sharded_generations == 1
         finally:
             engine.close()
 
@@ -266,8 +267,8 @@ class TestGradientChaosMatrix:
             assert np.array_equal(cold, reference)
             assert np.array_equal(warm, reference)
             stats = engine.scheduler_stats
-            assert stats.degraded_steps == 0
+            assert stats.degraded_generations == 0
             assert stats.retried_shards >= 1
-            assert stats.sharded_steps == 2
+            assert stats.sharded_generations == 2
         finally:
             engine.close()

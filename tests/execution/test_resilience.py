@@ -213,7 +213,7 @@ class TestRetryPolicy:
 
 
 class _Stats:
-    """Bare counter bag carrying the ResilienceCounters fields."""
+    """Bare counter bag carrying the resilience counter fields."""
 
     def __init__(self):
         self.worker_failures = 0

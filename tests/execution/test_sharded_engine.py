@@ -384,6 +384,39 @@ def test_reproducing_task_error_is_reraised(u3cu3_supercircuit, yorktown,
 
 
 # ---------------------------------------------------------------------------
+# Process-boundary payloads
+# ---------------------------------------------------------------------------
+
+
+def test_engine_owned_tasks_ship_no_context_spec(u3cu3_supercircuit, yorktown,
+                                                 tiny_dataset, monkeypatch):
+    """An engine-owned pool builds its worker context once from initargs, so
+    its shard tasks carry neither a tenant nor a context spec."""
+    from repro.execution.resilience import ResilientDispatcher
+
+    dispatched = []
+    original_run = ResilientDispatcher.run
+
+    def recording_run(self, tasks):
+        dispatched.extend(tasks.values())
+        return original_run(self, tasks)
+
+    monkeypatch.setattr(ResilientDispatcher, "run", recording_run)
+    space = get_design_space("u3cu3")
+    candidates = make_population(space, 4, yorktown, seed=13, size=4)
+    engine = sharded_engine(yorktown, u3cu3_supercircuit, "success_rate", 4,
+                            workers=2)
+    try:
+        engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+    finally:
+        engine.close()
+    assert len(dispatched) == 2
+    for task in dispatched:
+        assert task.context_spec is None
+        assert task.tenant is None
+
+
+# ---------------------------------------------------------------------------
 # Cache merge-back accounting
 # ---------------------------------------------------------------------------
 

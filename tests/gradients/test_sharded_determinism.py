@@ -91,7 +91,7 @@ class TestTrajectoryDeterminism:
         result = train_with_workers(shard_dataset, workers=2)
         for record in result.history:
             assert record["gradient_gradient_calls"] > 0
-            assert record["gradient_sharded_steps"] > 0
+            assert record["gradient_sharded_generations"] > 0
 
 
 class TestFaultInjection:
@@ -113,7 +113,7 @@ class TestFaultInjection:
             for record in faulty.history
         )
         degraded = sum(
-            record.get("gradient_degraded_steps", 0.0)
+            record.get("gradient_degraded_generations", 0.0)
             for record in faulty.history
         )
         assert recovered > 0
@@ -137,7 +137,7 @@ class TestFaultInjection:
             for record in faulty.history
         )
         degraded = sum(
-            record.get("gradient_degraded_steps", 0.0)
+            record.get("gradient_degraded_generations", 0.0)
             for record in faulty.history
         )
         assert retried > 0
@@ -157,7 +157,7 @@ class TestFaultInjection:
             h["train_loss"] for h in reference.history
         ]
         degraded = sum(
-            record.get("gradient_degraded_steps", 0.0)
+            record.get("gradient_degraded_generations", 0.0)
             for record in faulty.history
         )
         assert degraded > 0
@@ -192,9 +192,9 @@ class TestDirectEngineSharding:
                 model.circuit, rows, features, witness_weights=weights
             )
             stats = sharded.scheduler_stats
-            assert stats.sharded_steps == 2
+            assert stats.sharded_generations == 2
             assert stats.shards_dispatched == 4
-            assert stats.degraded_steps == 0
+            assert stats.degraded_generations == 0
         assert np.array_equal(values, reference)
         assert np.array_equal(warm, reference)
 
@@ -231,8 +231,8 @@ class TestDirectEngineSharding:
                 model.circuit, weights[None, :], features,
                 witness_weights=weights,
             )
-            assert sharded.scheduler_stats.in_process_steps == 1
-            assert sharded.scheduler_stats.sharded_steps == 0
+            assert sharded.scheduler_stats.in_process_generations == 1
+            assert sharded.scheduler_stats.sharded_generations == 0
 
 
 class TestVQETrainingDeterminism:

@@ -110,6 +110,22 @@ def solo_vqe(seed):
         )
 
 
+def held_contexts(_):
+    """Runs inside a worker: the tenants it keeps a context for."""
+    from repro.execution import shards
+
+    return sorted(shards._CONTEXTS)
+
+
+def worker_contexts(service):
+    """Per live worker slot, the tenants whose contexts it still holds."""
+    return [
+        executor.submit(held_contexts, None).result(timeout=60)
+        for executor in service.pools.slots
+        if executor is not None
+    ]
+
+
 class TestServiceDeterminism:
     def test_concurrent_tenants_match_solo_runs_bitwise(self, tiny_dataset):
         """Three tenants (2 QML seeds + 1 VQE, two devices) on one shared
@@ -174,6 +190,30 @@ class TestServiceDeterminism:
         # the post-resume runtime replays nothing: only the remaining
         # generation is charged to the tenant
         assert service.tenant_stats["alpha"].generations == EVOLUTION.iterations
+
+    def test_retired_jobs_release_their_worker_contexts(self, tiny_dataset,
+                                                        tmp_path):
+        """Shared workers hold a tenant's context only while its job is
+        live: finishing or suspending a job drops it from every worker."""
+        with CoSearchService(max_workers=2, max_concurrent_jobs=1) as service:
+            service.submit(qml_job(
+                "job0", tiny_dataset, seed=5,
+                checkpoint_path=str(tmp_path / "job0.ckpt"),
+            ))
+            for index in range(1, 4):
+                service.submit(qml_job(f"job{index}", tiny_dataset, seed=index))
+
+            assert service.step() == "job0"
+            assert worker_contexts(service) == [["job0"], ["job0"]]
+            service.suspend("job0")
+            assert worker_contexts(service) == [[], []]
+
+            service.resume("job0")
+            service.run()
+            assert all(
+                handle.state == "done" for handle in service.handles.values()
+            )
+            assert worker_contexts(service) == [[], []]
 
     def test_suspend_without_checkpoint_path_refuses(self, tiny_dataset):
         with CoSearchService(max_workers=0, max_concurrent_jobs=1) as service:
