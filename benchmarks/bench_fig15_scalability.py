@@ -7,7 +7,7 @@ the pipeline scales beyond the density-matrix regime.
 
 import time
 
-from helpers import print_table, train_model
+from helpers import print_table, seed_path_scorer, train_model
 from repro.baselines import build_human_circuit
 from repro.execution import ExecutionEngine
 from repro.core import (
@@ -38,27 +38,29 @@ def run_experiment():
     rows = []
     for name in DEVICES:
         device = get_device(name)
-        # the same seeded search through both execution-engine modes: results
-        # agree to 1e-9, so the batched search is the one carried forward
+        # the same seeded search through the per-candidate seed path and the
+        # batched execution engine: results agree to 1e-9, so the batched
+        # search is the one carried forward
+        config = EstimatorConfig(mode="success_rate", n_valid_samples=8)
+        scorers = {
+            "sequential": seed_path_scorer(device, supercircuit, config,
+                                           dataset=dataset, n_classes=10),
+            "batched": ExecutionEngine(
+                PerformanceEstimator(device, config), supercircuit
+            ).qml_population_scorer(dataset, 10),
+        }
         searches = {}
         search_times = {}
-        for engine_mode in ("sequential", "batched"):
-            estimator = PerformanceEstimator(
-                device, EstimatorConfig(mode="success_rate", n_valid_samples=8,
-                                        engine=engine_mode)
-            )
+        for mode, score in scorers.items():
             engine = EvolutionEngine(
                 space, 10, device,
                 EvolutionConfig(iterations=3, population_size=8, parent_size=3,
                                 mutation_size=3, crossover_size=2, seed=0),
             )
-            execution = ExecutionEngine(estimator, supercircuit)
             start = time.perf_counter()
-            searches[engine_mode] = engine.search(
-                population_score_fn=execution.qml_population_scorer(dataset, 10)
-            )
-            search_times[engine_mode] = time.perf_counter() - start
-        # the modes agree to 1e-9 on scores; exact gene equality could flip on
+            searches[mode] = engine.search(population_score_fn=score)
+            search_times[mode] = time.perf_counter() - start
+        # the paths agree to 1e-9 on scores; exact gene equality could flip on
         # sub-tolerance ties under a different BLAS, so pin the score instead
         assert abs(searches["batched"].best_score
                    - searches["sequential"].best_score) < 1e-9

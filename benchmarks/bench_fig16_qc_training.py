@@ -9,11 +9,11 @@ import numpy as np
 from helpers import print_table
 from repro.devices import QuantumBackend, get_device
 from repro.qml import (
+    ParameterShiftGradient,
     QNNModel,
     TrainConfig,
     encoder_for_task,
     load_task,
-    make_parameter_shift_gradient_fn,
     train_qnn,
 )
 from repro.quantum.circuit import ParameterizedCircuit
@@ -33,15 +33,15 @@ def run_training_curve():
     dataset = load_task("mnist-4", n_train=16, n_valid=8, n_test=8)
     model = _tiny_qnn()
     backend = QuantumBackend(get_device("santiago"), shots=0, seed=0)
-    gradient_fn = make_parameter_shift_gradient_fn(backend=backend, shots=0)
     losses = []
 
     def log(epoch, record):
         losses.append(record["train_loss"])
 
-    train_qnn(model, dataset, TrainConfig(epochs=3, batch_size=8, learning_rate=0.1,
-                                          seed=0),
-              gradient_fn=gradient_fn, log_fn=log)
+    with ParameterShiftGradient(backend, shots=0) as gradient_fn:
+        train_qnn(model, dataset,
+                  TrainConfig(epochs=3, batch_size=8, learning_rate=0.1, seed=0),
+                  gradient_fn=gradient_fn, log_fn=log)
     return losses
 
 

@@ -28,8 +28,8 @@ def run_experiment():
     space = get_design_space(SPACE)
     device = get_device("yorktown")
 
-    # full co-search (population evaluation through the batched engine)
-    full = run_quantumnas_qml(SPACE, TASK, "yorktown", engine="batched")
+    # full co-search
+    full = run_quantumnas_qml(SPACE, TASK, "yorktown")
     n_params = full.best_config.num_parameters(space)
 
     # human circuit + naive / noise-adaptive mapping
@@ -38,9 +38,8 @@ def run_experiment():
     human_adaptive = baseline_measured_accuracy("human", SPACE, TASK, n_params,
                                                 layout="noise_adaptive")
 
-    # circuit-only search (mapping fixed to the trivial one); this leg runs
-    # through the sequential engine so the benchmark exercises both modes
-    config = fast_pipeline_config(engine="sequential")
+    # circuit-only search (mapping fixed to the trivial one)
+    config = fast_pipeline_config()
     config.evolution = EvolutionConfig(
         iterations=6, population_size=12, parent_size=4, mutation_size=5,
         crossover_size=3, seed=0, search_mapping=False,

@@ -4,9 +4,10 @@ feasible: accuracies after classical training vs on-device training match.
 A second measurement gates the batched gradient engine: one shift-rule
 gradient of the 4-qubit Table V workload (7 weights -> 15 weight rows x 8
 samples under the Santiago noise model) is timed through every engine path.
-``legacy`` is the historical sequential closure — with the parametric
-transpile cache attached to its backend, so the comparison isolates *row
-batching*, not caching; ``batched`` must beat it warm by >=
+``legacy`` is the historical per-row closure, composed here from
+``parameter_shift_jacobian`` over ``noisy_expectations`` — with the
+parametric transpile cache attached to its backend, so the comparison
+isolates *row batching*, not caching; ``batched`` must beat it warm by >=
 ``REQUIRED_BATCHED_SPEEDUP``.  All engines must agree to 1e-9 (``sharded``
 is contractually bitwise against ``sequential``).  Timings, per-engine
 counters and the gate land in ``BENCH_gradients.json``; ``BENCH_SMOKE=1``
@@ -29,9 +30,11 @@ from repro.qml import (
     encoder_for_task,
     evaluate_on_backend,
     load_task,
-    make_parameter_shift_gradient_fn,
+    noisy_expectations,
     train_qnn,
 )
+from repro.quantum.autodiff import parameter_shift_jacobian
+from repro.utils.stats import cross_entropy_with_logits
 
 TASKS = [("mnist-2", "santiago"), ("fashion-2", "lima")]
 
@@ -73,9 +76,9 @@ def run_experiment():
 
         qc_model = _tiny_model(task)
         train_backend = QuantumBackend(device, shots=0, seed=1)
-        gradient_fn = make_parameter_shift_gradient_fn(backend=train_backend,
-                                                       shots=0)
-        on_device = train_qnn(qc_model, dataset, config, gradient_fn=gradient_fn)
+        with ParameterShiftGradient(train_backend, shots=0) as gradient_fn:
+            on_device = train_qnn(qc_model, dataset, config,
+                                  gradient_fn=gradient_fn)
         on_device_acc = evaluate_on_backend(
             qc_model, on_device.weights, dataset.x_test, dataset.y_test,
             eval_backend, initial_layout="noise_adaptive", max_samples=12,
@@ -95,9 +98,21 @@ def _gradient_workload():
     return model, weights, features, labels
 
 
+def _legacy_gradient(backend, model, weights, features, labels):
+    """One shift-rule gradient, one noisy circuit evaluation per row."""
+
+    def expectations_fn(weight_vector):
+        return noisy_expectations(model, weight_vector, features, backend,
+                                  shots=0)
+
+    logits = model.logits_from_expectations(expectations_fn(weights))
+    loss, grad_logits = cross_entropy_with_logits(logits, labels)
+    jacobian = parameter_shift_jacobian(expectations_fn, model.circuit, weights)
+    return loss, np.einsum("bq,bqw->w", grad_logits @ model.readout, jacobian)
+
+
 def _time_gradient_path(path, device, model, weights, features, labels):
     """Cold + warm timings of one engine path on a fresh, fair backend."""
-    engine = "sequential" if path.startswith("sharded") else path
     workers = int(path.split("_w")[1]) if path.startswith("sharded") else 1
     # every path gets both caches — the legacy baseline re-binds angles
     # through the parametric cache too, so the gate measures row batching
@@ -106,6 +121,13 @@ def _time_gradient_path(path, device, model, weights, features, labels):
         transpile_cache=TranspileCache(),
         parametric_cache=ParametricTranspileCache(),
     )
+    if path == "legacy":
+        # no engine, so no counters
+        return _timed_gradient(
+            lambda: _legacy_gradient(backend, model, weights, features, labels),
+            dict,
+        )
+    engine = "sequential" if path.startswith("sharded") else path
     with ParameterShiftGradient(
         backend, shots=0, engine=engine, workers=workers, seed=0
     ) as gradient:
@@ -113,14 +135,21 @@ def _time_gradient_path(path, device, model, weights, features, labels):
             # pool startup happens outside the timed region, like the
             # execution-engine benchmark's sharded columns
             gradient._engine.warm_up()
-        start = time.perf_counter()
-        loss, grads = gradient(model, weights, features, labels)
-        cold = time.perf_counter() - start
-        start = time.perf_counter()
-        for _repeat in range(WARM_REPEATS):
-            gradient(model, weights, features, labels)
-        warm = (time.perf_counter() - start) / WARM_REPEATS
-        report = gradient.epoch_report()
+        return _timed_gradient(
+            lambda: gradient(model, weights, features, labels),
+            gradient.epoch_report,
+        )
+
+
+def _timed_gradient(step, epoch_report):
+    start = time.perf_counter()
+    loss, grads = step()
+    cold = time.perf_counter() - start
+    start = time.perf_counter()
+    for _repeat in range(WARM_REPEATS):
+        step()
+    warm = (time.perf_counter() - start) / WARM_REPEATS
+    report = epoch_report()
     return {
         "loss": float(loss),
         "grads": np.asarray(grads),

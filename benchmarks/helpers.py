@@ -18,6 +18,7 @@ from repro.baselines import build_human_circuit, build_random_circuit
 from repro.core import (
     EstimatorConfig,
     EvolutionConfig,
+    PerformanceEstimator,
     QMLPipelineConfig,
     QuantumNASQMLPipeline,
     SubCircuitConfig,
@@ -44,6 +45,7 @@ __all__ = [
     "measured_metrics",
     "run_quantumnas_qml",
     "baseline_measured_accuracy",
+    "seed_path_scorer",
 ]
 
 #: dataset sizes used throughout the benchmark harness
@@ -61,26 +63,51 @@ def small_task(task: str = "mnist-4"):
     return dataset, encoder
 
 
+def seed_path_scorer(device, supercircuit, config, *, dataset=None,
+                     n_classes=None, molecule=None):
+    """The per-candidate seed path as a ``population_score_fn``.
+
+    One ``PerformanceEstimator.estimate_qml`` (``estimate_vqe`` given a
+    ``molecule``) call per candidate, in population order: the reference
+    the execution engines reproduce to 1e-9, and the sequential timing
+    column of the figure benchmarks.
+    """
+    estimator = PerformanceEstimator(device, config)
+
+    def score(candidates):
+        scores = []
+        for candidate in candidates:
+            circuit, _ = supercircuit.build_standalone_circuit(
+                candidate.config, include_encoder=molecule is None
+            )
+            weights = supercircuit.inherited_weights(candidate.config)
+            if molecule is None:
+                scores.append(estimator.estimate_qml(
+                    circuit, weights, dataset, n_classes,
+                    layout=candidate.mapping,
+                ))
+            else:
+                scores.append(estimator.estimate_vqe(
+                    circuit, weights, molecule, layout=candidate.mapping
+                ))
+        return scores
+
+    return score
+
+
 def fast_pipeline_config(
     estimator_mode: str = "success_rate",
     pruning_ratio: Optional[float] = None,
     seed: int = 0,
-    engine: str = "batched",
 ) -> QMLPipelineConfig:
-    """A QuantumNAS pipeline budget small enough for the benchmark harness.
-
-    ``engine`` selects how co-search populations are evaluated: ``"batched"``
-    submits them through the execution engine, ``"sequential"`` replays the
-    per-candidate estimator path (the two agree to 1e-9).
-    """
+    """A QuantumNAS pipeline budget small enough for the benchmark harness."""
     return QMLPipelineConfig(
         super_train=SuperTrainConfig(steps=40, batch_size=32, seed=seed),
         evolution=EvolutionConfig(
             iterations=6, population_size=12, parent_size=4,
             mutation_size=5, crossover_size=3, seed=seed,
         ),
-        estimator=EstimatorConfig(mode=estimator_mode, n_valid_samples=8, seed=seed,
-                                  engine=engine),
+        estimator=EstimatorConfig(mode=estimator_mode, n_valid_samples=8, seed=seed),
         sub_train=TrainConfig(epochs=EPOCHS, batch_size=32, learning_rate=0.02,
                               seed=seed),
         pruning_ratio=pruning_ratio,
@@ -127,7 +154,6 @@ def run_quantumnas_qml(
     estimator_mode: str = "success_rate",
     seed: int = 0,
     device=None,
-    engine: str = "batched",
 ):
     """Run the full (scaled-down) QuantumNAS pipeline and return its result."""
     dataset, encoder = small_task(task)
@@ -138,8 +164,7 @@ def run_quantumnas_qml(
         dataset.n_classes,
         device if device is not None else get_device(device_name),
         encoder,
-        config=fast_pipeline_config(estimator_mode, pruning_ratio, seed,
-                                    engine=engine),
+        config=fast_pipeline_config(estimator_mode, pruning_ratio, seed),
     )
     return pipeline.run()
 

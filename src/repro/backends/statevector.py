@@ -5,7 +5,7 @@ Serves every loss term that never needed a density matrix: the
 ``success_rate``-weighted scores, and the per-group noise-free energy probes
 of the VQE paths.  Forward passes run over the whole validation batch at
 once in the ``(batch,) + (2,) * n`` state layout, with consecutive concrete
-(weight-bound) gate segments fused into dense ``<= max_fused_qubits``
+(weight-bound) gate segments fused into dense ``<= MAX_FUSED_QUBITS``
 unitaries (TorchQuantum's static mode) so the hot loop applies fewer, larger
 contractions.  Per-sample encoder gates stay dynamic and are applied with
 batched matrices.
@@ -41,6 +41,9 @@ from .base import (
 from .registry import register_backend
 
 __all__ = ["StatevectorBackend"]
+
+#: widest dense unitary a fused concrete segment is grouped into
+MAX_FUSED_QUBITS = 3
 
 
 class _StatevectorResult(JobResult):
@@ -80,11 +83,6 @@ class StatevectorBackend(SimulationBackend):
 
     def __init__(self, estimator) -> None:
         super().__init__(estimator)
-        config = estimator.config
-        # engines override these post-construction when their own settings
-        # differ from the estimator config (e.g. the fusion=False test seam)
-        self.fusion = bool(getattr(config, "fusion", True))
-        self.max_fused_qubits = int(getattr(config, "max_fused_qubits", 3))
         self.segments_fused = 0
         self.batches_run = 0
 
@@ -136,7 +134,7 @@ class StatevectorBackend(SimulationBackend):
             if not segment:
                 return
             concrete = QuantumCircuit(circuit.n_qubits, list(segment))
-            for block in fuse_circuit(concrete, self.max_fused_qubits):
+            for block in fuse_circuit(concrete, MAX_FUSED_QUBITS):
                 plan.append(("fused", block))
             self.segments_fused += 1
             segment.clear()
@@ -155,15 +153,13 @@ class StatevectorBackend(SimulationBackend):
     def _forward_states(
         self, entry, features: Optional[np.ndarray], batch: int = 1
     ) -> np.ndarray:
-        """Statevector forward pass with static-mode fusion when enabled."""
+        """Statevector forward pass with static-mode fusion."""
         circuit, weights = entry.circuit, entry.weights
         if features is not None:
             features = np.asarray(features, dtype=float)
             if features.ndim == 1:
                 features = features[None, :]
             batch = features.shape[0]
-        if not self.fusion:
-            return run_parameterized(circuit, weights, features, batch=batch)
         states = zero_state(circuit.n_qubits, batch)
         for kind, payload in self._fusion_plan(entry):
             if kind == "fused":

@@ -31,11 +31,15 @@ from ..quantum.density_matrix import DensityMatrixSimulator, expectation_pauli_s
 from ..quantum.operators import PauliString, PauliSum
 from ..quantum.statevector import expectation_pauli_sum, run_parameterized
 from ..transpile.compiler import transpile
+from ..utils.env import env_workers, normalize_backend
 from ..utils.rng import ensure_rng
 from ..utils.stats import nll_loss, softmax
 from ..vqe.molecules import Molecule
 
 __all__ = ["EstimatorConfig", "PerformanceEstimator"]
+
+#: entries per estimator-owned transpile cache (bound-key and parametric)
+_TRANSPILE_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -49,13 +53,9 @@ class EstimatorConfig:
     shots: int = 2048                # only used in real_qc mode
     seed: int = 0
     # -- population execution engine (see repro.execution) --------------------
-    engine: str = "batched"          # batched | sequential
-    fusion: bool = True              # gate-fuse concrete segments of the hot loop
-    max_fused_qubits: int = 3
-    transpile_cache_size: int = 1024
     #: compile each (genome, mapping) structure once and re-bind angles per
     #: sample (repro.transpile.parametric); False replays the exact PR-2
-    #: bound-circuit cache path.  Only affects the batched engine.
+    #: bound-circuit cache path.
     parametric_transpile: bool = True
     #: worker processes for population evaluation.  > 1 makes
     #: :meth:`PerformanceEstimator.population_engine` return a
@@ -63,9 +63,7 @@ class EstimatorConfig:
     #: in-process.  The default honours the ``REPRO_WORKERS`` environment
     #: variable (the CI matrix runs the suite with ``REPRO_WORKERS=2``).
     #: Scores are bit-for-bit independent of this value.
-    workers: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_WORKERS", "1"))
-    )
+    workers: int = field(default_factory=env_workers)
     #: minimum candidates per shard worth one process dispatch; populations
     #: smaller than ``2 * shard_min_group_size`` evaluate in-process
     shard_min_group_size: int = 4
@@ -78,7 +76,7 @@ class EstimatorConfig:
     #: ``REPRO_BACKEND=statevector`` lane).  Unknown names raise when the
     #: first execution engine is constructed.
     backend: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND") or None
+        default_factory=lambda: os.environ.get("REPRO_BACKEND")
     )
     # -- shard resilience policy (see repro.execution.resilience) -------------
     #: per-shard wall-clock deadline; a shard still running past it is
@@ -96,13 +94,10 @@ class EstimatorConfig:
         valid = ("auto", "noise_sim", "success_rate", "noise_free", "real_qc")
         if self.mode not in valid:
             raise ValueError(f"mode must be one of {valid}")
-        if self.engine not in ("batched", "sequential"):
-            raise ValueError("engine must be 'batched' or 'sequential'")
         self.workers = int(self.workers)
         if self.shard_min_group_size < 1:
             raise ValueError("shard_min_group_size must be positive")
-        if self.backend is not None:
-            self.backend = str(self.backend).strip().lower() or None
+        self.backend = normalize_backend(self.backend)
 
 
 class PerformanceEstimator:
@@ -133,9 +128,9 @@ class PerformanceEstimator:
         # of an import-time dependency on repro.execution.
         from ..execution.cache import ParametricTranspileCache, TranspileCache
 
-        self.transpile_cache = TranspileCache(self.config.transpile_cache_size)
+        self.transpile_cache = TranspileCache(_TRANSPILE_CACHE_SIZE)
         self.parametric_transpile_cache = ParametricTranspileCache(
-            bound_maxsize=self.config.transpile_cache_size,
+            bound_maxsize=_TRANSPILE_CACHE_SIZE,
             fallback=self.transpile_cache,
         )
 
@@ -148,9 +143,6 @@ class PerformanceEstimator:
         if n_qubits <= self.config.max_density_qubits:
             return "noise_sim"
         return "success_rate"
-
-    # backwards-compatible alias
-    _resolve_mode = resolve_mode
 
     # -- task-level observables ---------------------------------------------------
 
@@ -189,7 +181,7 @@ class PerformanceEstimator:
         the returned engine when the search is done — a no-op in-process,
         worker-pool shutdown when sharded.
         """
-        if getattr(self.config, "workers", 1) > 1:
+        if self.config.workers > 1:
             from ..execution.scheduler import ShardedExecutionEngine
 
             return ShardedExecutionEngine(self, supercircuit)
@@ -246,9 +238,6 @@ class PerformanceEstimator:
         count = min(self.config.n_valid_samples, n_valid)
         index = np.arange(count)  # deterministic subset keeps candidates comparable
         return dataset.x_valid[index], dataset.y_valid[index]
-
-    # backwards-compatible alias
-    _validation_subset = validation_subset
 
     # -- VQE -----------------------------------------------------------------------
 

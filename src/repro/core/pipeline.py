@@ -150,12 +150,10 @@ class QuantumNASQMLPipeline:
         # batches them (sharding across worker processes when
         # ``EstimatorConfig.workers > 1``, dispatching each structure group
         # to a simulation backend per ``EstimatorConfig.backend`` /
-        # ``REPRO_BACKEND``) or replays the per-candidate seed path when
-        # ``EstimatorConfig.engine == "sequential"``.  Either way the
-        # compilations land in the estimator-owned caches that stage 5
-        # reuses, so the sharded engine's worker pool can be shut down as
-        # soon as the search returns — the context manager guarantees that
-        # even when the search raises.
+        # ``REPRO_BACKEND``).  The compilations land in the estimator-owned
+        # caches that stage 5 reuses, so the sharded engine's worker pool
+        # can be shut down as soon as the search returns — the context
+        # manager guarantees that even when the search raises.
         with self.estimator.population_engine(self.supercircuit) as execution:
             return engine.search(
                 population_score_fn=execution.qml_population_scorer(

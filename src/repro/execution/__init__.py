@@ -16,7 +16,7 @@ and shared by every candidate in it.
 **Batched statevector evaluation.**  Noise-free forwards run over the whole
 validation set at once in the ``(batch,) + (2,) * n_qubits`` state layout
 (the paper's Fig. 12 batched execution mode), with consecutive concrete
-(weight-bound) gate segments fused into dense ≤ ``max_fused_qubits`` unitaries
+(weight-bound) gate segments fused into dense ≤ 3-qubit unitaries
 via :mod:`repro.quantum.fusion` — TorchQuantum's static mode — so the hot
 loop applies fewer, larger contractions.  Per-sample encoder gates stay
 dynamic and are applied with batched matrices.
@@ -65,10 +65,12 @@ deterministic ``REPRO_FAULTS`` harness (:mod:`repro.execution.faults`)
 drives the chaos tests that prove a fault can delay a generation but never
 change a score.  See ``src/repro/execution/README.md``.
 
-``EstimatorConfig(engine="sequential")`` routes every candidate through the
-original per-candidate estimator calls, bit-for-bit identical to the seed
-implementation; the equivalence tests in ``tests/execution`` pin the batched
-mode against it to 1e-9 on expectations, losses and evolution rankings.
+Engines read every setting from the estimator's ``EstimatorConfig``.  Their
+reference is the original per-candidate seed path —
+``PerformanceEstimator.estimate_qml``/``estimate_vqe`` called once per
+candidate — which the equivalence tests in ``tests/execution`` loop directly
+and pin the engines against to 1e-9 on expectations, losses and evolution
+rankings.
 """
 
 from .cache import (

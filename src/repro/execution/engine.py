@@ -21,9 +21,11 @@ strategy.  The short version:
     :meth:`~repro.execution.cache.ParametricTranspileCache.get_bound_batch`)
     consumed directly by the density backend.
 
-``mode="sequential"`` reproduces the seed per-candidate estimator calls
-bit-for-bit and is the reference the equivalence tests pin the batched mode
-against.
+The engine reads every setting from the estimator's
+:class:`~repro.core.estimator.EstimatorConfig`.  Its reference is the
+per-candidate seed path — one :meth:`PerformanceEstimator.estimate_qml` /
+``estimate_vqe`` call per candidate — which the equivalence tests loop
+directly and pin the engine against to 1e-9.
 """
 
 from __future__ import annotations
@@ -39,11 +41,7 @@ from ..qml.qnn import readout_matrix
 from ..quantum.circuit import ParameterizedCircuit
 from ..utils.stats import nll_loss, softmax
 from .. import telemetry
-from .cache import (
-    ParametricTranspileCache,
-    TranspileCache,
-    _normalize_layout,
-)
+from .cache import _normalize_layout
 from .stats import MergeableStats
 
 __all__ = ["ExecutionStats", "ExecutionEngine"]
@@ -109,67 +107,22 @@ class _StructureEntry:
 class ExecutionEngine:
     """Evaluates whole co-search populations through the performance estimator.
 
-    Parameters default to the estimator's :class:`EstimatorConfig` fields
-    (``engine``, ``fusion``, ``max_fused_qubits``, ``transpile_cache_size``),
-    so pipelines only need ``ExecutionEngine(estimator, supercircuit)``.
-    Engines are context managers: ``with estimator.population_engine(sc) as
-    engine: ...`` releases any scheduler resources on exit.
+    Everything comes from the estimator: its config (``parametric_transpile``,
+    ``backend``, ``max_density_qubits``, ...) and its transpile caches, which
+    engines created for successive co-searches — and the deploy/evaluate
+    stage — share.  Engines are context managers: ``with
+    estimator.population_engine(sc) as engine: ...`` releases any scheduler
+    resources on exit.
     """
 
     _STRUCTURE_CACHE_SIZE = 256
 
-    def __init__(
-        self,
-        estimator,
-        supercircuit,
-        mode: Optional[str] = None,
-        fusion: Optional[bool] = None,
-        max_fused_qubits: Optional[int] = None,
-        transpile_cache_size: Optional[int] = None,
-        parametric_transpile: Optional[bool] = None,
-    ) -> None:
-        config = estimator.config
+    def __init__(self, estimator, supercircuit) -> None:
         self.estimator = estimator
         self.supercircuit = supercircuit
-        self.mode = mode if mode is not None else getattr(config, "engine", "batched")
-        if self.mode not in ("batched", "sequential"):
-            raise ValueError("mode must be 'batched' or 'sequential'")
-        self.fusion = bool(
-            getattr(config, "fusion", True) if fusion is None else fusion
-        )
-        self.max_fused_qubits = int(
-            getattr(config, "max_fused_qubits", 3)
-            if max_fused_qubits is None
-            else max_fused_qubits
-        )
-        # Caches are owned by the estimator when it provides them (the default
-        # since the warm-start work), so engines created for successive
-        # co-searches — and the deploy/evaluate stage — share one instance.
-        # An explicit transpile_cache_size opts out into private caches.
-        shared_cache = getattr(estimator, "transpile_cache", None)
-        if transpile_cache_size is None and shared_cache is not None:
-            self.transpile_cache = shared_cache
-        else:
-            self.transpile_cache = TranspileCache(
-                int(
-                    getattr(config, "transpile_cache_size", 1024)
-                    if transpile_cache_size is None
-                    else transpile_cache_size
-                )
-            )
-        shared_parametric = getattr(estimator, "parametric_transpile_cache", None)
-        if transpile_cache_size is None and shared_parametric is not None:
-            self.parametric_cache = shared_parametric
-        else:
-            self.parametric_cache = ParametricTranspileCache(
-                bound_maxsize=self.transpile_cache.maxsize,
-                fallback=self.transpile_cache,
-            )
-        self.parametric_transpile = bool(
-            getattr(config, "parametric_transpile", True)
-            if parametric_transpile is None
-            else parametric_transpile
-        )
+        self.transpile_cache = estimator.transpile_cache
+        self.parametric_cache = estimator.parametric_transpile_cache
+        self.parametric_transpile = estimator.config.parametric_transpile
         #: per-group backend selection policy; rebuilt identically inside
         #: every sharded worker from the pickled estimator config
         self.dispatcher = BackendDispatcher(estimator)
@@ -238,11 +191,6 @@ class ExecutionEngine:
         backend = backends.get(name)
         if backend is None:
             backend = self.dispatcher.create(name)
-            if name == "statevector":
-                # the engine's fusion settings may override the config's
-                # (the fusion=False regression seam)
-                backend.fusion = self.fusion
-                backend.max_fused_qubits = self.max_fused_qubits
             backends[name] = backend
         return backend
 
@@ -302,12 +250,6 @@ class ExecutionEngine:
         self, candidates: List, dataset, n_classes: int
     ) -> List[float]:
         estimator = self.estimator
-        if self.mode == "sequential":
-            return [
-                self._sequential_qml(candidate, dataset, n_classes)
-                for candidate in candidates
-            ]
-
         self._maybe_invalidate_structures()
         n_qubits = self.supercircuit.n_qubits
         mode = estimator.resolve_mode(n_qubits)
@@ -525,11 +467,6 @@ class ExecutionEngine:
 
     def _evaluate_vqe(self, candidates: List, molecule) -> List[float]:
         estimator = self.estimator
-        if self.mode == "sequential":
-            return [
-                self._sequential_vqe(candidate, molecule) for candidate in candidates
-            ]
-
         self._maybe_invalidate_structures()
         n_qubits = self.supercircuit.n_qubits
         mode = estimator.resolve_mode(n_qubits)
@@ -656,50 +593,7 @@ class ExecutionEngine:
         self._merge_backend_stats(backends)
         return scores
 
-    # -- noisy expectations (public so tests can pin the batched path) ----------
-
-    def noisy_expectations(
-        self,
-        circuit: ParameterizedCircuit,
-        weights: np.ndarray,
-        mapping,
-        features: np.ndarray,
-    ) -> np.ndarray:
-        """Per-sample logical Z expectations under the device noise model.
-
-        Matches ``QuantumBackend.run(circuit.bind(weights, row), ...)`` with
-        ``shots=0``, sample by sample, but runs every sample through one
-        batched density-matrix evolution.  Always the density backend — this
-        is the simulator-exact path the deploy/evaluate helpers pin against.
-        """
-        estimator = self.estimator
-        backend = self.dispatcher.create("density")
-        jobs = []
-        for row in np.atleast_2d(features):
-            if self.parametric_transpile:
-                compiled = self.parametric_cache.get_bound(
-                    circuit,
-                    weights,
-                    row,
-                    estimator.device,
-                    initial_layout=mapping,
-                    optimization_level=estimator.config.optimization_level,
-                )
-            else:
-                compiled = self.transpile_cache.get(
-                    circuit.bind(weights, row),
-                    estimator.device,
-                    initial_layout=mapping,
-                    optimization_level=estimator.config.optimization_level,
-                )
-            jobs.append(SimulationJob(compiled=compiled))
-        handles = backend.run_group(None, jobs)
-        backend.synchronize()
-        return np.stack(
-            [handle.logical_z_expectations(circuit.n_qubits) for handle in handles]
-        )
-
-    # -- sequential reference paths ---------------------------------------------
+    # -- per-candidate estimator calls (the real_qc path) -----------------------
 
     def _sequential_qml(self, candidate, dataset, n_classes: int) -> float:
         circuit, _ = self.supercircuit.build_standalone_circuit(candidate.config)

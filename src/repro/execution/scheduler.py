@@ -121,10 +121,10 @@ class _PopulationWorker(ExecutionEngine):
 class ShardedExecutionEngine(ShardRuntime, ExecutionEngine):
     """A population engine that fans structure groups out to worker processes.
 
-    Drop-in for :class:`ExecutionEngine` (it *is* one): the scorer factories,
-    sequential/real_qc fallbacks and ``noisy_expectations`` are inherited,
-    only whole-population evaluation is sharded.  Construction defaults to
-    :class:`~repro.core.estimator.EstimatorConfig` fields ``workers`` and
+    Drop-in for :class:`ExecutionEngine` (it *is* one): the scorer factories
+    and the real_qc fallback are inherited, only whole-population evaluation
+    is sharded.  The estimator's
+    :class:`~repro.core.estimator.EstimatorConfig` supplies ``workers`` and
     ``shard_min_group_size`` (plus the ``shard_deadline_seconds`` /
     ``shard_retries`` / ``shard_backoff_*`` resilience knobs).
 
@@ -150,27 +150,17 @@ class ShardedExecutionEngine(ShardRuntime, ExecutionEngine):
         self,
         estimator,
         supercircuit,
-        workers: Optional[int] = None,
-        shard_min_group_size: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         pools: Optional[WorkerPoolGroup] = None,
         tenant: Optional[str] = None,
-        **engine_kwargs,
     ) -> None:
-        ExecutionEngine.__init__(self, estimator, supercircuit, **engine_kwargs)
+        ExecutionEngine.__init__(self, estimator, supercircuit)
         config = estimator.config
-        self.shard_min_group_size = max(
-            1,
-            int(
-                getattr(config, "shard_min_group_size", 4)
-                if shard_min_group_size is None
-                else shard_min_group_size
-            ),
-        )
+        self.shard_min_group_size = config.shard_min_group_size
         ShardRuntime.__init__(
             self,
             config,
-            getattr(config, "workers", 1) if workers is None else workers,
+            config.workers,
             (_PopulationWorker, (estimator.device, config, supercircuit)),
             (self.transpile_cache, self.parametric_cache),
             fault_plan=fault_plan,
@@ -213,12 +203,9 @@ class ShardedExecutionEngine(ShardRuntime, ExecutionEngine):
     def _shardable(self) -> bool:
         """Whether population evaluation may leave the parent process.
 
-        ``sequential`` replays the seed path and ``real_qc`` consumes the
-        backend's rng stream in population order; both stay on the inherited
-        in-process implementations.
+        ``real_qc`` consumes the backend's rng stream in population order, so
+        it stays on the inherited in-process implementation.
         """
-        if self.mode != "batched":
-            return False
         return self.estimator.resolve_mode(self.supercircuit.n_qubits) != "real_qc"
 
     # -- scheduling ----------------------------------------------------------

@@ -32,10 +32,12 @@ weight vector.  ``engine="sequential"`` evaluates rows one engine call at a
 time, which is the unit the sharded wrapper (:class:`~repro.gradients.
 sharded.ShardedGradientEngine`) moves between worker processes: a row
 produces bit-for-bit the same floats inside any worker, inside the parent,
-and under any worker count.  ``engine="batched"`` fuses all rows of one call
-into a single evolution — faster, and equal to the sequential path to
-floating-point batching tolerance (last-ulp contraction-order differences),
-not bitwise.
+and under any worker count.  ``engine="batched"`` (the default, and the only
+other mode) fuses all rows of one call into a single evolution — faster, and
+equal to the sequential path to floating-point batching tolerance (last-ulp
+contraction-order differences), not bitwise.  Both modes are checked against
+the per-row ``parameter_shift_jacobian`` closure the tests keep as their
+reference.
 
 Every randomness sink is pinned by content, never by scheduling order:
 shot jobs carry ``seed_key`` tuples built from *global* row labels, and the
@@ -58,6 +60,7 @@ from ..execution.cache import ParametricTranspileCache, TranspileCache
 from ..execution.stats import MergeableStats
 from ..quantum.autodiff import ShiftRulePlan, build_shift_plan
 from ..quantum.circuit import ParameterizedCircuit
+from ..utils.env import normalize_backend
 from ..utils.rng import stable_seed
 
 __all__ = [
@@ -74,26 +77,29 @@ class GradientEngineConfig:
 
     Quacks like :class:`~repro.core.estimator.EstimatorConfig` for the
     simulation backends (``shots``, ``seed``, ``optimization_level``,
-    ``max_density_qubits``, ``fusion``, ``max_fused_qubits``, ``backend``)
-    and ships to sharded gradient workers by pickle, so worker engines
-    rebuild an identical dispatcher from the config alone.
+    ``max_density_qubits``, ``backend``) and ships to sharded gradient
+    workers by pickle, so worker engines rebuild an identical dispatcher
+    from the config alone.
     """
 
     shots: int = 0
     seed: int = 0
     optimization_level: int = 2
     max_density_qubits: int = 10
-    fusion: bool = True
-    max_fused_qubits: int = 3
-    #: backend override, applied where capable (see BackendDispatcher policy)
+    #: backend override, applied where capable (see BackendDispatcher
+    #: policy); defaults to ``REPRO_BACKEND``, normalized like the
+    #: estimator's
     backend: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND") or None
+        default_factory=lambda: os.environ.get("REPRO_BACKEND")
     )
     # -- shard resilience policy (see repro.execution.resilience) -------------
     shard_deadline_seconds: Optional[float] = 600.0
     shard_retries: int = 2
     shard_backoff_seconds: float = 0.05
     shard_backoff_max_seconds: float = 2.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "backend", normalize_backend(self.backend))
 
 
 @dataclass

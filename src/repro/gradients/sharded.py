@@ -12,7 +12,6 @@ back into the parent engine after every step.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .. import telemetry
 from ..execution.faults import FaultPlan
 from ..execution.shards import ShardRuntime
+from ..utils.env import env_workers
 from .engine import BatchedGradientEngine, GradientEngineConfig
 
 __all__ = ["ShardedGradientEngine", "make_gradient_engine"]
@@ -206,8 +206,10 @@ def make_gradient_engine(
     gradient compilations flow into the same warm state the forward and
     evaluation paths reuse.  ``shots`` defaults to the backend's.
     """
+    if engine not in ("batched", "sequential"):
+        raise ValueError(f"unknown gradient engine {engine!r}")
     if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "1"))
+        workers = env_workers()
     device = backend.device if backend is not None else None
     if backend is None:
         shots = 0

@@ -11,7 +11,6 @@ from .encoders import (
 from .evaluation import (
     ParameterShiftGradient,
     evaluate_on_backend,
-    make_parameter_shift_gradient_fn,
     noisy_expectations,
 )
 from .qnn import QNNModel, readout_matrix
@@ -28,7 +27,6 @@ __all__ = [
     "build_encoder_ops",
     "encoder_for_task",
     "evaluate_on_backend",
-    "make_parameter_shift_gradient_fn",
     "ParameterShiftGradient",
     "noisy_expectations",
     "QNNModel",

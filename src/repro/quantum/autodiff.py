@@ -20,12 +20,13 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .circuit import ParameterizedCircuit
-from .gates import gate_gradients, gate_matrix
+from .gates import gate_gradients
 from .operators import PauliSum
 from .statevector import (
     apply_matrix,
     apply_pauli,
     apply_pauli_sum,
+    op_matrix,
     run_parameterized,
 )
 
@@ -60,12 +61,6 @@ def _dagger(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim == 3:
         return np.conj(np.swapaxes(matrix, 1, 2))
     return matrix.conj().T
-
-
-def _batched_matrix(gate: str, params: np.ndarray) -> np.ndarray:
-    if params.ndim == 2:
-        return np.stack([gate_matrix(gate, row) for row in params])
-    return gate_matrix(gate, params)
 
 
 def _batched_gradients(gate: str, params: np.ndarray) -> list[np.ndarray]:
@@ -120,7 +115,7 @@ def adjoint_gradient(
 
     for op in reversed(pcirc.ops):
         params = pcirc.resolve_params(op, weights, features)
-        matrix = _batched_matrix(op.gate, params)
+        matrix = op_matrix(op.gate, params)
         matrix_dag = _dagger(matrix)
         psi = apply_matrix(psi, matrix_dag, op.qubits)
         if op.is_trainable:

@@ -117,10 +117,6 @@ def op_matrix(gate: str, params: np.ndarray) -> np.ndarray:
     return gate_matrix(gate, params)
 
 
-# backwards-compatible alias
-_op_matrix = op_matrix
-
-
 def run_parameterized(
     pcirc: ParameterizedCircuit,
     weights: np.ndarray,
@@ -140,7 +136,7 @@ def run_parameterized(
         batch = features.shape[0]
     states = zero_state(pcirc.n_qubits, batch or 1)
     for gate, qubits, params in resolved_operations(pcirc, weights, features):
-        states = apply_matrix(states, _op_matrix(gate, params), qubits)
+        states = apply_matrix(states, op_matrix(gate, params), qubits)
     return states
 
 

@@ -21,13 +21,13 @@ work between processes; it never changes the numbers.
 from __future__ import annotations
 
 import itertools
-import os
 import warnings
 from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..core.evolution import EvolutionResult
 from ..utils import clock
+from ..utils.env import env_workers
 from ..execution.resilience import WorkerPoolGroup
 from ..execution.shards import _init_worker
 from .jobs import JobHandle, SearchJob, TenantStats, _JobRuntime
@@ -83,7 +83,7 @@ class CoSearchService:
         max_concurrent_jobs: int = 2,
     ) -> None:
         if max_workers is None:
-            max_workers = int(os.environ.get("REPRO_WORKERS", "1"))
+            max_workers = env_workers()
         self.max_workers = max(0, int(max_workers))
         self.max_concurrent_jobs = int(max_concurrent_jobs)
         if self.max_concurrent_jobs < 1:

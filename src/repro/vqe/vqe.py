@@ -31,8 +31,8 @@ class VQEConfig:
     noise-free without a backend, noisy/measured with one).
     ``gradient_workers`` (default: the ``REPRO_WORKERS`` environment
     variable) shards each step's shifted evaluations across worker
-    processes; ``gradient_engine`` picks ``"batched"`` (default via
-    ``"auto"``) or ``"sequential"`` row evaluation.  ``shots`` overrides the
+    processes; ``gradient_engine`` picks ``"batched"`` (the default) or
+    ``"sequential"`` row evaluation.  ``shots`` overrides the
     backend's shot count for parameter-shift energy evaluations (``0`` means
     exact noisy simulation).
     """
@@ -43,7 +43,7 @@ class VQEConfig:
     warmup_steps: int = 0
     seed: int = 0
     gradient: str = "adjoint"
-    gradient_engine: str = "auto"
+    gradient_engine: str = "batched"
     gradient_workers: Optional[int] = None
     shots: Optional[int] = None
     optimization_level: int = 2
@@ -157,11 +157,7 @@ class VQEModel:
                 backend, initial_layout=initial_layout, shots=config.shots,
                 seed=config.seed, optimization_level=config.optimization_level,
                 workers=config.gradient_workers,
-                engine=(
-                    "batched"
-                    if config.gradient_engine == "auto"
-                    else config.gradient_engine
-                ),
+                engine=config.gradient_engine,
             )
         elif config.gradient != "adjoint":
             raise ValueError(f"unknown VQE gradient {config.gradient!r}")

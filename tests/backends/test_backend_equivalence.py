@@ -41,32 +41,31 @@ def qml_task(n_qubits: int):
     return encoder, dataset
 
 
-def qml_scores(device, supercircuit, dataset, candidates, mode, engine="batched",
-               backend=None, n_valid=3):
+def qml_scores(device, supercircuit, dataset, candidates, mode, backend=None,
+               n_valid=3):
     estimator = PerformanceEstimator(
         device,
-        EstimatorConfig(
-            mode=mode, n_valid_samples=n_valid, engine=engine, backend=backend
-        ),
+        EstimatorConfig(mode=mode, n_valid_samples=n_valid, backend=backend),
     )
-    with ExecutionEngine(estimator, supercircuit) as engine_obj:
-        scores = engine_obj.evaluate_qml_population(candidates, dataset, 2)
-        return scores, engine_obj
+    with ExecutionEngine(estimator, supercircuit) as engine:
+        scores = engine.evaluate_qml_population(candidates, dataset, 2)
+        return scores, engine
 
 
 @pytest.mark.parametrize("n_qubits,device_name", [(2, "yorktown"), (6, "jakarta")])
 @pytest.mark.parametrize("mode", ["noise_sim", "success_rate"])
-def test_qml_dispatch_matches_sequential_across_widths(n_qubits, device_name,
-                                                       mode):
+def test_qml_dispatch_matches_sequential_across_widths(seed_path_scorer, n_qubits,
+                                                       device_name, mode):
     device = get_device(device_name)
     space = get_design_space("u3cu3")
     encoder, dataset = qml_task(n_qubits)
     supercircuit = SuperCircuit(space, n_qubits, encoder=encoder, seed=3)
     candidates = make_population(space, n_qubits, device, seed=11, size=3)
 
-    sequential, _ = qml_scores(
-        device, supercircuit, dataset, candidates, mode, engine="sequential"
-    )
+    sequential = seed_path_scorer(
+        device, supercircuit, EstimatorConfig(mode=mode, n_valid_samples=3),
+        dataset=dataset, n_classes=2,
+    )(candidates)
     batched, engine = qml_scores(
         device, supercircuit, dataset, candidates, mode
     )
@@ -132,7 +131,8 @@ def test_forcing_statevector_on_noise_sim_keeps_density_scores(
     ("lih", "jakarta"),     # 6 qubits
 ])
 @pytest.mark.parametrize("mode", ["noise_sim", "success_rate"])
-def test_vqe_dispatch_matches_sequential_across_widths(molecule_name,
+def test_vqe_dispatch_matches_sequential_across_widths(seed_path_scorer,
+                                                       molecule_name,
                                                        device_name, mode):
     molecule = load_molecule(molecule_name)
     device = get_device(device_name)
@@ -140,21 +140,22 @@ def test_vqe_dispatch_matches_sequential_across_widths(molecule_name,
     supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
     candidates = make_population(space, molecule.n_qubits, device, seed=7, size=3)
 
-    def scores(engine_mode, backend=None):
+    def scores(backend=None):
         estimator = PerformanceEstimator(
-            device,
-            EstimatorConfig(mode=mode, engine=engine_mode, backend=backend),
+            device, EstimatorConfig(mode=mode, backend=backend)
         )
         with ExecutionEngine(estimator, supercircuit) as engine:
             return engine.evaluate_vqe_population(candidates, molecule)
 
-    sequential = scores("sequential")
-    np.testing.assert_allclose(scores("batched"), sequential, rtol=0, atol=ATOL)
+    sequential = seed_path_scorer(
+        device, supercircuit, EstimatorConfig(mode=mode), molecule=molecule
+    )(candidates)
+    np.testing.assert_allclose(scores(), sequential, rtol=0, atol=ATOL)
     # forcing the default engine family must be a no-op; forcing the shot
     # backend is vetoed by the observable requirement and is one too
     for forced in ("density", "statevector", "shots"):
         np.testing.assert_allclose(
-            scores("batched", backend=forced), sequential, rtol=0, atol=ATOL
+            scores(backend=forced), sequential, rtol=0, atol=ATOL
         )
 
 
@@ -163,8 +164,8 @@ def test_vqe_dispatch_matches_sequential_across_widths(molecule_name,
     ("noise_sim", 2, 6),
 ])
 def test_evolution_rankings_match_under_dispatch(u3cu3_supercircuit, yorktown,
-                                                 tiny_dataset, mode, n_valid,
-                                                 population):
+                                                 tiny_dataset, seed_path_scorer,
+                                                 mode, n_valid, population):
     """Seeded searches driven by the dispatched engines visit identical
     populations and produce identical rankings to the sequential path."""
     space = get_design_space("u3cu3")
@@ -172,21 +173,18 @@ def test_evolution_rankings_match_under_dispatch(u3cu3_supercircuit, yorktown,
         iterations=2, population_size=population, parent_size=3,
         mutation_size=max(2, population - 5), crossover_size=2, seed=9,
     )
-    results = {}
-    for engine_mode in ("sequential", "batched"):
-        estimator = PerformanceEstimator(
-            yorktown,
-            EstimatorConfig(mode=mode, n_valid_samples=n_valid,
-                            engine=engine_mode, backend=None),
+    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid, backend=None)
+    sequential = EvolutionEngine(space, 4, yorktown, evolution_config).search(
+        population_score_fn=seed_path_scorer(
+            yorktown, u3cu3_supercircuit, config,
+            dataset=tiny_dataset, n_classes=4,
         )
-        with ExecutionEngine(estimator, u3cu3_supercircuit) as execution:
-            evolution = EvolutionEngine(space, 4, yorktown, evolution_config)
-            results[engine_mode] = evolution.search(
-                population_score_fn=execution.qml_population_scorer(
-                    tiny_dataset, 4
-                )
-            )
-    sequential, batched = results["sequential"], results["batched"]
+    )
+    estimator = PerformanceEstimator(yorktown, config)
+    with ExecutionEngine(estimator, u3cu3_supercircuit) as execution:
+        batched = EvolutionEngine(space, 4, yorktown, evolution_config).search(
+            population_score_fn=execution.qml_population_scorer(tiny_dataset, 4)
+        )
     assert batched.best.gene() == sequential.best.gene()
     assert batched.evaluated == sequential.evaluated
     assert batched.best_score == pytest.approx(sequential.best_score, abs=ATOL)

@@ -5,9 +5,47 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SuperCircuit, get_design_space
+from repro.core import PerformanceEstimator, SuperCircuit, get_design_space
 from repro.devices import get_device
 from repro.qml import encoder_for_task, make_classification_dataset
+
+
+def _seed_path_scorer(device, supercircuit, config, *, dataset=None,
+                      n_classes=None, molecule=None):
+    estimator = PerformanceEstimator(device, config)
+
+    def score(candidates):
+        scores = []
+        for candidate in candidates:
+            circuit, _ = supercircuit.build_standalone_circuit(
+                candidate.config, include_encoder=molecule is None
+            )
+            weights = supercircuit.inherited_weights(candidate.config)
+            if molecule is None:
+                scores.append(estimator.estimate_qml(
+                    circuit, weights, dataset, n_classes,
+                    layout=candidate.mapping,
+                ))
+            else:
+                scores.append(estimator.estimate_vqe(
+                    circuit, weights, molecule, layout=candidate.mapping
+                ))
+        return scores
+
+    return score
+
+
+@pytest.fixture(scope="session")
+def seed_path_scorer():
+    """The per-candidate seed path as a ``population_score_fn`` factory.
+
+    ``seed_path_scorer(device, supercircuit, config, dataset=..., n_classes=...)``
+    (or ``molecule=...`` for VQE) returns a callable scoring a population
+    with one ``PerformanceEstimator.estimate_qml`` / ``estimate_vqe`` call
+    per candidate, in population order — the reference every batched and
+    sharded engine must reproduce to 1e-9.
+    """
+    return _seed_path_scorer
 
 
 @pytest.fixture

@@ -94,7 +94,7 @@ def test_engine_batched_vqe_uses_hoisted_observable(h2_setup, yorktown):
     candidates = [evolution.random_candidate() for _ in range(6)]
 
     estimator = PerformanceEstimator(
-        yorktown, EstimatorConfig(mode="success_rate", engine="batched")
+        yorktown, EstimatorConfig(mode="success_rate")
     )
     engine = ExecutionEngine(estimator, supercircuit)
     engine.evaluate_vqe_population(candidates, molecule)

@@ -268,13 +268,6 @@ def test_caches_are_shared_across_engines_and_backend(u3cu3_supercircuit, yorkto
     # the backend's run populated the estimator-owned structure cache
     assert len(estimator.parametric_transpile_cache) == 1
 
-    # an explicit cache size opts an engine out into private caches
-    private = ExecutionEngine(
-        estimator, u3cu3_supercircuit, transpile_cache_size=8
-    )
-    assert private.transpile_cache is not estimator.transpile_cache
-    assert private.parametric_cache is not estimator.parametric_transpile_cache
-
 
 def test_backend_run_parameterized_matches_run(u3cu3_supercircuit, yorktown):
     """Without caches run_parameterized is exactly run(bind(...)); with caches

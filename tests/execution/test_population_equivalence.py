@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import DensityMatrixBackend, SimulationJob
 from repro.core import EvolutionConfig, EvolutionEngine, SuperCircuit, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
@@ -32,58 +33,42 @@ def make_population(space, n_qubits, device, seed, size):
     return candidates
 
 
-def engines_for(device, supercircuit, mode, n_valid_samples):
-    sequential = ExecutionEngine(
-        PerformanceEstimator(
-            device,
-            EstimatorConfig(
-                mode=mode, n_valid_samples=n_valid_samples, engine="sequential"
-            ),
-        ),
-        supercircuit,
-    )
-    batched = ExecutionEngine(
-        PerformanceEstimator(
-            device,
-            EstimatorConfig(
-                mode=mode, n_valid_samples=n_valid_samples, engine="batched"
-            ),
-        ),
-        supercircuit,
-    )
-    return sequential, batched
+def batched_engine(device, supercircuit, config):
+    return ExecutionEngine(PerformanceEstimator(device, config), supercircuit)
 
 
 @pytest.mark.parametrize("mode,n_valid", [("success_rate", 8), ("noise_sim", 3)])
 def test_qml_population_losses_match(u3cu3_supercircuit, yorktown, tiny_dataset,
-                                     mode, n_valid):
+                                     seed_path_scorer, mode, n_valid):
     space = get_design_space("u3cu3")
     size = 4 if mode == "noise_sim" else 6
     candidates = make_population(space, 4, yorktown, seed=11, size=size)
-    sequential, batched = engines_for(yorktown, u3cu3_supercircuit, mode, n_valid)
+    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid)
 
-    seq = sequential.evaluate_qml_population(candidates, tiny_dataset, 4)
-    bat = batched.evaluate_qml_population(candidates, tiny_dataset, 4)
+    seq = seed_path_scorer(yorktown, u3cu3_supercircuit, config,
+                           dataset=tiny_dataset, n_classes=4)(candidates)
+    bat = batched_engine(yorktown, u3cu3_supercircuit, config) \
+        .evaluate_qml_population(candidates, tiny_dataset, 4)
 
     np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
     # duplicated candidates must receive identical scores
     assert bat[1] == bat[-1]
 
 
-@pytest.mark.parametrize("fusion", [True, False])
-def test_qml_losses_match_with_and_without_fusion(u3cu3_supercircuit, yorktown,
-                                                  tiny_dataset, fusion):
+def test_fused_qml_losses_match(u3cu3_supercircuit, yorktown, tiny_dataset,
+                                seed_path_scorer):
+    """success_rate numerators run on the statevector backend's fused
+    (static-mode) forward pass and still reproduce the seed path."""
     space = get_design_space("u3cu3")
     candidates = make_population(space, 4, yorktown, seed=23, size=4)
-    estimator = PerformanceEstimator(
-        yorktown, EstimatorConfig(mode="success_rate", n_valid_samples=8)
-    )
-    batched = ExecutionEngine(estimator, u3cu3_supercircuit, fusion=fusion)
-    sequential, _ = engines_for(yorktown, u3cu3_supercircuit, "success_rate", 8)
+    config = EstimatorConfig(mode="success_rate", n_valid_samples=8)
+    batched = batched_engine(yorktown, u3cu3_supercircuit, config)
 
-    seq = sequential.evaluate_qml_population(candidates, tiny_dataset, 4)
+    seq = seed_path_scorer(yorktown, u3cu3_supercircuit, config,
+                           dataset=tiny_dataset, n_classes=4)(candidates)
     bat = batched.evaluate_qml_population(candidates, tiny_dataset, 4)
     np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
+    assert batched.stats.fused_segments > 0
 
 
 def test_noisy_expectations_match_backend(u3cu3_supercircuit, yorktown,
@@ -96,28 +81,38 @@ def test_noisy_expectations_match_backend(u3cu3_supercircuit, yorktown,
     features = tiny_dataset.x_valid[:3]
 
     estimator = PerformanceEstimator(yorktown, EstimatorConfig(mode="noise_sim"))
-    engine = ExecutionEngine(estimator, u3cu3_supercircuit)
-    batched = engine.noisy_expectations(circuit, weights, candidate.mapping, features)
+    density = DensityMatrixBackend(estimator)
+    handles = density.run_group(None, [
+        SimulationJob(compiled=estimator.parametric_transpile_cache.get_bound(
+            circuit, weights, row, yorktown,
+            initial_layout=candidate.mapping,
+            optimization_level=estimator.config.optimization_level,
+        ))
+        for row in features
+    ])
+    density.synchronize()
 
     backend = QuantumBackend(yorktown, shots=0, seed=0)
-    for row, expect in zip(features, batched):
+    for row, handle in zip(features, handles):
         result = backend.run(
             circuit.bind(weights, row), initial_layout=candidate.mapping, shots=0
         )
-        np.testing.assert_allclose(expect, result.expectation_z_all(),
-                                   rtol=0, atol=ATOL)
+        np.testing.assert_allclose(handle.logical_z_expectations(circuit.n_qubits),
+                                   result.expectation_z_all(), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("mode", ["success_rate", "noise_sim"])
-def test_vqe_population_energies_match(yorktown, mode):
+def test_vqe_population_energies_match(yorktown, seed_path_scorer, mode):
     molecule = load_molecule("h2")
     space = get_design_space("u3cu3")
     supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
     candidates = make_population(space, molecule.n_qubits, yorktown, seed=7, size=5)
-    sequential, batched = engines_for(yorktown, supercircuit, mode, 8)
+    config = EstimatorConfig(mode=mode, n_valid_samples=8)
 
-    seq = sequential.evaluate_vqe_population(candidates, molecule)
-    bat = batched.evaluate_vqe_population(candidates, molecule)
+    seq = seed_path_scorer(yorktown, supercircuit, config,
+                           molecule=molecule)(candidates)
+    bat = batched_engine(yorktown, supercircuit, config) \
+        .evaluate_vqe_population(candidates, molecule)
     np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
 
 
@@ -126,25 +121,27 @@ def test_vqe_population_energies_match(yorktown, mode):
     ("noise_sim", 2, 6),
 ])
 def test_evolution_rankings_match(u3cu3_supercircuit, yorktown, tiny_dataset,
-                                  mode, n_valid, population):
-    """Seeded searches driven by either engine visit identical populations
-    and produce identical rankings, best genes and history curves."""
+                                  seed_path_scorer, mode, n_valid, population):
+    """Seeded searches driven by the seed path or the engine visit identical
+    populations and produce identical rankings, best genes and history curves."""
     space = get_design_space("u3cu3")
     evolution_config = EvolutionConfig(
         iterations=2, population_size=population, parent_size=3,
         mutation_size=max(2, population - 5), crossover_size=2, seed=9,
     )
-    results = {}
-    for engine_mode in ("sequential", "batched"):
-        estimator = PerformanceEstimator(
-            yorktown,
-            EstimatorConfig(mode=mode, n_valid_samples=n_valid, engine=engine_mode),
+    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid)
+    scorers = {
+        "sequential": seed_path_scorer(yorktown, u3cu3_supercircuit, config,
+                                       dataset=tiny_dataset, n_classes=4),
+        "batched": batched_engine(yorktown, u3cu3_supercircuit, config)
+        .qml_population_scorer(tiny_dataset, 4),
+    }
+    results = {
+        name: EvolutionEngine(space, 4, yorktown, evolution_config).search(
+            population_score_fn=score
         )
-        execution = ExecutionEngine(estimator, u3cu3_supercircuit)
-        evolution = EvolutionEngine(space, 4, yorktown, evolution_config)
-        results[engine_mode] = evolution.search(
-            population_score_fn=execution.qml_population_scorer(tiny_dataset, 4)
-        )
+        for name, score in scorers.items()
+    }
 
     sequential, batched = results["sequential"], results["batched"]
     assert batched.best.gene() == sequential.best.gene()
@@ -153,33 +150,3 @@ def test_evolution_rankings_match(u3cu3_supercircuit, yorktown, tiny_dataset,
     for row_b, row_s in zip(batched.history, sequential.history):
         for key in ("best_score", "population_best", "population_mean"):
             assert row_b[key] == pytest.approx(row_s[key], abs=ATOL)
-
-
-def test_sequential_engine_matches_seed_score_closure(u3cu3_supercircuit, yorktown,
-                                                      tiny_dataset):
-    """engine="sequential" reproduces the original per-candidate closure
-    bit-for-bit (same builds, same estimator calls, same query count)."""
-    space = get_design_space("u3cu3")
-    candidates = make_population(space, 4, yorktown, seed=2, size=4)
-
-    estimator = PerformanceEstimator(
-        yorktown, EstimatorConfig(mode="success_rate", n_valid_samples=8,
-                                  engine="sequential")
-    )
-    engine = ExecutionEngine(estimator, u3cu3_supercircuit)
-    via_engine = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
-
-    reference_estimator = PerformanceEstimator(
-        yorktown, EstimatorConfig(mode="success_rate", n_valid_samples=8)
-    )
-    reference = []
-    for candidate in candidates:
-        circuit, _ = u3cu3_supercircuit.build_standalone_circuit(candidate.config)
-        weights = u3cu3_supercircuit.inherited_weights(candidate.config)
-        reference.append(
-            reference_estimator.estimate_qml(
-                circuit, weights, tiny_dataset, 4, layout=candidate.mapping
-            )
-        )
-    assert via_engine == reference
-    assert estimator.num_queries == reference_estimator.num_queries

@@ -45,22 +45,17 @@ def sharded_engine(device, supercircuit, mode, n_valid, workers, **config_kwargs
     return ShardedExecutionEngine(estimator, supercircuit)
 
 
-def reference_engines(device, supercircuit, mode, n_valid):
-    sequential = ExecutionEngine(
-        PerformanceEstimator(
-            device,
-            EstimatorConfig(mode=mode, n_valid_samples=n_valid, engine="sequential"),
-        ),
-        supercircuit,
-    )
-    batched = ExecutionEngine(
-        PerformanceEstimator(
-            device,
-            EstimatorConfig(mode=mode, n_valid_samples=n_valid),
-        ),
-        supercircuit,
-    )
-    return sequential, batched
+def reference_scorers(seed_path_scorer, device, supercircuit, mode, n_valid,
+                      **task):
+    """The seed path and the in-process batched engine as population scorers
+    for one task (``dataset`` + ``n_classes``, or ``molecule``)."""
+    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid)
+    engine = ExecutionEngine(PerformanceEstimator(device, config), supercircuit)
+    if "molecule" in task:
+        batched = engine.vqe_population_scorer(task["molecule"])
+    else:
+        batched = engine.qml_population_scorer(task["dataset"], task["n_classes"])
+    return seed_path_scorer(device, supercircuit, config, **task), batched
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +68,16 @@ def reference_engines(device, supercircuit, mode, n_valid):
     ("success_rate", 8, 8),
 ])
 def test_sharded_qml_matches_sequential_and_batched(u3cu3_supercircuit, yorktown,
-                                                    tiny_dataset, mode, n_valid,
-                                                    size):
+                                                    tiny_dataset, seed_path_scorer,
+                                                    mode, n_valid, size):
     space = get_design_space("u3cu3")
     candidates = make_population(space, 4, yorktown, seed=11, size=size)
-    sequential, batched = reference_engines(yorktown, u3cu3_supercircuit, mode, n_valid)
-    seq = sequential.evaluate_qml_population(candidates, tiny_dataset, 4)
-    bat = batched.evaluate_qml_population(candidates, tiny_dataset, 4)
+    sequential, batched = reference_scorers(
+        seed_path_scorer, yorktown, u3cu3_supercircuit, mode, n_valid,
+        dataset=tiny_dataset, n_classes=4,
+    )
+    seq = sequential(candidates)
+    bat = batched(candidates)
 
     by_workers = {}
     for workers in WORKER_COUNTS:
@@ -110,8 +108,8 @@ def test_sharded_qml_matches_sequential_and_batched(u3cu3_supercircuit, yorktown
     ("lih", "jakarta", "noise_sim", 3),       # 6 qubits
     ("lih", "jakarta", "success_rate", 5),
 ])
-def test_sharded_vqe_matches_across_qubit_range(molecule_name, device_name, mode,
-                                                size):
+def test_sharded_vqe_matches_across_qubit_range(seed_path_scorer, molecule_name,
+                                                device_name, mode, size):
     from repro.vqe.molecules import load_molecule
 
     molecule = load_molecule(molecule_name)
@@ -119,9 +117,11 @@ def test_sharded_vqe_matches_across_qubit_range(molecule_name, device_name, mode
     space = get_design_space("u3cu3")
     supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
     candidates = make_population(space, molecule.n_qubits, device, seed=7, size=size)
-    sequential, batched = reference_engines(device, supercircuit, mode, 8)
-    seq = sequential.evaluate_vqe_population(candidates, molecule)
-    bat = batched.evaluate_vqe_population(candidates, molecule)
+    sequential, batched = reference_scorers(
+        seed_path_scorer, device, supercircuit, mode, 8, molecule=molecule
+    )
+    seq = sequential(candidates)
+    bat = batched(candidates)
 
     by_workers = {}
     for workers in (1, 2):
@@ -141,29 +141,28 @@ def test_sharded_vqe_matches_across_qubit_range(molecule_name, device_name, mode
     ("noise_sim", 2, 6),
 ])
 def test_sharded_evolution_rankings_match(u3cu3_supercircuit, yorktown, tiny_dataset,
-                                          mode, n_valid, population):
-    """Seeded searches driven sharded visit the sequential engine's populations
-    and reproduce its rankings, best gene and history curves."""
+                                          seed_path_scorer, mode, n_valid,
+                                          population):
+    """Seeded searches driven sharded visit the seed path's populations and
+    reproduce its rankings, best gene and history curves."""
     space = get_design_space("u3cu3")
     evolution_config = EvolutionConfig(
         iterations=2, population_size=population, parent_size=3,
         mutation_size=max(2, population - 5), crossover_size=2, seed=9,
     )
 
-    def search(engine):
+    def search(population_score_fn):
         evolution = EvolutionEngine(space, 4, yorktown, evolution_config)
-        try:
-            return evolution.search(
-                population_score_fn=engine.qml_population_scorer(tiny_dataset, 4)
-            )
-        finally:
-            engine.close()
+        return evolution.search(population_score_fn=population_score_fn)
 
-    sequential, _ = reference_engines(yorktown, u3cu3_supercircuit, mode, n_valid)
-    reference = search(sequential)
-    sharded = search(
-        sharded_engine(yorktown, u3cu3_supercircuit, mode, n_valid, workers=2)
+    sequential, _ = reference_scorers(
+        seed_path_scorer, yorktown, u3cu3_supercircuit, mode, n_valid,
+        dataset=tiny_dataset, n_classes=4,
     )
+    reference = search(sequential)
+    with sharded_engine(yorktown, u3cu3_supercircuit, mode, n_valid,
+                        workers=2) as engine:
+        sharded = search(engine.qml_population_scorer(tiny_dataset, 4))
 
     assert sharded.best.gene() == reference.best.gene()
     assert sharded.evaluated == reference.evaluated
@@ -244,23 +243,6 @@ def test_population_engine_dispatches_on_workers(yorktown, u3cu3_supercircuit):
     assert not isinstance(in_process, ShardedExecutionEngine)
 
 
-def test_sequential_engine_config_stays_in_process(u3cu3_supercircuit, yorktown,
-                                                   tiny_dataset):
-    """engine="sequential" + workers>1 replays the seed path, never a pool."""
-    space = get_design_space("u3cu3")
-    candidates = make_population(space, 4, yorktown, seed=3, size=3)
-    engine = sharded_engine(
-        yorktown, u3cu3_supercircuit, "success_rate", 4, workers=2,
-        engine="sequential",
-    )
-    sequential, _ = reference_engines(yorktown, u3cu3_supercircuit, "success_rate", 4)
-    assert engine.evaluate_qml_population(candidates, tiny_dataset, 4) == \
-        sequential.evaluate_qml_population(candidates, tiny_dataset, 4)
-    assert all(executor is None for executor in engine._executors)
-    assert engine.scheduler_stats.generations == 0
-    engine.close()
-
-
 # ---------------------------------------------------------------------------
 # Fault injection / resilient recovery
 # ---------------------------------------------------------------------------
@@ -330,13 +312,16 @@ def test_crashed_worker_retries_on_survivors(u3cu3_supercircuit, yorktown,
 
 
 def test_exhausted_retries_degrade_with_exact_scores(u3cu3_supercircuit, yorktown,
-                                                     tiny_dataset):
+                                                     tiny_dataset, seed_path_scorer):
     """When every retry round fails, the last-resort degradation still
     produces the exact sequential scores."""
     space = get_design_space("u3cu3")
     candidates = make_population(space, 4, yorktown, seed=17, size=4)
-    sequential, _ = reference_engines(yorktown, u3cu3_supercircuit, "success_rate", 6)
-    seq = sequential.evaluate_qml_population(candidates, tiny_dataset, 4)
+    sequential, _ = reference_scorers(
+        seed_path_scorer, yorktown, u3cu3_supercircuit, "success_rate", 6,
+        dataset=tiny_dataset, n_classes=4,
+    )
+    seq = sequential(candidates)
     engine = sharded_engine(
         yorktown, u3cu3_supercircuit, "success_rate", 6, workers=2,
         shard_retries=1, shard_backoff_seconds=0.0,

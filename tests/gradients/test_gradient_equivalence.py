@@ -149,13 +149,12 @@ class TestQMLEquivalence:
         assert np.array_equal(fused, unfused)
         assert batched.stats.shot_jobs == rows.shape[0] * features.shape[0]
 
-    def test_sequential_matches_legacy_bitwise_noise_free(self):
+    def test_sequential_matches_legacy_bitwise_noise_free(self, legacy_gradient):
         model = random_model(3, seed=61, nonexact=True)
         weights, features, labels = random_batch(model, seed=62)
         with ParameterShiftGradient(engine="sequential") as gradient:
             loss, grads = gradient(model, weights, features, labels)
-        with ParameterShiftGradient(engine="legacy") as legacy:
-            loss_ref, grads_ref = legacy(model, weights, features, labels)
+        loss_ref, grads_ref = legacy_gradient()(model, weights, features, labels)
         assert loss == loss_ref
         assert np.array_equal(grads, grads_ref)
 
@@ -181,16 +180,32 @@ class TestQMLEquivalence:
         )
         np.testing.assert_allclose(grads, fd_grads, rtol=0, atol=FD_TOL)
 
-    def test_density_matches_legacy(self, santiago):
+    def test_density_matches_legacy(self, santiago, legacy_gradient):
         model = random_model(4, seed=101, layers=1)
         weights, features, labels = random_batch(model, seed=102, batch=2)
         backend = QuantumBackend(santiago, shots=0, seed=0)
         with ParameterShiftGradient(backend, shots=0) as gradient:
             loss, grads = gradient(model, weights, features, labels)
-        with ParameterShiftGradient(backend, shots=0, engine="legacy") as legacy:
-            loss_ref, grads_ref = legacy(model, weights, features, labels)
+        loss_ref, grads_ref = legacy_gradient(backend, shots=0)(
+            model, weights, features, labels
+        )
         assert loss == pytest.approx(loss_ref, abs=BATCH_TOL)
         np.testing.assert_allclose(grads, grads_ref, rtol=0, atol=BATCH_TOL)
+
+    def test_repro_backend_env_is_normalized(self, monkeypatch):
+        """``REPRO_BACKEND=Statevector`` names the registered statevector
+        backend for gradient engines too, exactly as for the estimator."""
+        model = random_model(3, seed=181)
+        weights, features, labels = random_batch(model, seed=182)
+        with ParameterShiftGradient(workers=1) as gradient:
+            loss_ref, grads_ref = gradient(model, weights, features, labels)
+        monkeypatch.setenv("REPRO_BACKEND", "Statevector")
+        assert GradientEngineConfig().backend == "statevector"
+        assert GradientEngineConfig(backend=" Shots ").backend == "shots"
+        with ParameterShiftGradient(workers=1) as gradient:
+            loss, grads = gradient(model, weights, features, labels)
+        assert loss == loss_ref
+        assert np.array_equal(grads, grads_ref)
 
     def test_shot_gradient_repeats_bitwise(self, santiago):
         model = random_model(3, seed=111, layers=1)
@@ -319,7 +334,7 @@ class TestVQEEquivalence:
 
 
 class TestRankingInvariance:
-    def test_candidate_ranking_invariant_across_engines(self):
+    def test_candidate_ranking_invariant_across_engines(self, legacy_gradient):
         """Evolution-style candidate ranking cannot depend on the engine.
 
         Three randomized candidates are trained for two epochs with each
@@ -339,10 +354,15 @@ class TestRankingInvariance:
             losses[engine] = []
             for candidate in range(3):
                 model = random_model(4, seed=200 + candidate, layers=1)
-                with ParameterShiftGradient(engine=engine) as gradient:
+                if engine == "legacy":
                     result = train_qnn(
-                        model, dataset, config, gradient_fn=gradient
+                        model, dataset, config, gradient_fn=legacy_gradient()
                     )
+                else:
+                    with ParameterShiftGradient(engine=engine) as gradient:
+                        result = train_qnn(
+                            model, dataset, config, gradient_fn=gradient
+                        )
                 losses[engine].append(result.final_train_loss)
         reference = np.argsort(losses["legacy"])
         for engine in ("sequential", "batched"):

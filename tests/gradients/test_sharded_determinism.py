@@ -247,8 +247,8 @@ class TestVQETrainingDeterminism:
             if initial is None:
                 initial = model.init_weights(np.random.default_rng(41))
             # the bitwise contract is defined over the sequential row unit
-            # ("auto" at workers=1 would pick the fused batched mode, which
-            # is 1e-12-equal, not bitwise — see repro.gradients)
+            # (the default batched mode fuses rows at workers=1, which is
+            # 1e-12-equal, not bitwise — see repro.gradients)
             results[workers] = model.train(
                 VQEConfig(
                     steps=2, gradient="parameter_shift",

@@ -9,8 +9,8 @@ from repro.devices.library import Device, get_device
 from repro.devices.topology import line_topology
 from repro.qml.encoders import ENCODER_LIBRARY
 from repro.qml.evaluation import (
+    ParameterShiftGradient,
     evaluate_on_backend,
-    make_parameter_shift_gradient_fn,
     noisy_expectations,
 )
 from repro.qml.qnn import QNNModel
@@ -77,8 +77,8 @@ def test_parameter_shift_gradient_matches_adjoint(tiny_binary_dataset):
     x = tiny_binary_dataset.x_train[:5]
     y = tiny_binary_dataset.y_train[:5]
     loss_adjoint, grads_adjoint, _ = model.loss_and_gradient(weights, x, y)
-    gradient_fn = make_parameter_shift_gradient_fn(backend=None)
-    loss_shift, grads_shift = gradient_fn(model, weights, x, y)
+    with ParameterShiftGradient() as gradient_fn:
+        loss_shift, grads_shift = gradient_fn(model, weights, x, y)
     assert loss_shift == pytest.approx(loss_adjoint)
     assert np.allclose(grads_shift, grads_adjoint, atol=1e-6)
 
@@ -87,7 +87,6 @@ def test_parameter_shift_training_on_ideal_backend_reduces_loss(tiny_binary_data
     """Table V: training with parameter shift on the device is feasible."""
     model = _small_model()
     backend = QuantumBackend(_ideal_device(), shots=0)
-    gradient_fn = make_parameter_shift_gradient_fn(backend=backend, shots=0)
     small = tiny_binary_dataset
     config = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1, seed=0,
                          shuffle=False)
@@ -102,8 +101,9 @@ def test_parameter_shift_training_on_ideal_backend_reduces_loss(tiny_binary_data
         x_valid=small.x_valid[:4], y_valid=small.y_valid[:4],
         x_test=small.x_test[:4], y_test=small.y_test[:4],
     )
-    result = train_qnn(model, reduced, config, initial_weights=weights,
-                       gradient_fn=gradient_fn)
+    with ParameterShiftGradient(backend, shots=0) as gradient_fn:
+        result = train_qnn(model, reduced, config, initial_weights=weights,
+                           gradient_fn=gradient_fn)
     end, _, _ = model.loss_and_gradient(
         result.weights, reduced.x_train, reduced.y_train
     )

@@ -1,0 +1,533 @@
+"""An independent dense oracle for the simulation kernels.
+
+The kernels under test — the gate registry, the batched statevector and
+density-matrix contractions, the noise channels and readout confusion — are
+pinned against dense linear algebra that shares none of their code:
+
+* every gate is written from its textbook definition (Pauli exponentials
+  through ``scipy.linalg.expm``, principal square roots through
+  ``scipy.linalg.sqrtm``, U3 through its Euler decomposition, controlled
+  gates as block diagonals), never through ``repro.quantum.gates``; its
+  parameter derivatives are eighth-order central differences;
+* an operator on some qubits becomes a ``2**n x 2**n`` matrix through
+  ``np.kron`` with an identity and a basis-index permutation, with no
+  ``moveaxis``/``tensordot`` axis bookkeeping;
+* states evolve as ``U @ psi`` and density matrices as
+  ``sum_k K @ rho @ K^dagger`` on the full matrix;
+* the channels after each gate are rebuilt from the ``NoiseModel``
+  calibration fields, with Kraus sets derived here: depolarizing in its
+  matrix-unit form, thermal relaxation from the Choi matrix of its action
+  on populations and coherences.  Those decompose the channels differently
+  from ``repro.noise.channels``; the pins compare channel action.
+
+Conventions (the repository's): qubit 0 is the most significant bit of a
+basis index and of a multi-qubit gate matrix, and a controlled gate takes
+its control on its first qubit.  The circuit containers are imported only
+to feed the kernels.
+"""
+
+from __future__ import annotations
+
+import itertools
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag, expm, sqrtm
+
+from repro.backends import SimulationJob, StatevectorBackend
+from repro.core.estimator import PerformanceEstimator
+from repro.devices import get_device
+from repro.noise.models import NoiseModel
+from repro.quantum.circuit import (
+    ParamOp,
+    ParameterizedCircuit,
+    QuantumCircuit,
+    const,
+    feature,
+    weight,
+)
+from repro.quantum.density_matrix import (
+    DensityMatrixSimulator,
+    apply_kraus_batch,
+    apply_unitary_batch,
+)
+from repro.quantum.gates import GATES, gate_gradients, gate_matrix
+from repro.quantum.statevector import (
+    op_matrix,
+    run_circuit,
+    run_parameterized,
+    run_parameterized_rows,
+)
+
+#: single gates, their derivatives and parameter batches
+GATE_TOL = 1e-12
+#: whole circuits, kernels and noisy evolutions
+CIRCUIT_TOL = 1e-10
+N_QUBITS = [2, 3, 4, 5, 6]
+N_FEATURES = 3
+
+# ---------------------------------------------------------------------------
+# Gates from their textbook definitions
+# ---------------------------------------------------------------------------
+
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+def pauli_rotation(pauli):
+    """``theta -> exp(-i theta/2 P)``."""
+    return lambda theta: expm(-0.5j * theta * pauli)
+
+
+def controlled(unitary):
+    """``unitary`` controlled by the first (most significant) qubit."""
+    return block_diag(np.eye(len(unitary)), unitary)
+
+
+def phase(lam):
+    return np.diag([1.0, np.exp(1j * lam)])
+
+
+RX, RY, RZ = (pauli_rotation(pauli) for pauli in (X, Y, Z))
+
+
+def u3(theta, phi, lam):
+    """OpenQASM U3 as ``e^{i(phi+lam)/2} RZ(phi) RY(theta) RZ(lam)``."""
+    return np.exp(0.5j * (phi + lam)) * RZ(phi) @ RY(theta) @ RZ(lam)
+
+
+#: gate name -> (qubits, parameters, matrix as a function of the parameters)
+ORACLE = {
+    "i": (1, 0, lambda: I2),
+    "x": (1, 0, lambda: X),
+    "y": (1, 0, lambda: Y),
+    "z": (1, 0, lambda: Z),
+    "h": (1, 0, lambda: H),
+    "sh": (1, 0, lambda: sqrtm(H)),
+    "s": (1, 0, lambda: phase(np.pi / 2)),
+    "sdg": (1, 0, lambda: phase(-np.pi / 2)),
+    "t": (1, 0, lambda: phase(np.pi / 4)),
+    "tdg": (1, 0, lambda: phase(-np.pi / 4)),
+    "sx": (1, 0, lambda: sqrtm(X)),
+    "sxdg": (1, 0, lambda: sqrtm(X).conj().T),
+    "cx": (2, 0, lambda: controlled(X)),
+    "cy": (2, 0, lambda: controlled(Y)),
+    "cz": (2, 0, lambda: controlled(Z)),
+    "swap": (2, 0, lambda: SWAP),
+    "sqswap": (2, 0, lambda: sqrtm(SWAP)),
+    "iswap": (2, 0, lambda: expm(0.25j * np.pi * (np.kron(X, X) + np.kron(Y, Y)))),
+    "rx": (1, 1, RX),
+    "ry": (1, 1, RY),
+    "rz": (1, 1, RZ),
+    "u1": (1, 1, phase),
+    "u2": (1, 2, lambda phi, lam: u3(np.pi / 2, phi, lam)),
+    "u3": (1, 3, u3),
+    "rxx": (2, 1, pauli_rotation(np.kron(X, X))),
+    "ryy": (2, 1, pauli_rotation(np.kron(Y, Y))),
+    "rzz": (2, 1, pauli_rotation(np.kron(Z, Z))),
+    "rzx": (2, 1, pauli_rotation(np.kron(Z, X))),
+    "cu1": (2, 1, lambda lam: controlled(phase(lam))),
+    "cu3": (2, 3, lambda *angles: controlled(u3(*angles))),
+    "crx": (2, 1, lambda theta: controlled(RX(theta))),
+    "cry": (2, 1, lambda theta: controlled(RY(theta))),
+    "crz": (2, 1, lambda theta: controlled(RZ(theta))),
+}
+
+
+def gate(name, params=()):
+    return np.asarray(ORACLE[name][2](*params), dtype=complex)
+
+
+#: eighth-order central-difference weights for step distances 1..4
+FD_WEIGHTS = (4 / 5, -1 / 5, 4 / 105, -1 / 280)
+FD_STEP = 0.01
+
+
+def gate_derivative(name, params, index):
+    """``d gate / d params[index]`` by an eighth-order central difference."""
+    total = 0.0
+    for distance, coefficient in enumerate(FD_WEIGHTS, start=1):
+        for sign in (1.0, -1.0):
+            shifted = np.array(params, dtype=float)
+            shifted[index] += sign * distance * FD_STEP
+            total = total + sign * coefficient * gate(name, shifted)
+    return total / FD_STEP
+
+
+# ---------------------------------------------------------------------------
+# Dense evolution
+# ---------------------------------------------------------------------------
+
+
+def embed(matrix, qubits, n_qubits):
+    """``matrix`` acting on ``qubits`` as a dense ``2**n x 2**n`` operator.
+
+    ``kron(matrix, I)`` acts on a register whose leading bits are the target
+    qubits in order; ``perm`` maps every standard basis index to its index
+    in that register.
+    """
+    order = list(qubits) + [q for q in range(n_qubits) if q not in qubits]
+    full = np.kron(matrix, np.eye(2 ** (n_qubits - len(qubits))))
+    bits = (np.arange(2**n_qubits)[:, None] >> (n_qubits - 1 - np.array(order))) & 1
+    perm = bits @ (1 << np.arange(n_qubits - 1, -1, -1))
+    return full[np.ix_(perm, perm)]
+
+
+def unitary_of(n_qubits, gates):
+    """Dense product of ``(matrix, qubits)`` pairs in application order."""
+    unitary = np.eye(2**n_qubits, dtype=complex)
+    for matrix, qubits in gates:
+        unitary = embed(matrix, qubits, n_qubits) @ unitary
+    return unitary
+
+
+def circuit_gates(circuit):
+    return [(gate(inst.gate, inst.params), inst.qubits) for inst in circuit]
+
+
+def bound_gates(pcirc, weights, features_row):
+    """The template's gates with every parameter slot resolved by hand."""
+    value = {
+        "const": lambda slot: slot.value,
+        "weight": lambda slot: weights[int(slot.value)],
+        "input": lambda slot: features_row[int(slot.value)],
+    }
+    return [
+        (gate(op.gate, [value[slot.kind](slot) for slot in op.slots]), op.qubits)
+        for op in pcirc.ops
+    ]
+
+
+def every_gate_circuit(n_qubits, rng):
+    """Every registry gate once, shuffled, on random qubits and angles."""
+    circuit = QuantumCircuit(n_qubits)
+    for name in rng.permutation(sorted(ORACLE)):
+        arity, n_params, _ = ORACLE[name]
+        qubits = [int(q) for q in rng.permutation(n_qubits)[:arity]]
+        circuit.add(str(name), qubits, rng.uniform(-np.pi, np.pi, n_params))
+    return circuit
+
+
+def every_gate_template(n_qubits, rng):
+    """Every registry gate once; each parameter slot is a random constant,
+    weight or input feature, so ops mix all three kinds."""
+    pcirc = ParameterizedCircuit(n_qubits)
+    n_weights = 0
+    for name in rng.permutation(sorted(ORACLE)):
+        arity, n_params, _ = ORACLE[name]
+        slots = []
+        for kind in rng.integers(3, size=n_params):
+            if kind == 0:
+                slots.append(const(rng.uniform(-np.pi, np.pi)))
+            elif kind == 1:
+                slots.append(weight(n_weights))
+                n_weights += 1
+            else:
+                slots.append(feature(int(rng.integers(N_FEATURES))))
+        qubits = tuple(int(q) for q in rng.permutation(n_qubits)[:arity])
+        pcirc.add_op(ParamOp(str(name), qubits, tuple(slots)))
+    return pcirc
+
+
+# ---------------------------------------------------------------------------
+# Noise channels from calibration fields
+# ---------------------------------------------------------------------------
+
+
+def depolarizing(probability, n_qubits):
+    """Kraus set of the n-qubit depolarizing channel.
+
+    A uniformly random non-identity Pauli error hits the state with
+    probability p: ``rho -> (1 - p) rho + p/(d^2 - 1) sum_{P != I} P rho P``.
+    The sum over all d^2 Paulis is ``d Tr(rho) I``, so this is
+    ``(1 - lam) rho + lam Tr(rho) I/d`` with ``lam = p d^2/(d^2 - 1)``,
+    whose Kraus set is ``sqrt(1 - lam) I`` plus the d^2 matrix units
+    ``sqrt(lam/d) |a><b|``.
+    """
+    dim = 2**n_qubits
+    lam = probability * dim**2 / (dim**2 - 1)
+    kraus = [np.sqrt(1 - lam) * np.eye(dim, dtype=complex)]
+    for a, b in itertools.product(range(dim), repeat=2):
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[a, b] = np.sqrt(lam / dim)
+        kraus.append(unit)
+    return tuple(kraus)
+
+
+def thermal_relaxation(t1, t2, duration):
+    """Kraus set of T1/T2 relaxation over ``duration``.
+
+    The excited population decays into the ground state as
+    ``rho_11 -> e^{-t/T1} rho_11`` and coherences as
+    ``rho_01 -> e^{-t/T2} rho_01``, with T2 capped at its physical bound
+    2 T1.  The Kraus operators are the eigenvectors of the channel's Choi
+    matrix, scaled by the square roots of their eigenvalues.
+    """
+    t2 = min(t2, 2 * t1)
+    decay, coherence = np.exp(-duration / t1), np.exp(-duration / t2)
+
+    def action(rho):
+        return np.array([
+            [rho[0, 0] + (1 - decay) * rho[1, 1], coherence * rho[0, 1]],
+            [coherence * rho[1, 0], decay * rho[1, 1]],
+        ])
+
+    choi = np.zeros((4, 4), dtype=complex)
+    for i, j in itertools.product(range(2), repeat=2):
+        unit = np.zeros((2, 2), dtype=complex)
+        unit[i, j] = 1.0
+        choi[2 * i:2 * i + 2, 2 * j:2 * j + 2] = action(unit)
+    eigenvalues, vectors = np.linalg.eigh(choi)
+    return tuple(
+        np.sqrt(value) * vectors[:, k].reshape(2, 2).T
+        for k, value in enumerate(eigenvalues)
+        if value > 1e-14
+    )
+
+
+def channels_after(model, qubits):
+    """The Kraus sets a gate on ``qubits`` suffers, with their targets."""
+    if len(qubits) == 1:
+        error = model.qubits[qubits[0]].single_qubit_error
+        duration = model.single_qubit_duration
+    else:
+        error = model.two_qubit_errors.get(
+            tuple(sorted(qubits)), model.default_two_qubit_error
+        )
+        duration = model.two_qubit_duration
+    channels = [(depolarizing(error, len(qubits)), qubits)] if error > 0 else []
+    for qubit in qubits:
+        calibration = model.qubits.get(qubit)
+        # a T1 of 1e6 us or more marks a qubit without relaxation
+        if calibration is not None and calibration.t1 < 1e6:
+            kraus = thermal_relaxation(calibration.t1, calibration.t2, duration)
+            channels.append((kraus, (qubit,)))
+    return channels
+
+
+def apply_channel(rho, kraus, qubits, n_qubits):
+    """``sum_k K rho K^dagger`` with every ``K`` embedded densely."""
+    out = np.zeros_like(rho)
+    for operator in kraus:
+        full = embed(operator, qubits, n_qubits)
+        out = out + full @ rho @ full.conj().T
+    return out
+
+
+def noisy_density(circuit, model):
+    n_qubits = circuit.n_qubits
+    rho = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    rho[0, 0] = 1.0
+    for matrix, qubits in circuit_gates(circuit):
+        full = embed(matrix, qubits, n_qubits)
+        rho = full @ rho @ full.conj().T
+        for kraus, targets in channels_after(model, qubits):
+            rho = apply_channel(rho, kraus, targets, n_qubits)
+    return rho
+
+
+def noise_model(kind, n_qubits, rng):
+    if kind == "uniform":
+        # T2 above 2 T1 exercises the physical cap
+        return NoiseModel.uniform(
+            n_qubits, single_qubit_error=3e-3, two_qubit_error=4e-2,
+            readout_error=5e-2, t1=20.0, t2=50.0,
+            edges=[(q, q + 1) for q in range(n_qubits - 1)],
+        )
+    # a device model reduced to a shuffled subset of its physical qubits
+    device = get_device("jakarta")
+    physical = [int(q) for q in rng.permutation(device.n_qubits)[:n_qubits]]
+    return device.noise_model().reduced(physical)
+
+
+def random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_density_matrices(n_qubits, batch, rng):
+    dim = 2**n_qubits
+    g = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(size=(batch, dim, dim))
+    rhos = g @ np.conj(np.swapaxes(g, 1, 2))
+    return rhos / np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+
+
+def random_channel(dim, n_kraus, rng):
+    """The ``dim``-row blocks of a random isometry (``sum_k K^dag K = I``)."""
+    isometry = random_unitary(dim * n_kraus, rng)[:, :dim]
+    return tuple(isometry[k * dim:(k + 1) * dim] for k in range(n_kraus))
+
+
+# ---------------------------------------------------------------------------
+# Gate registry
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_covers_the_gate_registry():
+    assert set(ORACLE) == set(GATES)
+    for name, (arity, n_params, _) in ORACLE.items():
+        assert (GATES[name].num_qubits, GATES[name].num_params) == (arity, n_params)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_gate_matrix_gradients_and_batches(name):
+    _, n_params, _ = ORACLE[name]
+    rng = np.random.default_rng(sorted(ORACLE).index(name))
+    for params in rng.uniform(-np.pi, np.pi, size=(3, n_params)):
+        np.testing.assert_allclose(gate_matrix(name, params), gate(name, params),
+                                   rtol=0, atol=GATE_TOL)
+        grads = gate_gradients(name, params)
+        assert len(grads) == n_params
+        for index, grad in enumerate(grads):
+            np.testing.assert_allclose(grad, gate_derivative(name, params, index),
+                                       rtol=0, atol=GATE_TOL)
+    batch = rng.uniform(-np.pi, np.pi, size=(4, n_params))
+    np.testing.assert_allclose(op_matrix(name, batch),
+                               np.stack([gate(name, row) for row in batch]),
+                               rtol=0, atol=GATE_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Statevector paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+def test_run_circuit(n_qubits):
+    rng = np.random.default_rng(100 + n_qubits)
+    circuit = every_gate_circuit(n_qubits, rng)
+    unitary = unitary_of(n_qubits, circuit_gates(circuit))
+    dim = 2**n_qubits
+    np.testing.assert_allclose(run_circuit(circuit).reshape(dim), unitary[:, 0],
+                               rtol=0, atol=CIRCUIT_TOL)
+    psi = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    states = run_circuit(circuit, states=psi.reshape((3,) + (2,) * n_qubits))
+    np.testing.assert_allclose(states.reshape(3, dim), psi @ unitary.T,
+                               rtol=0, atol=CIRCUIT_TOL)
+
+
+def template_case(n_qubits, seed):
+    """A random every-gate template, two weight rows, three feature rows and
+    the oracle's final states, shape ``(rows, samples, 2**n)``."""
+    rng = np.random.default_rng(seed)
+    pcirc = every_gate_template(n_qubits, rng)
+    rows = rng.uniform(-np.pi, np.pi, size=(2, pcirc.num_weights))
+    features = rng.uniform(-np.pi, np.pi, size=(3, N_FEATURES))
+    expected = np.array([
+        [unitary_of(n_qubits, bound_gates(pcirc, row, sample))[:, 0]
+         for sample in features]
+        for row in rows
+    ])
+    return pcirc, rows, features, expected
+
+
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+def test_run_parameterized_and_rows(n_qubits):
+    pcirc, rows, features, expected = template_case(n_qubits, 200 + n_qubits)
+    dim = 2**n_qubits
+    states = run_parameterized(pcirc, rows[0], features)
+    np.testing.assert_allclose(states.reshape(3, dim), expected[0],
+                               rtol=0, atol=CIRCUIT_TOL)
+    stacked = run_parameterized_rows(pcirc, rows, features)
+    np.testing.assert_allclose(stacked.reshape(2, 3, dim), expected,
+                               rtol=0, atol=CIRCUIT_TOL)
+
+
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+def test_fused_statevector_backend_forward(n_qubits, yorktown):
+    pcirc, rows, features, expected = template_case(n_qubits, 300 + n_qubits)
+    backend = StatevectorBackend(PerformanceEstimator(yorktown))
+    entry = SimpleNamespace(circuit=pcirc, weights=rows[0], fusion_plan=None)
+    handle = backend.run_group(entry, [SimulationJob(features=features)])[0]
+    backend.synchronize()
+    np.testing.assert_allclose(handle.states.reshape(3, -1), expected[0],
+                               rtol=0, atol=CIRCUIT_TOL)
+    assert backend.stats_delta()["fused_segments"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Density-matrix kernels, noisy simulation and readout
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_qubits,qubits", [
+    (2, (1,)), (3, (2, 0)), (4, (3, 0, 2)), (5, (4, 1)), (6, (2,)),
+])
+def test_apply_unitary_batch(n_qubits, qubits):
+    rng = np.random.default_rng(400 + n_qubits)
+    dim, batch = 2**n_qubits, 3
+    rhos = random_density_matrices(n_qubits, batch, rng)
+    tensors = rhos.reshape((batch,) + (2,) * (2 * n_qubits))
+    shared = random_unitary(2 ** len(qubits), rng)
+    full = embed(shared, qubits, n_qubits)
+    out = apply_unitary_batch(tensors, shared, qubits)
+    np.testing.assert_allclose(out.reshape(batch, dim, dim),
+                               full @ rhos @ full.conj().T,
+                               rtol=0, atol=CIRCUIT_TOL)
+    per_sample = [random_unitary(2 ** len(qubits), rng) for _ in range(batch)]
+    out = apply_unitary_batch(tensors, np.stack(per_sample), qubits)
+    expected = [
+        embed(u, qubits, n_qubits) @ rho @ embed(u, qubits, n_qubits).conj().T
+        for u, rho in zip(per_sample, rhos)
+    ]
+    np.testing.assert_allclose(out.reshape(batch, dim, dim), expected,
+                               rtol=0, atol=CIRCUIT_TOL)
+
+
+@pytest.mark.parametrize("n_qubits,qubits", [
+    (2, (1,)), (3, (2, 0)), (4, (3,)), (5, (1, 4)), (6, (0, 5)),
+])
+def test_apply_kraus_batch(n_qubits, qubits):
+    rng = np.random.default_rng(500 + n_qubits)
+    dim, batch, width = 2**n_qubits, 3, 2 ** len(qubits)
+    rhos = random_density_matrices(n_qubits, batch, rng)
+    channels = [
+        random_channel(width, 2, rng),  # per-operator path
+        random_channel(width, 3, rng),  # superoperator path
+        depolarizing(0.05, len(qubits)),
+    ]
+    if len(qubits) == 1:
+        channels.append(thermal_relaxation(30.0, 45.0, 0.3))
+    for kraus in channels:
+        out = apply_kraus_batch(
+            rhos.reshape((batch,) + (2,) * (2 * n_qubits)), kraus, qubits
+        )
+        expected = [apply_channel(rho, kraus, qubits, n_qubits) for rho in rhos]
+        np.testing.assert_allclose(out.reshape(batch, dim, dim), expected,
+                                   rtol=0, atol=CIRCUIT_TOL)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "device"])
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+def test_density_matrix_simulator(n_qubits, kind):
+    rng = np.random.default_rng(600 + n_qubits)
+    model = noise_model(kind, n_qubits, rng)
+    circuit = every_gate_circuit(n_qubits, rng)
+    rho = DensityMatrixSimulator(n_qubits, model).run(circuit)
+    np.testing.assert_allclose(rho.reshape(2**n_qubits, 2**n_qubits),
+                               noisy_density(circuit, model),
+                               rtol=0, atol=CIRCUIT_TOL)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "device"])
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+def test_apply_readout_error(n_qubits, kind):
+    rng = np.random.default_rng(700 + n_qubits)
+    model = noise_model(kind, n_qubits, rng)
+    probabilities = rng.dirichlet(np.ones(2**n_qubits))
+    confusion = np.ones((1, 1))
+    for qubit in range(n_qubits):
+        calibration = model.qubits[qubit]
+        p01, p10 = calibration.readout_p01, calibration.readout_p10
+        # M[i, j] = P(read i | prepared j); qubit 0 is the leading factor
+        confusion = np.kron(confusion, [[1 - p01, p10], [p01, 1 - p10]])
+    expected = confusion @ probabilities
+    np.testing.assert_allclose(model.apply_readout_error(probabilities, n_qubits),
+                               expected / expected.sum(),
+                               rtol=0, atol=CIRCUIT_TOL)

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.estimator import EstimatorConfig
+from repro.service import CoSearchService
+from repro.utils.env import env_workers
 from repro.utils.optimizers import Adam, ConstantSchedule, CosineWarmupSchedule, SGD
 from repro.utils.rng import derive_rng, ensure_rng, seeded_rng
 from repro.utils.stats import (
@@ -136,6 +139,20 @@ class TestRng:
         base = seeded_rng(0)
         b = derive_rng(base, 2).integers(0, 1000, 5)
         assert not np.array_equal(a, b)
+
+
+class TestEnv:
+    def test_empty_repro_workers_means_one_worker(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "")
+        assert env_workers() == 1
+        assert EstimatorConfig().workers == 1
+        with CoSearchService() as service:
+            assert service.max_workers == 1
+
+    def test_malformed_repro_workers_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "two")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            EstimatorConfig()
 
 
 class TestTables:
