@@ -22,9 +22,15 @@ Two job shapes are supported:
   parameter rows of one compiled structure.  The rows are already
   structurally aligned by construction, each parametric slot's angles arrive
   as a dense ``(rows, k)`` array out of the template's single affine matmul,
-  and the per-position batched RZ matrices are built straight from those
-  angle columns — the ``noise_sim`` hot loop never constructs per-sample
-  ``Instruction`` objects at all.
+  and the gate registry's batched table
+  (:func:`~repro.quantum.gates.batched_gate_matrix`) turns those angle
+  columns into the per-position ``(rows, d, d)`` matrices — the
+  ``noise_sim`` hot loop never constructs per-sample ``Instruction`` objects
+  at all.
+
+Compiled groups whose instructions differ in parameters at a position stack
+those parameters into one ``(jobs, n_params)`` array for the same table;
+positions where every job agrees apply one shared matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from ..quantum.density_matrix import (
     expectation_pauli_sum_dm,
     zero_density_matrices,
 )
-from ..quantum.gates import gate_matrix
+from ..quantum.gates import batched_gate_matrix
 from .base import (
     BackendCapabilities,
     JobResult,
@@ -75,24 +81,6 @@ def _z_expectations_from_logical_probs(
         marginal = probs.sum(axis=axes)
         out[qubit] = marginal[0] - marginal[1]
     return out
-
-
-def _batched_gate_matrices(gate: str, params: np.ndarray) -> np.ndarray:
-    """``(rows, 2**k, 2**k)`` gate matrices from per-row parameter columns.
-
-    RZ — the only parametric gate of the physical basis — is built fully
-    vectorized with the same ``cos(theta/2) I - i sin(theta/2) Z`` formula as
-    :func:`repro.quantum.gates.gate_matrix`; anything else falls back to
-    stacking the registry constructor per row.
-    """
-    if gate == "rz":
-        half = 0.5 * params[:, 0]
-        cos, sin = np.cos(half), np.sin(half)
-        matrices = np.zeros((params.shape[0], 2, 2), dtype=complex)
-        matrices[:, 0, 0] = cos - 1j * sin
-        matrices[:, 1, 1] = cos + 1j * sin
-        return matrices
-    return np.stack([gate_matrix(gate, tuple(row)) for row in params])
 
 
 class DensityJob(JobResult):
@@ -322,7 +310,9 @@ class BatchedDensityRunner:
             if all(inst.params == first.params for inst in instructions):
                 matrix = first.matrix()
             else:
-                matrix = np.stack([inst.matrix() for inst in instructions])
+                matrix = batched_gate_matrix(
+                    first.gate, np.array([inst.params for inst in instructions])
+                )
             rhos = apply_unitary_batch(rhos, matrix, first.qubits)
             for kraus_ops, qubits in noise_model.channels_for(first):
                 rhos = apply_kraus_batch(rhos, kraus_ops, qubits)
@@ -353,7 +343,7 @@ class BatchedDensityRunner:
                     # the noise channels only read gate arity and qubits, so
                     # one representative instruction serves the whole slot
                     representative = Instruction(gate, qubits, tuple(params[0]))
-                    matrix = _batched_gate_matrices(gate, params[start:stop])
+                    matrix = batched_gate_matrix(gate, params[start:stop])
                 rhos = apply_unitary_batch(rhos, matrix, representative.qubits)
                 for kraus_ops, qubits in noise_model.channels_for(representative):
                     rhos = apply_kraus_batch(rhos, kraus_ops, qubits)

@@ -4,6 +4,11 @@ Each pipeline runs the five stages of Fig. 5: (1) SuperCircuit training,
 (2) noise-adaptive evolutionary co-search of SubCircuit and qubit mapping,
 (3) SubCircuit training from scratch, (4) iterative pruning + finetuning, and
 (5) compile-and-deploy evaluation on the noisy backend.
+
+``run()`` wraps every stage call in a ``pipeline.stage`` span whose
+``stage`` attribute is ``super_train``, ``co_search``, ``sub_train``,
+``prune`` or ``deploy`` (deploy runs once unpruned and once pruned), so a
+trace breaks a pipeline down by stage.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import telemetry
 from ..devices.backend import QuantumBackend
 from ..devices.library import Device
 from ..qml.datasets import Dataset
@@ -232,17 +238,20 @@ class QuantumNASQMLPipeline:
     def run(self, verbose: bool = False) -> QMLPipelineResult:
         if verbose:
             print(f"[quantumnas] stage 1: SuperCircuit training ({self.space.name})")
-        self.train_supercircuit()
+        with telemetry.span("pipeline.stage", stage="super_train"):
+            self.train_supercircuit()
 
         if verbose:
             print("[quantumnas] stage 2: evolutionary co-search")
-        search = self.co_search()
+        with telemetry.span("pipeline.stage", stage="co_search"):
+            search = self.co_search()
         best_config = search.best.config
         best_mapping = search.best.mapping
 
         if verbose:
             print("[quantumnas] stage 3: SubCircuit training from scratch")
-        model, train_result = self.train_best(best_config)
+        with telemetry.span("pipeline.stage", stage="sub_train"):
+            model, train_result = self.train_best(best_config)
         weights = train_result.weights
 
         noise_free = evaluate_noise_free(
@@ -250,22 +259,27 @@ class QuantumNASQMLPipeline:
         )
         if verbose:
             print("[quantumnas] stage 5: deploy and measure (unpruned)")
-        measured = self.evaluate(model, weights, best_mapping)
+        with telemetry.span("pipeline.stage", stage="deploy"):
+            measured = self.evaluate(model, weights, best_mapping)
 
         pruning = None
         measured_pruned = None
         if self.config.pruning_ratio and model.num_weights > 4:
             if verbose:
                 print("[quantumnas] stage 4: iterative pruning + finetuning")
-            pruning = iterative_prune_qnn(
-                model,
-                weights,
-                self.dataset,
-                final_ratio=self.config.pruning_ratio,
-                finetune_epochs=self.config.finetune_epochs,
-                train_config=self.config.sub_train,
-            )
-            measured_pruned = self.evaluate(model, pruning.weights, best_mapping)
+            with telemetry.span("pipeline.stage", stage="prune"):
+                pruning = iterative_prune_qnn(
+                    model,
+                    weights,
+                    self.dataset,
+                    final_ratio=self.config.pruning_ratio,
+                    finetune_epochs=self.config.finetune_epochs,
+                    train_config=self.config.sub_train,
+                )
+            with telemetry.span("pipeline.stage", stage="deploy"):
+                measured_pruned = self.evaluate(
+                    model, pruning.weights, best_mapping
+                )
 
         return QMLPipelineResult(
             supercircuit=self.supercircuit,
@@ -402,39 +416,47 @@ class QuantumNASVQEPipeline:
     def run(self, verbose: bool = False) -> VQEPipelineResult:
         if verbose:
             print(f"[quantumnas] stage 1: SuperCircuit training ({self.space.name})")
-        train_supercircuit_vqe(self.supercircuit, self.molecule, self.config.super_train)
+        with telemetry.span("pipeline.stage", stage="super_train"):
+            train_supercircuit_vqe(
+                self.supercircuit, self.molecule, self.config.super_train
+            )
 
         if verbose:
             print("[quantumnas] stage 2: evolutionary co-search")
-        search = self.co_search()
+        with telemetry.span("pipeline.stage", stage="co_search"):
+            search = self.co_search()
         best_config = search.best.config
         best_mapping = search.best.mapping
 
         if verbose:
             print("[quantumnas] stage 3: SubCircuit training from scratch")
-        model, result = train_subcircuit_vqe(
-            self.supercircuit, best_config, self.molecule, self.config.vqe_train
-        )
+        with telemetry.span("pipeline.stage", stage="sub_train"):
+            model, result = train_subcircuit_vqe(
+                self.supercircuit, best_config, self.molecule, self.config.vqe_train
+            )
         weights = result.weights
         noise_free_energy = model.energy(weights)
 
         if verbose:
             print("[quantumnas] stage 5: deploy and measure (unpruned)")
-        measured_energy = self.measure(model, weights, best_mapping)
+        with telemetry.span("pipeline.stage", stage="deploy"):
+            measured_energy = self.measure(model, weights, best_mapping)
 
         pruning = None
         measured_pruned = None
         if self.config.pruning_ratio and model.num_weights > 2:
             if verbose:
                 print("[quantumnas] stage 4: iterative pruning + finetuning")
-            pruning = iterative_prune_vqe(
-                model,
-                weights,
-                final_ratio=self.config.pruning_ratio,
-                finetune_steps=self.config.finetune_steps,
-                vqe_config=self.config.vqe_train,
-            )
-            measured_pruned = self.measure(model, pruning.weights, best_mapping)
+            with telemetry.span("pipeline.stage", stage="prune"):
+                pruning = iterative_prune_vqe(
+                    model,
+                    weights,
+                    final_ratio=self.config.pruning_ratio,
+                    finetune_steps=self.config.finetune_steps,
+                    vqe_config=self.config.vqe_train,
+                )
+            with telemetry.span("pipeline.stage", stage="deploy"):
+                measured_pruned = self.measure(model, pruning.weights, best_mapping)
 
         return VQEPipelineResult(
             supercircuit=self.supercircuit,

@@ -12,6 +12,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .. import telemetry
 from ..utils.optimizers import Adam, CosineWarmupSchedule
 from ..utils.rng import ensure_rng
 from ..utils.stats import accuracy, nll_loss, softmax
@@ -79,6 +80,7 @@ def train_qnn(
     ``gradient_fn`` overrides the gradient computation (e.g. the
     parameter-shift estimator for on-device training); it must accept
     ``(model, weights, features, labels)`` and return ``(loss, grads)``.
+    Each epoch runs inside a ``train.epoch`` span (attribute ``epoch``).
     """
     config = config or TrainConfig()
     rng = ensure_rng(config.seed)
@@ -105,35 +107,38 @@ def train_qnn(
 
     history: List[Dict[str, float]] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n_train) if config.shuffle else np.arange(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, config.batch_size):
-            index = order[start : start + config.batch_size]
-            x_batch = dataset.x_train[index]
-            y_batch = dataset.y_train[index]
-            if gradient_fn is None:
-                loss, grads, _logits = model.loss_and_gradient(weights, x_batch, y_batch)
-            else:
-                loss, grads = gradient_fn(model, weights, x_batch, y_batch)
-            grads = np.where(weight_mask, grads, 0.0)
-            weights = optimizer.step(weights, grads, mask=weight_mask)
-            epoch_loss += loss * len(index)
-        epoch_loss /= n_train
+        with telemetry.span("train.epoch", epoch=epoch):
+            order = rng.permutation(n_train) if config.shuffle else np.arange(n_train)
+            epoch_loss = 0.0
+            for start in range(0, n_train, config.batch_size):
+                index = order[start : start + config.batch_size]
+                x_batch = dataset.x_train[index]
+                y_batch = dataset.y_train[index]
+                if gradient_fn is None:
+                    loss, grads, _logits = model.loss_and_gradient(
+                        weights, x_batch, y_batch
+                    )
+                else:
+                    loss, grads = gradient_fn(model, weights, x_batch, y_batch)
+                grads = np.where(weight_mask, grads, 0.0)
+                weights = optimizer.step(weights, grads, mask=weight_mask)
+                epoch_loss += loss * len(index)
+            epoch_loss /= n_train
 
-        record: Dict[str, float] = {"epoch": epoch, "train_loss": epoch_loss}
-        if len(dataset.y_valid):
-            valid = evaluate_noise_free(
-                model, weights, dataset.x_valid, dataset.y_valid
-            )
-            record["valid_loss"] = valid["loss"]
-            record["valid_accuracy"] = valid["accuracy"]
-        # a gradient_fn that tracks engine counters (ParameterShiftGradient)
-        # reports per-epoch deltas into the history record
-        report = getattr(gradient_fn, "epoch_report", None)
-        if callable(report):
-            for key, value in report().items():
-                record.setdefault(key, value)
-        history.append(record)
-        if log_fn is not None:
-            log_fn(epoch, record)
+            record: Dict[str, float] = {"epoch": epoch, "train_loss": epoch_loss}
+            if len(dataset.y_valid):
+                valid = evaluate_noise_free(
+                    model, weights, dataset.x_valid, dataset.y_valid
+                )
+                record["valid_loss"] = valid["loss"]
+                record["valid_accuracy"] = valid["accuracy"]
+            # a gradient_fn that tracks engine counters (ParameterShiftGradient)
+            # reports per-epoch deltas into the history record
+            report = getattr(gradient_fn, "epoch_report", None)
+            if callable(report):
+                for key, value in report().items():
+                    record.setdefault(key, value)
+            history.append(record)
+            if log_fn is not None:
+                log_fn(epoch, record)
     return TrainResult(weights=weights, history=history)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .circuit import ParameterizedCircuit
-from .gates import gate_gradients
+from .gates import batched_gate_gradients, gate_gradients
 from .operators import PauliSum
 from .statevector import (
     apply_matrix,
@@ -63,13 +63,11 @@ def _dagger(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T
 
 
-def _batched_gradients(gate: str, params: np.ndarray) -> list[np.ndarray]:
+def _batched_gradients(gate: str, params: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Per-parameter dU/dp, batched when params is 2-D."""
     if params.ndim == 2:
-        per_sample = [gate_gradients(gate, row) for row in params]
-        n_params = len(per_sample[0])
-        return [np.stack([g[p] for g in per_sample]) for p in range(n_params)]
-    return list(gate_gradients(gate, params))
+        return batched_gate_gradients(gate, params)
+    return gate_gradients(gate, params)
 
 
 def adjoint_gradient(
@@ -120,13 +118,12 @@ def adjoint_gradient(
         psi = apply_matrix(psi, matrix_dag, op.qubits)
         if op.is_trainable:
             grad_matrices = _batched_gradients(op.gate, params)
+            bra = np.conj(lam.reshape(batch, -1))
             for position, slot in enumerate(op.slots):
                 if slot.kind != "weight":
                     continue
                 d_states = apply_matrix(psi, grad_matrices[position], op.qubits)
-                overlap = np.sum(
-                    np.conj(lam.reshape(batch, -1)) * d_states.reshape(batch, -1)
-                )
+                overlap = (bra * d_states.reshape(batch, -1)).sum()
                 grads[int(slot.value)] += 2.0 * overlap.real
         lam = apply_matrix(lam, matrix_dag, op.qubits)
     return grads

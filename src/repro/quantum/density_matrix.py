@@ -157,11 +157,30 @@ def _front_permutation(
 def _apply_front_matrix(
     tensor: np.ndarray, operator: np.ndarray, axes: Tuple[int, ...]
 ) -> np.ndarray:
-    """Contract a ``(D, D)`` operator against ``axes`` of a tensor via BLAS."""
-    perm, inverse = _front_permutation(tensor.ndim, axes)
-    moved = tensor.transpose(perm)
-    flat = moved.reshape(operator.shape[0], -1)
-    out = operator @ flat
+    """Contract an operator against ``axes`` of a tensor via BLAS.
+
+    The one batched gate-application kernel, shared by the statevector and
+    density-matrix layouts.  ``operator`` is ``(D, D)``, shared by the whole
+    tensor, or ``(batch, D, D)``, one per entry of the tensor's leading
+    batch axis.  The cached permutation brings ``axes`` (after the batch
+    axis, for a per-row operator) to the front, so the contraction is one
+    ``matmul`` over a ``(D, -1)`` or ``(batch, D, -1)`` view.
+    """
+    if operator.ndim == 2:
+        perm, inverse = _front_permutation(tensor.ndim, axes)
+        moved = tensor.transpose(perm)
+        out = operator @ moved.reshape(operator.shape[0], -1)
+    elif operator.ndim == 3:
+        batch = tensor.shape[0]
+        if operator.shape[0] != batch:
+            raise ValueError(
+                "batched matrix leading dimension must equal the batch size"
+            )
+        perm, inverse = _front_permutation(tensor.ndim, (0,) + axes)
+        moved = tensor.transpose(perm)
+        out = operator @ moved.reshape(batch, operator.shape[1], -1)
+    else:
+        raise ValueError("matrix must have 2 or 3 dimensions")
     return out.reshape(moved.shape).transpose(inverse)
 
 
@@ -174,28 +193,12 @@ def _apply_side_batch(
     ``(batch, 2**k, 2**k)`` (per-sample parameters).
     """
     n = (rhos.ndim - 1) // 2
-    k = len(qubits)
-    dim = 2**k
     if side == "left":
         axes = tuple(1 + q for q in qubits)
     else:
         matrix = matrix.conj()
         axes = tuple(1 + n + q for q in qubits)
-
-    if matrix.ndim == 2:
-        return _apply_front_matrix(rhos, matrix, axes)
-
-    if matrix.ndim != 3:
-        raise ValueError("matrix must have 2 or 3 dimensions")
-    batch = rhos.shape[0]
-    if matrix.shape[0] != batch:
-        raise ValueError("batched matrix leading dimension must equal the batch size")
-    moved = np.moveaxis(rhos, axes, list(range(1, 1 + k)))
-    tail_shape = moved.shape[1 + k:]
-    flat = moved.reshape(batch, dim, -1)
-    out = np.einsum("bij,bjr->bir", matrix, flat)
-    out = out.reshape((batch,) + (2,) * k + tail_shape)
-    return np.moveaxis(out, list(range(1, 1 + k)), axes)
+    return _apply_front_matrix(rhos, matrix, axes)
 
 
 def apply_unitary_batch(

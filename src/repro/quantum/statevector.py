@@ -5,6 +5,14 @@ minibatch of data-encoded circuits is simulated with a single sequence of
 tensor contractions — this is the batched execution mode that gives the large
 speedups over per-sample parameter-shift loops reported in Fig. 12 of the
 paper.
+
+Gates apply through the density-matrix module's ``_apply_front_matrix``, the
+one cached-permutation BLAS contraction both layouts share: a shared
+``(D, D)`` matrix multiplies the target axes brought to the front, and a
+per-sample ``(batch, D, D)`` stack multiplies each sample's slice in one
+batched ``matmul``.  Per-sample matrices come from the gate registry's
+batched table (:func:`~repro.quantum.gates.batched_gate_matrix`), never from
+a loop over scalar constructors.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import ParameterizedCircuit, QuantumCircuit
-from .gates import gate_matrix
+from .density_matrix import _apply_front_matrix
+from .gates import batched_gate_matrix, gate_matrix
 from .operators import PauliString, PauliSum
 
 __all__ = [
@@ -55,27 +64,7 @@ def apply_matrix(
     ``matrix`` may be a single ``(2**k, 2**k)`` array (shared across the batch)
     or a batched ``(batch, 2**k, 2**k)`` array (per-sample encoder gates).
     """
-    k = len(qubits)
-    dim = 2**k
-    state_axes = [1 + q for q in qubits]
-
-    if matrix.ndim == 2:
-        reshaped = matrix.reshape((2,) * (2 * k))
-        moved = np.tensordot(reshaped, states, axes=(list(range(k, 2 * k)), state_axes))
-        return np.moveaxis(moved, list(range(k)), state_axes)
-
-    if matrix.ndim != 3:
-        raise ValueError("matrix must have 2 or 3 dimensions")
-    batch = states.shape[0]
-    if matrix.shape[0] != batch:
-        raise ValueError("batched matrix leading dimension must equal the batch size")
-    # Bring the target qubit axes next to the batch axis, flatten, multiply.
-    moved = np.moveaxis(states, state_axes, list(range(1, 1 + k)))
-    tail_shape = moved.shape[1 + k:]
-    flat = moved.reshape(batch, dim, -1)
-    out = np.einsum("bij,bjr->bir", matrix, flat)
-    out = out.reshape((batch,) + (2,) * k + tail_shape)
-    return np.moveaxis(out, list(range(1, 1 + k)), state_axes)
+    return _apply_front_matrix(states, matrix, tuple(1 + q for q in qubits))
 
 
 def apply_pauli(states: np.ndarray, qubit: int, pauli: str) -> np.ndarray:
@@ -113,7 +102,7 @@ def resolved_operations(
 def op_matrix(gate: str, params: np.ndarray) -> np.ndarray:
     """Matrix for resolved parameters, batched if ``params`` is 2-D."""
     if params.ndim == 2:
-        return np.stack([gate_matrix(gate, row) for row in params])
+        return batched_gate_matrix(gate, params)
     return gate_matrix(gate, params)
 
 

@@ -52,8 +52,15 @@ from repro.quantum.density_matrix import (
     apply_kraus_batch,
     apply_unitary_batch,
 )
-from repro.quantum.gates import GATES, gate_gradients, gate_matrix
+from repro.quantum.gates import (
+    GATES,
+    batched_gate_gradients,
+    batched_gate_matrix,
+    gate_gradients,
+    gate_matrix,
+)
 from repro.quantum.statevector import (
+    apply_matrix,
     op_matrix,
     run_circuit,
     run_parameterized,
@@ -62,6 +69,8 @@ from repro.quantum.statevector import (
 
 #: single gates, their derivatives and parameter batches
 GATE_TOL = 1e-12
+#: batched constructors against the scalar ones they mirror
+BATCHED_TOL = 1e-15
 #: whole circuits, kernels and noisy evolutions
 CIRCUIT_TOL = 1e-10
 N_QUBITS = [2, 3, 4, 5, 6]
@@ -387,14 +396,56 @@ def test_gate_matrix_gradients_and_batches(name):
             np.testing.assert_allclose(grad, gate_derivative(name, params, index),
                                        rtol=0, atol=GATE_TOL)
     batch = rng.uniform(-np.pi, np.pi, size=(4, n_params))
-    np.testing.assert_allclose(op_matrix(name, batch),
-                               np.stack([gate(name, row) for row in batch]),
+    expected = np.stack([gate(name, row) for row in batch])
+    np.testing.assert_allclose(op_matrix(name, batch), expected,
                                rtol=0, atol=GATE_TOL)
+    np.testing.assert_allclose(batched_gate_matrix(name, batch), expected,
+                               rtol=0, atol=GATE_TOL)
+    grads = batched_gate_gradients(name, batch)
+    assert len(grads) == n_params
+    for index, grad in enumerate(grads):
+        np.testing.assert_allclose(
+            grad, np.stack([gate_derivative(name, row, index) for row in batch]),
+            rtol=0, atol=GATE_TOL,
+        )
+    for size in (1, 5):
+        rows = rng.uniform(-np.pi, np.pi, size=(size, n_params))
+        np.testing.assert_allclose(
+            batched_gate_matrix(name, rows),
+            np.stack([gate_matrix(name, row) for row in rows]),
+            rtol=0, atol=BATCHED_TOL,
+        )
+        scalar = [gate_gradients(name, row) for row in rows]
+        for index, grad in enumerate(batched_gate_gradients(name, rows)):
+            np.testing.assert_allclose(
+                grad, np.stack([grads_of_row[index] for grads_of_row in scalar]),
+                rtol=0, atol=BATCHED_TOL,
+            )
 
 
 # ---------------------------------------------------------------------------
 # Statevector paths
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_qubits,qubits", [(4, (3, 0)), (5, (4, 1, 2))])
+def test_apply_matrix_shared_and_per_row(n_qubits, qubits):
+    rng = np.random.default_rng(450 + n_qubits)
+    dim, batch, width = 2**n_qubits, 3, 2 ** len(qubits)
+    psi = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
+    states = psi.reshape((batch,) + (2,) * n_qubits)
+    shared = random_unitary(width, rng)
+    np.testing.assert_allclose(
+        apply_matrix(states, shared, qubits).reshape(batch, dim),
+        psi @ embed(shared, qubits, n_qubits).T,
+        rtol=0, atol=CIRCUIT_TOL,
+    )
+    per_row = [random_unitary(width, rng) for _ in range(batch)]
+    np.testing.assert_allclose(
+        apply_matrix(states, np.stack(per_row), qubits).reshape(batch, dim),
+        [embed(u, qubits, n_qubits) @ row for u, row in zip(per_row, psi)],
+        rtol=0, atol=CIRCUIT_TOL,
+    )
 
 
 @pytest.mark.parametrize("n_qubits", N_QUBITS)

@@ -1,12 +1,17 @@
 """Tests for the gate library: unitarity, derivatives, aliases."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.quantum import gates
 from repro.quantum.gates import (
     GATES,
+    batched_gate_gradients,
+    batched_gate_matrix,
     canonical_name,
     controlled,
     gate_gradients,
@@ -67,11 +72,54 @@ def test_unknown_gate_raises():
         gate_spec("definitely_not_a_gate")
 
 
+def test_registry_names_and_aliases_resolve_to_the_same_spec():
+    assert gate_spec("cx") is GATES["cx"]
+    assert gate_spec("CNOT") is GATES["cx"]
+    assert gate_spec("Phase") is GATES["u1"]
+
+
 def test_wrong_param_count_raises():
     with pytest.raises(ValueError):
         gate_matrix("rx", ())
     with pytest.raises(ValueError):
         gate_matrix("u3", (0.1,))
+
+
+@pytest.mark.parametrize(
+    "name,params", [("rx", (0.1, 0.2)), ("u3", (0.1,)), ("cx", (0.3,))]
+)
+@pytest.mark.parametrize(
+    "constructor",
+    ["gate_matrix", "gate_gradients", "batched_gate_matrix",
+     "batched_gate_gradients"],
+)
+def test_every_constructor_checks_the_parameter_count(constructor, name, params):
+    message = (
+        f"gate '{name}' expects {GATES[name].num_params} parameters, "
+        f"got {len(params)}"
+    )
+    if constructor.startswith("batched"):
+        params = np.array([params, params])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(gates, constructor)(name, params)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 1, 1)])
+@pytest.mark.parametrize(
+    "constructor", [batched_gate_matrix, batched_gate_gradients]
+)
+def test_batched_constructors_take_2d_parameter_arrays(constructor, shape):
+    with pytest.raises(ValueError, match="2-D"):
+        constructor("rx", np.zeros(shape))
+
+
+def test_batched_fixed_gates_broadcast_their_matrix():
+    matrices = batched_gate_matrix("cx", np.zeros((3, 0)))
+    assert matrices.shape == (3, 4, 4)
+    assert not matrices.flags.writeable
+    for matrix in matrices:
+        np.testing.assert_array_equal(matrix, gate_matrix("cx"))
+    assert batched_gate_gradients("cx", np.zeros((3, 0))) == ()
 
 
 def test_controlled_structure():

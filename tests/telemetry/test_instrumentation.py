@@ -5,7 +5,10 @@ The two halves of the telemetry acceptance contract:
 * **coverage** — a traced sharded run produces the expected span tree:
   ``scheduler.generation`` roots, worker shard spans re-parented under
   them (after riding home inside ``_ShardResult`` payloads), engine
-  phase spans, and per-tenant ``service.round`` spans with metrics;
+  phase spans, and per-tenant ``service.round`` spans with metrics; a
+  traced pipeline records one ``pipeline.stage`` span per stage call,
+  with the ``train.epoch`` spans of SubCircuit training and the pruning
+  finetunes nested under their stages;
 * **observation-only** — scores are *bitwise* identical with tracing on
   and off, across workers 1 / 2 / 4, for the QML and VQE execution paths
   and for sharded gradient training.
@@ -17,7 +20,13 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import get_design_space
+from repro.core import (
+    EvolutionConfig,
+    QMLPipelineConfig,
+    QuantumNASQMLPipeline,
+    SuperTrainConfig,
+    get_design_space,
+)
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.execution import ShardedExecutionEngine
 from repro.qml import (
@@ -152,6 +161,73 @@ class TestSpanCoverage:
         telemetry.disable()
         names = {record.name for record in read_trace(path)}
         assert {"scheduler.generation", "worker.shard"} <= names
+
+
+class TestPipelineStageSpans:
+    SUB_TRAIN_EPOCHS = 2
+    PRUNE_STAGES = 4  # iterative_prune_qnn's default, one finetune epoch each
+
+    @classmethod
+    def run_pipeline(cls, dataset, device):
+        config = QMLPipelineConfig(
+            super_train=SuperTrainConfig(steps=2, batch_size=8, seed=0),
+            evolution=EvolutionConfig(
+                iterations=1, population_size=4, parent_size=2,
+                mutation_size=1, crossover_size=1, seed=0,
+            ),
+            estimator=EstimatorConfig(
+                mode="success_rate", n_valid_samples=2, workers=1
+            ),
+            sub_train=TrainConfig(
+                epochs=cls.SUB_TRAIN_EPOCHS, batch_size=16, seed=0
+            ),
+            pruning_ratio=0.3, finetune_epochs=1,
+            eval_shots=0, eval_max_samples=2, seed=0,
+        )
+        pipeline = QuantumNASQMLPipeline(
+            get_design_space("u3cu3"), dataset, 4, device,
+            encoder_for_task("mnist-4"), config=config,
+        )
+        return pipeline.run()
+
+    def test_stage_spans_and_epoch_nesting(
+        self, clean_telemetry, tiny_dataset, yorktown
+    ):
+        off = self.run_pipeline(tiny_dataset, yorktown)
+        telemetry.configure(enabled=True)
+        on = self.run_pipeline(tiny_dataset, yorktown)
+        assert np.array_equal(on.weights, off.weights)
+        assert np.array_equal(on.pruning.weights, off.pruning.weights)
+        assert on.search.best_score == off.search.best_score
+
+        records = telemetry.get_tracer().records
+        by_id = {record.span_id: record for record in records}
+        stages = sorted(
+            (r for r in records if r.name == "pipeline.stage"),
+            key=lambda record: record.start,
+        )
+        assert [r.attributes["stage"] for r in stages] == [
+            "super_train", "co_search", "sub_train", "deploy", "prune", "deploy",
+        ]
+        assert all(r.parent_id is None for r in stages)
+
+        def stage_of(record):
+            while record.parent_id is not None:
+                record = by_id[record.parent_id]
+                if record.name == "pipeline.stage":
+                    return record.attributes["stage"]
+            return None
+
+        epochs = [r for r in records if r.name == "train.epoch"]
+        by_stage = {}
+        for record in epochs:
+            by_stage.setdefault(stage_of(record), []).append(
+                record.attributes["epoch"]
+            )
+        assert by_stage == {
+            "sub_train": list(range(self.SUB_TRAIN_EPOCHS)),
+            "prune": [0] * self.PRUNE_STAGES,
+        }
 
 
 # ---------------------------------------------------------------------------
