@@ -21,7 +21,9 @@ statics cannot see, with a runtime sanitizer):
   observation-only: no telemetry-derived value reaches a return outside
   the telemetry/stats modules (rule ``telemetry-flow``);
 * :mod:`~repro.analysis.sanitizer` — ``REPRO_SANITIZE=1`` fingerprints
-  cache entries at export/adopt time and raises on post-merge mutation.
+  cache entries at export/adopt time and raises on post-merge mutation,
+  and checks the density backend's states and noise channels for
+  physics.
 
 Run ``python -m repro.analysis --strict`` (the CI lint lane), or see
 ``README.md`` in this directory for the rule catalogue, the
@@ -41,6 +43,7 @@ from .runner import AnalysisReport, analyze, analyze_paths
 from .project import ModuleInfo, Project, load_project
 from .sanitizer import (
     CacheMutationError,
+    DensityInvariantError,
     install_sanitizer,
     sanitize_requested,
     sanitizer_installed,
@@ -72,6 +75,7 @@ __all__ = [
     "Project",
     "load_project",
     "CacheMutationError",
+    "DensityInvariantError",
     "install_sanitizer",
     "sanitize_requested",
     "sanitizer_installed",

@@ -23,6 +23,13 @@ to the pickled contract state do.  A shared parametric structure may grow
 new template variants locally; the sanitizer therefore fingerprints the
 variants that were shared, not the list that holds them.
 
+The same switch arms the density-matrix physics checks.  Every
+:class:`~repro.backends.density.BatchedDensityRunner` ``run`` checks each
+density matrix it produced: trace ``1 +- 1e-10``, Hermitian to ``1e-10``
+and smallest eigenvalue at least ``-1e-10``.  Every composed channel
+superoperator the runner memoizes is checked for trace preservation to
+``1e-10``.  A violation raises :class:`DensityInvariantError`.
+
 The hooks are installed by :func:`install_sanitizer` — called automatically
 from :mod:`repro.execution` when ``REPRO_SANITIZE`` is set — and are
 process-global but idempotent; :func:`uninstall_sanitizer` restores the
@@ -36,8 +43,14 @@ import os
 import pickle
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "CacheMutationError",
+    "DensityInvariantError",
+    "DENSITY_TOL",
+    "check_density_batch",
+    "check_trace_preserving",
     "sanitize_requested",
     "entry_fingerprint",
     "install_sanitizer",
@@ -49,6 +62,14 @@ __all__ = [
 
 class CacheMutationError(RuntimeError):
     """A cache entry shared across the process boundary was mutated."""
+
+
+class DensityInvariantError(RuntimeError):
+    """A simulated density matrix or a composed noise channel is unphysical."""
+
+
+#: tolerance of every density-matrix and channel invariant
+DENSITY_TOL = 1e-10
 
 
 def sanitize_requested(environ: Optional[Dict[str, str]] = None) -> bool:
@@ -226,18 +247,90 @@ def _wrap_parametric_cache(cls) -> None:
     cls.clear = clear
 
 
+# ---------------------------------------------------------------------------
+# Density-matrix physics
+# ---------------------------------------------------------------------------
+
+
+def check_density_batch(rhos: np.ndarray) -> None:
+    """Raise :class:`DensityInvariantError` unless every matrix of a
+    ``(batch,) + (2,) * 2n`` stack has unit trace, is Hermitian and has no
+    eigenvalue below ``-DENSITY_TOL``."""
+    batch = rhos.shape[0]
+    dim = 2 ** ((rhos.ndim - 1) // 2)
+    matrices = rhos.reshape(batch, dim, dim)
+    trace_error = np.abs(np.trace(matrices, axis1=1, axis2=2) - 1.0).max()
+    if trace_error > DENSITY_TOL:
+        raise DensityInvariantError(
+            f"density matrix trace is off by {trace_error:.3g}"
+        )
+    hermitian_error = np.abs(matrices - matrices.conj().swapaxes(1, 2)).max()
+    if hermitian_error > DENSITY_TOL:
+        raise DensityInvariantError(
+            f"density matrix is not Hermitian (off by {hermitian_error:.3g})"
+        )
+    lowest = np.linalg.eigvalsh(matrices).min()
+    if lowest < -DENSITY_TOL:
+        raise DensityInvariantError(
+            f"density matrix has a negative eigenvalue ({lowest:.3g})"
+        )
+
+
+def check_trace_preserving(superop: np.ndarray, qubits) -> None:
+    """Raise :class:`DensityInvariantError` unless a ``(ket, bra)``-layout
+    superoperator preserves the trace: ``vec(I)^T S = vec(I)^T``."""
+    dim = int(round(np.sqrt(superop.shape[0])))
+    identity = np.eye(dim).reshape(-1)
+    error = np.abs(identity @ superop - identity).max()
+    if error > DENSITY_TOL:
+        raise DensityInvariantError(
+            f"noise channel on qubits {tuple(qubits)} does not preserve the "
+            f"trace (off by {error:.3g})"
+        )
+
+
+def _wrap_density_runner(cls) -> None:
+    original_run = cls.run
+    original_compose = cls._compose_channels
+    _ORIGINALS[(cls, "run")] = original_run
+    _ORIGINALS[(cls, "_compose_channels")] = original_compose
+
+    def run(self):
+        jobs = [job for job in self._pending.values() if job.rho is None]
+        templates = [job for job in self._pending_templates if job.rhos is None]
+        original_run(self)
+        for job in jobs:
+            # oversized registers take the success-rate approximation and
+            # produce probabilities, not a density matrix
+            if job.rho is not None:
+                check_density_batch(job.rho[None])
+        for job in templates:
+            check_density_batch(job.rhos)
+
+    def _compose_channels(self, noise_model, qubits):
+        superop = original_compose(self, noise_model, qubits)
+        if superop is not None:
+            check_trace_preserving(superop, qubits)
+        return superop
+
+    cls.run = run
+    cls._compose_channels = _compose_channels
+
+
 def sanitizer_installed() -> bool:
     return bool(_ORIGINALS)
 
 
 def install_sanitizer() -> None:
-    """Install the share-point verification hooks (idempotent)."""
+    """Install the share-point and density-physics hooks (idempotent)."""
     if _ORIGINALS:
         return
+    from ..backends import density as density_module
     from ..execution import cache as cache_module
 
     _wrap_transpile_cache(cache_module.TranspileCache)
     _wrap_parametric_cache(cache_module.ParametricTranspileCache)
+    _wrap_density_runner(density_module.BatchedDensityRunner)
 
 
 def uninstall_sanitizer() -> None:

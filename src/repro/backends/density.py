@@ -1,12 +1,15 @@
 """Batched density-matrix simulation backend (the ``noise_sim`` engine).
 
-This is the in-repo noisy simulator that used to live inside
-``repro.execution.engine``, refactored behind the
-:class:`~repro.backends.base.SimulationBackend` protocol with zero numeric
-change: every job's result is produced by the same sequence of unitary/Kraus
-applications that :class:`~repro.quantum.density_matrix.
-DensityMatrixSimulator` would perform sample-by-sample — the batch dimension
-only stacks them.
+This is the in-repo noisy simulator behind the
+:class:`~repro.backends.base.SimulationBackend` protocol.  Every job's
+result applies the same unitaries and noise channels that
+:class:`~repro.quantum.density_matrix.DensityMatrixSimulator` would apply
+sample by sample, composed: each position's unitary conjugation and its
+channels become one superoperator, and runs of positions on at most two
+qubits fold into one block contraction of the batch
+(:func:`~repro.quantum.density_matrix.apply_fused_positions`).  Results
+agree with the sample-by-sample simulator to rounding, not bit for bit;
+the simulator stays the reference.
 
 Two job shapes are supported:
 
@@ -14,8 +17,9 @@ Two job shapes are supported:
   object identity and grouped by reduced-circuit structure (same gates and
   qubits at every position) so a whole group evolves as one
   ``(batch,) + (2,) * 2n`` stack.  Noise channels depend only on gate arity
-  and qubits, never on parameters, so they are derived once per position
-  instead of once per circuit.
+  and qubits, never on parameters, so the runner composes each position's
+  channels once per ``(used physical qubits, gate qubits)`` for its
+  lifetime.
 
 * ``template_batch`` jobs — one
   :class:`~repro.transpile.parametric.TemplateBatchBinding` covering many
@@ -28,9 +32,9 @@ Two job shapes are supported:
   ``noise_sim`` hot loop never constructs per-sample ``Instruction`` objects
   at all.
 
-Compiled groups whose instructions differ in parameters at a position stack
-those parameters into one ``(jobs, n_params)`` array for the same table;
-positions where every job agrees apply one shared matrix.
+On both paths a position whose parameters agree on every row applies one
+shared matrix; the others stack their parameters into one
+``(rows, n_params)`` array for the batched table.
 """
 
 from __future__ import annotations
@@ -43,13 +47,13 @@ import numpy as np
 from ..devices.backend import approximate_probabilities, logical_probabilities
 from ..quantum.circuit import Instruction
 from ..quantum.density_matrix import (
-    apply_kraus_batch,
-    apply_unitary_batch,
+    apply_fused_positions,
+    channel_superoperator,
     density_probabilities,
     expectation_pauli_sum_dm,
     zero_density_matrices,
 )
-from ..quantum.gates import batched_gate_matrix
+from ..quantum.gates import batched_gate_matrix, gate_matrix
 from .base import (
     BackendCapabilities,
     JobResult,
@@ -206,12 +210,13 @@ class TemplateBatchJob:
 class BatchedDensityRunner:
     """Groups compiled circuits by structure and simulates each group batched.
 
-    Equivalence contract: every job's result is produced by the same sequence
-    of unitary/Kraus applications that :class:`DensityMatrixSimulator` would
-    perform sample-by-sample — the batch dimension only stacks them.  Noise
-    channels depend on gate arity and qubits (never parameters), so within a
-    structurally aligned group they are derived once per position instead of
-    once per circuit.
+    Equivalence contract: every job's result applies the same unitaries and
+    noise channels that :class:`DensityMatrixSimulator` would apply
+    sample by sample, composed into fused blocks
+    (:func:`apply_fused_positions`), so the two agree to rounding.  Noise
+    channels depend on gate arity and qubits (never parameters), so their
+    composed superoperator is memoized per ``(used_physical, qubits)`` for
+    the runner's lifetime: one population under one device noise model.
     """
 
     #: soft cap on (batch * 4**n) elements of one density-matrix stack
@@ -224,6 +229,8 @@ class BatchedDensityRunner:
         self._jobs: Dict[int, DensityJob] = {}       # id(compiled) -> job
         self._pending: "OrderedDict[int, DensityJob]" = OrderedDict()
         self._pending_templates: List[TemplateBatchJob] = []
+        # (used_physical, qubits) -> composed channel superoperator or None
+        self._channel_superops: Dict[Tuple, Optional[np.ndarray]] = {}
         self.batches_run = 0
         self.template_batches_run = 0
 
@@ -299,23 +306,41 @@ class BatchedDensityRunner:
             if job.rhos is None:
                 self._run_template(job)
 
+    def _channels(self, used_physical, noise_model, qubits) -> Optional[np.ndarray]:
+        """The memoized composed channel superoperator after a gate on
+        ``qubits`` of the register ``used_physical`` reduces to."""
+        key = (used_physical, qubits)
+        if key not in self._channel_superops:
+            self._channel_superops[key] = self._compose_channels(
+                noise_model, qubits
+            )
+        return self._channel_superops[key]
+
+    def _compose_channels(self, noise_model, qubits) -> Optional[np.ndarray]:
+        # channels_for reads only the arity and qubits of an instruction, so
+        # any gate of that arity stands for every gate on these qubits
+        probe = Instruction("x" if len(qubits) == 1 else "cx", qubits)
+        return channel_superoperator(noise_model.channels_for(probe), qubits)
+
     def _run_group(self, jobs: Sequence[DensityJob], noise_model) -> None:
         self.batches_run += 1
-        n = jobs[0].n_reduced
-        rhos = zero_density_matrices(n, len(jobs))
-        n_instructions = len(jobs[0].reduced.instructions)
-        for position in range(n_instructions):
-            instructions = [job.reduced.instructions[position] for job in jobs]
-            first = instructions[0]
-            if all(inst.params == first.params for inst in instructions):
-                matrix = first.matrix()
-            else:
-                matrix = batched_gate_matrix(
-                    first.gate, np.array([inst.params for inst in instructions])
-                )
-            rhos = apply_unitary_batch(rhos, matrix, first.qubits)
-            for kraus_ops, qubits in noise_model.channels_for(first):
-                rhos = apply_kraus_batch(rhos, kraus_ops, qubits)
+        used_physical = tuple(jobs[0].used_physical)
+
+        def positions():
+            for position, first in enumerate(jobs[0].reduced.instructions):
+                instructions = [job.reduced.instructions[position] for job in jobs]
+                if all(inst.params == first.params for inst in instructions):
+                    matrix = first.matrix()
+                else:
+                    matrix = batched_gate_matrix(
+                        first.gate, np.array([inst.params for inst in instructions])
+                    )
+                channel = self._channels(used_physical, noise_model, first.qubits)
+                yield matrix, first.qubits, channel
+
+        rhos = apply_fused_positions(
+            zero_density_matrices(jobs[0].n_reduced, len(jobs)), positions()
+        )
         for index, job in enumerate(jobs):
             job.noise_model = noise_model
             job.rho = rhos[index]
@@ -323,31 +348,35 @@ class BatchedDensityRunner:
     def _run_template(self, job: TemplateBatchJob) -> None:
         """Evolve one template batch: shared skeleton, per-slot angle arrays."""
         binding = job.binding
-        noise_model = self._device_noise_model().reduced(binding.used_qubits)
+        used_physical = tuple(binding.used_qubits)
+        noise_model = self._device_noise_model().reduced(used_physical)
         job.noise_model = noise_model
         n = job.n_reduced
         n_rows = binding.n_rows
         max_batch = max(1, self.MAX_STACK_ELEMENTS // 4**n)
+
+        def positions(start, stop):
+            for slot in binding.slots:
+                if type(slot) is Instruction:
+                    qubits, matrix = slot.qubits, slot.matrix()
+                else:
+                    gate, qubits, rows = slot
+                    chunk = rows[start:stop]
+                    if (chunk == chunk[0]).all():
+                        matrix = gate_matrix(gate, chunk[0])
+                    else:
+                        matrix = batched_gate_matrix(gate, chunk)
+                channel = self._channels(used_physical, noise_model, qubits)
+                yield matrix, qubits, channel
+
         chunks: List[np.ndarray] = []
         for start in range(0, n_rows, max_batch):
             stop = min(start + max_batch, n_rows)
             self.batches_run += 1
             self.template_batches_run += 1
-            rhos = zero_density_matrices(n, stop - start)
-            for slot in binding.slots:
-                if type(slot) is Instruction:
-                    representative = slot
-                    matrix = slot.matrix()
-                else:
-                    gate, qubits, params = slot
-                    # the noise channels only read gate arity and qubits, so
-                    # one representative instruction serves the whole slot
-                    representative = Instruction(gate, qubits, tuple(params[0]))
-                    matrix = batched_gate_matrix(gate, params[start:stop])
-                rhos = apply_unitary_batch(rhos, matrix, representative.qubits)
-                for kraus_ops, qubits in noise_model.channels_for(representative):
-                    rhos = apply_kraus_batch(rhos, kraus_ops, qubits)
-            chunks.append(rhos)
+            chunks.append(apply_fused_positions(
+                zero_density_matrices(n, stop - start), positions(start, stop)
+            ))
         job.rhos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 

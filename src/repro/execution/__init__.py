@@ -96,7 +96,10 @@ from .stats import MergeableStats
 # process boundary (export_entries/adopt_entries) and re-verified at every
 # later share point — post-merge mutation of shared compilations raises
 # repro.analysis.CacheMutationError instead of silently eroding the
-# determinism contract.  The CI sanitizer lane runs tier-1 this way.
+# determinism contract.  It also checks every density matrix the density
+# backend produces (trace, Hermiticity, positivity) and every noise channel
+# it composes (trace preservation), raising DensityInvariantError.  The CI
+# sanitizer lane runs tier-1 this way.
 from ..analysis.sanitizer import install_sanitizer, sanitize_requested
 
 if sanitize_requested():

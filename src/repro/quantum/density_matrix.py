@@ -10,7 +10,7 @@ that gates and Kraus operators are applied locally without building full
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,11 +21,10 @@ __all__ = [
     "zero_density_matrix",
     "zero_density_matrices",
     "apply_unitary",
-    "apply_unitary_batch",
     "apply_kraus",
-    "apply_kraus_batch",
+    "channel_superoperator",
+    "apply_fused_positions",
     "density_probabilities",
-    "density_probabilities_batch",
     "expectation_pauli_sum_dm",
     "expectation_z_all_dm",
     "purity",
@@ -126,8 +125,14 @@ def apply_kraus(
 # ``(batch,) + (2,) * 2n`` so a stack of noisy circuits that share their gate
 # *structure* (same gate names and qubits at every position, possibly with
 # per-sample parameters) evolves through one sequence of contractions.  This
-# is the density-matrix analogue of the batched statevector layout and is the
-# hot loop of the population execution engine's ``noise_sim`` mode.
+# is the hot loop of the population execution engine's ``noise_sim`` mode.
+#
+# Each position's unitary conjugation ``U (.) U^dagger`` and the noise
+# channels after it compose into one superoperator, and runs of positions on
+# at most two qubits fold into one block before touching the state, so the
+# batch sees one contraction per block instead of two per gate plus at least
+# one per channel.  The result applies the same channels as
+# :class:`DensityMatrixSimulator`, composed, and agrees with it to rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -184,75 +189,157 @@ def _apply_front_matrix(
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def _apply_side_batch(
-    rhos: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], side: str
-) -> np.ndarray:
-    """Apply ``matrix`` to the ket (``side="left"``) or bra axes of a batch.
-
-    ``matrix`` is either ``(2**k, 2**k)`` (shared across the batch) or
-    ``(batch, 2**k, 2**k)`` (per-sample parameters).
-    """
-    n = (rhos.ndim - 1) // 2
-    if side == "left":
-        axes = tuple(1 + q for q in qubits)
-    else:
-        matrix = matrix.conj()
-        axes = tuple(1 + n + q for q in qubits)
-    return _apply_front_matrix(rhos, matrix, axes)
-
-
-def apply_unitary_batch(
-    rhos: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
-) -> np.ndarray:
-    """``U rho U†`` on every density matrix of a batch.
-
-    ``matrix`` may be shared (2-D) or per-sample (3-D); the latter carries the
-    per-sample gate parameters of structurally aligned circuits.
-    """
-    return _apply_side_batch(
-        _apply_side_batch(rhos, matrix, qubits, "left"), matrix, qubits, "right"
+def _ket_bra_axes(
+    qubits: Sequence[int], n_qubits: int, offset: int
+) -> Tuple[int, ...]:
+    """The ket axes then the bra axes of ``qubits`` in a ``(2,) * 2n`` layout
+    whose first axis sits at ``offset``."""
+    return tuple(offset + q for q in qubits) + tuple(
+        offset + n_qubits + q for q in qubits
     )
 
 
-def apply_kraus_batch(
-    rhos: np.ndarray, kraus_operators: Sequence[np.ndarray], qubits: Sequence[int]
+def _contract_state(
+    rhos: np.ndarray, superop: np.ndarray, qubits: Sequence[int]
 ) -> np.ndarray:
-    """``sum_i K_i rho K_i†`` on every density matrix of a batch.
-
-    The Kraus operators are shared across the batch (noise channels depend on
-    the gate's qubits, never on its parameters).  Like :func:`apply_kraus`,
-    channels with many operators go through the precomputed superoperator.
-    """
+    """Apply a ``(ket, bra)``-layout superoperator on ``qubits`` of a batch."""
     n = (rhos.ndim - 1) // 2
-    if len(kraus_operators) <= 2:
-        out = np.zeros_like(rhos)
-        for kraus in kraus_operators:
-            out = out + _apply_side_batch(
-                _apply_side_batch(rhos, kraus, qubits, "left"), kraus, qubits, "right"
-            )
-        return out
+    return _apply_front_matrix(rhos, superop, _ket_bra_axes(qubits, n, 1))
+
+
+def channel_superoperator(
+    channels: Sequence[Tuple[Sequence[np.ndarray], Tuple[int, ...]]],
+    qubits: Tuple[int, ...],
+) -> Optional[np.ndarray]:
+    """Kraus channels composed in order into one superoperator on ``qubits``.
+
+    ``channels`` holds ``(kraus_operators, targets)`` pairs whose targets lie
+    within ``qubits``, as :meth:`~repro.noise.models.NoiseModel.channels_for`
+    returns them.  The result is ``(4**k, 4**k)`` in the ``(ket, bra) x
+    (ket', bra')`` layout of :func:`kraus_to_superoperator`, with ``qubits``
+    in the given order; ``None`` when there is no channel.
+    """
+    if not channels:
+        return None
     k = len(qubits)
-    dim = 2**k
-    superop = _cached_superoperator(kraus_operators)
-    axes = tuple(1 + q for q in qubits) + tuple(1 + n + q for q in qubits)
-    return _apply_front_matrix(rhos, superop.reshape(dim * dim, dim * dim), axes)
+    dim = 4**k
+    composed = np.eye(dim, dtype=complex).reshape((2,) * (2 * k) + (dim,))
+    for kraus_operators, targets in channels:
+        local = tuple(qubits.index(q) for q in targets)
+        width = 4 ** len(targets)
+        superop = _cached_superoperator(kraus_operators).reshape(width, width)
+        composed = _apply_front_matrix(
+            composed, superop, _ket_bra_axes(local, k, 0)
+        )
+    return composed.reshape(dim, dim)
 
 
-def density_probabilities_batch(rhos: np.ndarray) -> np.ndarray:
-    """Per-sample computational-basis probabilities, shape ``(batch, 2**n)``.
+def _unitary_superoperator(matrix: np.ndarray) -> np.ndarray:
+    """``U (x) conj(U)`` in the ``(ket, bra)`` layout, for a shared ``(d, d)``
+    or per-row ``(batch, d, d)`` unitary, as one broadcast product."""
+    dim = matrix.shape[-1]
+    product = matrix[..., :, None, :, None] * matrix.conj()[..., None, :, None, :]
+    return product.reshape(matrix.shape[:-2] + (dim * dim, dim * dim))
 
-    Matches :func:`density_probabilities` applied to every batch entry
-    (diagonal, clipped to be non-negative, renormalized).
+
+#: the identity on a two-qubit block, the start of a block whose qubits had
+#: pending single-qubit maps
+_BLOCK_IDENTITY = np.eye(16, dtype=complex)
+_BLOCK_IDENTITY.flags.writeable = False
+
+
+def _then(
+    block: np.ndarray, superop: np.ndarray, local: Tuple[int, ...]
+) -> np.ndarray:
+    """A two-qubit block followed by ``superop`` on its local qubits ``local``.
+
+    Either operand may be shared or per-row; the result is per-row when
+    either is.  The block's rows are contracted like a state, so ``local``
+    may name its qubits in either order.
     """
-    batch = rhos.shape[0]
-    n = (rhos.ndim - 1) // 2
-    dim = 2**n
-    matrices = rhos.reshape(batch, dim, dim)
-    probs = np.real(np.einsum("bii->bi", matrices)).copy()
-    probs = np.clip(probs, 0.0, None)
-    totals = probs.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1.0)
-    return probs / safe
+    axes = _ket_bra_axes(local, 2, 0)
+    if block.ndim == 2 and superop.ndim == 2:
+        rows = block.reshape((2,) * 4 + (16,))
+        return _apply_front_matrix(rows, superop, axes).reshape(16, 16)
+    batch = (block if block.ndim == 3 else superop).shape[0]
+    rows = np.broadcast_to(block, (batch, 16, 16))
+    out = _apply_front_matrix(
+        rows.reshape((batch,) + (2,) * 4 + (16,)), superop,
+        tuple(1 + a for a in axes),
+    )
+    return out.reshape(batch, 16, 16)
+
+
+def apply_fused_positions(
+    rhos: np.ndarray,
+    positions: Iterable[Tuple[np.ndarray, Tuple[int, ...], Optional[np.ndarray]]],
+) -> np.ndarray:
+    """Evolve a density batch through noisy positions fused into blocks.
+
+    ``rhos`` has shape ``(batch,) + (2,) * 2n``.  Each position is
+    ``(matrix, qubits, channel)``: its unitary, shared ``(d, d)`` or per-row
+    ``(batch, d, d)``; the one or two qubits it acts on; and the composed
+    superoperator of the noise after it on those qubits
+    (:func:`channel_superoperator`), or ``None``.  The position's map is
+    ``channel @ (U (x) conj(U))``.
+
+    Maps fold into blocks before they touch the state.  Each qubit holds at
+    most one pending single-qubit map or one open two-qubit block:
+
+    * a 1q position multiplies into its qubit's open block, else into its
+      pending map;
+    * a 2q position on the pair of one open block multiplies into it, in
+      either qubit order;
+    * any other 2q position first applies the open blocks on its qubits,
+      then opens a block: its qubits' pending maps, then its own map;
+    * at the end the open blocks apply, then the pending maps.
+
+    Every application is one :func:`_apply_front_matrix` contraction of the
+    state, per-row when any map folded into it is.  Only maps on disjoint
+    qubits move past each other, so the result equals the unfused sequence
+    up to rounding.  Registry gates act on at most two qubits, which bounds
+    a block at two.
+    """
+    pending: Dict[int, np.ndarray] = {}
+    blocks: Dict[Tuple[int, int], np.ndarray] = {}
+    owner: Dict[int, Tuple[int, int]] = {}
+    for matrix, qubits, channel in positions:
+        superop = _unitary_superoperator(matrix)
+        if channel is not None:
+            superop = channel @ superop
+        if len(qubits) == 1:
+            (qubit,) = qubits
+            pair = owner.get(qubit)
+            if pair is not None:
+                blocks[pair] = _then(blocks[pair], superop, (pair.index(qubit),))
+            elif qubit in pending:
+                pending[qubit] = superop @ pending[qubit]
+            else:
+                pending[qubit] = superop
+            continue
+        pair = owner.get(qubits[0])
+        if pair is not None and pair == owner.get(qubits[1]):
+            local = tuple(pair.index(q) for q in qubits)
+            blocks[pair] = _then(blocks[pair], superop, local)
+            continue
+        for qubit in qubits:
+            pair = owner.get(qubit)
+            if pair is not None:
+                rhos = _contract_state(rhos, blocks.pop(pair), pair)
+                del owner[pair[0]], owner[pair[1]]
+        block = None
+        for local, qubit in enumerate(qubits):
+            if qubit in pending:
+                start = _BLOCK_IDENTITY if block is None else block
+                block = _then(start, pending.pop(qubit), (local,))
+        pair = tuple(qubits)
+        blocks[pair] = superop if block is None else superop @ block
+        owner[pair[0]] = owner[pair[1]] = pair
+    for pair, block in blocks.items():
+        rhos = _contract_state(rhos, block, pair)
+    for qubit, superop in pending.items():
+        rhos = _contract_state(rhos, superop, (qubit,))
+    return rhos
 
 
 def density_probabilities(rho: np.ndarray) -> np.ndarray:

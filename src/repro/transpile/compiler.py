@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import telemetry
 from ..devices.library import Device
 from ..quantum.circuit import QuantumCircuit
 from ..utils.rng import ensure_rng
@@ -149,6 +150,12 @@ def _resolve_layout(
     return layout_from_sequence(list(initial_layout), device)
 
 
+def _traced(step: str, compiler_pass, *args):
+    """Run one compiler pass under a ``transpile.pass{step=...}`` span."""
+    with telemetry.span("transpile.pass", step=step):
+        return compiler_pass(*args)
+
+
 def transpile(
     circuit: QuantumCircuit,
     device: Device,
@@ -174,16 +181,19 @@ def transpile(
     rng = ensure_rng(seed)
 
     def compile_with_layout(layout: Layout) -> CompiledCircuit:
-        routed: RoutedCircuit = route_circuit(circuit, device, layout)
-        lowered = decompose_circuit(routed.circuit)
+        routed: RoutedCircuit = _traced(
+            "route", route_circuit, circuit, device, layout
+        )
+        lowered = _traced("decompose", decompose_circuit, routed.circuit)
         if optimization_level >= 1:
-            lowered = cancel_adjacent_inverse_cx(lowered)
-            lowered = merge_adjacent_rz(lowered)
-            lowered = drop_identity_rotations(lowered)
+            lowered = _traced("cancel_cx", cancel_adjacent_inverse_cx, lowered)
+            lowered = _traced("merge_rz", merge_adjacent_rz, lowered)
+            lowered = _traced("drop_identity", drop_identity_rotations, lowered)
         if optimization_level >= 2:
-            lowered = resynthesize_single_qubit_runs(lowered)
-            lowered = cancel_adjacent_inverse_cx(lowered)
-            lowered = merge_adjacent_rz(lowered)
+            lowered = _traced("resynthesize", resynthesize_single_qubit_runs,
+                              lowered)
+            lowered = _traced("cancel_cx", cancel_adjacent_inverse_cx, lowered)
+            lowered = _traced("merge_rz", merge_adjacent_rz, lowered)
         return CompiledCircuit(
             circuit=lowered,
             device=device,

@@ -55,7 +55,7 @@ from ..devices.library import Device
 from ..quantum.circuit import Instruction, ParameterizedCircuit, QuantumCircuit
 from ..quantum.gates import canonical_name, gate_matrix
 from ..utils.rng import ensure_rng
-from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout
+from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout, _traced
 from .decompose import (
     BASIS_GATES,
     _decompose_single_qubit,
@@ -795,6 +795,16 @@ def _symbolic_decompose_instruction(
     return out
 
 
+def _symbolic_decompose_circuit(
+    trace: _TraceState, circuit: _SymbolicCircuit
+) -> List[_SymbolicInstruction]:
+    """Mirror of :func:`decompose_circuit` over expressions."""
+    stream: List[_SymbolicInstruction] = []
+    for inst in circuit.instructions:
+        stream.extend(_symbolic_decompose_instruction(trace, inst))
+    return stream
+
+
 # ---------------------------------------------------------------------------
 # Symbolic optimization passes (mirror repro.transpile.passes)
 # ---------------------------------------------------------------------------
@@ -1370,18 +1380,19 @@ def parametric_transpile(
 
     def compile_with_layout(layout) -> _LayoutCandidate:
         trace = _TraceState(witness, defer_single=optimization_level >= 2)
-        routed = route_circuit(symbolic, device, layout)
-        stream: List[_SymbolicInstruction] = []
-        for inst in routed.circuit.instructions:
-            stream.extend(_symbolic_decompose_instruction(trace, inst))
+        routed = _traced("route", route_circuit, symbolic, device, layout)
+        stream = _traced("decompose", _symbolic_decompose_circuit, trace,
+                         routed.circuit)
         if optimization_level >= 1:
-            stream = cancel_adjacent_inverse_cx_run(stream)
-            stream = _symbolic_merge_adjacent_rz(trace, stream)
-            stream = _symbolic_drop_identity_rotations(trace, stream)
+            stream = _traced("cancel_cx", cancel_adjacent_inverse_cx_run, stream)
+            stream = _traced("merge_rz", _symbolic_merge_adjacent_rz, trace, stream)
+            stream = _traced("drop_identity", _symbolic_drop_identity_rotations,
+                             trace, stream)
         if optimization_level >= 2:
-            stream = _symbolic_resynthesize_single_qubit_runs(trace, stream)
-            stream = cancel_adjacent_inverse_cx_run(stream)
-            stream = _symbolic_merge_adjacent_rz(trace, stream)
+            stream = _traced("resynthesize",
+                             _symbolic_resynthesize_single_qubit_runs, trace, stream)
+            stream = _traced("cancel_cx", cancel_adjacent_inverse_cx_run, stream)
+            stream = _traced("merge_rz", _symbolic_merge_adjacent_rz, trace, stream)
         return _LayoutCandidate(stream, trace, routed)
 
     base_layout = _resolve_layout(symbolic, device, initial_layout, rng)

@@ -6,11 +6,15 @@ already installed when the suite imports ``repro.execution``, and must stay
 installed for the rest of the session.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import (
     CacheMutationError,
+    DensityInvariantError,
+    check_density_batch,
     entry_fingerprint,
     install_sanitizer,
     sanitize_requested,
@@ -18,9 +22,13 @@ from repro.analysis.sanitizer import (
     uninstall_sanitizer,
     verify_cache,
 )
+from repro.backends import density as density_backend
+from repro.backends.density import BatchedDensityRunner
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.evolution import Candidate
 from repro.execution import ParametricTranspileCache, TranspileCache
+from repro.noise.models import NoiseModel
+from repro.quantum.circuit import QuantumCircuit
 
 
 @pytest.fixture
@@ -30,6 +38,15 @@ def sanitized():
     yield
     if not was_installed:
         uninstall_sanitizer()
+
+
+@pytest.fixture
+def unsanitized():
+    was_installed = sanitizer_installed()
+    uninstall_sanitizer()
+    yield
+    if was_installed:
+        install_sanitizer()
 
 
 def bound_circuit(u3cu3_supercircuit, evolution, config):
@@ -219,3 +236,67 @@ def test_entry_fingerprint_is_stable_and_content_sensitive(
     assert entry_fingerprint(compiled) == first
     compiled.num_swaps += 1
     assert entry_fingerprint(compiled) != first
+
+
+# -- density-matrix physics ----------------------------------------------------
+
+
+class LeakyNoiseModel(NoiseModel):
+    """Every channel's Kraus operators scaled by 1.01: the channels are no
+    longer trace preserving."""
+
+    def channels_for(self, instruction):
+        return [
+            (tuple(1.01 * kraus for kraus in operators), qubits)
+            for operators, qubits in super().channels_for(instruction)
+        ]
+
+    def reduced(self, physical_qubits):
+        return LeakyNoiseModel(**vars(super().reduced(physical_qubits)))
+
+
+def noisy_run(model):
+    """One 3-qubit circuit through a density runner under ``model``."""
+    circuit = QuantumCircuit(3)
+    circuit.add("h", (0,))
+    circuit.add("cx", (0, 1))
+    circuit.add("rz", (2,), (0.4,))
+    circuit.add("cx", (2, 1))
+    compiled = SimpleNamespace(reduced_circuit=lambda: (circuit, (0, 1, 2)))
+    runner = BatchedDensityRunner(
+        SimpleNamespace(noise_model=lambda: model), max_density_qubits=8
+    )
+    job = runner.submit(compiled)
+    runner.run()
+    return job.rho.reshape(8, 8)
+
+
+def test_leaky_channel_trips_the_check_when_armed(sanitized):
+    noisy_run(NoiseModel.uniform(3))  # a physical model passes
+    with pytest.raises(DensityInvariantError, match="preserve the trace"):
+        noisy_run(LeakyNoiseModel.uniform(3))
+
+
+def test_leaky_channel_runs_unchecked_when_not_armed(unsanitized):
+    rho = noisy_run(LeakyNoiseModel.uniform(3))
+    assert abs(np.trace(rho) - 1.0) > 1e-3
+
+
+def test_run_checks_every_output_when_armed(sanitized, monkeypatch):
+    fused = density_backend.apply_fused_positions
+    monkeypatch.setattr(density_backend, "apply_fused_positions",
+                        lambda rhos, positions: 1.001 * fused(rhos, positions))
+    with pytest.raises(DensityInvariantError, match="trace"):
+        noisy_run(NoiseModel.uniform(3))
+
+
+def test_density_batch_checks():
+    pure = np.zeros((2, 2), dtype=complex)
+    pure[0, 0] = 1.0
+    check_density_batch(np.stack([pure, np.eye(2) / 2]).reshape(2, 2, 2))
+    skewed = pure + np.array([[0, 1e-6], [0, 0]])
+    negative = np.diag([1.1, -0.1]).astype(complex)
+    for bad, reason in [(2 * pure, "trace"), (skewed, "Hermitian"),
+                        (negative, "negative eigenvalue")]:
+        with pytest.raises(DensityInvariantError, match=reason):
+            check_density_batch(bad.reshape(1, 2, 2))

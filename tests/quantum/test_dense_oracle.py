@@ -49,8 +49,9 @@ from repro.quantum.circuit import (
 )
 from repro.quantum.density_matrix import (
     DensityMatrixSimulator,
-    apply_kraus_batch,
-    apply_unitary_batch,
+    apply_fused_positions,
+    channel_superoperator,
+    zero_density_matrices,
 )
 from repro.quantum.gates import (
     GATES,
@@ -508,50 +509,101 @@ def test_fused_statevector_backend_forward(n_qubits, yorktown):
 
 
 @pytest.mark.parametrize("n_qubits,qubits", [
-    (2, (1,)), (3, (2, 0)), (4, (3, 0, 2)), (5, (4, 1)), (6, (2,)),
-])
-def test_apply_unitary_batch(n_qubits, qubits):
-    rng = np.random.default_rng(400 + n_qubits)
-    dim, batch = 2**n_qubits, 3
-    rhos = random_density_matrices(n_qubits, batch, rng)
-    tensors = rhos.reshape((batch,) + (2,) * (2 * n_qubits))
-    shared = random_unitary(2 ** len(qubits), rng)
-    full = embed(shared, qubits, n_qubits)
-    out = apply_unitary_batch(tensors, shared, qubits)
-    np.testing.assert_allclose(out.reshape(batch, dim, dim),
-                               full @ rhos @ full.conj().T,
-                               rtol=0, atol=CIRCUIT_TOL)
-    per_sample = [random_unitary(2 ** len(qubits), rng) for _ in range(batch)]
-    out = apply_unitary_batch(tensors, np.stack(per_sample), qubits)
-    expected = [
-        embed(u, qubits, n_qubits) @ rho @ embed(u, qubits, n_qubits).conj().T
-        for u, rho in zip(per_sample, rhos)
-    ]
-    np.testing.assert_allclose(out.reshape(batch, dim, dim), expected,
-                               rtol=0, atol=CIRCUIT_TOL)
-
-
-@pytest.mark.parametrize("n_qubits,qubits", [
     (2, (1,)), (3, (2, 0)), (4, (3,)), (5, (1, 4)), (6, (0, 5)),
 ])
-def test_apply_kraus_batch(n_qubits, qubits):
-    rng = np.random.default_rng(500 + n_qubits)
+def test_apply_fused_positions_arbitrary_channels(n_qubits, qubits):
+    """One position, shared or per-row unitary, on random mixed states, for
+    random Kraus sets of 2 and 3 operators and the oracle's depolarizing and
+    relaxation sets."""
+    rng = np.random.default_rng(400 + n_qubits)
     dim, batch, width = 2**n_qubits, 3, 2 ** len(qubits)
     rhos = random_density_matrices(n_qubits, batch, rng)
     channels = [
-        random_channel(width, 2, rng),  # per-operator path
-        random_channel(width, 3, rng),  # superoperator path
+        random_channel(width, 2, rng),
+        random_channel(width, 3, rng),
         depolarizing(0.05, len(qubits)),
     ]
     if len(qubits) == 1:
         channels.append(thermal_relaxation(30.0, 45.0, 0.3))
     for kraus in channels:
-        out = apply_kraus_batch(
-            rhos.reshape((batch,) + (2,) * (2 * n_qubits)), kraus, qubits
-        )
-        expected = [apply_channel(rho, kraus, qubits, n_qubits) for rho in rhos]
-        np.testing.assert_allclose(out.reshape(batch, dim, dim), expected,
-                                   rtol=0, atol=CIRCUIT_TOL)
+        superop = channel_superoperator([(kraus, qubits)], qubits)
+        shared = random_unitary(width, rng)
+        per_row = np.stack([random_unitary(width, rng) for _ in range(batch)])
+        for unitaries in (shared, per_row):
+            out = apply_fused_positions(
+                rhos.reshape((batch,) + (2,) * (2 * n_qubits)),
+                [(unitaries, qubits, superop)],
+            )
+            expected = []
+            for index, rho in enumerate(rhos):
+                row = unitaries if unitaries.ndim == 2 else unitaries[index]
+                full = embed(row, qubits, n_qubits)
+                expected.append(apply_channel(full @ rho @ full.conj().T, kraus,
+                                              qubits, n_qubits))
+            np.testing.assert_allclose(out.reshape(batch, dim, dim), expected,
+                                       rtol=0, atol=CIRCUIT_TOL)
+
+
+def reversed_block_circuit(n_qubits, rng):
+    """``cx(a, b)``, a 1q gate on ``a``, then ``cx(b, a)``: the second CX
+    folds into the first one's block with its qubits reversed."""
+    a, b = (int(q) for q in rng.permutation(n_qubits)[:2])
+    circuit = QuantumCircuit(n_qubits)
+    circuit.add("h", [a])
+    circuit.add("u3", [b], rng.uniform(-np.pi, np.pi, 3))
+    circuit.add("cx", [a, b])
+    circuit.add("ry", [a], rng.uniform(-np.pi, np.pi, 1))
+    circuit.add("cx", [b, a])
+    circuit.add("rz", [b], rng.uniform(-np.pi, np.pi, 1))
+    return circuit
+
+
+def aligned_rows(circuit, rng, batch=3):
+    """``batch`` circuits with ``circuit``'s gates and qubits: every other
+    parametrized position draws new angles per row, the rest keep row 0's.
+    Also returns which positions differ between rows."""
+    rows = [circuit] + [QuantumCircuit(circuit.n_qubits) for _ in range(batch - 1)]
+    per_row = []
+    parametrized = 0
+    for inst in circuit:
+        varies = bool(inst.params) and parametrized % 2 == 1
+        parametrized += bool(inst.params)
+        per_row.append(varies)
+        for row in rows[1:]:
+            params = (
+                rng.uniform(-np.pi, np.pi, len(inst.params)) if varies
+                else inst.params
+            )
+            row.add(inst.gate, inst.qubits, params)
+    return rows, per_row
+
+
+@pytest.mark.parametrize("kind", ["uniform", "device"])
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+@pytest.mark.parametrize("build", [every_gate_circuit, reversed_block_circuit],
+                         ids=["every_gate", "reversed_block"])
+def test_apply_fused_positions(build, n_qubits, kind):
+    """The fused kernel, fed the noise model's channels and oracle gates for
+    a batch of 3 with shared and per-row positions, against dense
+    ``sum_k K rho K^dagger`` evolution of each row."""
+    rng = np.random.default_rng(500 + n_qubits)
+    model = noise_model(kind, n_qubits, rng)
+    rows, per_row = aligned_rows(build(n_qubits, rng), rng)
+    assert any(per_row) and not all(per_row)
+    positions = []
+    for position, inst in enumerate(rows[0]):
+        matrices = [gate(inst.gate, row.instructions[position].params)
+                    for row in rows]
+        matrix = np.stack(matrices) if per_row[position] else matrices[0]
+        channel = channel_superoperator(model.channels_for(inst), inst.qubits)
+        positions.append((matrix, inst.qubits, channel))
+    out = apply_fused_positions(zero_density_matrices(n_qubits, 3), positions)
+    dim = 2**n_qubits
+    np.testing.assert_allclose(
+        out.reshape(3, dim, dim),
+        [noisy_density(row, model) for row in rows],
+        rtol=0, atol=CIRCUIT_TOL,
+    )
 
 
 @pytest.mark.parametrize("kind", ["uniform", "device"])

@@ -1,4 +1,10 @@
-"""Batched density-matrix primitives against their single-sample references."""
+"""The fused batched density kernel against the single-sample references.
+
+``apply_fused_positions`` composes each position's unitary with its noise
+channels and folds runs on at most two qubits into one contraction; every
+row must still match ``apply_unitary`` followed by ``apply_kraus`` on that
+row alone.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +17,10 @@ from repro.noise.channels import (
     thermal_relaxation_kraus,
 )
 from repro.quantum.density_matrix import (
+    apply_fused_positions,
     apply_kraus,
-    apply_kraus_batch,
     apply_unitary,
-    apply_unitary_batch,
-    density_probabilities,
-    density_probabilities_batch,
+    channel_superoperator,
     zero_density_matrices,
     zero_density_matrix,
 )
@@ -37,6 +41,40 @@ def random_density_stack(n_qubits: int, batch: int, rng: np.random.Generator):
     return rhos
 
 
+def random_gate(qubits, rng, batch=None):
+    """A u3 (one qubit) or cu3 (two), shared or one per row."""
+    name = "u3" if len(qubits) == 1 else "cu3"
+    if batch is None:
+        return gate_matrix(name, rng.uniform(-np.pi, np.pi, size=3))
+    return np.stack([
+        gate_matrix(name, rng.uniform(-np.pi, np.pi, size=3)) for _ in range(batch)
+    ])
+
+
+def reference(rho, positions):
+    """One row through the unfused seed kernels, position by position."""
+    for matrix, qubits, channels in positions:
+        rho = apply_unitary(rho, matrix, qubits)
+        for kraus, targets in channels:
+            rho = apply_kraus(rho, kraus, targets)
+    return rho
+
+
+def check_against_reference(rhos, positions):
+    """Run the fused kernel and compare every row with :func:`reference`."""
+    fused = apply_fused_positions(rhos, [
+        (matrix, qubits, channel_superoperator(channels, qubits))
+        for matrix, qubits, channels in positions
+    ])
+    for index in range(rhos.shape[0]):
+        row = [
+            (matrix if matrix.ndim == 2 else matrix[index], qubits, channels)
+            for matrix, qubits, channels in positions
+        ]
+        np.testing.assert_allclose(fused[index], reference(rhos[index], row),
+                                   rtol=0, atol=ATOL)
+
+
 def test_zero_density_matrices_matches_single():
     batch = zero_density_matrices(3, batch=4)
     single = zero_density_matrix(3)
@@ -47,33 +85,17 @@ def test_zero_density_matrices_matches_single():
 
 @pytest.mark.parametrize("n_qubits,qubits", [(2, (0,)), (3, (2,)), (3, (0, 2)),
                                              (4, (3, 1))])
-def test_apply_unitary_batch_shared_matrix(n_qubits, qubits):
+def test_shared_matrix(n_qubits, qubits):
     rng = np.random.default_rng(21)
     rhos = random_density_stack(n_qubits, 5, rng)
-    gate = "u3" if len(qubits) == 1 else "cu3"
-    matrix = gate_matrix(gate, rng.uniform(-np.pi, np.pi, size=3))
-
-    batched = apply_unitary_batch(rhos, matrix, qubits)
-    for index in range(rhos.shape[0]):
-        expected = apply_unitary(rhos[index], matrix, qubits)
-        np.testing.assert_allclose(batched[index], expected, rtol=0, atol=ATOL)
+    check_against_reference(rhos, [(random_gate(qubits, rng), qubits, [])])
 
 
 @pytest.mark.parametrize("n_qubits,qubits", [(2, (1,)), (3, (0, 2))])
-def test_apply_unitary_batch_per_sample_matrices(n_qubits, qubits):
+def test_per_sample_matrices(n_qubits, qubits):
     rng = np.random.default_rng(33)
-    batch = 4
-    rhos = random_density_stack(n_qubits, batch, rng)
-    gate = "u3" if len(qubits) == 1 else "cu3"
-    matrices = np.stack([
-        gate_matrix(gate, rng.uniform(-np.pi, np.pi, size=3))
-        for _ in range(batch)
-    ])
-
-    batched = apply_unitary_batch(rhos, matrices, qubits)
-    for index in range(batch):
-        expected = apply_unitary(rhos[index], matrices[index], qubits)
-        np.testing.assert_allclose(batched[index], expected, rtol=0, atol=ATOL)
+    rhos = random_density_stack(n_qubits, 4, rng)
+    check_against_reference(rhos, [(random_gate(qubits, rng, 4), qubits, [])])
 
 
 @pytest.mark.parametrize("kraus_factory", [
@@ -81,41 +103,51 @@ def test_apply_unitary_batch_per_sample_matrices(n_qubits, qubits):
     lambda: thermal_relaxation_kraus(50e3, 70e3, 300.0),      # few operators
     lambda: depolarizing_kraus(0.05, 1),                      # 4 operators
 ])
-def test_apply_kraus_batch_single_qubit(kraus_factory):
+def test_single_qubit_channel(kraus_factory):
     rng = np.random.default_rng(55)
     rhos = random_density_stack(3, 4, rng)
-    kraus_ops = kraus_factory()
-    batched = apply_kraus_batch(rhos, kraus_ops, (1,))
-    for index in range(rhos.shape[0]):
-        expected = apply_kraus(rhos[index], kraus_ops, (1,))
-        np.testing.assert_allclose(batched[index], expected, rtol=0, atol=ATOL)
+    channels = [(kraus_factory(), (1,))]
+    check_against_reference(rhos, [(random_gate((1,), rng), (1,), channels)])
 
 
-def test_apply_kraus_batch_two_qubit_depolarizing():
+def test_two_qubit_depolarizing_and_relaxation():
     rng = np.random.default_rng(77)
     rhos = random_density_stack(3, 3, rng)
-    kraus_ops = depolarizing_kraus(0.08, 2)   # 16 operators -> superoperator path
-    batched = apply_kraus_batch(rhos, kraus_ops, (0, 2))
-    for index in range(rhos.shape[0]):
-        expected = apply_kraus(rhos[index], kraus_ops, (0, 2))
-        np.testing.assert_allclose(batched[index], expected, rtol=0, atol=ATOL)
+    relaxation = thermal_relaxation_kraus(40.0, 30.0, 0.3)
+    channels = [
+        (depolarizing_kraus(0.08, 2), (0, 2)),   # 16 operators
+        (relaxation, (0,)),
+        (relaxation, (2,)),
+    ]
+    check_against_reference(rhos, [(random_gate((0, 2), rng, 3), (0, 2), channels)])
 
 
-def test_density_probabilities_batch_matches_loop():
-    rng = np.random.default_rng(88)
-    rhos = random_density_stack(3, 6, rng)
-    batched = density_probabilities_batch(rhos)
-    assert batched.shape == (6, 8)
-    for index in range(6):
-        np.testing.assert_allclose(
-            batched[index], density_probabilities(rhos[index]), rtol=0, atol=ATOL
-        )
-    np.testing.assert_allclose(batched.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+def test_block_sequence_matches_unfused():
+    """Pending maps, blocks reused in both qubit orders, blocks flushed by
+    an overlapping pair, and a channel-free position."""
+    rng = np.random.default_rng(91)
+    rhos = random_density_stack(4, 3, rng)
+    one_qubit = (depolarizing_kraus(0.02, 1), amplitude_damping_kraus(0.1))
+
+    def position(qubits, per_row):
+        channels = [(kraus, (qubit,)) for qubit in qubits for kraus in one_qubit]
+        if len(qubits) == 2:
+            channels.insert(0, (depolarizing_kraus(0.05, 2), qubits))
+        return random_gate(qubits, rng, 3 if per_row else None), qubits, channels
+
+    positions = [
+        position((0,), False), position((1,), True), position((0, 1), False),
+        position((1,), False), position((1, 0), True), position((2,), True),
+        position((1, 2), False), position((3,), False), position((0,), True),
+        position((2, 3), False), position((3, 2), False),
+    ]
+    positions.append((random_gate((1,), rng), (1,), []))
+    check_against_reference(rhos, positions)
 
 
-def test_apply_unitary_batch_rejects_wrong_batch_dimension():
+def test_rejects_wrong_batch_dimension():
     rng = np.random.default_rng(3)
     rhos = random_density_stack(2, 3, rng)
     matrices = np.stack([gate_matrix("x") for _ in range(2)])  # wrong batch
     with pytest.raises(ValueError):
-        apply_unitary_batch(rhos, matrices, (0,))
+        apply_fused_positions(rhos, [(matrices, (0,), None)])

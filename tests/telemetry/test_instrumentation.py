@@ -8,7 +8,9 @@ The two halves of the telemetry acceptance contract:
   phase spans, and per-tenant ``service.round`` spans with metrics; a
   traced pipeline records one ``pipeline.stage`` span per stage call,
   with the ``train.epoch`` spans of SubCircuit training and the pruning
-  finetunes nested under their stages;
+  finetunes nested under their stages; a traced compile records one
+  ``transpile.pass`` span per compiler pass, in order, under the caches'
+  ``cache.compile`` span;
 * **observation-only** — scores are *bitwise* identical with tracing on
   and off, across workers 1 / 2 / 4, for the QML and VQE execution paths
   and for sharded gradient training.
@@ -28,7 +30,11 @@ from repro.core import (
     get_design_space,
 )
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
-from repro.execution import ShardedExecutionEngine
+from repro.execution import (
+    ParametricTranspileCache,
+    ShardedExecutionEngine,
+    TranspileCache,
+)
 from repro.qml import (
     ParameterShiftGradient,
     QNNModel,
@@ -228,6 +234,51 @@ class TestPipelineStageSpans:
             "sub_train": list(range(self.SUB_TRAIN_EPOCHS)),
             "prune": [0] * self.PRUNE_STAGES,
         }
+
+
+class TestTranspilePassSpans:
+    LEVEL_2 = ["route", "decompose", "cancel_cx", "merge_rz", "drop_identity",
+               "resynthesize", "cancel_cx", "merge_rz"]
+
+    def test_level_2_passes_nest_under_cache_compile(
+        self, clean_telemetry, u3cu3_supercircuit, yorktown
+    ):
+        candidate = qml_population(yorktown, seed=5, size=1)[0]
+        circuit, _ = u3cu3_supercircuit.build_standalone_circuit(candidate.config)
+        weights = u3cu3_supercircuit.inherited_weights(candidate.config)
+        features = np.linspace(-1.0, 1.0, 16)
+
+        def compile_both():
+            bound = TranspileCache(maxsize=8).get(
+                circuit.bind(weights, features), yorktown,
+                initial_layout=candidate.mapping,
+            )
+            parametric = ParametricTranspileCache(fallback=None).get_bound(
+                circuit, weights, features, yorktown,
+                initial_layout=candidate.mapping,
+            )
+            return bound, parametric
+
+        off = compile_both()
+        telemetry.configure(enabled=True)
+        on = compile_both()
+        for untraced, traced in zip(off, on):
+            assert traced.circuit.instructions == untraced.circuit.instructions
+            assert traced.final_layout == untraced.final_layout
+
+        records = telemetry.get_tracer().records
+        compiles = {
+            record.attributes["kind"]: record.span_id
+            for record in records if record.name == "cache.compile"
+        }
+        assert set(compiles) == {"bound", "parametric"}
+        for span_id in compiles.values():
+            passes = sorted(
+                (r for r in records
+                 if r.name == "transpile.pass" and r.parent_id == span_id),
+                key=lambda record: record.span_id,
+            )
+            assert [r.attributes["step"] for r in passes] == self.LEVEL_2
 
 
 # ---------------------------------------------------------------------------
