@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import DensityMatrixBackend, SimulationJob
 from repro.baselines import build_human_circuit, build_random_circuit
 from repro.core import (
     EstimatorConfig,
@@ -35,6 +36,8 @@ from repro.qml import (
     load_task,
     train_qnn,
 )
+from repro.qml.qnn import readout_matrix
+from repro.utils.stats import nll_loss, softmax
 from repro.utils.tables import print_table
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "run_quantumnas_qml",
     "baseline_measured_accuracy",
     "seed_path_scorer",
+    "bound_key_scorer",
 ]
 
 #: dataset sizes used throughout the benchmark harness
@@ -90,6 +94,53 @@ def seed_path_scorer(device, supercircuit, config, *, dataset=None,
                 scores.append(estimator.estimate_vqe(
                     circuit, weights, molecule, layout=candidate.mapping
                 ))
+        return scores
+
+    return score
+
+
+def bound_key_scorer(estimator, supercircuit, dataset, n_classes):
+    """The bound-key ``noise_sim`` algorithm as a ``population_score_fn``.
+
+    The reference the engine's parametric template path is timed against.
+    Every validation row of a genome is bound to a concrete circuit; each
+    candidate compiles its bound rows by full pipeline runs through the
+    estimator's ``TranspileCache`` (memoized by bound-circuit fingerprint),
+    simulates them as compiled jobs on the density backend and is scored
+    as the engine scores it.  A warm second pass is served by the cache.
+    """
+    features, labels = estimator.validation_subset(dataset)
+    n_qubits = supercircuit.n_qubits
+    readout = readout_matrix(n_qubits, n_classes)
+
+    def score(candidates):
+        backend = DensityMatrixBackend(estimator)
+        bound_by_gene = {}
+        handles = []
+        for candidate in candidates:
+            gene = tuple(candidate.config.as_gene())
+            if gene not in bound_by_gene:
+                circuit, _ = supercircuit.build_standalone_circuit(candidate.config)
+                weights = supercircuit.inherited_weights(candidate.config)
+                bound_by_gene[gene] = [circuit.bind(weights, row) for row in features]
+            jobs = [
+                SimulationJob(compiled=estimator.transpile_cache.get(
+                    bound,
+                    estimator.device,
+                    initial_layout=candidate.mapping,
+                    optimization_level=estimator.config.optimization_level,
+                ))
+                for bound in bound_by_gene[gene]
+            ]
+            handles.append(backend.run_group(None, jobs))
+        backend.synchronize()
+        scores = []
+        for candidate_handles in handles:
+            expectations = np.stack([
+                handle.logical_z_expectations(n_qubits)
+                for handle in candidate_handles
+            ])
+            scores.append(nll_loss(softmax(expectations @ readout.T), labels))
         return scores
 
     return score

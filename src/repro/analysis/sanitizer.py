@@ -19,9 +19,8 @@ Fingerprints are ``blake2b(pickle.dumps(entry))``.  Because
 ``CompiledCircuit.__getstate__`` / ``Device.__getstate__`` drop their
 derived memos, *benign* lazy memoization (``success_rate()`` populating
 ``_success_rate`` after adoption) never trips the sanitizer — only changes
-to the pickled contract state do.  A shared parametric structure may grow
-new template variants locally; the sanitizer therefore fingerprints the
-variants that were shared, not the list that holds them.
+to the pickled contract state do.  A parametric structure's entry is its
+one compiled template, fingerprinted like any other entry.
 
 The same switch arms the density-matrix physics checks.  Every
 :class:`~repro.backends.density.BatchedDensityRunner` ``run`` checks each
@@ -96,12 +95,11 @@ def entry_fingerprint(entry) -> bytes:
 _LEDGER_ATTR = "_sanitizer_ledger"
 
 
-def _ledger(cache) -> Dict[Tuple, object]:
+def _ledger(cache) -> Dict[Tuple, bytes]:
     """The cache's ``shared-entry key -> fingerprint`` ledger.
 
     Keys are ``("bound", key)`` for plain compiled entries and
-    ``("structure", key)`` for parametric structures (whose value is the
-    list of per-variant fingerprints recorded at share time).
+    ``("structure", key)`` for parametric structure templates.
     """
     ledger = getattr(cache, _LEDGER_ATTR, None)
     if ledger is None:
@@ -110,14 +108,8 @@ def _ledger(cache) -> Dict[Tuple, object]:
     return ledger
 
 
-def _record_bound(cache, key, entry) -> None:
-    _ledger(cache)[("bound", key)] = entry_fingerprint(entry)
-
-
-def _record_structure(cache, key, variants) -> None:
-    _ledger(cache)[("structure", key)] = [
-        entry_fingerprint(variant) for variant in variants
-    ]
+def _record(cache, kind: str, key, entry) -> None:
+    _ledger(cache)[(kind, key)] = entry_fingerprint(entry)
 
 
 def verify_cache(cache) -> None:
@@ -129,38 +121,24 @@ def verify_cache(cache) -> None:
     bound_entries = getattr(cache, "_entries", None)
     if bound_entries is None:
         bound_entries = getattr(cache, "_bound", {})
-    structures = getattr(cache, "_structures", {})
+    entries_by_kind = {
+        "bound": bound_entries,
+        "structure": getattr(cache, "_structures", {}),
+    }
     stale: List[Tuple] = []
     for ledger_key, recorded in ledger.items():
         kind, key = ledger_key
-        if kind == "bound":
-            entry = bound_entries.get(key)
-            if entry is None:
-                stale.append(ledger_key)
-                continue
-            if entry_fingerprint(entry) != recorded:
-                raise CacheMutationError(
-                    f"{type(cache).__name__} entry {key!r} was mutated after "
-                    "it was shared across the process boundary "
-                    "(export_entries/adopt_entries); shared compilations "
-                    "must be treated as immutable"
-                )
-        else:
-            state = structures.get(key)
-            if state is None:
-                stale.append(ledger_key)
-                continue
-            variants = list(getattr(state, "variants", ()))
-            # variants appended after sharing are local, not shared: verify
-            # only the prefix that was fingerprinted
-            for index, fingerprint in enumerate(recorded[: len(variants)]):
-                if entry_fingerprint(variants[index]) != fingerprint:
-                    raise CacheMutationError(
-                        f"{type(cache).__name__} structure {key!r} variant "
-                        f"{index} was mutated after it was shared across the "
-                        "process boundary; shared parametric templates must "
-                        "be treated as immutable"
-                    )
+        entry = entries_by_kind[kind].get(key)
+        if entry is None:
+            stale.append(ledger_key)
+            continue
+        if entry_fingerprint(entry) != recorded:
+            raise CacheMutationError(
+                f"{type(cache).__name__} {kind} entry {key!r} was mutated "
+                "after it was shared across the process boundary "
+                "(export_entries/adopt_entries); shared compilations and "
+                "templates must be treated as immutable"
+            )
     for ledger_key in stale:
         del ledger[ledger_key]
 
@@ -184,7 +162,7 @@ def _wrap_transpile_cache(cls) -> None:
         verify_cache(self)
         entries = original_export(self, exclude)
         for key, entry in entries:
-            _record_bound(self, key, entry)
+            _record(self, "bound", key, entry)
         return entries
 
     def adopt_entries(self, entries):
@@ -194,7 +172,7 @@ def _wrap_transpile_cache(cls) -> None:
         adopted = original_adopt(self, entries)
         for key, entry in entries:
             if key not in present_before and key in self._entries:
-                _record_bound(self, key, entry)
+                _record(self, "bound", key, entry)
         return adopted
 
     def clear(self):
@@ -218,10 +196,10 @@ def _wrap_parametric_cache(cls) -> None:
     def export_entries(self, exclude_structures=(), exclude_bound=()):
         verify_cache(self)
         payload = original_export(self, exclude_structures, exclude_bound)
-        for key, variants in payload.get("structures", ()):
-            _record_structure(self, key, variants)
+        for key, template in payload.get("structures", ()):
+            _record(self, "structure", key, template)
         for key, entry in payload.get("bound", ()):
-            _record_bound(self, key, entry)
+            _record(self, "bound", key, entry)
         return payload
 
     def adopt_entries(self, payload):
@@ -229,12 +207,12 @@ def _wrap_parametric_cache(cls) -> None:
         structures_before = set(self._structures)
         bound_before = set(self._bound)
         adopted = original_adopt(self, payload)
-        for key, variants in payload.get("structures", ()):
+        for key, template in payload.get("structures", ()):
             if key not in structures_before and key in self._structures:
-                _record_structure(self, key, variants)
+                _record(self, "structure", key, template)
         for key, entry in payload.get("bound", ()):
             if key not in bound_before and key in self._bound:
-                _record_bound(self, key, entry)
+                _record(self, "bound", key, entry)
         return adopted
 
     def clear(self):

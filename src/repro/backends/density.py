@@ -54,6 +54,7 @@ from ..quantum.density_matrix import (
     zero_density_matrices,
 )
 from ..quantum.gates import batched_gate_matrix, gate_matrix
+from ..quantum.measurement import expectation_z_all_from_probabilities
 from .base import (
     BackendCapabilities,
     JobResult,
@@ -68,23 +69,6 @@ __all__ = [
     "BatchedDensityRunner",
     "DensityMatrixBackend",
 ]
-
-
-def _z_expectations_from_logical_probs(
-    probs: np.ndarray, n_logical: int
-) -> np.ndarray:
-    """Per-qubit ``<Z>`` from logical-register probabilities.
-
-    One implementation for both result paths (compiled jobs and template
-    batches), matching ``BackendResult.expectation_z_all``.
-    """
-    probs = probs.reshape((2,) * n_logical)
-    out = np.zeros(n_logical)
-    for qubit in range(n_logical):
-        axes = tuple(a for a in range(n_logical) if a != qubit)
-        marginal = probs.sum(axis=axes)
-        out[qubit] = marginal[0] - marginal[1]
-    return out
 
 
 class DensityJob(JobResult):
@@ -113,7 +97,7 @@ class DensityJob(JobResult):
         if self._probs_with_readout is None:
             if self.reduced_probs is not None:
                 # large-circuit approximation — no readout confusion, exactly
-                # like QuantumBackend._approximate_probabilities
+                # like QuantumBackend.run_compiled
                 self._probs_with_readout = self.reduced_probs
             else:
                 probs = density_probabilities(self.rho)
@@ -132,7 +116,7 @@ class DensityJob(JobResult):
                 self.probabilities(), self.compiled, self.used_physical, n_logical
             )
             self._logical_expectations[n_logical] = (
-                _z_expectations_from_logical_probs(probs, n_logical)
+                expectation_z_all_from_probabilities(probs, n_logical)
             )
         return self._logical_expectations[n_logical]
 
@@ -201,7 +185,7 @@ class TemplateBatchJob:
                 self.binding.used_qubits,
                 n_logical,
             )
-            self._expectations[key] = _z_expectations_from_logical_probs(
+            self._expectations[key] = expectation_z_all_from_probabilities(
                 probs, int(n_logical)
             )
         return self._expectations[key]

@@ -21,11 +21,13 @@ restored exactly, so a search resumed at generation *k* produces the same
 best candidate, scores and history tail as the uninterrupted run — the
 checkpoint tests assert equality, not closeness.
 
-File format (version 1): a single :mod:`pickle` payload ``{"version": 1,
+File format (version 2): a single :mod:`pickle` payload ``{"version": 2,
 "iteration": int, "rng_state": dict, "population": [gene, ...], "cache":
 [(gene, score), ...], "history": [...], "evaluated": int, "best": gene |
-None, "best_score": float, "estimator_caches": {"bound": [...],
-"parametric": {...}} | None}``.  Writes are atomic (temp file +
+None, "best_score": float, "estimator_caches": {"bound": [(key, compiled),
+...], "parametric": {"structures": [(key, template), ...], "bound": [...]}}
+| None}``.  Version 1 stored a tuple of template variants per structure
+and no longer loads.  Writes are atomic (temp file +
 ``os.replace`` in the target directory), so a crash mid-write leaves the
 previous checkpoint intact; unknown versions raise instead of resuming
 wrong, while a truncated/corrupt file (one written without the atomic
@@ -54,7 +56,7 @@ class SearchCheckpointer:
     what it stores.
     """
 
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, path: str, estimator=None) -> None:
         self.path = str(path)

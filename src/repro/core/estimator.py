@@ -53,10 +53,6 @@ class EstimatorConfig:
     shots: int = 2048                # only used in real_qc mode
     seed: int = 0
     # -- population execution engine (see repro.execution) --------------------
-    #: compile each (genome, mapping) structure once and re-bind angles per
-    #: sample (repro.transpile.parametric); False replays the exact PR-2
-    #: bound-circuit cache path.
-    parametric_transpile: bool = True
     #: worker processes for population evaluation.  > 1 makes
     #: :meth:`PerformanceEstimator.population_engine` return a
     #: :class:`~repro.execution.scheduler.ShardedExecutionEngine`; <= 1 stays

@@ -18,7 +18,11 @@ import numpy as np
 from ..noise.models import NoiseModel
 from ..quantum.circuit import QuantumCircuit
 from ..quantum.density_matrix import DensityMatrixSimulator
-from ..quantum.measurement import sample_counts
+from ..quantum.measurement import (
+    expectation_z_all_from_probabilities,
+    expectation_z_from_probabilities,
+    sample_counts,
+)
 from ..quantum.statevector import probabilities as sv_probabilities
 from ..quantum.statevector import run_circuit, zero_state
 from ..transpile.compiler import CompiledCircuit, transpile
@@ -96,13 +100,14 @@ class BackendResult:
     estimated_runtime_seconds: float
 
     def expectation_z(self, qubit: int) -> float:
-        probs = self.probabilities.reshape((2,) * self.n_logical)
-        axes = tuple(a for a in range(self.n_logical) if a != qubit)
-        marginal = probs.sum(axis=axes)
-        return float(marginal[0] - marginal[1])
+        return expectation_z_from_probabilities(
+            self.probabilities, qubit, self.n_logical
+        )
 
     def expectation_z_all(self) -> np.ndarray:
-        return np.array([self.expectation_z(q) for q in range(self.n_logical)])
+        return expectation_z_all_from_probabilities(
+            self.probabilities, self.n_logical
+        )
 
 
 class QuantumBackend:
@@ -232,11 +237,9 @@ class QuantumBackend:
             simulator = DensityMatrixSimulator(reduced.n_qubits, noise_model)
             reduced_probs = simulator.probabilities(reduced)
         else:
-            reduced_probs = self._approximate_probabilities(
-                reduced, noise_model
-            )
+            reduced_probs = approximate_probabilities(reduced, noise_model)
 
-        logical_probs = self._logical_probabilities(
+        logical_probs = logical_probabilities(
             reduced_probs, compiled, used_physical, n_logical
         )
         if shots > 0:
@@ -251,22 +254,6 @@ class QuantumBackend:
             compiled=compiled,
             estimated_runtime_seconds=runtime,
         )
-
-    # -- internals -----------------------------------------------------------
-
-    def _approximate_probabilities(
-        self, reduced: QuantumCircuit, noise_model: NoiseModel
-    ) -> np.ndarray:
-        return approximate_probabilities(reduced, noise_model)
-
-    def _logical_probabilities(
-        self,
-        reduced_probs: np.ndarray,
-        compiled: CompiledCircuit,
-        used_physical: Sequence[int],
-        n_logical: int,
-    ) -> np.ndarray:
-        return logical_probabilities(reduced_probs, compiled, used_physical, n_logical)
 
     def record_executions(self, n: int = 1) -> None:
         """Count circuits executed on the backend's behalf by external engines.

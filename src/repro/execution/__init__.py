@@ -26,10 +26,9 @@ structure is compiled *once* into a :class:`repro.transpile.parametric.
 ParametricCompiledCircuit` — layout, routing, decomposition and the
 value-agnostic optimization passes run per structure, and each validation
 sample's angles are filled into the compiled template in O(params) through
-the :class:`ParametricTranspileCache` (structure-keyed, with a short list of
-witness variants and the bound-key cache as exact fallback for bindings that
-cross a compile-time branch).  ``EstimatorConfig.parametric_transpile=False``
-replays the PR-2 bound-key path exactly.
+the :class:`ParametricTranspileCache` (structure-keyed, one template per
+structure, with the bound-key cache as exact fallback for bindings that
+cross a compile-time branch).
 
 **LRU transpilation cache.**  Compilations are memoized by (bound-circuit
 fingerprint, device, initial layout, optimization level, pinned seed).

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -227,9 +227,10 @@ class ParametricCacheStats(MergeableStats):
     ``structure_*`` counts lookups of compiled circuit *structures* (one per
     (circuit structure, device, layout, optimization level)); ``bind_*``
     counts bound-circuit lookups (one per parameter binding).  ``fallbacks``
-    counts bindings that crossed a compile-time branch of every cached
-    template variant and were served by a full concrete transpile instead —
-    the result is still exact, just not amortized.
+    counts bindings that crossed a compile-time branch of their structure's
+    template and were served by a full concrete transpile instead — the
+    result is still exact, just not amortized.  ``variants_compiled`` counts
+    compiled templates: one per structure miss.
     """
 
     structure_hits: int = 0
@@ -241,14 +242,14 @@ class ParametricCacheStats(MergeableStats):
     fallbacks: int = 0
     variants_compiled: int = 0
     #: vectorized :meth:`ParametricTranspileCache.get_bound_batch` calls and
-    #: the rows they served straight from the template (rows that crossed a
-    #: branch are re-served by ``get_bound`` and counted there)
+    #: the rows they served straight from the template; rows that crossed a
+    #: branch go to the bound-key fallback and count in
+    #: ``bind_misses``/``fallbacks``
     batch_binds: int = 0
     batch_rows: int = 0
     #: :meth:`ParametricTranspileCache.bind_rows` calls (parameter-shift
-    #: evaluation matrices) and the rows the first variant served; rows that
-    #: crossed a branch go to the bound-key fallback and count in
-    #: ``bind_misses``/``fallbacks``
+    #: evaluation matrices) and the rows the template served, counted like
+    #: the ``batch_*`` pair
     gradient_binds: int = 0
     gradient_rows: int = 0
     compile_seconds: float = 0.0
@@ -278,16 +279,6 @@ class ParametricCacheStats(MergeableStats):
         return self.fallbacks / requests if requests else 0.0
 
 
-class _StructureState:
-    """Template variants plus the adaptive-variant miss counter."""
-
-    __slots__ = ("variants", "template_misses")
-
-    def __init__(self) -> None:
-        self.variants: list = []
-        self.template_misses = 0
-
-
 class ParametricTranspileCache:
     """An LRU cache of parametric compilations, keyed by circuit *structure*.
 
@@ -298,17 +289,18 @@ class ParametricTranspileCache:
     transpile seed — and serves each binding by filling the compiled
     template's angle slots.
 
-    Each structure holds a short list of template *variants*: a parametric
-    template is traced against a witness binding (a generic, nowhere-zero one
-    for the first variant), and a binding that crosses a compile-time branch
-    (e.g. a rotation angle that is exactly zero for one sample) cannot reuse
-    that witness's template.  Such bindings are served by ``fallback`` — the
-    exact bound-key cache — and once a structure has accumulated
-    ``variant_threshold`` template misses, the next missing binding compiles
-    a new variant with itself as witness (up to ``max_variants``).  A one-off
-    pathological sample therefore costs one concrete transpile, while a
-    *recurring* branch pattern gets its own amortized template; results are
-    identical either way.
+    Each structure holds exactly one template.  It is traced against a hybrid
+    witness: the real weights of the call that compiles it (weight-dependent
+    branch signs are shared by every sample of the structure) joined with
+    generic nowhere-zero feature values, so a pathological first sample (a
+    blank image pixel encoding an exact-zero rotation) cannot poison the
+    template every other sample uses.  A binding that crosses one of the
+    template's compile-time branches is served by ``fallback`` — the exact
+    bound-key cache, compiling with the structure's pinned seed.  Every entry
+    point (:meth:`get_bound`, :meth:`get_bound_batch`, :meth:`bind_rows`)
+    shares that one fallback, so a row's template-vs-fallback path is a pure
+    function of (row values, structure template); results are identical
+    either way.
 
     Bound results are memoized in a second LRU so duplicated candidates and
     repeated samples receive the *same* :class:`CompiledCircuit` object,
@@ -320,21 +312,17 @@ class ParametricTranspileCache:
         self,
         maxsize: int = 256,
         bound_maxsize: int = 1024,
-        max_variants: int = 4,
-        variant_threshold: int = 2,
         fallback: Optional[TranspileCache] = None,
     ) -> None:
         if maxsize < 1 or bound_maxsize < 1:
             raise ValueError("cache maxsize must be positive")
-        if max_variants < 1:
-            raise ValueError("max_variants must be positive")
         self.maxsize = int(maxsize)
         self.bound_maxsize = int(bound_maxsize)
-        self.max_variants = int(max_variants)
-        self.variant_threshold = int(variant_threshold)
         self.fallback = fallback if fallback is not None else TranspileCache(bound_maxsize)
         self.stats = ParametricCacheStats()
-        self._structures: "OrderedDict[Tuple, _StructureState]" = OrderedDict()
+        self._structures: "OrderedDict[Tuple, ParametricCompiledCircuit]" = (
+            OrderedDict()
+        )
         self._bound: "OrderedDict[Tuple, CompiledCircuit]" = OrderedDict()
         # ParameterizedCircuit objects are long-lived (one per genome group);
         # fingerprinting — and deriving the seed-carrying full key, which
@@ -376,63 +364,114 @@ class ParametricTranspileCache:
             entry[1][variant] = key
         return key
 
-    # -- structure lookups ----------------------------------------------------
+    # -- templates and rows ---------------------------------------------------
 
-    def get_structure(
-        self,
-        circuit: ParameterizedCircuit,
-        device: Device,
-        initial_layout=None,
-        optimization_level: int = 2,
-        witness_values: Optional[np.ndarray] = None,
+    def _template(
+        self, circuit, key, device, initial_layout, optimization_level,
+        witness_weights, n_features,
     ) -> ParametricCompiledCircuit:
-        """The first template variant for a structure (compiling on miss)."""
-        key = self.key_for(circuit, device, initial_layout, optimization_level)
-        state = self._structure_state(key)
-        if state is None:
-            state = self._insert_structure(key)
-        if not state.variants:
-            state.variants.append(
-                self._compile(
-                    circuit, device, initial_layout, optimization_level,
-                    key[-1], witness_values,
-                )
-            )
-        return state.variants[0]
-
-    def _structure_state(self, key) -> Optional["_StructureState"]:
-        state = self._structures.get(key)
-        if state is not None:
+        """The structure's template, compiled against the hybrid witness on a
+        miss and inserted only once it compiled — a compile that raises
+        leaves no entry behind."""
+        template = self._structures.get(key)
+        if template is not None:
             self.stats.structure_hits += 1
             self._structures.move_to_end(key)
-        return state
-
-    def _insert_structure(self, key) -> "_StructureState":
+            return template
         self.stats.structure_misses += 1
-        state = _StructureState()
-        self._structures[key] = state
-        if len(self._structures) > self.maxsize:
-            self._structures.popitem(last=False)
-            self.stats.structure_evictions += 1
-        return state
-
-    def _compile(
-        self, circuit, device, initial_layout, optimization_level, seed,
-        witness_values,
-    ) -> ParametricCompiledCircuit:
+        witness = witness_weights
+        if n_features:
+            witness = np.concatenate(
+                [witness_weights, _default_witness(n_features, None)]
+            )
         start = clock.monotonic()
         with telemetry.span("cache.compile", kind="parametric"):
-            compiled = parametric_transpile(
+            template = parametric_transpile(
                 circuit,
                 device,
                 initial_layout=initial_layout,
                 optimization_level=optimization_level,
-                seed=seed,
-                witness_values=witness_values,
+                seed=key[-1],
+                witness_values=witness,
             )
         self.stats.compile_seconds += clock.monotonic() - start
         self.stats.variants_compiled += 1
+        self._structures[key] = template
+        if len(self._structures) > self.maxsize:
+            self._structures.popitem(last=False)
+            self.stats.structure_evictions += 1
+        return template
+
+    def _bound_row(
+        self, circuit, key, values, n_weights, device, initial_layout,
+        optimization_level, bind_template,
+    ) -> CompiledCircuit:
+        """One binding's compiled circuit, memoized in the bound LRU.
+
+        On a miss a ``bind_template`` row is bound through the structure's
+        template.  A row that crosses one of the template's branches — and
+        every row the batch paths pass without ``bind_template``, which
+        their vectorized bind already rejected — is compiled by the exact
+        bound-key fallback.
+        """
+        values = np.ascontiguousarray(values, dtype=float)
+        bound_key = (key, values.tobytes())
+        compiled = self._bound.get(bound_key)
+        if compiled is not None:
+            self.stats.bind_hits += 1
+            self._bound.move_to_end(bound_key)
+            return compiled
+        self.stats.bind_misses += 1
+        if bind_template:
+            template = self._template(
+                circuit, key, device, initial_layout, optimization_level,
+                values[:n_weights], values.size - n_weights,
+            )
+            start = clock.monotonic()
+            compiled = template.try_bind(values)
+            self.stats.bind_seconds += clock.monotonic() - start
+        if compiled is None:
+            self.stats.fallbacks += 1
+            # the structure's pinned seed rides along so SABRE draws (and
+            # therefore the compiled result) match what a successful
+            # template bind of this structure would have produced
+            compiled = self.fallback.get(
+                circuit.bind(values[:n_weights], values[n_weights:]),
+                device,
+                initial_layout=initial_layout,
+                optimization_level=optimization_level,
+                seed=key[-1],
+            )
+        self._bound[bound_key] = compiled
+        if len(self._bound) > self.bound_maxsize:
+            self._bound.popitem(last=False)
+            self.stats.bind_evictions += 1
         return compiled
+
+    def _bind_matrix(
+        self, circuit, values, witness_weights, device, initial_layout,
+        optimization_level,
+    ) -> Tuple[np.ndarray, Optional[TemplateBatchBinding], dict]:
+        """One vectorized template fill of a values matrix; the rows it
+        rejects go to the bound-key fallback.  Returns ``(ok, binding,
+        {row: CompiledCircuit})``."""
+        n_weights = witness_weights.shape[0]
+        key = self.key_for(circuit, device, initial_layout, optimization_level)
+        template = self._template(
+            circuit, key, device, initial_layout, optimization_level,
+            witness_weights, values.shape[1] - n_weights,
+        )
+        start = clock.monotonic()
+        ok, binding = template.bind_batch(values)
+        self.stats.bind_seconds += clock.monotonic() - start
+        fallback = {
+            int(row): self._bound_row(
+                circuit, key, values[row], n_weights, device, initial_layout,
+                optimization_level, bind_template=False,
+            )
+            for row in np.flatnonzero(~ok)
+        }
+        return ok, binding, fallback
 
     # -- bound lookups --------------------------------------------------------
 
@@ -449,95 +488,22 @@ class ParametricTranspileCache:
 
         Identical bindings return the identical object.  Exactness contract:
         the result always matches ``transpile(circuit.bind(weights, row))``
-        with this cache's pinned seed — via a template bind when a variant's
-        compile-time branches cover the binding, via the bound-key fallback
-        cache otherwise.
+        with this cache's pinned seed — via a template bind when the
+        binding takes the template's compile-time branches, via the
+        bound-key fallback cache otherwise.
         """
         if device is None:
             raise ValueError("device is required")
         weights = np.asarray(weights, dtype=float).ravel()
+        values = weights
         if features_row is not None:
             features_row = np.asarray(features_row, dtype=float).ravel()
             values = np.concatenate([weights, features_row])
-        else:
-            values = weights
         key = self.key_for(circuit, device, initial_layout, optimization_level)
-        bound_key = (key, values.tobytes())
-        bound = self._bound.get(bound_key)
-        if bound is not None:
-            self.stats.bind_hits += 1
-            self._bound.move_to_end(bound_key)
-            return bound
-        self.stats.bind_misses += 1
-
-        state = self._structure_state(key)
-        if state is None:
-            state = self._insert_structure(key)
-        if not state.variants:
-            # The first variant is traced against a hybrid witness: the *real*
-            # weights (weight-dependent branch signs are shared by every
-            # sample of this structure) joined with generic nowhere-zero
-            # feature values — a pathological first sample (e.g. a blank
-            # image pixel encoding an exact-zero rotation) must not poison
-            # the template every other sample will use.
-            if features_row is not None and len(features_row):
-                generic = _default_witness(len(features_row), None)
-                witness = np.concatenate([weights, generic])
-            else:
-                witness = values
-            state.variants.append(
-                self._compile(
-                    circuit, device, initial_layout, optimization_level,
-                    key[-1], witness,
-                )
-            )
-        compiled: Optional[CompiledCircuit] = None
-        start = clock.monotonic()
-        for variant in state.variants:
-            compiled = variant.try_bind(values)
-            if compiled is not None:
-                break
-        self.stats.bind_seconds += clock.monotonic() - start
-        if compiled is None:
-            state.template_misses += 1
-            if (
-                state.template_misses >= self.variant_threshold
-                and len(state.variants) < self.max_variants
-            ):
-                # this branch pattern keeps recurring: give it its own
-                # variant, traced against this binding (whose own bind is
-                # then guaranteed to succeed)
-                variant = self._compile(
-                    circuit, device, initial_layout, optimization_level,
-                    key[-1], values,
-                )
-                state.variants.append(variant)
-                state.template_misses = 0
-                start = clock.monotonic()
-                compiled = variant.bind(values)
-                self.stats.bind_seconds += clock.monotonic() - start
-            else:
-                self.stats.fallbacks += 1
-                bound_circuit = (
-                    circuit.bind(weights, features_row)
-                    if features_row is not None
-                    else circuit.bind(weights)
-                )
-                # the structure's pinned seed rides along so SABRE draws (and
-                # therefore the compiled result) match what a successful
-                # template bind of this structure would have produced
-                compiled = self.fallback.get(
-                    bound_circuit,
-                    device,
-                    initial_layout=initial_layout,
-                    optimization_level=optimization_level,
-                    seed=key[-1],
-                )
-        self._bound[bound_key] = compiled
-        if len(self._bound) > self.bound_maxsize:
-            self._bound.popitem(last=False)
-            self.stats.bind_evictions += 1
-        return compiled
+        return self._bound_row(
+            circuit, key, values, weights.shape[0], device, initial_layout,
+            optimization_level, bind_template=True,
+        )
 
     def get_bound_batch(
         self,
@@ -555,11 +521,10 @@ class ParametricTranspileCache:
         per-row :class:`CompiledCircuit` construction.  Returns
         ``(binding, fallback)`` — a
         :class:`~repro.transpile.parametric.TemplateBatchBinding` covering
-        the rows the first template variant binds (``None`` when it binds
+        the rows the structure's template binds (``None`` when it binds
         none) and a ``{row_index: CompiledCircuit}`` dict for the rows that
-        crossed a compile-time branch, each served exactly by
-        :meth:`get_bound` (variant retries, adaptive variants and the
-        bound-key fallback included).
+        crossed a compile-time branch, each the exact bound-key result
+        :meth:`get_bound` would serve.
 
         Exactness contract: a row's angles are the same affine expressions
         :meth:`get_bound` would evaluate, so every downstream consumer sees
@@ -572,41 +537,16 @@ class ParametricTranspileCache:
         features = np.asarray(features, dtype=float)
         if features.ndim != 2:
             raise ValueError("get_bound_batch expects a 2-D feature matrix")
-        n_rows = features.shape[0]
         values = np.concatenate(
-            [np.broadcast_to(weights, (n_rows, weights.shape[0])), features],
+            [np.broadcast_to(weights, (features.shape[0], weights.shape[0])),
+             features],
             axis=1,
         )
-        key = self.key_for(circuit, device, initial_layout, optimization_level)
-        state = self._structure_state(key)
-        if state is None:
-            state = self._insert_structure(key)
-        if not state.variants:
-            # same hybrid witness as get_bound: real weights joined with
-            # generic nowhere-zero feature values, so a pathological first
-            # sample cannot poison the template every other sample will use
-            generic = _default_witness(features.shape[1], None)
-            state.variants.append(
-                self._compile(
-                    circuit, device, initial_layout, optimization_level,
-                    key[-1], np.concatenate([weights, generic]),
-                )
-            )
-        start = clock.monotonic()
-        ok, binding = state.variants[0].bind_batch(values)
-        self.stats.bind_seconds += clock.monotonic() - start
+        ok, binding, fallback = self._bind_matrix(
+            circuit, values, weights, device, initial_layout, optimization_level
+        )
         self.stats.batch_binds += 1
         self.stats.batch_rows += int(ok.sum())
-        fallback = {}
-        for row in np.flatnonzero(~ok):
-            fallback[int(row)] = self.get_bound(
-                circuit,
-                weights,
-                features[int(row)],
-                device,
-                initial_layout=initial_layout,
-                optimization_level=optimization_level,
-            )
         return binding, fallback
 
     def bind_rows(
@@ -627,21 +567,13 @@ class ParametricTranspileCache:
         ``(binding, {row: CompiledCircuit})`` with the same alignment
         contract as :meth:`get_bound_batch`.
 
-        Deterministic-path contract: a row is served by the structure's
-        *first* template variant, or — when it crosses that variant's
-        compile-time branches — directly by the exact bound-key fallback.
-        Unlike :meth:`get_bound`, a miss never advances the adaptive-variant
-        miss counter and never compiles a new variant, so each row's
-        template-vs-fallback path is a pure function of (row values, first
-        variant): sharded gradient workers serving different row subsets of
-        the same step produce bit-for-bit the circuits any other worker
-        split would.
-
-        The first variant (compiled here on a cold structure) is traced
-        against the same hybrid witness convention as :meth:`get_bound` —
-        ``witness_weights`` (the unshifted center weights) joined with
-        generic nowhere-zero feature values — so gradient evaluation and the
-        forward-pass paths share one template per structure.
+        A cold structure's template is traced against ``witness_weights``
+        (the unshifted center weights) joined with generic feature values,
+        the witness convention every entry point shares, so gradient
+        evaluation and the forward-pass paths share one template per
+        structure.  Sharded gradient workers serving different row subsets
+        of the same step therefore produce bit-for-bit the circuits any
+        other worker split would.
         """
         if device is None:
             raise ValueError("device is required")
@@ -649,98 +581,31 @@ class ParametricTranspileCache:
         if values.ndim != 2:
             raise ValueError("bind_rows expects a 2-D values matrix")
         witness_weights = np.asarray(witness_weights, dtype=float).ravel()
-        n_weights = witness_weights.shape[0]
-        n_features = values.shape[1] - n_weights
-        if n_features < 0:
+        if values.shape[1] < witness_weights.shape[0]:
             raise ValueError("values matrix narrower than the weight vector")
-        key = self.key_for(circuit, device, initial_layout, optimization_level)
-        state = self._structure_state(key)
-        if state is None:
-            state = self._insert_structure(key)
-        if not state.variants:
-            if n_features > 0:
-                generic = _default_witness(n_features, None)
-                witness = np.concatenate([witness_weights, generic])
-            else:
-                witness = witness_weights
-            state.variants.append(
-                self._compile(
-                    circuit, device, initial_layout, optimization_level,
-                    key[-1], witness,
-                )
-            )
-        start = clock.monotonic()
-        ok, binding = state.variants[0].bind_batch(values)
-        self.stats.bind_seconds += clock.monotonic() - start
+        ok, binding, fallback = self._bind_matrix(
+            circuit, values, witness_weights, device, initial_layout,
+            optimization_level,
+        )
         self.stats.gradient_binds += 1
         self.stats.gradient_rows += int(ok.sum())
-        fallback = {}
-        for row in np.flatnonzero(~ok):
-            row = int(row)
-            fallback[row] = self._bound_row_fallback(
-                circuit, key, values[row], n_weights,
-                device, initial_layout, optimization_level,
-            )
         return binding, fallback
-
-    def _bound_row_fallback(
-        self, circuit, key, row_values, n_weights,
-        device, initial_layout, optimization_level,
-    ) -> CompiledCircuit:
-        """Exact bound-key service of one branch-crossing row.
-
-        Shares the bound LRU with :meth:`get_bound` (same ``(key, values)``
-        convention), but never touches the adaptive-variant machinery — see
-        the :meth:`bind_rows` determinism contract.
-        """
-        row_values = np.ascontiguousarray(row_values, dtype=float)
-        bound_key = (key, row_values.tobytes())
-        bound = self._bound.get(bound_key)
-        if bound is not None:
-            self.stats.bind_hits += 1
-            self._bound.move_to_end(bound_key)
-            return bound
-        self.stats.bind_misses += 1
-        self.stats.fallbacks += 1
-        weights = row_values[:n_weights]
-        features_row = row_values[n_weights:]
-        bound_circuit = (
-            circuit.bind(weights, features_row)
-            if features_row.size
-            else circuit.bind(weights)
-        )
-        # the structure's pinned seed rides along, exactly as in get_bound
-        compiled = self.fallback.get(
-            bound_circuit,
-            device,
-            initial_layout=initial_layout,
-            optimization_level=optimization_level,
-            seed=key[-1],
-        )
-        self._bound[bound_key] = compiled
-        if len(self._bound) > self.bound_maxsize:
-            self._bound.popitem(last=False)
-            self.stats.bind_evictions += 1
-        return compiled
 
     # -- sharded-worker entry exchange --------------------------------------
 
     def export_entries(self, exclude_structures=(), exclude_bound=()) -> dict:
-        """Structure variants and bound compilations not yet exported.
+        """Structure templates and bound compilations not yet exported.
 
-        Returns ``{"structures": [(key, (variant, ...)), ...],
+        Returns ``{"structures": [(key, template), ...],
         "bound": [(key, compiled), ...]}`` — everything a worker compiled
         during one shard task (given the exclusion sets of what it shipped
         before).  Pickled as one payload, so a bound entry produced by a
-        variant bind keeps sharing objects with that variant.
+        template bind keeps sharing objects with its template.
         """
         exclude_structures = set(exclude_structures)
         exclude_bound = set(exclude_bound)
-        structures = [
-            (key, tuple(state.variants))
-            for key, state in self._structures.items()
-            if key not in exclude_structures and state.variants
-        ]
+        structures = [(key, template) for key, template in self._structures.items()
+                      if key not in exclude_structures]
         bound = [(key, entry) for key, entry in self._bound.items()
                  if key not in exclude_bound]
         return {"structures": structures, "bound": bound}
@@ -751,16 +616,13 @@ class ParametricTranspileCache:
         Returns ``(structures_adopted, bound_adopted)``.  Mirrors
         :meth:`TranspileCache.adopt_entries`: absent keys only, no hit/miss
         accounting (adoption is not a lookup), evictions recorded.  A
-        structure key already present keeps its local variants — duplicate
-        variants would only slow ``try_bind`` down, never change a result.
+        structure key already present keeps its local template.
         """
         structures_adopted = 0
-        for key, variants in payload.get("structures", ()):
-            if key in self._structures or not variants:
+        for key, template in payload.get("structures", ()):
+            if key in self._structures:
                 continue
-            state = _StructureState()
-            state.variants = list(variants)
-            self._structures[key] = state
+            self._structures[key] = template
             structures_adopted += 1
             if len(self._structures) > self.maxsize:
                 self._structures.popitem(last=False)

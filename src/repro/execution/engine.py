@@ -14,12 +14,16 @@ strategy.  The short version:
     on the pinned-seed shot sampler.  The engine itself contains no
     simulation code — it organizes groups, transpilations and score
     formulas.
-3.  Transpilations are memoized in the estimator-owned caches; on the
-    parametric path each (genome, mapping) structure is compiled once and
-    every validation sample's angles come out of a single vectorized
-    template bind (one affine matmul per structure — see
+3.  Transpilations are memoized in the estimator-owned caches.  In
+    ``noise_sim`` mode each (genome, mapping) structure is compiled once
+    into one parametric template and every validation sample's angles come
+    out of a single vectorized template bind (one affine matmul per
+    structure — see
     :meth:`~repro.execution.cache.ParametricTranspileCache.get_bound_batch`)
-    consumed directly by the density backend.
+    consumed directly by the density backend; a sample that crosses one of
+    the template's compile-time branches is compiled exactly by the
+    bound-key cache.  ``success_rate`` mode compiles one bound circuit per
+    candidate through the bound-key cache.
 
 The engine reads every setting from the estimator's
 :class:`~repro.core.estimator.EstimatorConfig`.  Its reference is the
@@ -107,8 +111,8 @@ class _StructureEntry:
 class ExecutionEngine:
     """Evaluates whole co-search populations through the performance estimator.
 
-    Everything comes from the estimator: its config (``parametric_transpile``,
-    ``backend``, ``max_density_qubits``, ...) and its transpile caches, which
+    Everything comes from the estimator: its config (``backend``,
+    ``max_density_qubits``, ...) and its transpile caches, which
     engines created for successive co-searches — and the deploy/evaluate
     stage — share.  Engines are context managers: ``with
     estimator.population_engine(sc) as engine: ...`` releases any scheduler
@@ -122,7 +126,6 @@ class ExecutionEngine:
         self.supercircuit = supercircuit
         self.transpile_cache = estimator.transpile_cache
         self.parametric_cache = estimator.parametric_transpile_cache
-        self.parametric_transpile = estimator.config.parametric_transpile
         #: per-group backend selection policy; rebuilt identically inside
         #: every sharded worker from the pickled estimator config
         self.dispatcher = BackendDispatcher(estimator)
@@ -310,8 +313,8 @@ class ExecutionEngine:
 
         # noise_sim (or an overridden real_qc): per-sample expectations from
         # the dispatched backend — density matrices batched per structure and
-        # fed from vectorized template bindings on the parametric path, or
-        # pinned-seed shot sampling when dispatch selects the shot backend
+        # fed from vectorized template bindings, or pinned-seed shot sampling
+        # when dispatch selects the shot backend
         handles_by_candidate: Dict[int, List[object]] = {}
         density_rows = 0
         with telemetry.phase_span("engine.phase", phase="schedule"):
@@ -326,7 +329,6 @@ class ExecutionEngine:
                     density_rows += len(indices) * len(features)
                 gene_key = tuple(candidates[indices[0]].config.as_gene())
                 handles_by_mapping: Dict[object, List[object]] = {}
-                bound_rows: Optional[list] = None
                 for index in indices:
                     mapping = candidates[index].mapping
                     mapping_key = _normalize_layout(mapping)
@@ -337,16 +339,8 @@ class ExecutionEngine:
                                 backend, entry, gene_key, mapping, features
                             )
                         else:
-                            if (
-                                bound_rows is None
-                                and not self.parametric_transpile
-                            ):
-                                bound_rows = [
-                                    entry.circuit.bind(entry.weights, row)
-                                    for row in features
-                                ]
                             handles = self._schedule_density_rows(
-                                backend, entry, mapping, features, bound_rows
+                                backend, entry, mapping, features
                             )
                         handles_by_mapping[mapping_key] = handles
                     handles_by_candidate[index] = handles
@@ -384,37 +378,18 @@ class ExecutionEngine:
         return backend.run_group(entry, jobs)
 
     def _schedule_density_rows(
-        self,
-        backend,
-        entry: _StructureEntry,
-        mapping,
-        features,
-        bound_rows: Optional[list],
+        self, backend, entry: _StructureEntry, mapping, features
     ) -> List[object]:
         """Density jobs for every validation sample of one (genome, mapping).
 
-        On the parametric path the whole sample batch binds through one
-        vectorized template fill; rows that cross a compile-time branch —
-        and structures whose reduced register exceeds the density limit,
-        whose large-circuit approximation needs concrete reduced circuits —
-        fall back to per-row compiled jobs, exactly as before.
+        The whole sample batch binds through one vectorized template fill;
+        rows that cross a compile-time branch — and structures whose reduced
+        register exceeds the density limit, whose large-circuit
+        approximation needs concrete reduced circuits — run as per-row
+        compiled jobs.
         """
         estimator = self.estimator
         optimization_level = estimator.config.optimization_level
-        if bound_rows is not None:
-            jobs = [
-                SimulationJob(
-                    compiled=self.transpile_cache.get(
-                        bound,
-                        estimator.device,
-                        initial_layout=mapping,
-                        optimization_level=optimization_level,
-                    )
-                )
-                for bound in bound_rows
-            ]
-            return backend.run_group(entry, jobs)
-
         binding, fallback = self.parametric_cache.get_bound_batch(
             entry.circuit,
             entry.weights,
@@ -510,13 +485,9 @@ class ExecutionEngine:
         #: ``(population index, compiled, used_physical, handle)`` per noisy job
         density_jobs: List[Tuple[int, object, Tuple[int, ...], object]] = []
 
-        use_parametric = self.parametric_transpile and mode == "noise_sim"
         with telemetry.phase_span("engine.phase", phase="schedule"):
             for group_index, (entry, indices) in enumerate(groups):
                 energy = noise_free[group_index]
-                bound = (
-                    None if use_parametric else entry.circuit.bind(entry.weights)
-                )
                 if mode == "noise_sim":
                     request = DispatchRequest(
                         mode=mode,
@@ -526,8 +497,10 @@ class ExecutionEngine:
                     backend = self._backend_instance(
                         backends, self.dispatcher.select(request)
                     )
+                    bound = None
                 else:
                     backend = None
+                    bound = entry.circuit.bind(entry.weights)
                 group_jobs: List[Tuple[int, object, Tuple[int, ...]]] = []
                 for index in indices:
                     if bound is None:

@@ -226,7 +226,7 @@ class BatchedGradientEngine:
         keys stay a pure function of step content, not of sharding.
         ``witness_weights`` (the step's center weights) seeds the parametric
         template witness; every worker must pass the same vector so cold
-        caches compile identical first variants.
+        caches compile identical templates.
         """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:

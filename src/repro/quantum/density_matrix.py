@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import QuantumCircuit
+from .measurement import expectation_z_all_from_probabilities
 from .operators import PauliSum
 
 __all__ = [
@@ -357,14 +358,9 @@ def density_probabilities(rho: np.ndarray) -> np.ndarray:
 
 def expectation_z_all_dm(rho: np.ndarray) -> np.ndarray:
     """Z expectation on every qubit computed from the diagonal of rho."""
-    n = rho.ndim // 2
-    probs = density_probabilities(rho).reshape((2,) * n)
-    out = np.zeros(n)
-    for qubit in range(n):
-        axes = tuple(a for a in range(n) if a != qubit)
-        marginal = probs.sum(axis=axes)
-        out[qubit] = marginal[0] - marginal[1]
-    return out
+    return expectation_z_all_from_probabilities(
+        density_probabilities(rho), rho.ndim // 2
+    )
 
 
 def expectation_pauli_sum_dm(rho: np.ndarray, observable: PauliSum) -> float:
@@ -435,12 +431,6 @@ class DensityMatrixSimulator:
         self, circuit: QuantumCircuit, with_readout_error: bool = True
     ) -> np.ndarray:
         """Per-qubit Z expectations of the noisy output distribution."""
-        probs = self.probabilities(circuit, with_readout_error).reshape(
-            (2,) * self.n_qubits
+        return expectation_z_all_from_probabilities(
+            self.probabilities(circuit, with_readout_error), self.n_qubits
         )
-        out = np.zeros(self.n_qubits)
-        for qubit in range(self.n_qubits):
-            axes = tuple(a for a in range(self.n_qubits) if a != qubit)
-            marginal = probs.sum(axis=axes)
-            out[qubit] = marginal[0] - marginal[1]
-        return out

@@ -1159,8 +1159,8 @@ class ParametricCompiledCircuit:
         Returns ``(ok, binding)``: ``ok[i]`` is whether row ``i`` takes the
         template's compile-time branches, and ``binding`` covers exactly the
         ``ok`` rows (``None`` when no row binds).  Rows with ``ok[i] False``
-        must be served by a scalar :meth:`bind` of another variant or a full
-        concrete transpile — the same fallback contract as :meth:`bind`.
+        must be served by a full concrete transpile — the same fallback
+        contract as :meth:`bind`.
 
         The angles a row receives are numerically the one-matvec evaluation
         of the same affine expressions :meth:`bind` evaluates row-wise; any

@@ -148,31 +148,8 @@ def test_evicted_entries_leave_the_ledger(sanitized, u3cu3_supercircuit, yorktow
 # -- ParametricTranspileCache --------------------------------------------------
 
 
-def test_parametric_variant_mutation_raises(sanitized, u3cu3_supercircuit, yorktown):
-    evolution = make_evolution(yorktown)
-    candidate = Candidate(evolution.random_config(), evolution.random_mapping())
-    circuit, _ = u3cu3_supercircuit.build_standalone_circuit(candidate.config)
-    weights = u3cu3_supercircuit.inherited_weights(candidate.config)
-    features = np.linspace(-1.0, 1.0, 16)
-
-    worker = ParametricTranspileCache()
-    worker.get_bound(circuit, weights, features, yorktown, candidate.mapping)
-    payload = worker.export_entries()
-    assert payload["structures"]
-
-    parent = ParametricTranspileCache()
-    parent.adopt_entries(payload)
-    verify_cache(parent)
-
-    (key, variants) = payload["structures"][0]
-    variants[0].num_swaps += 1  # shared template mutated
-    with pytest.raises(CacheMutationError, match="variant"):
-        parent.export_entries()
-
-
-def test_locally_appended_variants_are_legal(
-    sanitized, u3cu3_supercircuit, yorktown
-):
+def test_parametric_template_mutation_raises(sanitized, u3cu3_supercircuit,
+                                             yorktown):
     evolution = make_evolution(yorktown)
     candidate = Candidate(evolution.random_config(), evolution.random_mapping())
     circuit, _ = u3cu3_supercircuit.build_standalone_circuit(candidate.config)
@@ -183,17 +160,24 @@ def test_locally_appended_variants_are_legal(
         circuit, weights, np.linspace(-1.0, 1.0, 16), yorktown, candidate.mapping
     )
     payload = worker.export_entries()
+    assert payload["structures"]
 
     parent = ParametricTranspileCache()
     parent.adopt_entries(payload)
+    verify_cache(parent)
 
-    # binding through the adopted structure may append new local variants
-    # (and memoize bound entries) without tripping verification
+    # binding through the adopted template memoizes new bound entries
+    # locally without tripping verification
     parent.get_bound(
         circuit, weights, np.linspace(-0.5, 0.5, 16), yorktown, candidate.mapping
     )
     parent.export_entries()
     verify_cache(parent)
+
+    (key, template) = payload["structures"][0]
+    template.num_swaps += 1  # shared template mutated
+    with pytest.raises(CacheMutationError, match="structure"):
+        parent.export_entries()
 
 
 # -- uninstall -----------------------------------------------------------------

@@ -113,30 +113,22 @@ def test_get_bound_batch_serves_crossing_rows_exactly(u3cu3_supercircuit,
     assert fallback[1] is expected
 
 
-def test_engine_template_path_matches_bound_key_path(u3cu3_supercircuit,
-                                                     yorktown, tiny_dataset):
-    """End to end: the template-batch density path reproduces the bound-key
-    per-sample path to 1e-9 and actually exercises the vectorized bind."""
+def test_engine_template_path_matches_seed_path(u3cu3_supercircuit, yorktown,
+                                                tiny_dataset, seed_path_scorer):
+    """End to end: the template-batch density path reproduces the
+    per-candidate seed path to 1e-9 and actually exercises the vectorized
+    bind."""
     space = get_design_space("u3cu3")
     evolution = EvolutionEngine(space, 4, yorktown, EvolutionConfig(seed=11))
     candidates = [evolution.random_candidate() for _ in range(4)]
-    scores = {}
-    engines = {}
-    for parametric in (True, False):
-        estimator = PerformanceEstimator(
-            yorktown,
-            EstimatorConfig(mode="noise_sim", n_valid_samples=3,
-                            parametric_transpile=parametric),
-        )
-        with ExecutionEngine(estimator, u3cu3_supercircuit) as engine:
-            scores[parametric] = engine.evaluate_qml_population(
-                candidates, tiny_dataset, 4
-            )
-            engines[parametric] = (engine.stats.copy(),
-                                   estimator.parametric_transpile_cache.stats)
-    np.testing.assert_allclose(scores[True], scores[False], rtol=0, atol=1e-9)
-    template_stats, parametric_stats = engines[True]
+    config = EstimatorConfig(mode="noise_sim", n_valid_samples=3)
+    estimator = PerformanceEstimator(yorktown, config)
+    with ExecutionEngine(estimator, u3cu3_supercircuit) as engine:
+        scores = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+        template_stats = engine.stats.copy()
+    reference = seed_path_scorer(
+        yorktown, u3cu3_supercircuit, config, dataset=tiny_dataset, n_classes=4
+    )(candidates)
+    np.testing.assert_allclose(scores, reference, rtol=0, atol=1e-9)
     assert template_stats.template_batches > 0
-    assert parametric_stats.batch_rows > 0
-    bound_stats, _ = engines[False]
-    assert bound_stats.template_batches == 0
+    assert estimator.parametric_transpile_cache.stats.batch_rows > 0

@@ -139,6 +139,28 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="version"):
             SearchCheckpointer(path).load()
 
+    def test_version_1_payload_raises(self, yorktown, tmp_path):
+        """Version 1 stored a tuple of template variants per parametric
+        structure; loading one must raise, never adopt the tuple as a
+        template."""
+        path = str(tmp_path / "v1.ckpt")
+        structure_key = ("yorktown", 2, None, (), 0)
+        with open(path, "wb") as handle:
+            pickle.dump({
+                "version": 1,
+                "estimator_caches": {
+                    "bound": [],
+                    "parametric": {
+                        "structures": [(structure_key, ("variant",))],
+                        "bound": [],
+                    },
+                },
+            }, handle)
+        estimator = PerformanceEstimator(yorktown, EstimatorConfig())
+        with pytest.raises(ValueError, match="version"):
+            SearchCheckpointer(path, estimator=estimator).load()
+        assert len(estimator.parametric_transpile_cache) == 0
+
     def test_truncated_checkpoint_degrades_to_scratch(self, yorktown,
                                                       tmp_path):
         """Regression: a disk-full/crash-truncated checkpoint must warn and

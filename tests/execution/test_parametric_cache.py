@@ -1,7 +1,7 @@
 """The structure-keyed parametric transpile cache and its engine wiring.
 
-Covers the accounting contract (structure vs bind hits, variant compiles,
-fallbacks), object identity for repeated bindings, immutability of cached
+Covers the accounting contract (structure vs bind hits, one template per
+structure, fallbacks), object identity for repeated bindings, immutability of cached
 compilations across population evaluations, and the warm-start sharing of one
 cache instance between engines, pipeline stages and the deploy backend.
 """
@@ -87,62 +87,76 @@ def test_bound_results_match_seed_pinned_transpile(u3cu3_supercircuit, yorktown)
         )
 
 
-def test_branch_crossing_falls_back_then_adapts(u3cu3_supercircuit, yorktown):
-    """A one-off branch crossing is served by the exact fallback; a recurring
-    crossing pattern earns its own template variant."""
+def instruction_stream(compiled):
+    return [(i.gate, i.qubits, i.params) for i in compiled.circuit.instructions]
+
+
+def test_branch_crossings_are_served_by_the_fallback(u3cu3_supercircuit, yorktown):
+    """Each structure holds one template; every binding that crosses one of
+    its compile-time branches is served exactly by the bound-key fallback,
+    however often crossings recur, and the result does not depend on the
+    order the rows arrive in."""
     candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
-    fallback = TranspileCache(maxsize=32)
-    cache = ParametricTranspileCache(
-        max_variants=4, variant_threshold=2, fallback=fallback
-    )
-
-    features = np.linspace(0.3, 1.8, 16)
-    cache.get_bound(circuit, weights, features, yorktown, candidate.mapping)
-    assert cache.stats.variants_compiled == 1
-
-    # zeroed features cross the generic witness's non-zero encoder branches;
-    # the first crossing is served exactly by the bound-key fallback
+    generic = np.linspace(0.3, 1.8, 16)
+    # zeroed features cross the generic witness's non-zero encoder branches
     zeroed = np.zeros(16)
-    compiled = cache.get_bound(circuit, weights, zeroed, yorktown, candidate.mapping)
-    assert cache.stats.fallbacks == 1
-    assert fallback.stats.misses == 1
-    assert cache.stats.variants_compiled == 1
-    fresh = transpile(
-        circuit.bind(weights, zeroed),
-        yorktown,
-        initial_layout=candidate.mapping,
-        optimization_level=2,
-        seed=cache.key_for(circuit, yorktown, candidate.mapping, 2)[-1],
-    )
-    assert [(i.gate, i.qubits, i.params) for i in compiled.circuit.instructions] == [
-        (i.gate, i.qubits, i.params) for i in fresh.circuit.instructions
-    ]
-
-    # a second crossing binding reaches the variant threshold and compiles an
-    # adaptive template traced against itself — exactly, no fallback
     zeroed_2 = np.zeros(16)
     zeroed_2[0] = 0.7
-    adapted = cache.get_bound(circuit, weights, zeroed_2, yorktown, candidate.mapping)
-    assert cache.stats.variants_compiled == 2
-    assert cache.stats.fallbacks == 1
-    fresh_2 = transpile(
-        circuit.bind(weights, zeroed_2),
-        yorktown,
-        initial_layout=candidate.mapping,
-        optimization_level=2,
-        seed=cache.key_for(circuit, yorktown, candidate.mapping, 2)[-1],
-    )
-    assert [(i.gate, i.qubits) for i in adapted.circuit.instructions] == [
-        (i.gate, i.qubits) for i in fresh_2.circuit.instructions
-    ]
+    crossing = [zeroed, zeroed_2]
+    requests = [generic, zeroed, zeroed, zeroed_2, zeroed_2]
 
-    # with max_variants=1 the recurring pattern keeps using the fallback
-    capped = ParametricTranspileCache(max_variants=1, variant_threshold=1)
-    capped.get_bound(circuit, weights, features, yorktown, candidate.mapping)
-    capped.get_bound(circuit, weights, zeroed, yorktown, candidate.mapping)
-    capped.get_bound(circuit, weights, zeroed_2, yorktown, candidate.mapping)
-    assert capped.stats.variants_compiled == 1
-    assert capped.stats.fallbacks == 2
+    def serve(order):
+        fallback = TranspileCache(maxsize=32)
+        cache = ParametricTranspileCache(fallback=fallback)
+        served = [
+            cache.get_bound(circuit, weights, row, yorktown, candidate.mapping)
+            for row in order
+        ]
+        return cache, fallback, served
+
+    cache, fallback, served = serve(requests)
+    assert cache.stats.variants_compiled == 1
+    assert cache.stats.fallbacks == 2
+    assert fallback.stats.misses == 2
+    # a repeated crossing row is the memoized object, not a new compile
+    assert served[2] is served[1] and served[4] is served[3]
+    seed = cache.key_for(circuit, yorktown, candidate.mapping, 2)[-1]
+    for row, compiled in zip(crossing, (served[1], served[3])):
+        fresh = transpile(
+            circuit.bind(weights, row),
+            yorktown,
+            initial_layout=candidate.mapping,
+            optimization_level=2,
+            seed=seed,
+        )
+        assert instruction_stream(compiled) == instruction_stream(fresh)
+        assert compiled.used_qubits == fresh.used_qubits
+
+    reversed_cache, reversed_fallback, reversed_served = serve(requests[::-1])
+    for compiled, again in zip(served, reversed_served[::-1]):
+        assert instruction_stream(again) == instruction_stream(compiled)
+
+    def counters(stats):
+        return {name: value for name, value in stats.to_dict().items()
+                if not name.endswith("_seconds")}
+
+    assert counters(reversed_cache.stats) == counters(cache.stats)
+    assert counters(reversed_fallback.stats) == counters(fallback.stats)
+
+
+def test_failed_compile_leaves_no_structure_entry(u3cu3_supercircuit, yorktown):
+    """A structure is cached only once its template compiled: a layout the
+    device cannot host raises, leaves no entry, and the retry is a miss."""
+    _candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
+    features = np.linspace(-1.0, 1.0, 16)
+    cache = ParametricTranspileCache()
+    bad_layout = (0, 1, 2, 9)  # yorktown has physical qubits 0-4
+    for attempt in (1, 2):
+        with pytest.raises(ValueError):
+            cache.get_bound(circuit, weights, features, yorktown, bad_layout)
+        assert len(cache) == 0
+        assert cache.stats.structure_misses == attempt
+        assert cache.stats.structure_hits == 0
 
 
 def test_fallback_shares_the_structure_seed_at_level_3(
@@ -152,7 +166,7 @@ def test_fallback_shares_the_structure_seed_at_level_3(
     a guard-crossing binding served by the fallback has to equal a fresh
     transpile with the *structure* key's seed, not the bound key's."""
     candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
-    cache = ParametricTranspileCache(max_variants=1, variant_threshold=99)
+    cache = ParametricTranspileCache()
     generic = np.linspace(0.3, 1.8, 16)
     cache.get_bound(circuit, weights, generic, yorktown, "sabre", 3)
 
@@ -216,30 +230,25 @@ def test_population_evaluation_keeps_parametric_compilations_immutable(
         ] == snapshot
 
 
-def test_engine_parametric_matches_bound_key_path(
-    u3cu3_supercircuit, yorktown, tiny_dataset
+def test_engine_parametric_matches_seed_path(
+    u3cu3_supercircuit, yorktown, tiny_dataset, seed_path_scorer
 ):
-    """parametric_transpile=True is a pure reorganization of the PR-2 path."""
+    """The template path reproduces the per-candidate seed path."""
     space = get_design_space("u3cu3")
     evolution = EvolutionEngine(space, 4, yorktown, EvolutionConfig(seed=11))
     candidates = [
         Candidate(evolution.random_config(), evolution.random_mapping())
         for _ in range(4)
     ]
-    scores = {}
-    for parametric in (True, False):
-        estimator = PerformanceEstimator(
-            yorktown,
-            EstimatorConfig(
-                mode="noise_sim", n_valid_samples=3,
-                parametric_transpile=parametric,
-            ),
-        )
-        engine = ExecutionEngine(estimator, u3cu3_supercircuit)
-        scores[parametric] = engine.evaluate_qml_population(
-            candidates, tiny_dataset, 4
-        )
-    np.testing.assert_allclose(scores[True], scores[False], rtol=0, atol=ATOL)
+    config = EstimatorConfig(mode="noise_sim", n_valid_samples=3)
+    engine = ExecutionEngine(
+        PerformanceEstimator(yorktown, config), u3cu3_supercircuit
+    )
+    scores = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+    reference = seed_path_scorer(
+        yorktown, u3cu3_supercircuit, config, dataset=tiny_dataset, n_classes=4
+    )(candidates)
+    np.testing.assert_allclose(scores, reference, rtol=0, atol=ATOL)
 
 
 def test_caches_are_shared_across_engines_and_backend(u3cu3_supercircuit, yorktown):
@@ -298,4 +307,4 @@ def test_cache_rejects_invalid_sizes():
     with pytest.raises(ValueError):
         ParametricTranspileCache(maxsize=0)
     with pytest.raises(ValueError):
-        ParametricTranspileCache(max_variants=0)
+        ParametricTranspileCache(bound_maxsize=0)

@@ -98,9 +98,9 @@ def test_population_evaluation_never_mutates_cached_compilations(
     """Candidates sharing a (genome, mapping) pair share one compiled circuit;
     evaluating a population must leave every cached compilation untouched.
 
-    Pinned to the bound-key cache path (``parametric_transpile=False``); the
-    parametric structure cache has its own immutability test in
-    ``test_parametric_cache.py``.
+    Runs in ``success_rate`` mode, which compiles one bound circuit per
+    candidate through the bound-key cache; the parametric structure cache
+    has its own immutability test in ``test_parametric_cache.py``.
     """
     space = get_design_space("u3cu3")
     evolution = EvolutionEngine(space, 4, yorktown, EvolutionConfig(seed=6))
@@ -113,10 +113,7 @@ def test_population_evaluation_never_mutates_cached_compilations(
     ]
 
     estimator = PerformanceEstimator(
-        yorktown,
-        EstimatorConfig(
-            mode="noise_sim", n_valid_samples=2, parametric_transpile=False
-        ),
+        yorktown, EstimatorConfig(mode="success_rate", n_valid_samples=2)
     )
     engine = ExecutionEngine(estimator, u3cu3_supercircuit)
     first_scores = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
