@@ -22,12 +22,20 @@ derived memos, *benign* lazy memoization (``success_rate()`` populating
 to the pickled contract state do.  A parametric structure's entry is its
 one compiled template, fingerprinted like any other entry.
 
-The same switch arms the density-matrix physics checks.  Every
-:class:`~repro.backends.density.BatchedDensityRunner` ``run`` checks each
-density matrix it produced: trace ``1 +- 1e-10``, Hermitian to ``1e-10``
-and smallest eigenvalue at least ``-1e-10``.  Every composed channel
-superoperator the runner memoizes is checked for trace preservation to
-``1e-10``.  A violation raises :class:`DensityInvariantError`.
+The same switch arms the density-matrix physics checks, all to ``1e-10``:
+
+* every batch the :class:`~repro.backends.density.BatchedDensityRunner`
+  evolves (its one ``_simulate``) is checked matrix by matrix: unit trace,
+  Hermitian, smallest eigenvalue at least ``-1e-10``;
+* every row handle's ``probabilities()`` sums to 1;
+* every composed channel superoperator the runner memoizes preserves the
+  trace;
+* every Kraus set :meth:`~repro.noise.models.NoiseModel.channels_for` hands
+  out satisfies ``sum K^dagger K = I``, once per set object (the
+  constructors are memoized) — which covers
+  :class:`~repro.quantum.density_matrix.DensityMatrixSimulator` too.
+
+A violation raises :class:`DensityInvariantError`.
 
 The hooks are installed by :func:`install_sanitizer` — called automatically
 from :mod:`repro.execution` when ``REPRO_SANITIZE`` is set — and are
@@ -43,6 +51,8 @@ import pickle
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from ..noise.channels import completeness_error
 
 __all__ = [
     "CacheMutationError",
@@ -267,23 +277,20 @@ def check_trace_preserving(superop: np.ndarray, qubits) -> None:
         )
 
 
-def _wrap_density_runner(cls) -> None:
-    original_run = cls.run
+def _wrap_density_runner(cls, row_cls) -> None:
+    original_simulate = cls._simulate
     original_compose = cls._compose_channels
-    _ORIGINALS[(cls, "run")] = original_run
+    original_probabilities = row_cls.probabilities
+    _ORIGINALS[(cls, "_simulate")] = original_simulate
     _ORIGINALS[(cls, "_compose_channels")] = original_compose
+    _ORIGINALS[(row_cls, "probabilities")] = original_probabilities
 
-    def run(self):
-        jobs = [job for job in self._pending.values() if job.rho is None]
-        templates = [job for job in self._pending_templates if job.rhos is None]
-        original_run(self)
-        for job in jobs:
-            # oversized registers take the success-rate approximation and
-            # produce probabilities, not a density matrix
-            if job.rho is not None:
-                check_density_batch(job.rho[None])
-        for job in templates:
-            check_density_batch(job.rhos)
+    def _simulate(self, batch):
+        original_simulate(self, batch)
+        # an oversized register takes the success-rate approximation and
+        # produces probabilities, not density matrices
+        if batch.rhos is not None:
+            check_density_batch(batch.rhos)
 
     def _compose_channels(self, noise_model, qubits):
         superop = original_compose(self, noise_model, qubits)
@@ -291,8 +298,43 @@ def _wrap_density_runner(cls) -> None:
             check_trace_preserving(superop, qubits)
         return superop
 
-    cls.run = run
+    def probabilities(self):
+        probs = original_probabilities(self)
+        error = abs(float(np.sum(probs)) - 1.0)
+        if error > DENSITY_TOL:
+            raise DensityInvariantError(
+                f"row probabilities do not sum to 1 (off by {error:.3g})"
+            )
+        return probs
+
+    cls._simulate = _simulate
     cls._compose_channels = _compose_channels
+    row_cls.probabilities = probabilities
+
+
+#: id -> Kraus set already checked; holding the set keeps its id unique
+_CHECKED_KRAUS: Dict[int, object] = {}
+
+
+def _wrap_noise_model(cls) -> None:
+    original_channels_for = cls.channels_for
+    _ORIGINALS[(cls, "channels_for")] = original_channels_for
+
+    def channels_for(self, instruction):
+        channels = original_channels_for(self, instruction)
+        for operators, qubits in channels:
+            if _CHECKED_KRAUS.get(id(operators)) is operators:
+                continue
+            error = completeness_error(operators)
+            if error > DENSITY_TOL:
+                raise DensityInvariantError(
+                    f"Kraus set on qubits {tuple(qubits)} is not complete "
+                    f"(sum K^dagger K is off the identity by {error:.3g})"
+                )
+            _CHECKED_KRAUS[id(operators)] = operators
+        return channels
+
+    cls.channels_for = channels_for
 
 
 def sanitizer_installed() -> bool:
@@ -305,14 +347,17 @@ def install_sanitizer() -> None:
         return
     from ..backends import density as density_module
     from ..execution import cache as cache_module
+    from ..noise import models as noise_models
 
     _wrap_transpile_cache(cache_module.TranspileCache)
     _wrap_parametric_cache(cache_module.ParametricTranspileCache)
-    _wrap_density_runner(density_module.BatchedDensityRunner)
+    _wrap_density_runner(density_module.BatchedDensityRunner, density_module._Row)
+    _wrap_noise_model(noise_models.NoiseModel)
 
 
 def uninstall_sanitizer() -> None:
-    """Restore the original cache methods (idempotent)."""
+    """Restore the original methods (idempotent)."""
     for (cls, method_name), original in _ORIGINALS.items():
         setattr(cls, method_name, original)
     _ORIGINALS.clear()
+    _CHECKED_KRAUS.clear()

@@ -29,6 +29,7 @@ from .base import (
     JobResult,
     SimulationBackend,
     SimulationJob,
+    run_bound_rows,
 )
 from .dispatch import BackendDispatcher, DispatchRequest
 from .registry import (
@@ -40,7 +41,7 @@ from .registry import (
 )
 
 # Importing the concrete modules registers the in-tree backends.
-from .density import BatchedDensityRunner, DensityJob, DensityMatrixBackend
+from .density import BatchedDensityRunner, DensityMatrixBackend
 from .shots import ShotSamplerBackend
 from .statevector import StatevectorBackend
 
@@ -50,6 +51,7 @@ __all__ = [
     "JobResult",
     "SimulationBackend",
     "SimulationJob",
+    "run_bound_rows",
     "BackendDispatcher",
     "DispatchRequest",
     "available_backends",
@@ -58,7 +60,6 @@ __all__ = [
     "register_backend",
     "unregister_backend",
     "BatchedDensityRunner",
-    "DensityJob",
     "DensityMatrixBackend",
     "ShotSamplerBackend",
     "StatevectorBackend",

@@ -22,6 +22,11 @@ A backend declares :class:`BackendCapabilities` and implements
   vectorized batch of bindings) awaiting execution.
 * the return value is one :class:`JobResult` handle per scheduled binding.
 
+The rows of one parametric template bind —
+:meth:`~repro.execution.cache.ParametricTranspileCache.bind_rows` returns
+them as a ``(binding, fallback)`` pair — are scheduled by
+:func:`run_bound_rows`, which returns one handle per row, in row order.
+
 ``run_group`` may *defer* the actual simulation: callers must invoke
 :meth:`SimulationBackend.synchronize` before reading any handle, which lets
 the density backend stack structurally aligned circuits from many submissions
@@ -49,6 +54,7 @@ __all__ = [
     "SimulationJob",
     "JobResult",
     "SimulationBackend",
+    "run_bound_rows",
 ]
 
 
@@ -140,6 +146,13 @@ class JobResult(abc.ABC):
             f"{type(self).__name__} does not produce probabilities"
         )
 
+    def logical_probabilities(self, n_logical: int) -> np.ndarray:
+        """Measurement probabilities over the ``n_logical`` logical qubits
+        (the native register marginalized through the final layout)."""
+        raise BackendCapabilityError(
+            f"{type(self).__name__} does not produce logical probabilities"
+        )
+
     def pauli_expectation(self, observable) -> float:
         """Expectation of a Pauli-sum observable (VQE energies).
 
@@ -200,3 +213,24 @@ class SimulationBackend(abc.ABC):
         so third-party backends can expose extra counters harmlessly.
         """
         return {}
+
+
+def run_bound_rows(backend, entry, binding, fallback) -> List[JobResult]:
+    """Schedule the rows of one template bind; one handle per row, in row
+    order.
+
+    ``binding`` (a :class:`~repro.transpile.parametric.TemplateBatchBinding`
+    or ``None``) covers the rows the structure's template binds and runs as
+    one ``template_batch`` job; ``fallback`` maps every other row to its
+    exact :class:`~repro.transpile.compiler.CompiledCircuit`, each run as a
+    ``compiled`` job.  Both go to ``backend.run_group`` in one call.
+    """
+    rows = [] if binding is None else [int(row) for row in binding.rows]
+    jobs = [] if binding is None else [SimulationJob(template_batch=binding)]
+    for row, compiled in sorted(fallback.items()):
+        rows.append(row)
+        jobs.append(SimulationJob(compiled=compiled))
+    handles: List[JobResult] = [None] * len(rows)
+    for row, handle in zip(rows, backend.run_group(entry, jobs)):
+        handles[row] = handle
+    return handles

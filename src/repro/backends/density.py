@@ -1,7 +1,7 @@
 """Batched density-matrix simulation backend (the ``noise_sim`` engine).
 
 This is the in-repo noisy simulator behind the
-:class:`~repro.backends.base.SimulationBackend` protocol.  Every job's
+:class:`~repro.backends.base.SimulationBackend` protocol.  Every row's
 result applies the same unitaries and noise channels that
 :class:`~repro.quantum.density_matrix.DensityMatrixSimulator` would apply
 sample by sample, composed: each position's unitary conjugation and its
@@ -11,41 +11,41 @@ qubits fold into one block contraction of the batch
 agree with the sample-by-sample simulator to rounding, not bit for bit;
 the simulator stays the reference.
 
-Two job shapes are supported:
+The runner simulates one batch type: the rows of one reduced structure
+(the same gates on the same qubits at every position) over one register of
+used physical qubits, held as reduced slots in the
+:class:`~repro.transpile.parametric.TemplateBatchBinding` format — a shared
+:class:`Instruction` where every row has the same parameters, a
+``(gate, reduced_qubits, (rows, k) angles)`` triple otherwise — plus one
+final layout per row.
 
-* ``compiled`` jobs — one :class:`CompiledCircuit` each, deduplicated by
-  object identity and grouped by reduced-circuit structure (same gates and
-  qubits at every position) so a whole group evolves as one
-  ``(batch,) + (2,) * 2n`` stack.  Noise channels depend only on gate arity
-  and qubits, never on parameters, so the runner composes each position's
-  channels once per ``(used physical qubits, gate qubits)`` for its
-  lifetime.
+* A template binding is one batch as it stands: its angle columns come out
+  of the template's single affine matmul, so the ``noise_sim`` hot loop
+  never constructs per-sample ``Instruction`` objects at all.
+* Compiled circuits are deduplicated by object identity and grouped by
+  reduced structure when the runner runs; each group becomes one batch.
 
-* ``template_batch`` jobs — one
-  :class:`~repro.transpile.parametric.TemplateBatchBinding` covering many
-  parameter rows of one compiled structure.  The rows are already
-  structurally aligned by construction, each parametric slot's angles arrive
-  as a dense ``(rows, k)`` array out of the template's single affine matmul,
-  and the gate registry's batched table
-  (:func:`~repro.quantum.gates.batched_gate_matrix`) turns those angle
-  columns into the per-position ``(rows, d, d)`` matrices — the
-  ``noise_sim`` hot loop never constructs per-sample ``Instruction`` objects
-  at all.
-
-On both paths a position whose parameters agree on every row applies one
-shared matrix; the others stack their parameters into one
-``(rows, n_params)`` array for the batched table.
+A batch evolves as ``(batch,) + (2,) * 2n`` stacks.  In each stack a slot
+whose angles agree on every row applies one shared matrix; the others
+apply one ``(rows, d, d)`` stack from the gate registry's batched table
+(:func:`~repro.quantum.gates.batched_gate_matrix`).  Noise channels depend
+only on gate arity and qubits, never on parameters, so the runner composes
+each position's channels once per ``(used physical qubits, gate qubits)``
+for its lifetime.  A register above ``max_density_qubits`` is not evolved:
+each row takes the success-rate approximation of its reduced circuit,
+rebuilt from the slots, exactly as ``QuantumBackend`` falls back for large
+circuits.  One row handle serves every row of either source.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..devices.backend import approximate_probabilities, logical_probabilities
-from ..quantum.circuit import Instruction
+from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.density_matrix import (
     apply_fused_positions,
     channel_superoperator,
@@ -57,6 +57,7 @@ from ..quantum.gates import batched_gate_matrix, gate_matrix
 from ..quantum.measurement import expectation_z_all_from_probabilities
 from .base import (
     BackendCapabilities,
+    BackendCapabilityError,
     JobResult,
     SimulationBackend,
     SimulationJob,
@@ -64,137 +65,132 @@ from .base import (
 from .registry import register_backend
 
 __all__ = [
-    "DensityJob",
-    "TemplateBatchJob",
     "BatchedDensityRunner",
     "DensityMatrixBackend",
 ]
 
 
-class DensityJob(JobResult):
-    """One unique compiled circuit awaiting noisy simulation."""
+class _Batch:
+    """Rows of one reduced structure: the runner's one unit of simulation."""
 
     __slots__ = (
-        "compiled", "reduced", "used_physical", "noise_model", "rho",
-        "reduced_probs", "_probs_with_readout", "_logical_expectations",
+        "used_qubits", "slots", "final_layouts", "from_template",
+        "noise_model", "rhos", "approximate",
     )
 
-    def __init__(self, compiled) -> None:
-        self.compiled = compiled
-        self.reduced, self.used_physical = compiled.reduced_circuit()
+    def __init__(self, used_qubits, slots, final_layouts, from_template) -> None:
+        self.used_qubits = tuple(used_qubits)
+        self.slots = slots
+        self.final_layouts = final_layouts
+        self.from_template = from_template
         self.noise_model = None
-        self.rho: Optional[np.ndarray] = None
-        self.reduced_probs: Optional[np.ndarray] = None
-        self._probs_with_readout: Optional[np.ndarray] = None
-        self._logical_expectations: Dict[int, np.ndarray] = {}
+        #: ``(rows,) + (2,) * 2n`` density matrices once evolved
+        self.rhos: Optional[np.ndarray] = None
+        #: per-row success-rate probabilities of an oversized register
+        self.approximate: Optional[List[np.ndarray]] = None
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.final_layouts)
 
     @property
     def n_reduced(self) -> int:
-        return self.reduced.n_qubits
+        return max(len(self.used_qubits), 1)
+
+    def reduced_circuit(self, row: int) -> QuantumCircuit:
+        """Row ``row``'s reduced circuit, rebuilt from the slots."""
+        return QuantumCircuit(self.n_reduced, [
+            slot if type(slot) is Instruction
+            else Instruction(slot[0], slot[1], slot[2][row])
+            for slot in self.slots
+        ])
+
+
+def _compiled_batch(used_qubits, members) -> _Batch:
+    """One batch of compiled circuits sharing a reduced structure.
+
+    A position whose parameters agree on every row keeps the first row's
+    instruction; the others stack their parameters.  ``members`` are
+    ``(compiled, row handle)`` pairs; each handle is pointed at its row.
+    """
+    columns = zip(*(
+        compiled.reduced_circuit()[0].instructions for compiled, _ in members
+    ))
+    slots = []
+    for column in columns:
+        first = column[0]
+        if all(inst.params == first.params for inst in column):
+            slots.append(first)
+        else:
+            params = np.array([inst.params for inst in column])
+            slots.append((first.gate, first.qubits, params))
+    batch = _Batch(
+        used_qubits, slots, [compiled.final_layout for compiled, _ in members],
+        from_template=False,
+    )
+    for position, (_compiled, row) in enumerate(members):
+        row.batch, row.position = batch, position
+    return batch
+
+
+class _Row(JobResult):
+    """One row of a density batch: the runner's one result handle."""
+
+    __slots__ = ("batch", "position", "_probabilities", "_expectations")
+
+    def __init__(self, batch: Optional[_Batch] = None, position: int = 0) -> None:
+        self.batch = batch
+        self.position = position
+        self._probabilities: Optional[np.ndarray] = None
+        self._expectations: Dict[int, np.ndarray] = {}
 
     def probabilities(self) -> np.ndarray:
         """Reduced-register probabilities, matching the shot-based backend."""
-        if self._probs_with_readout is None:
-            if self.reduced_probs is not None:
+        if self._probabilities is None:
+            batch = self.batch
+            if batch.rhos is None:
                 # large-circuit approximation — no readout confusion, exactly
                 # like QuantumBackend.run_compiled
-                self._probs_with_readout = self.reduced_probs
+                self._probabilities = batch.approximate[self.position]
             else:
-                probs = density_probabilities(self.rho)
-                if self.noise_model is not None:
-                    probs = self.noise_model.apply_readout_error(
-                        probs, self.n_reduced
-                    )
-                self._probs_with_readout = probs
-        return self._probs_with_readout
+                self._probabilities = batch.noise_model.apply_readout_error(
+                    density_probabilities(batch.rhos[self.position]),
+                    batch.n_reduced,
+                )
+        return self._probabilities
+
+    def logical_probabilities(self, n_logical: int) -> np.ndarray:
+        return logical_probabilities(
+            self.probabilities(),
+            self.batch.final_layouts[self.position],
+            self.batch.used_qubits,
+            n_logical,
+        )
 
     def logical_z_expectations(self, n_logical: int) -> np.ndarray:
         """Per-logical-qubit Z expectations, matching ``BackendResult``."""
         n_logical = int(n_logical)
-        if n_logical not in self._logical_expectations:
-            probs = logical_probabilities(
-                self.probabilities(), self.compiled, self.used_physical, n_logical
+        if n_logical not in self._expectations:
+            self._expectations[n_logical] = expectation_z_all_from_probabilities(
+                self.logical_probabilities(n_logical), n_logical
             )
-            self._logical_expectations[n_logical] = (
-                expectation_z_all_from_probabilities(probs, n_logical)
-            )
-        return self._logical_expectations[n_logical]
+        return self._expectations[n_logical]
 
     def pauli_expectation(self, observable) -> float:
         """Expectation of an observable already remapped onto the reduced
         register (see ``PerformanceEstimator.remap_hamiltonian``)."""
-        return expectation_pauli_sum_dm(self.rho, observable)
-
-
-class _TemplateRowResult(JobResult):
-    """One row of a simulated template batch."""
-
-    __slots__ = ("batch", "position")
-
-    def __init__(self, batch: "TemplateBatchJob", position: int) -> None:
-        self.batch = batch
-        self.position = position
-
-    def probabilities(self) -> np.ndarray:
-        return self.batch.row_probabilities(self.position)
-
-    def logical_z_expectations(self, n_logical: int) -> np.ndarray:
-        return self.batch.row_logical_z_expectations(self.position, n_logical)
-
-    def pauli_expectation(self, observable) -> float:
-        return expectation_pauli_sum_dm(
-            self.batch.rhos[self.position], observable
-        )
-
-
-class TemplateBatchJob:
-    """One vectorized template binding awaiting batched noisy simulation."""
-
-    def __init__(self, binding) -> None:
-        self.binding = binding
-        self.noise_model = None
-        self.rhos: Optional[np.ndarray] = None
-        self._probs: Dict[int, np.ndarray] = {}
-        self._expectations: Dict[Tuple[int, int], np.ndarray] = {}
-
-    @property
-    def n_reduced(self) -> int:
-        return self.binding.n_reduced
-
-    def handles(self) -> List[_TemplateRowResult]:
-        return [_TemplateRowResult(self, i) for i in range(self.binding.n_rows)]
-
-    def row_probabilities(self, position: int) -> np.ndarray:
-        if position not in self._probs:
-            probs = density_probabilities(self.rhos[position])
-            if self.noise_model is not None:
-                probs = self.noise_model.apply_readout_error(
-                    probs, self.n_reduced
-                )
-            self._probs[position] = probs
-        return self._probs[position]
-
-    def row_logical_z_expectations(
-        self, position: int, n_logical: int
-    ) -> np.ndarray:
-        key = (position, int(n_logical))
-        if key not in self._expectations:
-            probs = logical_probabilities(
-                self.row_probabilities(position),
-                self.binding.final_layout,
-                self.binding.used_qubits,
-                n_logical,
+        if self.batch.rhos is None:
+            raise BackendCapabilityError(
+                "the register exceeds max_density_qubits: the row carries "
+                "approximate probabilities only, not a density matrix"
             )
-            self._expectations[key] = expectation_z_all_from_probabilities(
-                probs, int(n_logical)
-            )
-        return self._expectations[key]
+        return expectation_pauli_sum_dm(self.batch.rhos[self.position], observable)
 
 
 class BatchedDensityRunner:
-    """Groups compiled circuits by structure and simulates each group batched.
+    """Simulates rows batched by reduced structure.
 
-    Equivalence contract: every job's result applies the same unitaries and
+    Equivalence contract: every row's result applies the same unitaries and
     noise channels that :class:`DensityMatrixSimulator` would apply
     sample by sample, composed into fused blocks
     (:func:`apply_fused_positions`), so the two agree to rounding.  Noise
@@ -210,42 +206,33 @@ class BatchedDensityRunner:
         self.device = device
         self.max_density_qubits = int(max_density_qubits)
         self._noise_model = None
-        self._jobs: Dict[int, DensityJob] = {}       # id(compiled) -> job
-        self._pending: "OrderedDict[int, DensityJob]" = OrderedDict()
-        self._pending_templates: List[TemplateBatchJob] = []
+        #: id(compiled) -> (compiled, row); the reference keeps the id unique
+        self._compiled: Dict[int, Tuple[object, _Row]] = {}
+        self._pending_compiled: List[Tuple[object, _Row]] = []
+        self._pending: List[_Batch] = []
         # (used_physical, qubits) -> composed channel superoperator or None
         self._channel_superops: Dict[Tuple, Optional[np.ndarray]] = {}
         self.batches_run = 0
         self.template_batches_run = 0
 
-    def job_for(self, compiled) -> DensityJob:
-        """The (deduplicated) job for a compiled circuit."""
-        job = self._jobs.get(id(compiled))
-        if job is None:
-            job = DensityJob(compiled)
-            self._jobs[id(compiled)] = job
-        return job
+    def submit(self, compiled) -> _Row:
+        """The row of one compiled circuit (deduplicated by identity); its
+        batch forms at :meth:`run` with the circuits of its structure."""
+        entry = self._compiled.get(id(compiled))
+        if entry is None:
+            entry = (compiled, _Row())
+            self._compiled[id(compiled)] = entry
+            self._pending_compiled.append(entry)
+        return entry[1]
 
-    def enqueue(self, job: DensityJob) -> DensityJob:
-        self._pending.setdefault(id(job.compiled), job)
-        return job
-
-    def submit(self, compiled) -> DensityJob:
-        return self.enqueue(self.job_for(compiled))
-
-    def submit_template(self, binding) -> TemplateBatchJob:
-        """Schedule a vectorized template binding (rows already aligned)."""
-        if binding.n_reduced > self.max_density_qubits:
-            # callers route oversized structures through per-row compiled
-            # jobs, whose large-circuit approximation needs the concrete
-            # reduced circuits a template batch deliberately never builds
-            raise ValueError(
-                "template batch exceeds max_density_qubits "
-                f"({binding.n_reduced} > {self.max_density_qubits})"
-            )
-        job = TemplateBatchJob(binding)
-        self._pending_templates.append(job)
-        return job
+    def submit_template(self, binding) -> List[_Row]:
+        """One batch for a template binding; one row handle per row."""
+        batch = _Batch(
+            binding.used_qubits, binding.slots,
+            [binding.final_layout] * binding.n_rows, from_template=True,
+        )
+        self._pending.append(batch)
+        return [_Row(batch, position) for position in range(binding.n_rows)]
 
     # -- execution -----------------------------------------------------------
 
@@ -255,40 +242,65 @@ class BatchedDensityRunner:
         return self._noise_model
 
     def run(self) -> None:
-        """Simulate all pending jobs, batched by reduced-circuit structure."""
-        groups: "OrderedDict[Tuple, List[DensityJob]]" = OrderedDict()
-        for job in self._pending.values():
-            if job.rho is not None or job.reduced_probs is not None:
-                continue
+        """Simulate every row submitted since the last run."""
+        groups: "OrderedDict[Tuple, List[Tuple[object, _Row]]]" = OrderedDict()
+        for compiled, row in self._pending_compiled:
+            reduced, used_physical = compiled.reduced_circuit()
             key = (
-                tuple(job.used_physical),
-                tuple(
-                    (inst.gate, inst.qubits) for inst in job.reduced.instructions
-                ),
+                tuple(used_physical),
+                tuple((inst.gate, inst.qubits) for inst in reduced.instructions),
             )
-            groups.setdefault(key, []).append(job)
-        self._pending.clear()
+            groups.setdefault(key, []).append((compiled, row))
+        batches = [
+            _compiled_batch(used_physical, members)
+            for (used_physical, _structure), members in groups.items()
+        ] + self._pending
+        self._pending_compiled, self._pending = [], []
+        for batch in batches:
+            self._simulate(batch)
 
-        for (used_physical, _structure), jobs in groups.items():
-            noise_model = self._device_noise_model().reduced(used_physical)
-            n_reduced = jobs[0].n_reduced
-            if n_reduced > self.max_density_qubits:
-                # success-rate (global depolarizing) approximation, exactly as
-                # QuantumBackend falls back for large circuits
-                for job in jobs:
-                    job.noise_model = noise_model
-                    job.reduced_probs = approximate_probabilities(
-                        job.reduced, noise_model
-                    )
-                continue
-            max_batch = max(1, self.MAX_STACK_ELEMENTS // 4**n_reduced)
-            for start in range(0, len(jobs), max_batch):
-                self._run_group(jobs[start: start + max_batch], noise_model)
+    def _simulate(self, batch: _Batch) -> None:
+        """Evolve one batch, in stacks of at most ``MAX_STACK_ELEMENTS``, or
+        approximate it when its register exceeds ``max_density_qubits``."""
+        noise_model = self._device_noise_model().reduced(batch.used_qubits)
+        batch.noise_model = noise_model
+        n = batch.n_reduced
+        if n > self.max_density_qubits:
+            # success-rate (global depolarizing) approximation, exactly as
+            # QuantumBackend falls back for large circuits
+            batch.approximate = [
+                approximate_probabilities(batch.reduced_circuit(row), noise_model)
+                for row in range(batch.n_rows)
+            ]
+            return
+        max_batch = max(1, self.MAX_STACK_ELEMENTS // 4**n)
+        chunks: List[np.ndarray] = []
+        for start in range(0, batch.n_rows, max_batch):
+            stop = min(start + max_batch, batch.n_rows)
+            self.batches_run += 1
+            if batch.from_template:
+                self.template_batches_run += 1
+            chunks.append(apply_fused_positions(
+                zero_density_matrices(n, stop - start),
+                self._positions(batch, noise_model, start, stop),
+            ))
+        batch.rhos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
-        templates, self._pending_templates = self._pending_templates, []
-        for job in templates:
-            if job.rhos is None:
-                self._run_template(job)
+    def _positions(self, batch: _Batch, noise_model, start: int, stop: int):
+        """``(matrix, qubits, channel)`` per slot for rows ``start:stop``."""
+        for slot in batch.slots:
+            if type(slot) is Instruction:
+                qubits, matrix = slot.qubits, slot.matrix()
+            else:
+                gate, qubits, rows = slot
+                chunk = rows[start:stop]
+                if (chunk == chunk[0]).all():
+                    matrix = gate_matrix(gate, chunk[0])
+                else:
+                    matrix = batched_gate_matrix(gate, chunk)
+            yield matrix, qubits, self._channels(
+                batch.used_qubits, noise_model, qubits
+            )
 
     def _channels(self, used_physical, noise_model, qubits) -> Optional[np.ndarray]:
         """The memoized composed channel superoperator after a gate on
@@ -305,63 +317,6 @@ class BatchedDensityRunner:
         # any gate of that arity stands for every gate on these qubits
         probe = Instruction("x" if len(qubits) == 1 else "cx", qubits)
         return channel_superoperator(noise_model.channels_for(probe), qubits)
-
-    def _run_group(self, jobs: Sequence[DensityJob], noise_model) -> None:
-        self.batches_run += 1
-        used_physical = tuple(jobs[0].used_physical)
-
-        def positions():
-            for position, first in enumerate(jobs[0].reduced.instructions):
-                instructions = [job.reduced.instructions[position] for job in jobs]
-                if all(inst.params == first.params for inst in instructions):
-                    matrix = first.matrix()
-                else:
-                    matrix = batched_gate_matrix(
-                        first.gate, np.array([inst.params for inst in instructions])
-                    )
-                channel = self._channels(used_physical, noise_model, first.qubits)
-                yield matrix, first.qubits, channel
-
-        rhos = apply_fused_positions(
-            zero_density_matrices(jobs[0].n_reduced, len(jobs)), positions()
-        )
-        for index, job in enumerate(jobs):
-            job.noise_model = noise_model
-            job.rho = rhos[index]
-
-    def _run_template(self, job: TemplateBatchJob) -> None:
-        """Evolve one template batch: shared skeleton, per-slot angle arrays."""
-        binding = job.binding
-        used_physical = tuple(binding.used_qubits)
-        noise_model = self._device_noise_model().reduced(used_physical)
-        job.noise_model = noise_model
-        n = job.n_reduced
-        n_rows = binding.n_rows
-        max_batch = max(1, self.MAX_STACK_ELEMENTS // 4**n)
-
-        def positions(start, stop):
-            for slot in binding.slots:
-                if type(slot) is Instruction:
-                    qubits, matrix = slot.qubits, slot.matrix()
-                else:
-                    gate, qubits, rows = slot
-                    chunk = rows[start:stop]
-                    if (chunk == chunk[0]).all():
-                        matrix = gate_matrix(gate, chunk[0])
-                    else:
-                        matrix = batched_gate_matrix(gate, chunk)
-                channel = self._channels(used_physical, noise_model, qubits)
-                yield matrix, qubits, channel
-
-        chunks: List[np.ndarray] = []
-        for start in range(0, n_rows, max_batch):
-            stop = min(start + max_batch, n_rows)
-            self.batches_run += 1
-            self.template_batches_run += 1
-            chunks.append(apply_fused_positions(
-                zero_density_matrices(n, stop - start), positions(start, stop)
-            ))
-        job.rhos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 @register_backend
@@ -389,12 +344,10 @@ class DensityMatrixBackend(SimulationBackend):
         handles: List[JobResult] = []
         for job in jobs:
             if job.template_batch is not None:
-                batch = self.runner.submit_template(job.template_batch)
-                handles.extend(batch.handles())
-                self.jobs_run += batch.binding.n_rows
+                handles.extend(self.runner.submit_template(job.template_batch))
             else:
                 handles.append(self.runner.submit(job.compiled))
-                self.jobs_run += 1
+        self.jobs_run += len(handles)
         return handles
 
     def synchronize(self) -> None:

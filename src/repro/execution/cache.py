@@ -241,17 +241,12 @@ class ParametricCacheStats(MergeableStats):
     bind_evictions: int = 0
     fallbacks: int = 0
     variants_compiled: int = 0
-    #: vectorized :meth:`ParametricTranspileCache.get_bound_batch` calls and
-    #: the rows they served straight from the template; rows that crossed a
+    #: vectorized :meth:`ParametricTranspileCache.bind_rows` calls and the
+    #: rows they served straight from the template; rows that crossed a
     #: branch go to the bound-key fallback and count in
     #: ``bind_misses``/``fallbacks``
     batch_binds: int = 0
     batch_rows: int = 0
-    #: :meth:`ParametricTranspileCache.bind_rows` calls (parameter-shift
-    #: evaluation matrices) and the rows the template served, counted like
-    #: the ``batch_*`` pair
-    gradient_binds: int = 0
-    gradient_rows: int = 0
     compile_seconds: float = 0.0
     bind_seconds: float = 0.0
 
@@ -296,11 +291,11 @@ class ParametricTranspileCache:
     blank image pixel encoding an exact-zero rotation) cannot poison the
     template every other sample uses.  A binding that crosses one of the
     template's compile-time branches is served by ``fallback`` — the exact
-    bound-key cache, compiling with the structure's pinned seed.  Every entry
-    point (:meth:`get_bound`, :meth:`get_bound_batch`, :meth:`bind_rows`)
-    shares that one fallback, so a row's template-vs-fallback path is a pure
-    function of (row values, structure template); results are identical
-    either way.
+    bound-key cache, compiling with the structure's pinned seed.  Both entry
+    points (:meth:`get_bound` for one binding, :meth:`bind_rows` for a
+    batch) share that one fallback, so a row's template-vs-fallback path is
+    a pure function of (row values, structure template); results are
+    identical either way.
 
     Bound results are memoized in a second LRU so duplicated candidates and
     repeated samples receive the *same* :class:`CompiledCircuit` object,
@@ -410,8 +405,8 @@ class ParametricTranspileCache:
 
         On a miss a ``bind_template`` row is bound through the structure's
         template.  A row that crosses one of the template's branches — and
-        every row the batch paths pass without ``bind_template``, which
-        their vectorized bind already rejected — is compiled by the exact
+        every row :meth:`bind_rows` passes without ``bind_template``, which
+        its vectorized bind already rejected — is compiled by the exact
         bound-key fallback.
         """
         values = np.ascontiguousarray(values, dtype=float)
@@ -448,31 +443,6 @@ class ParametricTranspileCache:
             self.stats.bind_evictions += 1
         return compiled
 
-    def _bind_matrix(
-        self, circuit, values, witness_weights, device, initial_layout,
-        optimization_level,
-    ) -> Tuple[np.ndarray, Optional[TemplateBatchBinding], dict]:
-        """One vectorized template fill of a values matrix; the rows it
-        rejects go to the bound-key fallback.  Returns ``(ok, binding,
-        {row: CompiledCircuit})``."""
-        n_weights = witness_weights.shape[0]
-        key = self.key_for(circuit, device, initial_layout, optimization_level)
-        template = self._template(
-            circuit, key, device, initial_layout, optimization_level,
-            witness_weights, values.shape[1] - n_weights,
-        )
-        start = clock.monotonic()
-        ok, binding = template.bind_batch(values)
-        self.stats.bind_seconds += clock.monotonic() - start
-        fallback = {
-            int(row): self._bound_row(
-                circuit, key, values[row], n_weights, device, initial_layout,
-                optimization_level, bind_template=False,
-            )
-            for row in np.flatnonzero(~ok)
-        }
-        return ok, binding, fallback
-
     # -- bound lookups --------------------------------------------------------
 
     def get_bound(
@@ -505,50 +475,6 @@ class ParametricTranspileCache:
             optimization_level, bind_template=True,
         )
 
-    def get_bound_batch(
-        self,
-        circuit: ParameterizedCircuit,
-        weights: np.ndarray,
-        features: np.ndarray,
-        device: Optional[Device] = None,
-        initial_layout=None,
-        optimization_level: int = 2,
-    ) -> Tuple[Optional[TemplateBatchBinding], dict]:
-        """Bind every row of ``features`` in one vectorized template fill.
-
-        The batched sibling of :meth:`get_bound` for the ``noise_sim`` hot
-        loop: one structure lookup, one affine matmul for *all* rows, no
-        per-row :class:`CompiledCircuit` construction.  Returns
-        ``(binding, fallback)`` — a
-        :class:`~repro.transpile.parametric.TemplateBatchBinding` covering
-        the rows the structure's template binds (``None`` when it binds
-        none) and a ``{row_index: CompiledCircuit}`` dict for the rows that
-        crossed a compile-time branch, each the exact bound-key result
-        :meth:`get_bound` would serve.
-
-        Exactness contract: a row's angles are the same affine expressions
-        :meth:`get_bound` would evaluate, so every downstream consumer sees
-        the 1e-9-identical numbers; determinism is preserved because the
-        batch is a pure function of ``(weights, features, structure)``.
-        """
-        if device is None:
-            raise ValueError("device is required")
-        weights = np.asarray(weights, dtype=float).ravel()
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("get_bound_batch expects a 2-D feature matrix")
-        values = np.concatenate(
-            [np.broadcast_to(weights, (features.shape[0], weights.shape[0])),
-             features],
-            axis=1,
-        )
-        ok, binding, fallback = self._bind_matrix(
-            circuit, values, weights, device, initial_layout, optimization_level
-        )
-        self.stats.batch_binds += 1
-        self.stats.batch_rows += int(ok.sum())
-        return binding, fallback
-
     def bind_rows(
         self,
         circuit: ParameterizedCircuit,
@@ -558,22 +484,27 @@ class ParametricTranspileCache:
         initial_layout=None,
         optimization_level: int = 2,
     ) -> Tuple[Optional[TemplateBatchBinding], dict]:
-        """Bind a full ``(rows, n_weights + n_features)`` values matrix.
+        """Bind a ``(rows, n_weights + n_features)`` values matrix at once.
 
-        The gradient sibling of :meth:`get_bound_batch`: parameter-shift
-        evaluation rows differ in their *weight* blocks too (every row is
-        the same structure under a shifted weight vector), so the whole
-        matrix goes through one vectorized template fill.  Returns
-        ``(binding, {row: CompiledCircuit})`` with the same alignment
-        contract as :meth:`get_bound_batch`.
+        The batched sibling of :meth:`get_bound`: one structure lookup, one
+        affine matmul for *all* rows, no per-row :class:`CompiledCircuit`
+        construction.  Rows may differ in their weights (the shifted rows
+        of a gradient) or only in their features (a population's validation
+        samples).  Returns ``(binding, fallback)``: a
+        :class:`~repro.transpile.parametric.TemplateBatchBinding` covering
+        the rows the structure's template binds (``None`` when it binds
+        none) and a ``{row_index: CompiledCircuit}`` dict for the rows that
+        crossed a compile-time branch, each the exact bound-key result
+        :meth:`get_bound` would serve.
+        :func:`~repro.backends.base.run_bound_rows` schedules the pair.
 
         A cold structure's template is traced against ``witness_weights``
-        (the unshifted center weights) joined with generic feature values,
-        the witness convention every entry point shares, so gradient
-        evaluation and the forward-pass paths share one template per
-        structure.  Sharded gradient workers serving different row subsets
-        of the same step therefore produce bit-for-bit the circuits any
-        other worker split would.
+        joined with generic feature values, the witness convention both
+        entry points share.  The result is a pure function of ``(values,
+        structure)``, so sharded workers serving different row subsets
+        produce bit-for-bit the circuits any other split would.  A row's
+        angles are the affine expressions :meth:`get_bound` evaluates, to
+        the rounding of one matmul against one matvec per row.
         """
         if device is None:
             raise ValueError("device is required")
@@ -581,14 +512,26 @@ class ParametricTranspileCache:
         if values.ndim != 2:
             raise ValueError("bind_rows expects a 2-D values matrix")
         witness_weights = np.asarray(witness_weights, dtype=float).ravel()
-        if values.shape[1] < witness_weights.shape[0]:
+        n_weights = witness_weights.shape[0]
+        if values.shape[1] < n_weights:
             raise ValueError("values matrix narrower than the weight vector")
-        ok, binding, fallback = self._bind_matrix(
-            circuit, values, witness_weights, device, initial_layout,
-            optimization_level,
+        key = self.key_for(circuit, device, initial_layout, optimization_level)
+        template = self._template(
+            circuit, key, device, initial_layout, optimization_level,
+            witness_weights, values.shape[1] - n_weights,
         )
-        self.stats.gradient_binds += 1
-        self.stats.gradient_rows += int(ok.sum())
+        start = clock.monotonic()
+        ok, binding = template.bind_batch(values)
+        self.stats.bind_seconds += clock.monotonic() - start
+        fallback = {
+            int(row): self._bound_row(
+                circuit, key, values[row], n_weights, device, initial_layout,
+                optimization_level, bind_template=False,
+            )
+            for row in np.flatnonzero(~ok)
+        }
+        self.stats.batch_binds += 1
+        self.stats.batch_rows += int(ok.sum())
         return binding, fallback
 
     # -- sharded-worker entry exchange --------------------------------------

@@ -19,7 +19,7 @@ strategy.  The short version:
     into one parametric template and every validation sample's angles come
     out of a single vectorized template bind (one affine matmul per
     structure — see
-    :meth:`~repro.execution.cache.ParametricTranspileCache.get_bound_batch`)
+    :meth:`~repro.execution.cache.ParametricTranspileCache.bind_rows`)
     consumed directly by the density backend; a sample that crosses one of
     the template's compile-time branches is compiled exactly by the
     bound-key cache.  ``success_rate`` mode compiles one bound circuit per
@@ -40,7 +40,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends import BackendDispatcher, DispatchRequest, SimulationJob
+from ..backends import (
+    BackendDispatcher,
+    DispatchRequest,
+    SimulationJob,
+    run_bound_rows,
+)
 from ..qml.qnn import readout_matrix
 from ..quantum.circuit import ParameterizedCircuit
 from ..utils.stats import nll_loss, softmax
@@ -380,53 +385,22 @@ class ExecutionEngine:
     def _schedule_density_rows(
         self, backend, entry: _StructureEntry, mapping, features
     ) -> List[object]:
-        """Density jobs for every validation sample of one (genome, mapping).
-
-        The whole sample batch binds through one vectorized template fill;
-        rows that cross a compile-time branch — and structures whose reduced
-        register exceeds the density limit, whose large-circuit
-        approximation needs concrete reduced circuits — run as per-row
-        compiled jobs.
-        """
+        """Density jobs for every validation sample of one (genome, mapping):
+        one vectorized template bind, with the samples that cross one of
+        its compile-time branches compiled exactly."""
         estimator = self.estimator
-        optimization_level = estimator.config.optimization_level
-        binding, fallback = self.parametric_cache.get_bound_batch(
+        weights = np.broadcast_to(
+            entry.weights, (len(features), entry.weights.shape[0])
+        )
+        binding, fallback = self.parametric_cache.bind_rows(
             entry.circuit,
+            np.concatenate([weights, features], axis=1),
             entry.weights,
-            features,
             estimator.device,
             initial_layout=mapping,
-            optimization_level=optimization_level,
+            optimization_level=estimator.config.optimization_level,
         )
-        max_density = estimator.config.max_density_qubits
-        if binding is None or binding.n_reduced > max_density:
-            compiled_by_row = dict(fallback)
-            for row in range(len(features)):
-                if row not in compiled_by_row:
-                    compiled_by_row[row] = self._compile_parametric(
-                        entry, mapping, features[row]
-                    )
-            return backend.run_group(
-                entry,
-                [
-                    SimulationJob(compiled=compiled_by_row[row])
-                    for row in range(len(features))
-                ],
-            )
-        handles: List[object] = [None] * len(features)
-        batch_handles = backend.run_group(
-            entry, [SimulationJob(template_batch=binding)]
-        )
-        for handle, row in zip(batch_handles, binding.rows):
-            handles[int(row)] = handle
-        if fallback:
-            fallback_handles = backend.run_group(
-                entry,
-                [SimulationJob(compiled=compiled) for compiled in fallback.values()],
-            )
-            for row, handle in zip(fallback.keys(), fallback_handles):
-                handles[int(row)] = handle
-        return handles
+        return run_bound_rows(backend, entry, binding, fallback)
 
     # -- population evaluation: VQE ---------------------------------------------
 
@@ -504,8 +478,12 @@ class ExecutionEngine:
                 group_jobs: List[Tuple[int, object, Tuple[int, ...]]] = []
                 for index in indices:
                     if bound is None:
-                        compiled = self._compile_parametric(
-                            entry, candidates[index].mapping, None
+                        compiled = self.parametric_cache.get_bound(
+                            entry.circuit,
+                            entry.weights,
+                            device=estimator.device,
+                            initial_layout=candidates[index].mapping,
+                            optimization_level=optimization_level,
                         )
                     else:
                         compiled = self.transpile_cache.get(
@@ -585,25 +563,6 @@ class ExecutionEngine:
         )
 
     # -- internals ----------------------------------------------------------------
-
-    def _compile_parametric(
-        self, entry: "_StructureEntry", mapping, features_row
-    ) -> object:
-        """Compiled circuit for one binding via the structure-keyed cache.
-
-        One parametric compilation per (genome, mapping) structure; every
-        (weights, sample) binding is an O(params) template fill, with the
-        bound-key cache as exact fallback for bindings that cross a
-        compile-time branch.
-        """
-        return self.parametric_cache.get_bound(
-            entry.circuit,
-            entry.weights,
-            features_row,
-            self.estimator.device,
-            initial_layout=mapping,
-            optimization_level=self.estimator.config.optimization_level,
-        )
 
     def _maybe_invalidate_structures(self) -> None:
         """Drop cached circuits when the SuperCircuit parameters change."""

@@ -16,8 +16,8 @@ the execution engine produces, so every gradient mode reuses the code path
     the rows go through :meth:`~repro.execution.cache.ParametricTranspileCache.
     bind_rows` into one :class:`~repro.transpile.parametric.
     TemplateBatchBinding` per structure — one vectorized template fill, one
-    batched density evolution — with branch-crossing and oversized rows
-    served by per-row compiled jobs;
+    batched density evolution — with branch-crossing rows served by per-row
+    compiled jobs;
 ``real_qc``
     QML readout runs through the shot backend with one pinned
     ``seed_key`` per (row, sample) job; VQE energies take the sequential
@@ -53,9 +53,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.base import SimulationJob
+from ..backends.base import SimulationJob, run_bound_rows
 from ..backends.dispatch import BackendDispatcher, DispatchRequest
-from ..devices.backend import QuantumBackend, logical_probabilities
+from ..devices.backend import QuantumBackend
 from ..execution.cache import ParametricTranspileCache, TranspileCache
 from ..execution.stats import MergeableStats
 from ..quantum.autodiff import ShiftRulePlan, build_shift_plan
@@ -292,36 +292,19 @@ class BatchedGradientEngine:
                 for b in range(batch)
             ]
             handles = backend.run_group(entry, jobs)
-            backend.synchronize()
             self.stats.shot_jobs += len(jobs)
-            flat = np.stack(
-                [handle.logical_z_expectations(n_qubits) for handle in handles]
+        else:
+            # density: one values matrix over every (row, sample) pair,
+            # row-major
+            values = np.concatenate(
+                [np.repeat(rows, batch, axis=0), np.tile(features, (n_rows, 1))],
+                axis=1,
             )
-            return flat.reshape(n_rows, batch, n_qubits)
-
-        # density: one values matrix over every (row, sample) pair, row-major
-        values = np.concatenate(
-            [np.repeat(rows, batch, axis=0), np.tile(features, (n_rows, 1))],
-            axis=1,
-        )
-        binding, fallback = self._bind_rows(circuit, values, witness)
-        jobs: List[SimulationJob] = []
-        if binding is not None:
-            jobs.append(SimulationJob(template_batch=binding))
-        fallback_rows = sorted(fallback)
-        jobs.extend(SimulationJob(compiled=fallback[row]) for row in fallback_rows)
-        handles = backend.run_group(entry, jobs)
+            handles = self._schedule_density_rows(backend, entry, values)
         backend.synchronize()
-        flat = np.empty((n_rows * batch, n_qubits))
-        position = 0
-        if binding is not None:
-            for offset, row in enumerate(binding.rows):
-                flat[int(row)] = handles[offset].logical_z_expectations(n_qubits)
-            position = binding.n_rows
-            self.stats.template_rows += binding.n_rows
-        for offset, row in enumerate(fallback_rows):
-            flat[row] = handles[position + offset].logical_z_expectations(n_qubits)
-        self.stats.fallback_rows += len(fallback_rows)
+        flat = np.stack(
+            [handle.logical_z_expectations(n_qubits) for handle in handles]
+        )
         return flat.reshape(n_rows, batch, n_qubits)
 
     # -- VQE energy rows ------------------------------------------------------
@@ -400,11 +383,11 @@ class BatchedGradientEngine:
             DispatchRequest(mode=mode, n_qubits=n_qubits)
         )
         group_probs: List[List[np.ndarray]] = []
-        if backend.capabilities.shot_based:
-            # REPRO_BACKEND=shots override: per-(group, row) jobs with
-            # content-pinned seeds (shots == 0 here, so no sampling noise)
-            for group_index, structure in enumerate(structures):
-                entry = _GroupEntry(structure, witness)
+        for group_index, structure in enumerate(structures):
+            entry = _GroupEntry(structure, witness)
+            if backend.capabilities.shot_based:
+                # REPRO_BACKEND=shots override: per-(group, row) jobs with
+                # content-pinned seeds (shots == 0 here, so no sampling noise)
                 jobs = [
                     SimulationJob(
                         circuit=structure,
@@ -417,44 +400,13 @@ class BatchedGradientEngine:
                     for r in range(n_rows)
                 ]
                 handles = backend.run_group(entry, jobs)
-                backend.synchronize()
                 self.stats.shot_jobs += len(jobs)
-                group_probs.append([handle.probabilities() for handle in handles])
-        else:
-            for structure in structures:
-                entry = _GroupEntry(structure, witness)
-                binding, fallback = self._bind_rows(structure, rows, witness)
-                jobs = []
-                if binding is not None:
-                    jobs.append(SimulationJob(template_batch=binding))
-                fallback_rows = sorted(fallback)
-                jobs.extend(
-                    SimulationJob(compiled=fallback[row]) for row in fallback_rows
-                )
-                handles = backend.run_group(entry, jobs)
-                backend.synchronize()
-                probs: List[Optional[np.ndarray]] = [None] * n_rows
-                position = 0
-                if binding is not None:
-                    for offset, row in enumerate(binding.rows):
-                        probs[int(row)] = logical_probabilities(
-                            handles[offset].probabilities(),
-                            binding.final_layout,
-                            binding.used_qubits,
-                            n_qubits,
-                        )
-                    position = binding.n_rows
-                    self.stats.template_rows += binding.n_rows
-                for offset, row in enumerate(fallback_rows):
-                    handle = handles[position + offset]
-                    probs[row] = logical_probabilities(
-                        handle.probabilities(),
-                        handle.compiled,
-                        handle.used_physical,
-                        n_qubits,
-                    )
-                self.stats.fallback_rows += len(fallback_rows)
-                group_probs.append(probs)
+            else:
+                handles = self._schedule_density_rows(backend, entry, rows)
+            backend.synchronize()
+            group_probs.append(
+                [handle.logical_probabilities(n_qubits) for handle in handles]
+            )
 
         energies = np.zeros(n_rows)
         for r in range(n_rows):
@@ -526,34 +478,23 @@ class BatchedGradientEngine:
             return np.asarray(rows[0], dtype=float)
         return np.asarray(witness_weights, dtype=float).ravel()
 
-    def _bind_rows(self, circuit, values: np.ndarray, witness: np.ndarray):
-        """Template-bind a values matrix; oversized registers fall back.
-
-        Rows whose reduced register exceeds ``max_density_qubits`` cannot
-        run as a template batch (the density runner's approximation needs
-        concrete reduced circuits), so the whole binding converts to
-        per-row compiled jobs — a pure function of the structure, hence
-        identical under any row partition.
-        """
+    def _schedule_density_rows(
+        self, backend, entry: _GroupEntry, values: np.ndarray
+    ) -> List[object]:
+        """Template-bind a values matrix (branch-crossing rows compiled
+        exactly) and schedule every row; one handle per row, in row order."""
         binding, fallback = self.parametric_transpile_cache.bind_rows(
-            circuit,
+            entry.circuit,
             values,
-            witness,
+            entry.weights,
             device=self.device,
             initial_layout=self.initial_layout,
             optimization_level=int(self.config.optimization_level),
         )
-        if binding is not None and binding.n_rows == 0:
-            binding = None
-        if (
-            binding is not None
-            and binding.n_reduced > int(self.config.max_density_qubits)
-        ):
-            for row in binding.rows:
-                row = int(row)
-                fallback[row] = binding.template.bind(values[row])
-            binding = None
-        return binding, fallback
+        if binding is not None:
+            self.stats.template_rows += binding.n_rows
+        self.stats.fallback_rows += len(fallback)
+        return run_bound_rows(backend, entry, binding, fallback)
 
     def _vqe_group_structures(self, ansatz, plan) -> List[ParameterizedCircuit]:
         """One parametric structure per measurement group: ansatz ops shared,

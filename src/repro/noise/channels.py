@@ -23,6 +23,7 @@ __all__ = [
     "phase_damping_kraus",
     "thermal_relaxation_kraus",
     "readout_confusion_matrix",
+    "completeness_error",
     "is_cptp",
 ]
 
@@ -125,10 +126,15 @@ def readout_confusion_matrix(p_meas1_given0: float, p_meas0_given1: float):
     )
 
 
-def is_cptp(kraus_operators: Sequence[np.ndarray], atol: float = 1e-9) -> bool:
-    """Check the completeness relation ``sum_i K_i† K_i = I``."""
+def completeness_error(kraus_operators: Sequence[np.ndarray]) -> float:
+    """Largest entry of ``|sum_i K_i† K_i - I|`` (zero for a CPTP channel)."""
     dim = kraus_operators[0].shape[1]
     total = np.zeros((dim, dim), dtype=complex)
     for kraus in kraus_operators:
         total += kraus.conj().T @ kraus
-    return bool(np.allclose(total, np.eye(dim), atol=atol))
+    return float(np.abs(total - np.eye(dim)).max())
+
+
+def is_cptp(kraus_operators: Sequence[np.ndarray], atol: float = 1e-9) -> bool:
+    """Check the completeness relation ``sum_i K_i† K_i = I``."""
+    return completeness_error(kraus_operators) <= atol

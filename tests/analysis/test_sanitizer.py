@@ -27,8 +27,10 @@ from repro.backends.density import BatchedDensityRunner
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.evolution import Candidate
 from repro.execution import ParametricTranspileCache, TranspileCache
+from repro.noise import models as noise_models
 from repro.noise.models import NoiseModel
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.density_matrix import DensityMatrixSimulator
 
 
 @pytest.fixture
@@ -246,13 +248,14 @@ def noisy_run(model):
     circuit.add("cx", (0, 1))
     circuit.add("rz", (2,), (0.4,))
     circuit.add("cx", (2, 1))
-    compiled = SimpleNamespace(reduced_circuit=lambda: (circuit, (0, 1, 2)))
+    compiled = SimpleNamespace(reduced_circuit=lambda: (circuit, (0, 1, 2)),
+                               final_layout={0: 0, 1: 1, 2: 2})
     runner = BatchedDensityRunner(
         SimpleNamespace(noise_model=lambda: model), max_density_qubits=8
     )
-    job = runner.submit(compiled)
+    row = runner.submit(compiled)
     runner.run()
-    return job.rho.reshape(8, 8)
+    return row.batch.rhos[row.position].reshape(8, 8)
 
 
 def test_leaky_channel_trips_the_check_when_armed(sanitized):
@@ -284,3 +287,83 @@ def test_density_batch_checks():
                         (negative, "negative eigenvalue")]:
         with pytest.raises(DensityInvariantError, match=reason):
             check_density_batch(bad.reshape(1, 2, 2))
+
+
+def scaled_depolarizing(monkeypatch):
+    """Every depolarizing Kraus set the noise model hands out scaled by
+    1.01, so it no longer satisfies sum K^dagger K = I."""
+    original = noise_models.depolarizing_kraus
+    monkeypatch.setattr(
+        noise_models, "depolarizing_kraus",
+        lambda probability, n_qubits=1: tuple(
+            1.01 * kraus for kraus in original(probability, n_qubits)
+        ),
+    )
+
+
+def simulator_run(model):
+    """The same kind of circuit through the sample-by-sample simulator."""
+    circuit = QuantumCircuit(2)
+    circuit.add("h", (0,))
+    circuit.add("cx", (0, 1))
+    return DensityMatrixSimulator(2, model).run(circuit)
+
+
+def test_incomplete_kraus_sets_trip_both_paths_when_armed(sanitized,
+                                                          monkeypatch):
+    simulator_run(NoiseModel.uniform(2))
+    scaled_depolarizing(monkeypatch)
+    with pytest.raises(DensityInvariantError, match="Kraus set"):
+        simulator_run(NoiseModel.uniform(2))
+    with pytest.raises(DensityInvariantError, match="Kraus set"):
+        noisy_run(NoiseModel.uniform(3))
+
+
+def test_incomplete_kraus_sets_run_unchecked_when_not_armed(unsanitized,
+                                                            monkeypatch):
+    scaled_depolarizing(monkeypatch)
+    rho = simulator_run(NoiseModel.uniform(2)).reshape(4, 4)
+    assert abs(np.trace(rho) - 1.0) > 1e-6
+    noisy_run(NoiseModel.uniform(3))
+
+
+class SkewedReadoutModel(NoiseModel):
+    """Readout confusion whose first column sums to 1.01, applied without
+    renormalizing: outcome probabilities no longer sum to 1."""
+
+    CONFUSION = np.array([[0.99, 0.0], [0.02, 1.0]])
+
+    def apply_readout_error(self, probabilities, n_qubits):
+        probs = np.asarray(probabilities).reshape((2,) * n_qubits)
+        for qubit in range(n_qubits):
+            probs = np.moveaxis(
+                np.tensordot(self.CONFUSION, probs, axes=([1], [qubit])), 0, qubit
+            )
+        return probs.reshape(-1)
+
+    def reduced(self, physical_qubits):
+        return SkewedReadoutModel(**vars(super().reduced(physical_qubits)))
+
+
+def skewed_row():
+    circuit = QuantumCircuit(2)
+    circuit.add("h", (0,))
+    compiled = SimpleNamespace(reduced_circuit=lambda: (circuit, (0, 1)),
+                               final_layout={0: 0, 1: 1})
+    runner = BatchedDensityRunner(
+        SimpleNamespace(noise_model=lambda: SkewedReadoutModel.uniform(2)),
+        max_density_qubits=8,
+    )
+    row = runner.submit(compiled)
+    runner.run()
+    return row
+
+
+def test_row_probabilities_must_sum_to_one_when_armed(sanitized):
+    row = skewed_row()
+    with pytest.raises(DensityInvariantError, match="sum to 1"):
+        row.probabilities()
+
+
+def test_row_probabilities_run_unchecked_when_not_armed(unsanitized):
+    assert abs(skewed_row().probabilities().sum() - 1.0) > 1e-3

@@ -13,12 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import (
+    BackendCapabilityError,
+    DensityMatrixBackend,
+    SimulationJob,
+)
 from repro.core import EvolutionConfig, EvolutionEngine, SuperCircuit, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.devices import get_device
 from repro.execution import ExecutionEngine
 from repro.qml.encoders import EncoderSpec
 from repro.qml import make_classification_dataset
+from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.operators import PauliSum
+from repro.transpile import transpile
 from repro.vqe.molecules import load_molecule
 
 ATOL = 1e-9
@@ -188,3 +196,24 @@ def test_evolution_rankings_match_under_dispatch(u3cu3_supercircuit, yorktown,
     assert batched.best.gene() == sequential.best.gene()
     assert batched.evaluated == sequential.evaluated
     assert batched.best_score == pytest.approx(sequential.best_score, abs=ATOL)
+
+
+def test_approximated_rows_refuse_pauli_expectations(yorktown):
+    """A register above ``max_density_qubits`` takes the success-rate
+    approximation: its row carries probabilities but no density matrix, so
+    an observable request is a capability error, not a crash."""
+    ghz = QuantumCircuit(3)
+    ghz.add("h", (0,))
+    ghz.add("cx", (0, 1))
+    ghz.add("cx", (1, 2))
+    compiled = transpile(ghz, yorktown, seed=0)
+    estimator = PerformanceEstimator(
+        yorktown, EstimatorConfig(mode="noise_sim", max_density_qubits=2)
+    )
+    backend = DensityMatrixBackend(estimator)
+    handle = backend.run_group(None, [SimulationJob(compiled=compiled)])[0]
+    backend.synchronize()
+
+    with pytest.raises(BackendCapabilityError, match="approximate"):
+        handle.pauli_expectation(PauliSum.from_labels([(1.0, "ZZZ")]))
+    assert handle.probabilities().sum() == pytest.approx(1.0, abs=1e-12)

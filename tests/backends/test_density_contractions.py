@@ -64,16 +64,15 @@ def test_vqe_population_contracts_once_per_block(contractions, monkeypatch):
     candidates = [evolution.random_candidate() for _ in range(3)]
 
     groups = []
-    run_group = BatchedDensityRunner._run_group
+    simulate = BatchedDensityRunner._simulate
 
-    def counted_group(self, jobs, noise_model):
+    def counted_simulate(self, batch):
         before = contractions["full"]
-        run_group(self, jobs, noise_model)
-        instructions = jobs[0].reduced.instructions
-        groups.append((len(instructions), two_qubit_positions(instructions),
-                       jobs[0].n_reduced, contractions["full"] - before))
+        simulate(self, batch)
+        groups.append((len(batch.slots), two_qubit_positions(batch.slots),
+                       batch.n_reduced, contractions["full"] - before))
 
-    monkeypatch.setattr(BatchedDensityRunner, "_run_group", counted_group)
+    monkeypatch.setattr(BatchedDensityRunner, "_simulate", counted_simulate)
     estimator = PerformanceEstimator(device, EstimatorConfig(mode="noise_sim"))
     with ExecutionEngine(estimator, supercircuit) as engine:
         engine.evaluate_vqe_population(candidates, molecule)
@@ -99,16 +98,19 @@ def test_template_batch_contractions_do_not_scale_with_rows(
 
     counts = {}
     for n_rows in (1, 6):
-        binding, fallback = cache.get_bound_batch(
-            circuit, weights, features[:n_rows], yorktown,
-            initial_layout=candidate.mapping,
+        values = np.concatenate(
+            [np.broadcast_to(weights, (n_rows, weights.size)), features[:n_rows]],
+            axis=1,
+        )
+        binding, fallback = cache.bind_rows(
+            circuit, values, weights, yorktown, initial_layout=candidate.mapping,
         )
         assert binding.n_rows == n_rows and not fallback
         runner = BatchedDensityRunner(yorktown, max_density_qubits=8)
-        job = runner.submit_template(binding)
+        rows = runner.submit_template(binding)
         before = contractions["full"]
         runner.run()
-        assert job.rhos.shape[0] == n_rows
+        assert rows[0].batch.rhos.shape[0] == n_rows
         counts[n_rows] = contractions["full"] - before
         assert counts[n_rows] <= (two_qubit_positions(binding.slots)
                                   + binding.n_reduced)

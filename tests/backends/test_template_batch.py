@@ -93,14 +93,17 @@ def test_bind_batch_rejects_branch_crossing_rows(u3cu3_supercircuit, yorktown,
     assert template.try_bind(values[2]) is None  # scalar bind agrees
 
 
-def test_get_bound_batch_serves_crossing_rows_exactly(u3cu3_supercircuit,
-                                                      yorktown, rng):
+def test_bind_rows_serves_crossing_rows_exactly(u3cu3_supercircuit,
+                                                yorktown, rng):
     circuit, weights, candidate = structure_for(u3cu3_supercircuit, yorktown)
     cache = ParametricTranspileCache(fallback=None)
     features = rng.uniform(0.2, 2.9, size=(4, 16))
     features[1] = 0.0
-    binding, fallback = cache.get_bound_batch(
-        circuit, weights, features, yorktown, initial_layout=candidate.mapping
+    values = np.concatenate(
+        [np.broadcast_to(weights, (4, weights.size)), features], axis=1
+    )
+    binding, fallback = cache.bind_rows(
+        circuit, values, weights, yorktown, initial_layout=candidate.mapping
     )
     assert binding is not None and list(binding.rows) == [0, 2, 3]
     assert list(fallback) == [1]

@@ -198,7 +198,7 @@ def tiny_model():
     return model
 
 
-def gradient_rows(engine, model, rows, features, weights):
+def evaluate_rows(engine, model, rows, features, weights):
     return engine.qml_expectations_rows(
         model.circuit, rows, features, witness_weights=weights
     )
@@ -219,7 +219,7 @@ class TestGradientChaosMatrix:
                 weights
             ),
         ])
-        reference = gradient_rows(
+        reference = evaluate_rows(
             reference_engine, model, rows, features, weights
         )
         return model, config, rows, features, weights, reference
@@ -233,11 +233,11 @@ class TestGradientChaosMatrix:
         )
         try:
             if kind == "slow":
-                values = gradient_rows(engine, model, rows, features, weights)
+                values = evaluate_rows(engine, model, rows, features, weights)
             else:
                 with pytest.warns(RuntimeWarning,
                                   match="recovered from worker faults"):
-                    values = gradient_rows(
+                    values = evaluate_rows(
                         engine, model, rows, features, weights
                     )
             assert np.array_equal(values, reference)
@@ -260,10 +260,10 @@ class TestGradientChaosMatrix:
             ),
         )
         try:
-            cold = gradient_rows(engine, model, rows, features, weights)
+            cold = evaluate_rows(engine, model, rows, features, weights)
             with pytest.warns(RuntimeWarning,
                               match="recovered from worker faults"):
-                warm = gradient_rows(engine, model, rows, features, weights)
+                warm = evaluate_rows(engine, model, rows, features, weights)
             assert np.array_equal(cold, reference)
             assert np.array_equal(warm, reference)
             stats = engine.scheduler_stats

@@ -101,6 +101,27 @@ def test_noisy_expectations_match_backend(u3cu3_supercircuit, yorktown,
                                    result.expectation_z_all(), rtol=0, atol=ATOL)
 
 
+def test_oversized_qml_population_matches_seed_path(
+    u3cu3_supercircuit, yorktown, tiny_dataset, seed_path_scorer
+):
+    """Reduced registers above ``max_density_qubits`` take the success-rate
+    approximation on the engine exactly as on the seed path: every row,
+    template-bound or branch-crossing, and no density matrix is evolved."""
+    space = get_design_space("u3cu3")
+    candidates = make_population(space, 4, yorktown, seed=11, size=4)
+    config = EstimatorConfig(mode="noise_sim", n_valid_samples=3,
+                             max_density_qubits=3)
+
+    seq = seed_path_scorer(yorktown, u3cu3_supercircuit, config,
+                           dataset=tiny_dataset, n_classes=4)(candidates)
+    engine = batched_engine(yorktown, u3cu3_supercircuit, config)
+    bat = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+
+    np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
+    assert engine.stats.density_batches == 0
+    assert engine.stats.density_circuits == len(candidates) * 3
+
+
 @pytest.mark.parametrize("mode", ["success_rate", "noise_sim"])
 def test_vqe_population_energies_match(yorktown, seed_path_scorer, mode):
     molecule = load_molecule("h2")

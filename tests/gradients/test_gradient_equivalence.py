@@ -192,6 +192,20 @@ class TestQMLEquivalence:
         assert loss == pytest.approx(loss_ref, abs=BATCH_TOL)
         np.testing.assert_allclose(grads, grads_ref, rtol=0, atol=BATCH_TOL)
 
+    def test_oversized_density_matches_legacy(self, santiago, legacy_gradient):
+        """A reduced register above ``max_density_qubits`` takes the
+        success-rate approximation in every row, as in the per-row closure."""
+        model = random_model(4, seed=5)
+        weights, features, labels = random_batch(model, seed=5)
+        backend = QuantumBackend(santiago, shots=0, seed=0, max_density_qubits=2)
+        with ParameterShiftGradient(backend, shots=0) as gradient:
+            loss, grads = gradient(model, weights, features, labels)
+        loss_ref, grads_ref = legacy_gradient(backend, shots=0)(
+            model, weights, features, labels
+        )
+        assert loss == pytest.approx(loss_ref, abs=BATCH_TOL)
+        np.testing.assert_allclose(grads, grads_ref, rtol=0, atol=BATCH_TOL)
+
     def test_repro_backend_env_is_normalized(self, monkeypatch):
         """``REPRO_BACKEND=Statevector`` names the registered statevector
         backend for gradient engines too, exactly as for the estimator."""
