@@ -1,7 +1,9 @@
 """Batched density-matrix simulation backend (the ``noise_sim`` engine).
 
 This is the in-repo noisy simulator behind the
-:class:`~repro.backends.base.SimulationBackend` protocol.  Every row's
+:class:`~repro.backends.base.SimulationBackend` protocol, and the kernel of
+:class:`~repro.devices.backend.QuantumBackend`, which runs each compiled
+circuit on a fresh runner as a batch of one.  Every row's
 result applies the same unitaries and noise channels that
 :class:`~repro.quantum.density_matrix.DensityMatrixSimulator` would apply
 sample by sample, composed: each position's unitary conjugation and its
@@ -33,8 +35,8 @@ only on gate arity and qubits, never on parameters, so the runner composes
 each position's channels once per ``(used physical qubits, gate qubits)``
 for its lifetime.  A register above ``max_density_qubits`` is not evolved:
 each row takes the success-rate approximation of its reduced circuit,
-rebuilt from the slots, exactly as ``QuantumBackend`` falls back for large
-circuits.  One row handle serves every row of either source.
+rebuilt from the slots, exactly as the estimator's seed path falls back for
+large circuits.  One row handle serves every row of either source.
 """
 
 from __future__ import annotations
@@ -145,12 +147,12 @@ class _Row(JobResult):
         self._expectations: Dict[int, np.ndarray] = {}
 
     def probabilities(self) -> np.ndarray:
-        """Reduced-register probabilities, matching the shot-based backend."""
+        """Reduced-register probabilities, readout confusion applied."""
         if self._probabilities is None:
             batch = self.batch
             if batch.rhos is None:
                 # large-circuit approximation — no readout confusion, exactly
-                # like QuantumBackend.run_compiled
+                # like the estimator's seed path
                 self._probabilities = batch.approximate[self.position]
             else:
                 self._probabilities = batch.noise_model.apply_readout_error(
@@ -196,7 +198,9 @@ class BatchedDensityRunner:
     (:func:`apply_fused_positions`), so the two agree to rounding.  Noise
     channels depend on gate arity and qubits (never parameters), so their
     composed superoperator is memoized per ``(used_physical, qubits)`` for
-    the runner's lifetime: one population under one device noise model.
+    the runner's lifetime: one population under one device noise model, or
+    one circuit of the device backend.  The runner keeps every row it
+    simulated, so it lives no longer than the rows it serves.
     """
 
     #: soft cap on (batch * 4**n) elements of one density-matrix stack
@@ -267,7 +271,7 @@ class BatchedDensityRunner:
         n = batch.n_reduced
         if n > self.max_density_qubits:
             # success-rate (global depolarizing) approximation, exactly as
-            # QuantumBackend falls back for large circuits
+            # the estimator's seed path falls back for large circuits
             batch.approximate = [
                 approximate_probabilities(batch.reduced_circuit(row), noise_model)
                 for row in range(batch.n_rows)

@@ -22,12 +22,17 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..devices.backend import QuantumBackend
+from ..devices.backend import (
+    QuantumBackend,
+    approximate_probabilities,
+    logical_probabilities,
+)
 from ..devices.library import Device
 from ..qml.datasets import Dataset
 from ..qml.qnn import QNNModel
 from ..quantum.circuit import ParameterizedCircuit
 from ..quantum.density_matrix import DensityMatrixSimulator, expectation_pauli_sum_dm
+from ..quantum.measurement import expectation_z_all_from_probabilities
 from ..quantum.operators import PauliString, PauliSum
 from ..quantum.statevector import expectation_pauli_sum, run_parameterized
 from ..transpile.compiler import transpile
@@ -216,18 +221,50 @@ class PerformanceEstimator:
             )
             return noise_free / compiled.success_rate()
 
-        shots = self.config.shots if mode == "real_qc" else 0
         expectations = np.zeros((len(labels), circuit.n_qubits))
         for index, row in enumerate(features):
-            result = self._backend.run(
-                circuit.bind(weights, row),
-                initial_layout=layout,
-                optimization_level=self.config.optimization_level,
-                shots=shots,
-            )
-            expectations[index] = result.expectation_z_all()
+            bound = circuit.bind(weights, row)
+            if mode == "real_qc":
+                expectations[index] = self._backend.run(
+                    bound,
+                    initial_layout=layout,
+                    optimization_level=self.config.optimization_level,
+                    shots=self.config.shots,
+                ).expectation_z_all()
+            else:
+                expectations[index] = expectation_z_all_from_probabilities(
+                    self._reference_probabilities(bound, layout),
+                    circuit.n_qubits,
+                )
         logits = model.logits_from_expectations(expectations)
         return nll_loss(softmax(logits), labels)
+
+    def _reference_probabilities(self, bound, layout) -> np.ndarray:
+        """Logical probabilities of one bound circuit on the reference kernel.
+
+        The seed path compiles exactly as :meth:`QuantumBackend.run` does and
+        simulates on the unfused :class:`DensityMatrixSimulator` (the
+        success-rate approximation above ``max_density_qubits``), so the
+        equivalence suites compare the engines against it.  Each call is one
+        circuit on the backend's #QC-runs budget.
+        """
+        compiled = transpile(
+            bound,
+            self.device,
+            initial_layout=layout,
+            optimization_level=self.config.optimization_level,
+        )
+        reduced, used_physical = compiled.reduced_circuit()
+        noise_model = self.device.noise_model().reduced(used_physical)
+        if reduced.n_qubits <= self.config.max_density_qubits:
+            simulator = DensityMatrixSimulator(reduced.n_qubits, noise_model)
+            reduced_probs = simulator.probabilities(reduced)
+        else:
+            reduced_probs = approximate_probabilities(reduced, noise_model)
+        self._backend.record_executions(1)
+        return logical_probabilities(
+            reduced_probs, compiled, used_physical, bound.n_qubits
+        )
 
     def validation_subset(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
         n_valid = len(dataset.y_valid)

@@ -230,6 +230,7 @@ class QuantumNASQMLPipeline:
             self.dataset.y_test,
             backend,
             initial_layout=mapping,
+            optimization_level=self.config.estimator.optimization_level,
             max_samples=self.config.eval_max_samples,
         )
 
@@ -410,7 +411,11 @@ class QuantumNASVQEPipeline:
             transpile_cache=self.estimator.transpile_cache,
         )
         return model.measure_energy(
-            weights, backend, initial_layout=mapping, shots=self.config.eval_shots
+            weights,
+            backend,
+            initial_layout=mapping,
+            optimization_level=self.config.estimator.optimization_level,
+            shots=self.config.eval_shots,
         )
 
     def run(self, verbose: bool = False) -> VQEPipelineResult:

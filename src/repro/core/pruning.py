@@ -6,6 +6,9 @@ stages, following a polynomial pruning-ratio schedule, with finetuning after
 each stage to recover performance.  Because a U3 gate with one or two zero
 angles compiles to far fewer basis gates (5 -> 4 -> 1), pruning directly
 reduces the number of noise sources in the deployed circuit.
+
+Each stage runs inside a ``prune.stage`` span (attributes ``stage`` and the
+scheduled pruning ``ratio``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import telemetry
 from ..qml.datasets import Dataset
 from ..qml.qnn import QNNModel
 from ..qml.training import TrainConfig, train_qnn
@@ -106,32 +110,33 @@ def iterative_prune_qnn(
 
     for stage in range(1, n_stages + 1):
         ratio = polynomial_ratio(stage, 0, n_stages, initial_ratio, final_ratio)
-        keep_mask = prune_mask(weights, keep_mask, ratio)
-        weights = np.where(keep_mask, weights, 0.0)
-        finetune = TrainConfig(
-            epochs=finetune_epochs,
-            batch_size=base_config.batch_size,
-            learning_rate=base_config.learning_rate,
-            weight_decay=base_config.weight_decay,
-            seed=base_config.seed + stage,
-        )
-        result = train_qnn(
-            model,
-            dataset,
-            finetune,
-            initial_weights=weights,
-            weight_mask=keep_mask,
-        )
-        weights = np.where(keep_mask, result.weights, 0.0)
-        loss, acc = model.loss(weights, dataset.x_valid, dataset.y_valid)
-        history.append(
-            {
-                "stage": stage,
-                "ratio": float((~keep_mask).sum() / keep_mask.size),
-                "valid_loss": loss,
-                "valid_accuracy": acc,
-            }
-        )
+        with telemetry.span("prune.stage", stage=stage, ratio=float(ratio)):
+            keep_mask = prune_mask(weights, keep_mask, ratio)
+            weights = np.where(keep_mask, weights, 0.0)
+            finetune = TrainConfig(
+                epochs=finetune_epochs,
+                batch_size=base_config.batch_size,
+                learning_rate=base_config.learning_rate,
+                weight_decay=base_config.weight_decay,
+                seed=base_config.seed + stage,
+            )
+            result = train_qnn(
+                model,
+                dataset,
+                finetune,
+                initial_weights=weights,
+                weight_mask=keep_mask,
+            )
+            weights = np.where(keep_mask, result.weights, 0.0)
+            loss, acc = model.loss(weights, dataset.x_valid, dataset.y_valid)
+            history.append(
+                {
+                    "stage": stage,
+                    "ratio": float((~keep_mask).sum() / keep_mask.size),
+                    "valid_loss": loss,
+                    "valid_accuracy": acc,
+                }
+            )
     return PruningResult(weights=weights, keep_mask=keep_mask, history=history)
 
 
@@ -152,23 +157,24 @@ def iterative_prune_vqe(
 
     for stage in range(1, n_stages + 1):
         ratio = polynomial_ratio(stage, 0, n_stages, initial_ratio, final_ratio)
-        keep_mask = prune_mask(weights, keep_mask, ratio)
-        weights = np.where(keep_mask, weights, 0.0)
-        finetune = VQEConfig(
-            steps=finetune_steps,
-            learning_rate=base_config.learning_rate,
-            weight_decay=base_config.weight_decay,
-            seed=base_config.seed + stage,
-        )
-        result = model.train(
-            finetune, initial_weights=weights, weight_mask=keep_mask
-        )
-        weights = np.where(keep_mask, result.weights, 0.0)
-        history.append(
-            {
-                "stage": stage,
-                "ratio": float((~keep_mask).sum() / keep_mask.size),
-                "energy": model.energy(weights),
-            }
-        )
+        with telemetry.span("prune.stage", stage=stage, ratio=float(ratio)):
+            keep_mask = prune_mask(weights, keep_mask, ratio)
+            weights = np.where(keep_mask, weights, 0.0)
+            finetune = VQEConfig(
+                steps=finetune_steps,
+                learning_rate=base_config.learning_rate,
+                weight_decay=base_config.weight_decay,
+                seed=base_config.seed + stage,
+            )
+            result = model.train(
+                finetune, initial_weights=weights, weight_mask=keep_mask
+            )
+            weights = np.where(keep_mask, result.weights, 0.0)
+            history.append(
+                {
+                    "stage": stage,
+                    "ratio": float((~keep_mask).sum() / keep_mask.size),
+                    "energy": model.energy(weights),
+                }
+            )
     return PruningResult(weights=weights, keep_mask=keep_mask, history=history)

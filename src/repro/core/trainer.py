@@ -5,6 +5,9 @@ through its gates and updates only that subset of the shared parameters
 (masked Adam), which is "simultaneously training all SubCircuits in the design
 space".  SubCircuit training-from-scratch (stage 3 of the pipeline) reuses the
 standard QML / VQE training loops.
+
+Each SuperCircuit step runs inside a ``train.step`` span (attributes ``step``
+and the sampled ``n_blocks``).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .. import telemetry
 from ..qml.datasets import Dataset
 from ..qml.qnn import QNNModel
 from ..qml.training import TrainConfig, TrainResult, train_qnn
@@ -101,24 +105,28 @@ def train_supercircuit_qml(
     result = SuperTrainResult()
 
     for step in range(config.steps):
-        sub_config = sampler.sample()
-        circuit = supercircuit.build_shared_circuit(sub_config)
-        model = QNNModel.from_circuit(circuit, n_classes)
-        index = rng.choice(n_train, size=min(config.batch_size, n_train), replace=False)
-        loss, grads, _logits = model.loss_and_gradient(
-            parameters, dataset.x_train[index], dataset.y_train[index]
-        )
-        mask = supercircuit.active_weight_mask(sub_config)
-        grads = np.where(mask, grads, 0.0)
-        parameters = optimizer.step(parameters, grads, mask=mask)
-        result.history.append(
-            {
-                "step": step,
-                "loss": float(loss),
-                "n_blocks": sub_config.n_blocks,
-                "n_active_params": int(mask.sum()),
-            }
-        )
+        with telemetry.span("train.step", step=step) as span:
+            sub_config = sampler.sample()
+            span.set(n_blocks=sub_config.n_blocks)
+            circuit = supercircuit.build_shared_circuit(sub_config)
+            model = QNNModel.from_circuit(circuit, n_classes)
+            index = rng.choice(
+                n_train, size=min(config.batch_size, n_train), replace=False
+            )
+            loss, grads, _logits = model.loss_and_gradient(
+                parameters, dataset.x_train[index], dataset.y_train[index]
+            )
+            mask = supercircuit.active_weight_mask(sub_config)
+            grads = np.where(mask, grads, 0.0)
+            parameters = optimizer.step(parameters, grads, mask=mask)
+            result.history.append(
+                {
+                    "step": step,
+                    "loss": float(loss),
+                    "n_blocks": sub_config.n_blocks,
+                    "n_active_params": int(mask.sum()),
+                }
+            )
     supercircuit.update_parameters(parameters)
     return result
 
@@ -145,21 +153,25 @@ def train_supercircuit_vqe(
     result = SuperTrainResult()
 
     for step in range(config.steps):
-        sub_config = sampler.sample()
-        circuit = supercircuit.build_shared_circuit(sub_config, include_encoder=False)
-        model = VQEModel(circuit, molecule)
-        energy, grads = model.energy_and_gradient(parameters)
-        mask = supercircuit.active_weight_mask(sub_config)
-        grads = np.where(mask, grads, 0.0)
-        parameters = optimizer.step(parameters, grads, mask=mask)
-        result.history.append(
-            {
-                "step": step,
-                "loss": float(energy),
-                "n_blocks": sub_config.n_blocks,
-                "n_active_params": int(mask.sum()),
-            }
-        )
+        with telemetry.span("train.step", step=step) as span:
+            sub_config = sampler.sample()
+            span.set(n_blocks=sub_config.n_blocks)
+            circuit = supercircuit.build_shared_circuit(
+                sub_config, include_encoder=False
+            )
+            model = VQEModel(circuit, molecule)
+            energy, grads = model.energy_and_gradient(parameters)
+            mask = supercircuit.active_weight_mask(sub_config)
+            grads = np.where(mask, grads, 0.0)
+            parameters = optimizer.step(parameters, grads, mask=mask)
+            result.history.append(
+                {
+                    "step": step,
+                    "loss": float(energy),
+                    "n_blocks": sub_config.n_blocks,
+                    "n_active_params": int(mask.sum()),
+                }
+            )
     supercircuit.update_parameters(parameters)
     return result
 

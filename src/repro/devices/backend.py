@@ -6,6 +6,12 @@ paper does so: finite shots, the device's live noise model, and the compiled
 estimator in exactly the ways the real machine differs in the paper — the
 estimator uses inherited parameters and a (possibly stale) calibration
 snapshot, the backend runs the concrete compiled circuit with sampling noise.
+
+Every compiled circuit is simulated on the fused density kernel the
+population engines use, :class:`~repro.backends.density.BatchedDensityRunner`,
+as a batch of one; the runner applies readout confusion and falls back to the
+success-rate approximation (:func:`approximate_probabilities`) for registers
+above ``max_density_qubits``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import numpy as np
 
 from ..noise.models import NoiseModel
 from ..quantum.circuit import QuantumCircuit
-from ..quantum.density_matrix import DensityMatrixSimulator
 from ..quantum.measurement import (
     expectation_z_all_from_probabilities,
     expectation_z_from_probabilities,
@@ -42,8 +47,9 @@ def approximate_probabilities(
 ) -> np.ndarray:
     """Success-rate (global depolarizing) approximation for large circuits.
 
-    Shared between the shot-based backend and the batched population execution
-    engine so both fall back identically beyond the density-matrix regime.
+    Shared between the density runner (which serves this module's backend)
+    and the estimator's seed path, so both fall back identically beyond the
+    density-matrix regime.
     """
     states = run_circuit(reduced, states=zero_state(reduced.n_qubits, 1))
     ideal = sv_probabilities(states)[0]
@@ -63,8 +69,8 @@ def logical_probabilities(
     ``final_layout`` maps logical qubits to physical ones — either the dict
     itself or any object exposing one as ``.final_layout`` (a
     :class:`~repro.transpile.compiler.CompiledCircuit`, a parametric
-    template).  Shared between the shot-based backend and the simulation
-    backends so every engine maps physical measurement outcomes identically.
+    template).  Shared between the simulation backends and the estimator's
+    seed path so every engine maps physical measurement outcomes identically.
     """
     if not isinstance(final_layout, dict):
         final_layout = final_layout.final_layout
@@ -113,9 +119,6 @@ class BackendResult:
 class QuantumBackend:
     """Compile-and-run interface to a (synthetic) quantum computer."""
 
-    #: circuit sizes above this threshold switch from full density-matrix
-    #: simulation to the global-depolarizing success-rate approximation,
-    #: mirroring the paper's small-circuit / large-circuit estimator split.
     def __init__(
         self,
         device: Device,
@@ -129,6 +132,9 @@ class QuantumBackend:
         self.device = device
         self.shots = int(shots)
         self.rng = ensure_rng(seed)
+        #: circuit sizes above this threshold switch from full density-matrix
+        #: simulation to the global-depolarizing success-rate approximation,
+        #: mirroring the paper's small-circuit / large-circuit estimator split.
         self.max_density_qubits = int(max_density_qubits)
         self.queue_delay_seconds = float(queue_delay_seconds)
         #: optional warm-start caches (repro.execution.cache), typically the
@@ -228,20 +234,20 @@ class QuantumBackend:
         n_logical: int,
         shots: Optional[int] = None,
     ) -> BackendResult:
-        """Execute an already-compiled circuit."""
+        """Execute an already-compiled circuit.
+
+        The circuit runs as a batch of one on a fresh
+        :class:`~repro.backends.density.BatchedDensityRunner` that lives only
+        for this call, since a runner keeps every row it simulated.
+        """
+        # imported here: repro.backends imports this module
+        from ..backends.density import BatchedDensityRunner
+
         shots = self.shots if shots is None else int(shots)
-        reduced, used_physical = compiled.reduced_circuit()
-        noise_model = self.device.noise_model().reduced(used_physical)
-
-        if reduced.n_qubits <= self.max_density_qubits:
-            simulator = DensityMatrixSimulator(reduced.n_qubits, noise_model)
-            reduced_probs = simulator.probabilities(reduced)
-        else:
-            reduced_probs = approximate_probabilities(reduced, noise_model)
-
-        logical_probs = logical_probabilities(
-            reduced_probs, compiled, used_physical, n_logical
-        )
+        runner = BatchedDensityRunner(self.device, self.max_density_qubits)
+        row = runner.submit(compiled)
+        runner.run()
+        logical_probs = row.logical_probabilities(n_logical)
         if shots > 0:
             counts = sample_counts(logical_probs, shots, self.rng)
             logical_probs = counts / counts.sum()
@@ -258,8 +264,9 @@ class QuantumBackend:
     def record_executions(self, n: int = 1) -> None:
         """Count circuits executed on the backend's behalf by external engines.
 
-        The batched population engine simulates compiled circuits itself but
-        still charges them to the backend so the paper's #QC-runs budget
-        (:attr:`executions`) stays comparable across engines.
+        The batched population engine and the estimator's seed path simulate
+        compiled circuits themselves but still charge them to the backend so
+        the paper's #QC-runs budget (:attr:`executions`) stays comparable
+        across engines.
         """
         self._executions += int(n)

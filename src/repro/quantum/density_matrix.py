@@ -1,7 +1,12 @@
 """Density-matrix simulation with noise channels.
 
-This is the backend used by the performance estimator's "simulator with a
-noise model from real devices" mode and by the shot-based device backend.
+Two kernels live here.  :class:`DensityMatrixSimulator` applies each gate
+and each Kraus channel in turn; it serves only the estimator's sequential
+seed path (``estimate_qml`` / ``estimate_vqe`` in ``noise_sim`` mode), the
+reference the equivalence suites compare the engines against.  The batched,
+fused kernel (:func:`apply_fused_positions`) runs inside
+:class:`~repro.backends.density.BatchedDensityRunner`, which serves the
+population and gradient engines and the shot-based device backend.
 Density matrices are stored as tensors of shape ``(2,) * n + (2,) * n`` so
 that gates and Kraus operators are applied locally without building full
 ``2**n x 2**n`` unitaries.
@@ -126,7 +131,8 @@ def apply_kraus(
 # ``(batch,) + (2,) * 2n`` so a stack of noisy circuits that share their gate
 # *structure* (same gate names and qubits at every position, possibly with
 # per-sample parameters) evolves through one sequence of contractions.  This
-# is the hot loop of the population execution engine's ``noise_sim`` mode.
+# is the hot loop of the population execution engine's ``noise_sim`` mode
+# and of every circuit the device backend runs.
 #
 # Each position's unitary conjugation ``U (.) U^dagger`` and the noise
 # channels after it compose into one superoperator, and runs of positions on

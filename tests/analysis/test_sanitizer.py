@@ -367,3 +367,38 @@ def test_row_probabilities_must_sum_to_one_when_armed(sanitized):
 
 def test_row_probabilities_run_unchecked_when_not_armed(unsanitized):
     assert abs(skewed_row().probabilities().sum() - 1.0) > 1e-3
+
+
+def skewed_reference_run():
+    """A reference-simulator run from a unit-trace but non-Hermitian state;
+    unitaries and channels keep the skew."""
+    initial = np.zeros((2, 2), dtype=complex)
+    initial[0, 0] = 1.0
+    initial[0, 1] = 0.5
+    circuit = QuantumCircuit(1)
+    circuit.add("h", (0,))
+    return DensityMatrixSimulator(1, NoiseModel.uniform(1)).run(
+        circuit, initial=initial
+    )
+
+
+def test_reference_simulator_states_checked_when_armed(sanitized):
+    simulator_run(NoiseModel.uniform(2))  # a physical state passes
+    with pytest.raises(DensityInvariantError, match="not Hermitian"):
+        skewed_reference_run()
+
+
+def test_reference_simulator_states_run_unchecked_when_not_armed(unsanitized):
+    rho = skewed_reference_run()
+    assert np.abs(rho - rho.conj().T).max() > 1e-3
+
+
+def test_uninstall_restores_reference_simulator_run(unsanitized):
+    original = DensityMatrixSimulator.run
+    install_sanitizer()
+    try:
+        assert DensityMatrixSimulator.run is not original
+    finally:
+        uninstall_sanitizer()
+    assert DensityMatrixSimulator.run is original
+    skewed_reference_run()  # hooks gone: no check, no raise

@@ -1,12 +1,19 @@
-"""Search outcomes of the benchmark's pipeline configurations, pinned.
+"""Pipeline outcomes of the benchmark's configurations, pinned.
 
 The equivalence suites compare the population engines with the seed path,
 and both sides share the transpiler, the noise model and the simulators: a
 change in shared code moves both at once and those suites cannot see it.
-This test pins what the co-search itself finds on three pipeline
-configurations (the ``qml_noise_sim``, ``qml_success_rate`` and
-``vqe_lih_noise_sim`` workloads of ``perfbench/``, rebuilt here): the best
-gene exactly, and the best score and every history value to 1e-9.
+This test runs three pipeline configurations end to end (the
+``qml_noise_sim``, ``qml_success_rate`` and ``vqe_lih_noise_sim`` workloads
+of ``perfbench/``, rebuilt here with their budgets) and pins what they
+produce:
+
+* the co-search: the best gene exactly, and the best score and every
+  history value to 1e-9;
+* the deploy stage: measured accuracies exactly, measured losses and
+  energies to 1e-9, unpruned and pruned.  The VQE energies are sampled from
+  2048 shots per measurement group, so one sampled count that moves shows
+  far above 1e-9.
 
 Each seed was chosen so that no two distinct genes the search scored lie
 within 1e-6 of each other, so BLAS rounding on another host cannot flip a
@@ -30,11 +37,11 @@ from repro.core import (
     VQEPipelineConfig,
     get_design_space,
 )
-from repro.core.trainer import train_supercircuit_vqe
 from repro.devices import get_device
 from repro.qml import TrainConfig, encoder_for_task, make_classification_dataset
 from repro.qml.datasets import TASK_SPECS
 from repro.vqe import load_molecule
+from repro.vqe.vqe import VQEConfig
 
 TOL = 1e-9
 
@@ -77,6 +84,10 @@ def build_pipeline(kind: str, mode: str, seed: int):
         super_train=SuperTrainConfig(steps=32, batch_size=1, seed=seed),
         evolution=evolution,
         estimator=estimator,
+        vqe_train=VQEConfig(steps=16, seed=seed),
+        pruning_ratio=0.5,
+        finetune_steps=6,
+        eval_shots=2048,
         seed=seed,
     )
     return QuantumNASVQEPipeline(
@@ -85,20 +96,9 @@ def build_pipeline(kind: str, mode: str, seed: int):
     )
 
 
-def search_outcome(kind: str, mode: str, seed: int):
-    """Stages 1 and 2 of one pipeline: the co-search result."""
-    pipeline = build_pipeline(kind, mode, seed)
-    if kind == "qml":
-        pipeline.train_supercircuit()
-    else:
-        train_supercircuit_vqe(
-            pipeline.supercircuit, pipeline.molecule, pipeline.config.super_train
-        )
-    return pipeline.co_search()
-
-
 #: workload -> (kind, mode, seed, best gene, best score, history rows of
-#: (best_score, population_best, population_mean), one per generation)
+#: (best_score, population_best, population_mean), one per generation,
+#: the deploy stage's measured values)
 RECORDED = {
     "qml_noise_sim": (
         "qml", "noise_sim", 8,
@@ -114,6 +114,8 @@ RECORDED = {
             (1.1838774381027595, 1.1838774381027595, 1.2505221469505765),
             (1.174006598527069, 1.174006598527069, 1.2196287149488299),
         ],
+        {"loss": 1.2661070147852544, "accuracy": 0.5,
+         "pruned_loss": 1.2809682430449283, "pruned_accuracy": 0.25},
     ),
     "qml_success_rate": (
         "qml", "success_rate", 2,
@@ -129,6 +131,8 @@ RECORDED = {
             (2.152264899258393, 2.152264899258393, 2.1638894640979998),
             (2.126051297233617, 2.126051297233617, 2.165561020827299),
         ],
+        {"loss": 1.738418238239626, "accuracy": 0.0,
+         "pruned_loss": 1.6709321864009943, "pruned_accuracy": 0.25},
     ),
     "vqe_lih_noise_sim": (
         "vqe", "noise_sim", 1,
@@ -144,14 +148,37 @@ RECORDED = {
             (-2.641629209559316, -2.641629209559316, -1.890042426134194),
             (-2.641629209559316, -2.641629209559316, -1.3303390568620383),
         ],
+        {"energy": 9.639337647980861, "pruned_energy": 9.25681332070672},
     ),
 }
 
 
-@pytest.mark.parametrize("workload", sorted(RECORDED))
+def measured_outcome(kind: str, result) -> dict:
+    """The deploy stage's measured values, unpruned and pruned."""
+    if kind == "qml":
+        return {
+            "loss": result.measured["loss"],
+            "accuracy": result.measured["accuracy"],
+            "pruned_loss": result.measured_pruned["loss"],
+            "pruned_accuracy": result.measured_pruned["accuracy"],
+        }
+    return {
+        "energy": result.measured_energy,
+        "pruned_energy": result.measured_energy_pruned,
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(RECORDED))
+def workload(request):
+    """One workload's name and its whole pipeline run (stages 1-5)."""
+    kind, mode, seed = RECORDED[request.param][:3]
+    return request.param, build_pipeline(kind, mode, seed).run()
+
+
 def test_search_outcome_matches_record(workload):
-    kind, mode, seed, gene, best_score, history = RECORDED[workload]
-    result = search_outcome(kind, mode, seed)
+    name, pipeline_result = workload
+    _kind, _mode, _seed, gene, best_score, history, _measured = RECORDED[name]
+    result = pipeline_result.search
     assert tuple(result.best.gene()) == gene
     assert result.best_score == pytest.approx(best_score, rel=0, abs=TOL)
     assert [entry["iteration"] for entry in result.history] == list(
@@ -165,3 +192,15 @@ def test_search_outcome_matches_record(workload):
     assert observed == [
         pytest.approx(row, rel=0, abs=TOL) for row in history
     ]
+
+
+def test_deploy_outcome_matches_record(workload):
+    name, pipeline_result = workload
+    kind, measured = RECORDED[name][0], RECORDED[name][-1]
+    observed = measured_outcome(kind, pipeline_result)
+    assert set(observed) == set(measured)
+    for key, value in measured.items():
+        if key.endswith("accuracy"):
+            assert observed[key] == value, key
+        else:
+            assert observed[key] == pytest.approx(value, rel=0, abs=TOL), key

@@ -23,11 +23,13 @@ from repro.core.trainer import (
     train_supercircuit_qml,
     train_supercircuit_vqe,
 )
+from repro.devices.backend import QuantumBackend
 from repro.devices.library import get_device
 from repro.qml.encoders import ENCODER_LIBRARY
+from repro.qml.qnn import QNNModel
 from repro.qml.training import TrainConfig
 from repro.vqe.molecules import load_molecule
-from repro.vqe.vqe import VQEConfig
+from repro.vqe.vqe import VQEConfig, VQEModel
 
 
 class TestSuperCircuitTraining:
@@ -151,3 +153,66 @@ class TestPipelines:
         assert result.measured_energy >= molecule.ground_energy - 1e-6
         assert np.isfinite(result.noise_free_energy)
         assert len(result.best_mapping) == 2
+
+
+class TestDeployOptimizationLevel:
+    """Stage 5 compiles at the level the co-search scored candidates with."""
+
+    LEVEL = 1
+
+    @staticmethod
+    def deploy_levels(monkeypatch):
+        """The ``optimization_level`` of every backend run, in call order."""
+        levels = []
+        for name in ("run", "run_parameterized"):
+            original = getattr(QuantumBackend, name)
+
+            def recording(self, *args, _original=original, **kwargs):
+                levels.append(kwargs.get("optimization_level"))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(QuantumBackend, name, recording)
+        return levels
+
+    def test_qml_deploy_uses_estimator_level(self, tiny_dataset, monkeypatch):
+        config = _tiny_pipeline_config()
+        config.estimator = EstimatorConfig(
+            mode="success_rate", n_valid_samples=6,
+            optimization_level=self.LEVEL,
+        )
+        config.eval_shots, config.eval_max_samples = 0, 2
+        space = get_design_space("u3cu3")
+        pipeline = QuantumNASQMLPipeline(
+            space, tiny_dataset, 4, get_device("yorktown"),
+            ENCODER_LIBRARY["image_4x4_4q"], config=config,
+        )
+        sub_config = SubCircuitConfig.full(space, 4)
+        circuit, _ = pipeline.supercircuit.build_standalone_circuit(sub_config)
+        weights = pipeline.supercircuit.inherited_weights(sub_config)
+        levels = self.deploy_levels(monkeypatch)
+        pipeline.evaluate(QNNModel.from_circuit(circuit, 4), weights, (0, 1, 2, 3))
+        assert levels == [self.LEVEL] * 2
+
+    def test_vqe_deploy_uses_estimator_level(self, monkeypatch):
+        molecule = load_molecule("h2")
+        space = get_design_space("u3cu3")
+        config = VQEPipelineConfig(
+            estimator=EstimatorConfig(
+                mode="noise_sim", optimization_level=self.LEVEL
+            ),
+            eval_shots=256,
+        )
+        pipeline = QuantumNASVQEPipeline(
+            space, molecule, get_device("santiago"), config=config
+        )
+        sub_config = SubCircuitConfig.full(space, 2)
+        circuit, _ = pipeline.supercircuit.build_standalone_circuit(
+            sub_config, include_encoder=False
+        )
+        model = VQEModel(circuit, molecule)
+        weights = pipeline.supercircuit.inherited_weights(sub_config)
+        levels = self.deploy_levels(monkeypatch)
+        pipeline.measure(model, weights, (1, 2))
+        groups = len(model.measurement_plan.settings())
+        assert groups >= 2
+        assert levels == [self.LEVEL] * groups

@@ -7,8 +7,10 @@ The two halves of the telemetry acceptance contract:
   them (after riding home inside ``_ShardResult`` payloads), engine
   phase spans, and per-tenant ``service.round`` spans with metrics; a
   traced pipeline records one ``pipeline.stage`` span per stage call,
-  with the ``train.epoch`` spans of SubCircuit training and the pruning
-  finetunes nested under their stages; a traced compile records one
+  with the SuperCircuit's ``train.step`` spans, the ``train.epoch`` spans
+  of SubCircuit training and the pruning finetunes, and one
+  ``prune.stage`` span per pruning stage nested under their stages; a
+  traced compile records one
   ``transpile.pass`` span per compiler pass, in order, under the caches'
   ``cache.compile`` span;
 * **observation-only** — scores are *bitwise* identical with tracing on
@@ -170,13 +172,16 @@ class TestSpanCoverage:
 
 
 class TestPipelineStageSpans:
+    SUPER_TRAIN_STEPS = 2
     SUB_TRAIN_EPOCHS = 2
     PRUNE_STAGES = 4  # iterative_prune_qnn's default, one finetune epoch each
 
     @classmethod
     def run_pipeline(cls, dataset, device):
         config = QMLPipelineConfig(
-            super_train=SuperTrainConfig(steps=2, batch_size=8, seed=0),
+            super_train=SuperTrainConfig(
+                steps=cls.SUPER_TRAIN_STEPS, batch_size=8, seed=0
+            ),
             evolution=EvolutionConfig(
                 iterations=1, population_size=4, parent_size=2,
                 mutation_size=1, crossover_size=1, seed=0,
@@ -234,6 +239,31 @@ class TestPipelineStageSpans:
             "sub_train": list(range(self.SUB_TRAIN_EPOCHS)),
             "prune": [0] * self.PRUNE_STAGES,
         }
+
+        steps = sorted(
+            (r for r in records if r.name == "train.step"),
+            key=lambda record: record.start,
+        )
+        assert [(stage_of(r), r.attributes["step"]) for r in steps] == [
+            ("super_train", step) for step in range(self.SUPER_TRAIN_STEPS)
+        ]
+        assert all(r.attributes["n_blocks"] >= 1 for r in steps)
+
+        prune_stages = sorted(
+            (r for r in records if r.name == "prune.stage"),
+            key=lambda record: record.start,
+        )
+        assert [(stage_of(r), r.attributes["stage"]) for r in prune_stages] == [
+            ("prune", stage) for stage in range(1, self.PRUNE_STAGES + 1)
+        ]
+        assert prune_stages[-1].attributes["ratio"] == pytest.approx(0.3)
+        epochs_by_prune_stage = {r.span_id: [] for r in prune_stages}
+        for record in epochs:
+            if stage_of(record) == "prune":
+                epochs_by_prune_stage[record.parent_id].append(
+                    record.attributes["epoch"]
+                )
+        assert list(epochs_by_prune_stage.values()) == [[0]] * self.PRUNE_STAGES
 
 
 class TestTranspilePassSpans:
