@@ -15,9 +15,9 @@ Policy
     backend's capabilities satisfy the request.  An override that *cannot*
     serve a request (``statevector`` asked for noisy simulation, ``shots``
     asked for Pauli-sum observables) is ignored for that request and
-    counted in :attr:`BackendDispatcher.overrides_ignored`, so e.g. a
-    ``REPRO_BACKEND=statevector`` CI lane exercises the statevector engine
-    where applicable without breaking ``noise_sim`` scores.
+    counted in :attr:`BackendDispatcher.overrides_ignored`, so e.g.
+    ``REPRO_BACKEND=statevector`` applies to noise-free requests only and
+    never changes a ``noise_sim`` score.
 2.  Otherwise the resolved estimator mode picks the engine family:
     ``noise_sim`` groups go to ``density``, ``real_qc`` groups to ``shots``,
     and everything noise-free (the ``noise_free`` mode and the noise-free

@@ -73,9 +73,8 @@ class EstimatorConfig:
     #: estimator mode / qubit count; a name ("density", "statevector",
     #: "shots", or any registered third-party backend) is applied wherever
     #: that backend's capabilities allow and ignored elsewhere.  Defaults to
-    #: the ``REPRO_BACKEND`` environment variable (the CI matrix runs a
-    #: ``REPRO_BACKEND=statevector`` lane).  Unknown names raise when the
-    #: first execution engine is constructed.
+    #: the ``REPRO_BACKEND`` environment variable.  Unknown names raise when
+    #: the first execution engine is constructed.
     backend: Optional[str] = field(
         default_factory=lambda: os.environ.get("REPRO_BACKEND")
     )

@@ -210,19 +210,13 @@ class ExecutionEngine:
     def _merge_backend_stats(self, backends: Dict[str, object]) -> None:
         """Fold every backend's counters into :attr:`stats`.
 
-        The same deltas feed the always-on per-backend telemetry counters
-        (``backend_stat_total{backend=..., field=...}``) — observation-only,
-        alongside (never instead of) the mergeable stats.
+        They are recorded there only: :class:`ExecutionStats` merges across
+        worker processes, so a sharded search reports the same totals.
         """
-        metrics = telemetry.get_metrics()
-        for name, backend in backends.items():
+        for backend in backends.values():
             for field, delta in backend.stats_delta().items():
                 if hasattr(self.stats, field):
                     setattr(self.stats, field, getattr(self.stats, field) + delta)
-                if delta:
-                    metrics.counter(
-                        "backend_stat_total", backend=name, field=field
-                    ).inc(delta)
 
     def _statevector(self, backends: Dict[str, object], mode: str, n_qubits: int,
                      needs_observables: bool = False):

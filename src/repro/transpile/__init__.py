@@ -13,19 +13,24 @@ result is a pure function of (circuit, device, layout, level, seed); the
 execution layer memoizes it by bound-circuit fingerprint.
 
 **Parametric pipeline** (:func:`parametric_transpile`, :mod:`.parametric`).
-The same stages run once over a :class:`~repro.quantum.circuit.
-ParameterizedCircuit` whose rotation angles are symbolic expressions: routing
-and CX cancellation never read values, decomposition and RZ merging are
-affine in the angles, and the value-dependent steps are traced against a
-witness binding — branch decisions become guards, non-affine steps (matrix
-U3 extraction, run re-synthesis) become replay nodes re-executed per binding.
-The compiled :class:`ParametricCompiledCircuit` then turns every parameter
-binding into an O(params) template fill that reproduces the concrete
-pipeline's output exactly (angles up to global-phase ``2*pi`` wraps), or
-refuses with :class:`ParametricBindMismatch` when a binding crosses a traced
-branch so callers can fall back to a concrete compile.  This is what lets the
-population execution engine transpile once per (genome, mapping) structure
-and re-bind per validation sample.
+The same code runs once over a :class:`~repro.quantum.circuit.
+ParameterizedCircuit` whose rotation angles are symbolic expressions.  Layout
+and routing read only gate names and qubits.  The decomposition rules and the
+optimization passes exist once each; they take, as keyword-only hooks that
+default to the concrete pipeline, how an emitted gate is built, how a
+zero-angle branch is decided, how an emitted angle is wrapped and how a
+single-qubit run is flushed.  The parametric transpiler passes symbolic
+hooks: the rules' angle arithmetic is affine and runs on the expressions
+unchanged, each branch decision is taken for a witness binding and recorded
+as a guard, and the non-affine steps (matrix U3 extraction, run
+re-synthesis) become replay nodes that re-run the concrete decomposition per
+binding.  The compiled :class:`ParametricCompiledCircuit` then turns every
+parameter binding into an O(params) template fill that reproduces the
+concrete pipeline's output exactly (angles up to global-phase ``2*pi``
+wraps), or refuses with :class:`ParametricBindMismatch` when a binding
+crosses a traced branch so callers can fall back to a concrete compile.
+This is what lets the population execution engine transpile once per
+(genome, mapping) structure and re-bind per validation sample.
 """
 
 from .compiler import CompiledCircuit, transpile

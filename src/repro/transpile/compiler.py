@@ -14,7 +14,6 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import telemetry
 from ..devices.library import Device
 from ..quantum.circuit import QuantumCircuit
 from ..utils.rng import ensure_rng
@@ -26,12 +25,7 @@ from .layout import (
     sabre_layout,
     trivial_layout,
 )
-from .passes import (
-    cancel_adjacent_inverse_cx,
-    drop_identity_rotations,
-    merge_adjacent_rz,
-    resynthesize_single_qubit_runs,
-)
+from .passes import _optimize, _traced
 from .routing import RoutedCircuit, route_circuit
 
 __all__ = ["CompiledCircuit", "transpile"]
@@ -150,12 +144,6 @@ def _resolve_layout(
     return layout_from_sequence(list(initial_layout), device)
 
 
-def _traced(step: str, compiler_pass, *args):
-    """Run one compiler pass under a ``transpile.pass{step=...}`` span."""
-    with telemetry.span("transpile.pass", step=step):
-        return compiler_pass(*args)
-
-
 def transpile(
     circuit: QuantumCircuit,
     device: Device,
@@ -185,17 +173,11 @@ def transpile(
             "route", route_circuit, circuit, device, layout
         )
         lowered = _traced("decompose", decompose_circuit, routed.circuit)
-        if optimization_level >= 1:
-            lowered = _traced("cancel_cx", cancel_adjacent_inverse_cx, lowered)
-            lowered = _traced("merge_rz", merge_adjacent_rz, lowered)
-            lowered = _traced("drop_identity", drop_identity_rotations, lowered)
-        if optimization_level >= 2:
-            lowered = _traced("resynthesize", resynthesize_single_qubit_runs,
-                              lowered)
-            lowered = _traced("cancel_cx", cancel_adjacent_inverse_cx, lowered)
-            lowered = _traced("merge_rz", merge_adjacent_rz, lowered)
+        optimized = QuantumCircuit(
+            lowered.n_qubits, _optimize(lowered.instructions, optimization_level)
+        )
         return CompiledCircuit(
-            circuit=lowered,
+            circuit=optimized,
             device=device,
             initial_layout=dict(layout),
             final_layout=routed.final_layout,

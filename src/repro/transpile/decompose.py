@@ -4,6 +4,15 @@ The gate-count bookkeeping here drives the pruning analysis in the paper:
 ``U3(theta, phi, lambda)`` compiles to 5 basis gates, while zeroing one or two
 of its angles reduces the compiled count to 4 or 1 — which is exactly why
 fine-grained (per-angle) pruning reduces noise.
+
+Every rule is written once and serves both compilation pipelines.  What
+differs between them arrives as keyword-only hooks that default to the
+concrete pipeline: ``make(gate, qubits, params)`` builds an emitted gate,
+``is_zero(angle)`` decides a zero-angle branch and ``norm(angle)`` wraps an
+emitted angle.  The parametric pipeline (:mod:`.parametric`) runs the same
+rules over angle expressions, with an ``is_zero`` that records a guard and an
+identity ``norm``; its bind-time replay emits ``(gate, qubits, params)``
+tuples.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..quantum.circuit import Instruction, QuantumCircuit
+from ..quantum.gates import gate_matrix
 
 __all__ = [
     "BASIS_GATES",
@@ -28,6 +38,7 @@ __all__ = [
 BASIS_GATES = ("cx", "sx", "rz", "x")
 
 _TWO_PI = 2.0 * math.pi
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _normalize_angle(angle: float) -> float:
@@ -41,7 +52,79 @@ def _normalize_angle(angle: float) -> float:
 
 
 def _is_zero_angle(angle: float, atol: float = 1e-9) -> bool:
+    """Whether ``angle`` lies within ``atol`` of a multiple of ``2*pi``."""
     return abs(_normalize_angle(angle)) < atol
+
+
+def _gate_entries(gate: str, params: Sequence[float]):
+    """The 2x2 matrix of a single-qubit gate as four python complex scalars.
+
+    Uses the formulas of :mod:`repro.quantum.gates` for the gates a compile
+    meets most, so every entry equals :func:`gate_matrix`'s (pinned by the
+    transpile tests), without building an array; any other gate is read off
+    :func:`gate_matrix`.
+    """
+    if gate == "rz":
+        theta = params[0]
+        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        return (complex(cos, -sin), 0j, 0j, complex(cos, sin))
+    if gate == "ry":
+        theta = params[0]
+        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        return (complex(cos), complex(-sin), complex(sin), complex(cos))
+    if gate == "rx":
+        theta = params[0]
+        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        return (complex(cos), complex(0, -sin), complex(0, -sin), complex(cos))
+    if gate == "u1":
+        return (1 + 0j, 0j, 0j, cmath.exp(1j * params[0]))
+    if gate == "u3":
+        theta, phi, lam = params
+        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        return (
+            complex(cos),
+            -cmath.exp(1j * lam) * sin,
+            cmath.exp(1j * phi) * sin,
+            cmath.exp(1j * (phi + lam)) * cos,
+        )
+    if gate == "u2":
+        phi, lam = params
+        return (
+            complex(_INV_SQRT2),
+            -_INV_SQRT2 * cmath.exp(1j * lam),
+            _INV_SQRT2 * cmath.exp(1j * phi),
+            _INV_SQRT2 * cmath.exp(1j * (phi + lam)),
+        )
+    if gate == "sx":
+        return (0.5 + 0.5j, 0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j)
+    if gate == "x":
+        return (0j, 1 + 0j, 1 + 0j, 0j)
+    matrix = gate_matrix(gate, params)
+    return (
+        complex(matrix[0, 0]),
+        complex(matrix[0, 1]),
+        complex(matrix[1, 0]),
+        complex(matrix[1, 1]),
+    )
+
+
+def _u3_angles(m00, m01, m10, m11) -> Tuple[float, float, float]:
+    """``(theta, phi, lam)`` of the 2x2 unitary with entries ``m00 .. m11``."""
+    abs00 = abs(m00)
+    abs10 = abs(m10)
+    theta = 2.0 * math.atan2(abs10, abs00)
+    if abs10 < 1e-12:  # diagonal: theta ~ 0
+        alpha = cmath.phase(m00)
+        lam = cmath.phase(m11) - alpha
+        return (0.0, 0.0, _normalize_angle(lam))
+    if abs00 < 1e-12:  # anti-diagonal: theta ~ pi
+        alpha = cmath.phase(-m01)
+        phi = cmath.phase(m10) - alpha
+        return (math.pi, _normalize_angle(phi), 0.0)
+    alpha = cmath.phase(m00)
+    phi = cmath.phase(m10) - alpha
+    lam = cmath.phase(-m01) - alpha
+    return (theta, _normalize_angle(phi), _normalize_angle(lam))
 
 
 def u3_angles_from_matrix(matrix: np.ndarray) -> Tuple[float, float, float]:
@@ -49,42 +132,30 @@ def u3_angles_from_matrix(matrix: np.ndarray) -> Tuple[float, float, float]:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):
         raise ValueError("u3 extraction needs a 2x2 matrix")
-    abs00 = abs(matrix[0, 0])
-    abs10 = abs(matrix[1, 0])
-    theta = 2.0 * math.atan2(abs10, abs00)
-    if abs10 < 1e-12:  # diagonal: theta ~ 0
-        alpha = cmath.phase(matrix[0, 0])
-        lam = cmath.phase(matrix[1, 1]) - alpha
-        return (0.0, 0.0, _normalize_angle(lam))
-    if abs00 < 1e-12:  # anti-diagonal: theta ~ pi
-        alpha = cmath.phase(-matrix[0, 1])
-        phi = cmath.phase(matrix[1, 0]) - alpha
-        return (math.pi, _normalize_angle(phi), 0.0)
-    alpha = cmath.phase(matrix[0, 0])
-    phi = cmath.phase(matrix[1, 0]) - alpha
-    lam = cmath.phase(-matrix[0, 1]) - alpha
-    return (theta, _normalize_angle(phi), _normalize_angle(lam))
+    return _u3_angles(matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1])
 
 
 def decompose_u3(
-    qubit: int, theta: float, phi: float, lam: float
-) -> List[Instruction]:
+    qubit: int, theta, phi, lam, *,
+    make=Instruction, is_zero=_is_zero_angle, norm=_normalize_angle,
+) -> List:
     """Compile ``U3`` to the ``RZ/SX`` basis with the zero-angle special cases."""
-    if _is_zero_angle(theta):
-        merged = _normalize_angle(phi + lam)
-        if _is_zero_angle(merged):
+    if is_zero(theta):
+        merged = norm(phi + lam)
+        if is_zero(merged):
             return []
-        return [Instruction("rz", (qubit,), (merged,))]
-    sequence: List[Instruction] = []
-    if not _is_zero_angle(lam):
-        sequence.append(Instruction("rz", (qubit,), (_normalize_angle(lam),)))
-    sequence.append(Instruction("sx", (qubit,)))
-    sequence.append(Instruction("rz", (qubit,), (_normalize_angle(theta + math.pi),)))
-    sequence.append(Instruction("sx", (qubit,)))
-    if not _is_zero_angle(phi + math.pi):
-        sequence.append(
-            Instruction("rz", (qubit,), (_normalize_angle(phi + math.pi),))
-        )
+        return [make("rz", (qubit,), (merged,))]
+    sequence = []
+    if not is_zero(lam):
+        sequence.append(make("rz", (qubit,), (norm(lam),)))
+    sequence.append(make("sx", (qubit,), ()))
+    sequence.append(make("rz", (qubit,), (norm(theta + math.pi),)))
+    sequence.append(make("sx", (qubit,), ()))
+    # one object serves the branch and the emitted angle: a parametric
+    # template gives every expression object its own row
+    phi_shifted = phi + math.pi
+    if not is_zero(phi_shifted):
+        sequence.append(make("rz", (qubit,), (norm(phi_shifted),)))
     return sequence
 
 
@@ -93,138 +164,147 @@ def compiled_gate_count_u3(theta: float, phi: float, lam: float) -> int:
     return len(decompose_u3(0, theta, phi, lam))
 
 
-def _decompose_single_qubit(instruction: Instruction) -> List[Instruction]:
-    if instruction.gate in ("rz", "x", "sx"):
-        if instruction.gate == "rz" and _is_zero_angle(instruction.params[0]):
+def _decompose_single_qubit(
+    gate: str, qubit: int, params: Tuple[float, ...], make=Instruction
+) -> List:
+    """One single-qubit gate with float angles in the basis, built by ``make``."""
+    if gate in ("rz", "x", "sx"):
+        if gate == "rz" and _is_zero_angle(params[0]):
             return []
-        return [instruction]
-    if instruction.gate == "i":
+        return [make(gate, (qubit,), params)]
+    if gate == "i":
         return []
-    if instruction.gate == "u3":
-        theta, phi, lam = instruction.params
-        return decompose_u3(instruction.qubits[0], theta, phi, lam)
-    theta, phi, lam = u3_angles_from_matrix(instruction.matrix())
-    return decompose_u3(instruction.qubits[0], theta, phi, lam)
+    if gate == "u3":
+        theta, phi, lam = params
+    else:
+        theta, phi, lam = _u3_angles(*_gate_entries(gate, params))
+    return decompose_u3(qubit, theta, phi, lam, make=make)
 
 
-def _u3(qubit: int, theta: float, phi: float, lam: float) -> Instruction:
-    return Instruction("u3", (qubit,), (theta, phi, lam))
+def _decompose_one(instruction: Instruction) -> List[Instruction]:
+    return _decompose_single_qubit(
+        instruction.gate, instruction.qubits[0], instruction.params
+    )
 
 
-def _two_qubit_rules(instruction: Instruction) -> List[Instruction] | None:
+def _two_qubit_rules(instruction, make=Instruction) -> List | None:
     """Known exact decompositions of two-qubit gates into CX + 1q gates."""
     gate = instruction.gate
     a, b = instruction.qubits
     params = instruction.params
-    cx = lambda c, t: Instruction("cx", (c, t))  # noqa: E731
+    cx = lambda c, t: make("cx", (c, t))  # noqa: E731
 
     if gate == "cx":
         return [instruction]
     if gate == "cz":
-        return [Instruction("h", (b,)), cx(a, b), Instruction("h", (b,))]
+        return [make("h", (b,)), cx(a, b), make("h", (b,))]
     if gate == "cy":
-        return [Instruction("sdg", (b,)), cx(a, b), Instruction("s", (b,))]
+        return [make("sdg", (b,)), cx(a, b), make("s", (b,))]
     if gate == "swap":
         return [cx(a, b), cx(b, a), cx(a, b)]
     if gate == "rzz":
         (theta,) = params
-        return [cx(a, b), Instruction("rz", (b,), (theta,)), cx(a, b)]
+        return [cx(a, b), make("rz", (b,), (theta,)), cx(a, b)]
     if gate == "rzx":
         (theta,) = params
         return [
-            Instruction("h", (b,)),
+            make("h", (b,)),
             cx(a, b),
-            Instruction("rz", (b,), (theta,)),
+            make("rz", (b,), (theta,)),
             cx(a, b),
-            Instruction("h", (b,)),
+            make("h", (b,)),
         ]
     if gate == "rxx":
         (theta,) = params
         return [
-            Instruction("h", (a,)),
-            Instruction("h", (b,)),
+            make("h", (a,)),
+            make("h", (b,)),
             cx(a, b),
-            Instruction("rz", (b,), (theta,)),
+            make("rz", (b,), (theta,)),
             cx(a, b),
-            Instruction("h", (a,)),
-            Instruction("h", (b,)),
+            make("h", (a,)),
+            make("h", (b,)),
         ]
     if gate == "ryy":
         (theta,) = params
         return [
-            Instruction("rx", (a,), (math.pi / 2,)),
-            Instruction("rx", (b,), (math.pi / 2,)),
+            make("rx", (a,), (math.pi / 2,)),
+            make("rx", (b,), (math.pi / 2,)),
             cx(a, b),
-            Instruction("rz", (b,), (theta,)),
+            make("rz", (b,), (theta,)),
             cx(a, b),
-            Instruction("rx", (a,), (-math.pi / 2,)),
-            Instruction("rx", (b,), (-math.pi / 2,)),
+            make("rx", (a,), (-math.pi / 2,)),
+            make("rx", (b,), (-math.pi / 2,)),
         ]
     if gate == "crz":
         (lam,) = params
         return [
-            Instruction("rz", (b,), (lam / 2,)),
+            make("rz", (b,), (lam / 2,)),
             cx(a, b),
-            Instruction("rz", (b,), (-lam / 2,)),
+            make("rz", (b,), (-lam / 2,)),
             cx(a, b),
         ]
     if gate == "cry":
         (theta,) = params
         return [
-            Instruction("ry", (b,), (theta / 2,)),
+            make("ry", (b,), (theta / 2,)),
             cx(a, b),
-            Instruction("ry", (b,), (-theta / 2,)),
+            make("ry", (b,), (-theta / 2,)),
             cx(a, b),
         ]
     if gate == "crx":
         (theta,) = params
         return [
-            Instruction("h", (b,)),
-            Instruction("rz", (b,), (theta / 2,)),
+            make("h", (b,)),
+            make("rz", (b,), (theta / 2,)),
             cx(a, b),
-            Instruction("rz", (b,), (-theta / 2,)),
+            make("rz", (b,), (-theta / 2,)),
             cx(a, b),
-            Instruction("h", (b,)),
+            make("h", (b,)),
         ]
     if gate == "cu1":
         (lam,) = params
         return [
-            Instruction("u1", (a,), (lam / 2,)),
+            make("u1", (a,), (lam / 2,)),
             cx(a, b),
-            Instruction("u1", (b,), (-lam / 2,)),
+            make("u1", (b,), (-lam / 2,)),
             cx(a, b),
-            Instruction("u1", (b,), (lam / 2,)),
+            make("u1", (b,), (lam / 2,)),
         ]
     if gate == "cu3":
         theta, phi, lam = params
         return [
-            Instruction("u1", (a,), ((lam + phi) / 2,)),
-            Instruction("u1", (b,), ((lam - phi) / 2,)),
+            make("u1", (a,), ((lam + phi) / 2,)),
+            make("u1", (b,), ((lam - phi) / 2,)),
             cx(a, b),
-            _u3(b, -theta / 2, 0.0, -(phi + lam) / 2),
+            make("u3", (b,), (-theta / 2, 0.0, -(phi + lam) / 2)),
             cx(a, b),
-            _u3(b, theta / 2, phi, 0.0),
+            make("u3", (b,), (theta / 2, phi, 0.0)),
         ]
     return None
 
 
-def decompose_instruction(instruction: Instruction) -> List[Instruction]:
+def decompose_instruction(
+    instruction: Instruction, *,
+    make=Instruction, single=_decompose_one, is_zero=_is_zero_angle,
+) -> List:
     """Decompose one instruction into the basis gate set.
 
     Two-qubit gates without a registered rule (e.g. ``sqswap``) are kept as
     opaque hardware-calibrated gates; they still receive two-qubit noise and
-    count as two-qubit operations.
+    count as two-qubit operations.  ``single`` lowers one single-qubit
+    instruction, a rule's pieces included.
     """
     if len(instruction.qubits) == 1:
-        return _decompose_single_qubit(instruction)
-    rule = _two_qubit_rules(instruction)
+        return single(instruction)
+    rule = _two_qubit_rules(instruction, make)
     if rule is None:
         return [instruction]
-    out: List[Instruction] = []
+    out = []
     for item in rule:
         if len(item.qubits) == 1 and item.gate not in BASIS_GATES:
-            out.extend(_decompose_single_qubit(item))
-        elif len(item.qubits) == 1 and item.gate == "rz" and _is_zero_angle(item.params[0]):
+            out.extend(single(item))
+        elif len(item.qubits) == 1 and item.gate == "rz" and is_zero(item.params[0]):
             continue
         else:
             out.append(item)

@@ -11,6 +11,13 @@ vector (trainable weights followed by encoder features), and the result is a
 fills a fixed instruction template in ``O(#parametric angles)`` instead of
 re-running the pipeline.
 
+The symbolic compile runs the concrete pipeline's own code — the layout and
+routing passes, the decomposition rules of :mod:`.decompose` and the pass
+sequence of :mod:`.passes` — over symbolic instructions, through the hooks
+those rules and passes take.  This module holds only what is symbolic: the
+angle expressions, the trace state that turns branch decisions into guards
+and non-affine steps into replay nodes, and the template with its binds.
+
 Exactness contract
 ------------------
 
@@ -21,9 +28,11 @@ model which charges RZ gates like any other single-qubit gate, sees identical
 numbers).  Three mechanisms make this exact rather than approximate:
 
 * **Affine tracking.**  Routing and the CX-cancellation pass never read
-  parameter values; basis decomposition and RZ merging are *affine* in the
-  angles (sums, halves, constant shifts), so physical RZ angles are recorded
-  as affine combinations of logical parameters.
+  parameter values; the decomposition rules and RZ merging are *affine* in
+  the angles (sums, halves, constant shifts), and :class:`_Affine` supports
+  exactly that arithmetic, so physical RZ angles are recorded as affine
+  combinations of logical parameters.  Parametric angles skip the concrete
+  pipeline's wrap into ``(-pi, pi]``, hence the ``2*pi`` multiples.
 
 * **Witness-traced branches.**  Value-dependent decisions (dropping an
   identity rotation, the zero-angle special cases of the U3 decomposition,
@@ -32,9 +41,10 @@ numbers).  Three mechanisms make this exact rather than approximate:
 
 * **Replay nodes.**  Steps that are genuinely non-affine — extracting U3
   angles from a gate matrix, re-synthesizing a run of single-qubit gates into
-  one U3 — are recorded as *replay nodes* that re-run the identical concrete
-  code (a few 2x2 matrix products) at bind time and verify that the emitted
-  gate sequence still matches the compiled template.
+  one U3 — are recorded as *replay nodes* that run the concrete
+  decomposition of :mod:`.decompose` on the bound angles at bind time (a few
+  2x2 products of python scalars) and verify that the emitted gate sequence
+  still matches the compiled template.
 
 If a binding would take any branch differently (a guard fails or a replay
 node emits a different structure), :meth:`bind` raises
@@ -45,7 +55,6 @@ and always exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,18 +64,17 @@ from ..devices.library import Device
 from ..quantum.circuit import Instruction, ParameterizedCircuit, QuantumCircuit
 from ..quantum.gates import canonical_name, gate_matrix
 from ..utils.rng import ensure_rng
-from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout, _traced
+from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout
 from .decompose import (
-    BASIS_GATES,
     _decompose_single_qubit,
+    _gate_entries,
     _is_zero_angle,
-    _normalize_angle,
+    _u3_angles,
     decompose_instruction,
     decompose_u3,
-    u3_angles_from_matrix,
 )
 from .layout import sabre_layout
-from .passes import _last_touching, cancel_adjacent_inverse_cx_run
+from .passes import _flush_run, _optimize, _traced
 from .routing import route_circuit
 
 __all__ = [
@@ -77,8 +85,6 @@ __all__ = [
     "parametric_fingerprint",
     "num_feature_params",
 ]
-
-_PI = math.pi
 
 
 class ParametricBindMismatch(Exception):
@@ -106,18 +112,35 @@ class _BindContext:
         self.affine = affine
 
 
-class _Affine:
-    """``const + sum(coeff * param[index])`` over the logical parameter vector."""
+class _Expr:
+    """An angle expression; a sum that is not affine becomes a flat :class:`_Sum`."""
+
+    __slots__ = ()
+
+    is_const = False
+
+    def __add__(self, other) -> "_Expr":
+        if not isinstance(other, _Expr):
+            other = _Affine(other)
+        parts: List = []
+        for expr in (self, other):
+            parts.extend(expr.parts if isinstance(expr, _Sum) else (expr,))
+        return _Sum(tuple(parts))
+
+
+class _Affine(_Expr):
+    """``const + sum(coeff * param[index])`` over the logical parameter vector.
+
+    Supports the angle arithmetic of the decomposition rules: ``+`` with
+    expressions and floats, ``-``, ``* float`` and ``/ float``.  Scaling by a
+    power of two is exact, so ``-x / 2`` is bit for bit a scale by ``-0.5``.
+    """
 
     __slots__ = ("const", "terms")
 
     def __init__(self, const: float, terms: Tuple[Tuple[int, float], ...] = ()) -> None:
         self.const = float(const)
         self.terms = terms
-
-    @classmethod
-    def constant(cls, value: float) -> "_Affine":
-        return cls(value)
 
     @classmethod
     def parameter(cls, index: int) -> "_Affine":
@@ -133,17 +156,37 @@ class _Affine:
             total += coeff * ctx.values[index]
         return total
 
-    def shift(self, offset: float) -> "_Affine":
-        return _Affine(self.const + offset, self.terms)
+    def __add__(self, other) -> _Expr:
+        if isinstance(other, _Affine):
+            combined: Dict[int, float] = {}
+            for index, coeff in self.terms + other.terms:
+                combined[index] = combined.get(index, 0.0) + coeff
+            terms = tuple(
+                (i, c) for i, c in sorted(combined.items()) if c != 0.0
+            )
+            return _Affine(self.const + other.const, terms)
+        if isinstance(other, _Expr):
+            return super().__add__(other)
+        return _Affine(self.const + other, self.terms)
 
-    def scale(self, factor: float) -> "_Affine":
+    def __neg__(self) -> "_Affine":
+        return self * -1.0
+
+    def __sub__(self, other) -> _Expr:
+        return self + (-other)
+
+    def __mul__(self, factor: float) -> "_Affine":
         return _Affine(
-            self.const * factor,
-            tuple((i, c * factor) for i, c in self.terms),
+            self.const * factor, tuple((i, c * factor) for i, c in self.terms)
+        )
+
+    def __truediv__(self, divisor: float) -> "_Affine":
+        return _Affine(
+            self.const / divisor, tuple((i, c / divisor) for i, c in self.terms)
         )
 
 
-class _NodeAngle:
+class _NodeAngle(_Expr):
     """One emitted angle of a replay node (flat index into its parameters)."""
 
     __slots__ = ("node", "index")
@@ -152,13 +195,11 @@ class _NodeAngle:
         self.node = node
         self.index = index
 
-    is_const = False
-
     def evaluate(self, ctx: _BindContext) -> float:
         return ctx.node_outputs[id(self.node)][self.index]
 
 
-class _RowExpr:
+class _RowExpr(_Expr):
     """An affine expression resolved through the template's matvec plan.
 
     When a binding context carries pre-evaluated affine rows (the vectorized
@@ -172,15 +213,13 @@ class _RowExpr:
         self.row = row
         self.expr = expr
 
-    is_const = False
-
     def evaluate(self, ctx: _BindContext) -> float:
         if ctx.affine is not None:
             return ctx.affine[self.row]
         return self.expr.evaluate(ctx)
 
 
-class _Sum:
+class _Sum(_Expr):
     """A flat sum of expressions (produced by RZ merging across kinds)."""
 
     __slots__ = ("parts",)
@@ -188,158 +227,13 @@ class _Sum:
     def __init__(self, parts: Tuple) -> None:
         self.parts = parts
 
-    is_const = False
-
     def evaluate(self, ctx: _BindContext) -> float:
         return sum(part.evaluate(ctx) for part in self.parts)
 
 
-def _add_exprs(a, b):
-    """Sum of two expressions; stays affine when both operands are affine."""
-    if isinstance(a, _Affine) and isinstance(b, _Affine):
-        combined: Dict[int, float] = {}
-        for index, coeff in a.terms + b.terms:
-            combined[index] = combined.get(index, 0.0) + coeff
-        terms = tuple(
-            (i, c) for i, c in sorted(combined.items()) if c != 0.0
-        )
-        return _Affine(a.const + b.const, terms)
-    parts: List = []
-    for expr in (a, b):
-        parts.extend(expr.parts if isinstance(expr, _Sum) else (expr,))
-    return _Sum(tuple(parts))
-
-
-# ---------------------------------------------------------------------------
-# Fast concrete mirrors (bind-time hot path)
-#
-# These replicate decompose.py / gates.py at the level of python scalars and
-# (gate, qubits, params) tuples, avoiding Instruction/ndarray construction.
-# They must stay bit-compatible with the concrete implementations — the
-# parametric-vs-concrete equivalence tests in tests/transpile/test_parametric
-# pin that.
-# ---------------------------------------------------------------------------
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _fast_1q_scalars(gate: str, params: Sequence[float]):
-    """The 2x2 matrix of a single-qubit gate as four python complex scalars.
-
-    Mirrors the matrix constructors in :mod:`repro.quantum.gates` (identical
-    formulas, so identical floats) for the gates that occur on the bind hot
-    path; anything else falls back to :func:`gate_matrix`.
-    """
-    if gate == "rz":
-        theta = params[0]
-        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
-        return (complex(cos, -sin), 0j, 0j, complex(cos, sin))
-    if gate == "ry":
-        theta = params[0]
-        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
-        return (complex(cos), complex(-sin), complex(sin), complex(cos))
-    if gate == "rx":
-        theta = params[0]
-        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
-        return (complex(cos), complex(0, -sin), complex(0, -sin), complex(cos))
-    if gate == "u1":
-        return (1 + 0j, 0j, 0j, cmath.exp(1j * params[0]))
-    if gate == "u3":
-        theta, phi, lam = params
-        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
-        return (
-            complex(cos),
-            -cmath.exp(1j * lam) * sin,
-            cmath.exp(1j * phi) * sin,
-            cmath.exp(1j * (phi + lam)) * cos,
-        )
-    if gate == "u2":
-        phi, lam = params
-        return (
-            complex(_INV_SQRT2),
-            -_INV_SQRT2 * cmath.exp(1j * lam),
-            _INV_SQRT2 * cmath.exp(1j * phi),
-            _INV_SQRT2 * cmath.exp(1j * (phi + lam)),
-        )
-    if gate == "sx":
-        return (0.5 + 0.5j, 0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j)
-    if gate == "x":
-        return (0j, 1 + 0j, 1 + 0j, 0j)
-    matrix = gate_matrix(gate, params)
-    return (
-        complex(matrix[0, 0]),
-        complex(matrix[0, 1]),
-        complex(matrix[1, 0]),
-        complex(matrix[1, 1]),
-    )
-
-
-def _fast_u3_angles(m00, m01, m10, m11) -> Tuple[float, float, float]:
-    """Scalar mirror of :func:`u3_angles_from_matrix`."""
-    abs00 = abs(m00)
-    abs10 = abs(m10)
-    theta = 2.0 * math.atan2(abs10, abs00)
-    if abs10 < 1e-12:
-        alpha = cmath.phase(m00)
-        lam = cmath.phase(m11) - alpha
-        return (0.0, 0.0, _normalize_angle(lam))
-    if abs00 < 1e-12:
-        alpha = cmath.phase(-m01)
-        phi = cmath.phase(m10) - alpha
-        return (math.pi, _normalize_angle(phi), 0.0)
-    alpha = cmath.phase(m00)
-    phi = cmath.phase(m10) - alpha
-    lam = cmath.phase(-m01) - alpha
-    return (theta, _normalize_angle(phi), _normalize_angle(lam))
-
-
-def _fast_decompose_u3(qubit: int, theta: float, phi: float, lam: float) -> List[Tuple]:
-    """Tuple-level mirror of :func:`decompose_u3`."""
-    if _is_zero_angle(theta):
-        merged = _normalize_angle(phi + lam)
-        if _is_zero_angle(merged):
-            return []
-        return [("rz", (qubit,), (merged,))]
-    sequence: List[Tuple] = []
-    if not _is_zero_angle(lam):
-        sequence.append(("rz", (qubit,), (_normalize_angle(lam),)))
-    sequence.append(("sx", (qubit,), ()))
-    sequence.append(("rz", (qubit,), (_normalize_angle(theta + math.pi),)))
-    sequence.append(("sx", (qubit,), ()))
-    if not _is_zero_angle(phi + math.pi):
-        sequence.append(("rz", (qubit,), (_normalize_angle(phi + math.pi),)))
-    return sequence
-
-
-def _fast_decompose_single_qubit(
-    gate: str, qubit: int, params: Tuple[float, ...]
-) -> List[Tuple]:
-    """Tuple-level mirror of :func:`_decompose_single_qubit`."""
-    if gate in ("rz", "x", "sx"):
-        if gate == "rz" and _is_zero_angle(params[0]):
-            return []
-        return [(gate, (qubit,), params)]
-    if gate == "i":
-        return []
-    if gate == "u3":
-        theta, phi, lam = params
-        return _fast_decompose_u3(qubit, theta, phi, lam)
-    theta, phi, lam = _fast_u3_angles(*_fast_1q_scalars(gate, params))
-    return _fast_decompose_u3(qubit, theta, phi, lam)
-
-
-def _fast_instruction(gate: str, qubits: Tuple[int, ...], params: Tuple) -> Instruction:
-    """Build an :class:`Instruction` without re-validating.
-
-    Template slots were validated when the structure was compiled; re-running
-    ``__post_init__`` (gate registry lookups, arity checks) per binding would
-    dominate bind time.
-    """
-    instruction = object.__new__(Instruction)
-    object.__setattr__(instruction, "gate", gate)
-    object.__setattr__(instruction, "qubits", qubits)
-    object.__setattr__(instruction, "params", params)
-    return instruction
+def _unwrapped(angle: _Expr) -> _Expr:
+    """The symbolic ``norm`` hook: parametric angles are emitted unwrapped."""
+    return angle
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +278,10 @@ class _SymbolicInstruction:
     def const_params(self) -> Tuple[float, ...]:
         return tuple(p.const for p in self.params)
 
+    def matrix(self) -> np.ndarray:
+        """The gate matrix of a constant instruction (the concrete flush reads it)."""
+        return gate_matrix(self.gate, self.const_params())
+
 
 class _SymbolicCircuit(QuantumCircuit):
     """A :class:`QuantumCircuit` that stores symbolic instructions.
@@ -397,11 +295,17 @@ class _SymbolicCircuit(QuantumCircuit):
         return self.append(_SymbolicInstruction(gate, qubits, params))
 
 
+def _symbolic(gate: str, qubits, params: Tuple = ()) -> _SymbolicInstruction:
+    """The ``make`` hook of the two-qubit rules: float angles become constants."""
+    angles = [p if isinstance(p, _Expr) else _Affine(p) for p in params]
+    return _SymbolicInstruction(gate, qubits, angles)
+
+
 def _wrap_concrete(instructions: Sequence[Instruction]) -> List[_SymbolicInstruction]:
     """Re-wrap concrete instructions as symbolic ones with constant angles."""
     return [
         _SymbolicInstruction(
-            inst.gate, inst.qubits, tuple(_Affine.constant(p) for p in inst.params)
+            inst.gate, inst.qubits, tuple(_Affine(p) for p in inst.params)
         )
         for inst in instructions
     ]
@@ -409,6 +313,34 @@ def _wrap_concrete(instructions: Sequence[Instruction]) -> List[_SymbolicInstruc
 
 def _to_concrete(inst: _SymbolicInstruction) -> Instruction:
     return Instruction(inst.gate, inst.qubits, inst.const_params())
+
+
+def _fuse_sources(
+    first: _SymbolicInstruction, second: _SymbolicInstruction, angle: _Expr
+) -> _SymbolicInstruction:
+    """The symbolic ``fuse`` hook of RZ merging: the merged RZ keeps both sources."""
+    return _SymbolicInstruction(
+        "rz", second.qubits, (angle,), sources=first.sources + second.sources
+    )
+
+
+def _emit_tuple(gate: str, qubits: Tuple[int, ...], params: Tuple) -> Tuple:
+    """The bind-time ``make`` hook: ``(gate, qubits, params)``, no Instruction."""
+    return (gate, qubits, params)
+
+
+def _fast_instruction(gate: str, qubits: Tuple[int, ...], params: Tuple) -> Instruction:
+    """Build an :class:`Instruction` without re-validating.
+
+    Template slots were validated when the structure was compiled; re-running
+    ``__post_init__`` (gate registry lookups, arity checks) per binding would
+    dominate bind time.
+    """
+    instruction = object.__new__(Instruction)
+    object.__setattr__(instruction, "gate", gate)
+    object.__setattr__(instruction, "qubits", qubits)
+    object.__setattr__(instruction, "params", params)
+    return instruction
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +351,11 @@ def _to_concrete(inst: _SymbolicInstruction) -> Instruction:
 class _ReplayNode:
     """A value-dependent compile step re-executed concretely at bind time.
 
-    ``kind == "single"`` replays :func:`_decompose_single_qubit` for one
-    parametric gate (RX/RY/U1/U2/... go through matrix-based U3 extraction,
-    which is not affine in the angle).  ``kind == "run"`` replays the
-    single-qubit-run re-synthesis of optimization level 2: multiply the run's
-    2x2 matrices, extract U3 angles, re-emit through ``decompose_u3``.
+    ``kind == "single"`` replays the concrete single-qubit decomposition for
+    one parametric gate (RX/RY/U1/U2/... go through matrix-based U3
+    extraction, which is not affine in the angle).  ``kind == "run"`` replays
+    the single-qubit-run re-synthesis of optimization level 2: multiply the
+    run's 2x2 matrices, extract U3 angles, re-emit through ``decompose_u3``.
     """
 
     __slots__ = ("kind", "qubit", "inputs", "signature", "plan")
@@ -449,7 +381,7 @@ class _ReplayNode:
         plan: List = []
         for gate, _qubits, exprs in self.inputs:
             if all(isinstance(e, _Affine) and e.is_const for e in exprs):
-                plan.append(_fast_1q_scalars(gate, tuple(e.const for e in exprs)))
+                plan.append(_gate_entries(gate, tuple(e.const for e in exprs)))
             else:
                 plan.append((gate, exprs))
         self.plan = plan
@@ -459,10 +391,10 @@ class _ReplayNode:
         if self.kind == "single":
             gate, qubits, exprs = self.inputs[0]
             params = tuple(expr.evaluate(ctx) for expr in exprs)
-            return _fast_decompose_single_qubit(gate, qubits[0], params)
+            return _decompose_single_qubit(gate, qubits[0], params, _emit_tuple)
         # run: multiply the sources' 2x2 matrices (last gate leftmost), then
-        # re-emit through the U3 extraction — exactly the concrete
-        # resynthesize_single_qubit_runs flush, minus a global phase
+        # re-emit through the U3 extraction — the concrete run flush in python
+        # scalars, equal up to a global phase
         plan = self.plan
         if plan is None:
             plan = [
@@ -476,15 +408,15 @@ class _ReplayNode:
             else:
                 gate, exprs = entry
                 params = tuple(expr.evaluate(ctx) for expr in exprs)
-                g00, g01, g10, g11 = _fast_1q_scalars(gate, params)
+                g00, g01, g10, g11 = _gate_entries(gate, params)
             m00, m01, m10, m11 = (
                 g00 * m00 + g01 * m10,
                 g00 * m01 + g01 * m11,
                 g10 * m00 + g11 * m10,
                 g10 * m01 + g11 * m11,
             )
-        theta, phi, lam = _fast_u3_angles(m00, m01, m10, m11)
-        return _fast_decompose_u3(self.qubit, theta, phi, lam)
+        theta, phi, lam = _u3_angles(m00, m01, m10, m11)
+        return decompose_u3(self.qubit, theta, phi, lam, make=_emit_tuple)
 
     def replay(self, ctx: _BindContext) -> None:
         emitted = self.emit(ctx)
@@ -544,10 +476,11 @@ class _EmissionGuard:
             wrapped = abs(math.fmod(angle, 2.0 * math.pi))
             if 1e-6 < min(wrapped, 2.0 * math.pi - wrapped):
                 return
-        emitted = _fast_decompose_single_qubit(
+        emitted = _decompose_single_qubit(
             self.gate,
             self.qubits[0],
             tuple(expr.evaluate(ctx) for expr in self.params),
+            _emit_tuple,
         )
         if (len(emitted) == 0) != self.empty:
             raise ParametricBindMismatch(
@@ -556,7 +489,13 @@ class _EmissionGuard:
 
 
 class _TraceState:
-    """Witness context plus the guards/nodes accumulated for one layout."""
+    """Witness context plus the guards/nodes accumulated for one layout.
+
+    Its methods are the hooks the shared decomposition rules and passes run
+    with: :meth:`is_zero` records a guard, :meth:`decompose` and
+    :meth:`decompose_single` lower symbolic instructions (through the
+    concrete rules) and :meth:`flush` re-emits a single-qubit run.
+    """
 
     def __init__(self, witness: np.ndarray, defer_single: bool = False) -> None:
         self.ctx = _BindContext(witness)
@@ -572,11 +511,71 @@ class _TraceState:
             self.guards.append(_Guard(expr, verdict))
         return verdict
 
+    def decompose_circuit(self, circuit: _SymbolicCircuit) -> List:
+        """Lower every instruction of a routed circuit."""
+        return [
+            piece for inst in circuit.instructions for piece in self.decompose(inst)
+        ]
+
+    def decompose(self, inst: _SymbolicInstruction) -> List[_SymbolicInstruction]:
+        """Lower one instruction; a constant one takes the concrete rules."""
+        if inst.is_const():
+            return _wrap_concrete(decompose_instruction(_to_concrete(inst)))
+        return decompose_instruction(
+            inst, make=_symbolic, single=self.decompose_single,
+            is_zero=self.is_zero,
+        )
+
+    def decompose_single(
+        self, inst: _SymbolicInstruction
+    ) -> List[_SymbolicInstruction]:
+        """Lower one single-qubit instruction, a rule's pieces included."""
+        if inst.is_const():
+            return _wrap_concrete(
+                _decompose_single_qubit(inst.gate, inst.qubits[0], inst.const_params())
+            )
+        if inst.gate == "rz":
+            return [] if self.is_zero(inst.params[0]) else [inst]
+        if inst.gate == "u3":
+            return decompose_u3(
+                inst.qubits[0], *inst.params,
+                make=_SymbolicInstruction, is_zero=self.is_zero, norm=_unwrapped,
+            )
+        # RX/RY/U1/U2/...: the concrete pipeline extracts U3 angles from the
+        # gate matrix, which is not affine in the angle.  At optimization >= 2
+        # the gate is deferred whole (run re-synthesis will absorb it into a
+        # product over sources); below that, its decomposition is replayed at
+        # bind time.
+        if self.defer_single:
+            return self.defer(inst)
+        return self.replay_single(inst)
+
+    def flush(
+        self, qubit: int, run: Sequence[_SymbolicInstruction]
+    ) -> List[_SymbolicInstruction]:
+        """Re-emit a single-qubit run; a constant one takes the concrete flush."""
+        if all(inst.is_const() for inst in run):
+            return _wrap_concrete(_flush_run(qubit, run))
+        # parametric run: replay the product over the run's *sources* (the
+        # original pre-decomposition gates, deduplicated in stream order).
+        # The product equals the concrete piece product up to a global
+        # phase, and its branch structure is stable under sign flips of
+        # individual rotation angles — unlike the pieces themselves.
+        sources: List[_SymbolicInstruction] = []
+        seen: set = set()
+        for inst in run:
+            for source in inst.sources:
+                if id(source) not in seen:
+                    seen.add(id(source))
+                    sources.append(source)
+        return self.replay_run(qubit, sources)
+
     def defer(self, inst: "_SymbolicInstruction") -> List["_SymbolicInstruction"]:
-        emitted = _fast_decompose_single_qubit(
+        emitted = _decompose_single_qubit(
             inst.gate,
             inst.qubits[0],
             tuple(expr.evaluate(self.ctx) for expr in inst.params),
+            _emit_tuple,
         )
         self.guards.append(
             _EmissionGuard(inst.gate, inst.qubits, inst.params, not emitted)
@@ -617,322 +616,23 @@ class _TraceState:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic decomposition (mirrors repro.transpile.decompose)
-# ---------------------------------------------------------------------------
-
-
-def _symbolic_decompose_u3(
-    trace: _TraceState, qubit: int, theta, phi, lam
-) -> List[_SymbolicInstruction]:
-    """Mirror of :func:`decompose_u3` over expressions.
-
-    Angle normalization is skipped — the emitted angles may differ from the
-    concrete pipeline's by multiples of ``2*pi`` (a global phase); the
-    zero-angle predicates wrap modulo ``2*pi`` themselves, so the *branches*
-    agree exactly.
-    """
-    if trace.is_zero(theta):
-        merged = _add_exprs(phi, lam)
-        if trace.is_zero(merged):
-            return []
-        return [_SymbolicInstruction("rz", (qubit,), (merged,))]
-    sequence: List[_SymbolicInstruction] = []
-    if not trace.is_zero(lam):
-        sequence.append(_SymbolicInstruction("rz", (qubit,), (lam,)))
-    sequence.append(_SymbolicInstruction("sx", (qubit,)))
-    sequence.append(_SymbolicInstruction("rz", (qubit,), (theta.shift(_PI),)))
-    sequence.append(_SymbolicInstruction("sx", (qubit,)))
-    phi_shifted = phi.shift(_PI)
-    if not trace.is_zero(phi_shifted):
-        sequence.append(_SymbolicInstruction("rz", (qubit,), (phi_shifted,)))
-    return sequence
-
-
-def _symbolic_decompose_single_qubit(
-    trace: _TraceState, inst: _SymbolicInstruction
-) -> List[_SymbolicInstruction]:
-    """Mirror of :func:`_decompose_single_qubit` over expressions."""
-    if inst.is_const():
-        return _wrap_concrete(_decompose_single_qubit(_to_concrete(inst)))
-    if inst.gate == "rz":
-        if trace.is_zero(inst.params[0]):
-            return []
-        return [inst]
-    if inst.gate == "u3":
-        theta, phi, lam = inst.params
-        return _symbolic_decompose_u3(trace, inst.qubits[0], theta, phi, lam)
-    # RX/RY/U1/U2/...: the concrete pipeline extracts U3 angles from the gate
-    # matrix, which is not affine in the angle.  At optimization >= 2 the gate
-    # is deferred whole (run re-synthesis will absorb it into a product over
-    # sources); below that, its decomposition is replayed at bind time.
-    if trace.defer_single:
-        return trace.defer(inst)
-    return trace.replay_single(inst)
-
-
-def _symbolic_two_qubit_rule(
-    inst: _SymbolicInstruction,
-) -> Optional[List[_SymbolicInstruction]]:
-    """Mirror of :func:`_two_qubit_rules` with affine parameter arithmetic."""
-    gate = inst.gate
-    a, b = inst.qubits
-    params = inst.params
-
-    def sym(name: str, qubits: Tuple[int, ...], exprs: Tuple = ()):
-        return _SymbolicInstruction(name, qubits, exprs)
-
-    cx = lambda c, t: sym("cx", (c, t))  # noqa: E731
-    h = lambda q: sym("h", (q,))  # noqa: E731
-
-    if gate == "cx":
-        return [inst]
-    if gate == "cz":
-        return [h(b), cx(a, b), h(b)]
-    if gate == "cy":
-        return [sym("sdg", (b,)), cx(a, b), sym("s", (b,))]
-    if gate == "swap":
-        return [cx(a, b), cx(b, a), cx(a, b)]
-    if gate == "rzz":
-        (theta,) = params
-        return [cx(a, b), sym("rz", (b,), (theta,)), cx(a, b)]
-    if gate == "rzx":
-        (theta,) = params
-        return [h(b), cx(a, b), sym("rz", (b,), (theta,)), cx(a, b), h(b)]
-    if gate == "rxx":
-        (theta,) = params
-        return [
-            h(a), h(b), cx(a, b), sym("rz", (b,), (theta,)), cx(a, b), h(a), h(b),
-        ]
-    if gate == "ryy":
-        (theta,) = params
-        half_pi = _Affine.constant(_PI / 2)
-        neg_half_pi = _Affine.constant(-_PI / 2)
-        return [
-            sym("rx", (a,), (half_pi,)),
-            sym("rx", (b,), (half_pi,)),
-            cx(a, b),
-            sym("rz", (b,), (theta,)),
-            cx(a, b),
-            sym("rx", (a,), (neg_half_pi,)),
-            sym("rx", (b,), (neg_half_pi,)),
-        ]
-    if gate == "crz":
-        (lam,) = params
-        return [
-            sym("rz", (b,), (lam.scale(0.5),)),
-            cx(a, b),
-            sym("rz", (b,), (lam.scale(-0.5),)),
-            cx(a, b),
-        ]
-    if gate == "cry":
-        (theta,) = params
-        return [
-            sym("ry", (b,), (theta.scale(0.5),)),
-            cx(a, b),
-            sym("ry", (b,), (theta.scale(-0.5),)),
-            cx(a, b),
-        ]
-    if gate == "crx":
-        (theta,) = params
-        return [
-            h(b),
-            sym("rz", (b,), (theta.scale(0.5),)),
-            cx(a, b),
-            sym("rz", (b,), (theta.scale(-0.5),)),
-            cx(a, b),
-            h(b),
-        ]
-    if gate == "cu1":
-        (lam,) = params
-        return [
-            sym("u1", (a,), (lam.scale(0.5),)),
-            cx(a, b),
-            sym("u1", (b,), (lam.scale(-0.5),)),
-            cx(a, b),
-            sym("u1", (b,), (lam.scale(0.5),)),
-        ]
-    if gate == "cu3":
-        theta, phi, lam = params
-        zero = _Affine.constant(0.0)
-        return [
-            sym("u1", (a,), (_add_exprs(lam, phi).scale(0.5),)),
-            sym("u1", (b,), (_add_exprs(lam, phi.scale(-1.0)).scale(0.5),)),
-            cx(a, b),
-            sym(
-                "u3",
-                (b,),
-                (theta.scale(-0.5), zero, _add_exprs(phi, lam).scale(-0.5)),
-            ),
-            cx(a, b),
-            sym("u3", (b,), (theta.scale(0.5), phi, zero)),
-        ]
-    return None
-
-
-def _symbolic_decompose_instruction(
-    trace: _TraceState, inst: _SymbolicInstruction
-) -> List[_SymbolicInstruction]:
-    """Mirror of :func:`decompose_instruction` over expressions."""
-    if inst.is_const():
-        return _wrap_concrete(decompose_instruction(_to_concrete(inst)))
-    if len(inst.qubits) == 1:
-        return _symbolic_decompose_single_qubit(trace, inst)
-    rule = _symbolic_two_qubit_rule(inst)
-    if rule is None:
-        return [inst]
-    out: List[_SymbolicInstruction] = []
-    for item in rule:
-        if len(item.qubits) == 1 and item.gate not in BASIS_GATES:
-            out.extend(_symbolic_decompose_single_qubit(trace, item))
-        elif (
-            len(item.qubits) == 1
-            and item.gate == "rz"
-            and trace.is_zero(item.params[0])
-        ):
-            continue
-        else:
-            out.append(item)
-    return out
-
-
-def _symbolic_decompose_circuit(
-    trace: _TraceState, circuit: _SymbolicCircuit
-) -> List[_SymbolicInstruction]:
-    """Mirror of :func:`decompose_circuit` over expressions."""
-    stream: List[_SymbolicInstruction] = []
-    for inst in circuit.instructions:
-        stream.extend(_symbolic_decompose_instruction(trace, inst))
-    return stream
-
-
-# ---------------------------------------------------------------------------
-# Symbolic optimization passes (mirror repro.transpile.passes)
-# ---------------------------------------------------------------------------
-
-
-def _symbolic_merge_adjacent_rz(
-    trace: _TraceState, instructions: List[_SymbolicInstruction]
-) -> List[_SymbolicInstruction]:
-    out: List[_SymbolicInstruction] = []
-    for inst in instructions:
-        if inst.gate == "rz":
-            previous = _last_touching(out, inst.qubits)
-            if (
-                previous is not None
-                and out[previous].gate == "rz"
-                and out[previous].qubits == inst.qubits
-            ):
-                merged = _add_exprs(out[previous].params[0], inst.params[0])
-                merged_sources = out[previous].sources + inst.sources
-                out.pop(previous)
-                if not trace.is_zero(merged):
-                    out.append(
-                        _SymbolicInstruction(
-                            "rz", inst.qubits, (merged,), sources=merged_sources
-                        )
-                    )
-                continue
-            if trace.is_zero(inst.params[0]):
-                continue
-        out.append(inst)
-    return out
-
-
-_ROTATION_GATES = {
-    "rx", "ry", "rz", "u1", "rzz", "rxx", "ryy", "rzx",
-    "crx", "cry", "crz", "cu1",
-}
-
-
-def _symbolic_drop_identity_rotations(
-    trace: _TraceState, instructions: List[_SymbolicInstruction]
-) -> List[_SymbolicInstruction]:
-    out: List[_SymbolicInstruction] = []
-    for inst in instructions:
-        if inst.gate in _ROTATION_GATES and all(
-            trace.is_zero(p) for p in inst.params
-        ):
-            continue
-        if inst.gate in ("u3", "cu3") and all(
-            trace.is_zero(p) for p in inst.params
-        ):
-            continue
-        out.append(inst)
-    return out
-
-
-def _symbolic_resynthesize_single_qubit_runs(
-    trace: _TraceState, instructions: List[_SymbolicInstruction]
-) -> List[_SymbolicInstruction]:
-    pending: Dict[int, List[_SymbolicInstruction]] = {}
-    out: List[_SymbolicInstruction] = []
-
-    def flush(qubit: int) -> None:
-        run = pending.pop(qubit, None)
-        if run is None:
-            return
-        if all(inst.is_const() for inst in run):
-            # constant run: multiply the decomposed pieces exactly like the
-            # concrete pass does
-            matrix = np.eye(2, dtype=complex)
-            for inst in run:
-                matrix = gate_matrix(inst.gate, inst.const_params()) @ matrix
-            theta, phi, lam = u3_angles_from_matrix(matrix)
-            out.extend(_wrap_concrete(decompose_u3(qubit, theta, phi, lam)))
-        else:
-            # parametric run: replay the product over the run's *sources* (the
-            # original pre-decomposition gates, deduplicated in stream order).
-            # The product equals the concrete piece product up to a global
-            # phase, and its branch structure is stable under sign flips of
-            # individual rotation angles — unlike the pieces themselves.
-            sources: List[_SymbolicInstruction] = []
-            seen: set = set()
-            for inst in run:
-                for source in inst.sources:
-                    if id(source) not in seen:
-                        seen.add(id(source))
-                        sources.append(source)
-            out.extend(trace.replay_run(qubit, sources))
-
-    for inst in instructions:
-        if len(inst.qubits) == 1:
-            pending.setdefault(inst.qubits[0], []).append(inst)
-        else:
-            for qubit in inst.qubits:
-                flush(qubit)
-            out.append(inst)
-    for qubit in sorted(pending):
-        flush(qubit)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The compiled template
 # ---------------------------------------------------------------------------
-
-
-def _stream_depth(instructions: Sequence, n_qubits: int) -> int:
-    frontier = [0] * n_qubits
-    for inst in instructions:
-        level = max(frontier[q] for q in inst.qubits) + 1
-        for qubit in inst.qubits:
-            frontier[qubit] = level
-    return max(frontier) if frontier else 0
 
 
 class _LayoutCandidate:
     """One fully traced compilation for one initial layout."""
 
-    __slots__ = ("stream", "trace", "routed")
+    __slots__ = ("circuit", "trace", "routed")
 
-    def __init__(self, stream, trace, routed) -> None:
-        self.stream = stream
+    def __init__(self, circuit: _SymbolicCircuit, trace, routed) -> None:
+        self.circuit = circuit
         self.trace = trace
         self.routed = routed
 
-    def sort_key(self, n_qubits: int) -> Tuple[int, int]:
-        n_two_qubit = sum(1 for inst in self.stream if len(inst.qubits) == 2)
-        return (n_two_qubit, _stream_depth(self.stream, n_qubits))
+    def sort_key(self) -> Tuple[int, int]:
+        """The key :func:`transpile` picks its level-3 layout by."""
+        return (self.circuit.num_two_qubit_gates(), self.circuit.depth())
 
 
 class ParametricCompiledCircuit:
@@ -1018,7 +718,7 @@ class ParametricCompiledCircuit:
         self._slots: List = []
         self._reduced_slots: List = []
         index = {phys: i for i, phys in enumerate(self.used_qubits)}
-        for inst in chosen.stream:
+        for inst in chosen.circuit.instructions:
             reduced_qubits = tuple(index[q] for q in inst.qubits)
             if inst.is_const():
                 params = inst.const_params()
@@ -1091,8 +791,8 @@ class ParametricCompiledCircuit:
         for node in self._aux_nodes:
             node.replay(ctx)
         if self._guard_rows.size:
-            # vectorized mirror of _is_zero_angle: distance to the nearest
-            # multiple of 2*pi below the shared 1e-9 tolerance
+            # _is_zero_angle, vectorized: distance to the nearest multiple
+            # of 2*pi below the shared 1e-9 tolerance
             wrapped = np.abs(
                 np.mod(affine[self._guard_rows] + math.pi, 2.0 * math.pi)
                 - math.pi
@@ -1330,7 +1030,7 @@ def _symbolic_logical_circuit(circuit: ParameterizedCircuit) -> _SymbolicCircuit
         exprs: List[_Affine] = []
         for slot in op.slots:
             if slot.kind == "const":
-                exprs.append(_Affine.constant(slot.value))
+                exprs.append(_Affine(slot.value))
             elif slot.kind == "weight":
                 exprs.append(_Affine.parameter(int(slot.value)))
             else:  # input feature
@@ -1355,10 +1055,10 @@ def parametric_transpile(
 ) -> ParametricCompiledCircuit:
     """Compile a circuit structure once; re-bind angles in O(params).
 
-    Mirrors :func:`repro.transpile.compiler.transpile` stage for stage (same
-    layout resolution, routing, decomposition and optimization passes, and —
-    given the same ``seed`` — the same SABRE draws at level 3), but runs them
-    over symbolic angles.  ``witness_values`` selects the compile-time
+    Runs the stages of :func:`repro.transpile.compiler.transpile` — the same
+    layout resolution, routing, decomposition rules and pass sequence, and,
+    given the same ``seed``, the same SABRE draws at level 3 — over symbolic
+    angles.  ``witness_values`` selects the compile-time
     branches; bindings that take the same branches (the overwhelmingly common
     case for generic angles) bind exactly, the rest raise
     :class:`ParametricBindMismatch` from :meth:`ParametricCompiledCircuit.bind`.
@@ -1381,19 +1081,14 @@ def parametric_transpile(
     def compile_with_layout(layout) -> _LayoutCandidate:
         trace = _TraceState(witness, defer_single=optimization_level >= 2)
         routed = _traced("route", route_circuit, symbolic, device, layout)
-        stream = _traced("decompose", _symbolic_decompose_circuit, trace,
-                         routed.circuit)
-        if optimization_level >= 1:
-            stream = _traced("cancel_cx", cancel_adjacent_inverse_cx_run, stream)
-            stream = _traced("merge_rz", _symbolic_merge_adjacent_rz, trace, stream)
-            stream = _traced("drop_identity", _symbolic_drop_identity_rotations,
-                             trace, stream)
-        if optimization_level >= 2:
-            stream = _traced("resynthesize",
-                             _symbolic_resynthesize_single_qubit_runs, trace, stream)
-            stream = _traced("cancel_cx", cancel_adjacent_inverse_cx_run, stream)
-            stream = _traced("merge_rz", _symbolic_merge_adjacent_rz, trace, stream)
-        return _LayoutCandidate(stream, trace, routed)
+        lowered = _traced("decompose", trace.decompose_circuit, routed.circuit)
+        optimized = _optimize(
+            lowered, optimization_level,
+            is_zero=trace.is_zero, fuse=_fuse_sources, flush=trace.flush,
+        )
+        return _LayoutCandidate(
+            _SymbolicCircuit(device.n_qubits, optimized), trace, routed
+        )
 
     base_layout = _resolve_layout(symbolic, device, initial_layout, rng)
     chosen = compile_with_layout(base_layout)
@@ -1403,7 +1098,7 @@ def parametric_transpile(
         alternative_layout = sabre_layout(symbolic, device, n_trials=4, rng=rng)
         alternative = compile_with_layout(alternative_layout)
         # ``min`` keeps the first candidate on ties, exactly like transpile()
-        if alternative.sort_key(device.n_qubits) < chosen.sort_key(device.n_qubits):
+        if alternative.sort_key() < chosen.sort_key():
             chosen, auxiliary = alternative, chosen
         else:
             auxiliary = alternative

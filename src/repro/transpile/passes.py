@@ -1,14 +1,24 @@
-"""Circuit optimization passes (the compiler's optimization levels 1-3)."""
+"""Circuit optimization passes (the compiler's optimization levels 1-3).
+
+Each pass is a list-level core that both compilation pipelines run; the
+public :class:`QuantumCircuit` passes wrap it.  The cores read only gate
+names, qubits and angles through keyword-only hooks that default to the
+concrete pipeline: ``is_zero(angle)`` decides a zero-angle branch,
+``fuse(first, second, angle)`` builds the RZ two merged RZs become, and
+``flush(qubit, run)`` re-emits a run of single-qubit gates.  The parametric
+pipeline passes hooks that record guards, carry provenance and replay runs
+at bind time (:mod:`.parametric`).
+"""
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from .. import telemetry
 from ..quantum.circuit import Instruction, QuantumCircuit
-from .decompose import decompose_u3, u3_angles_from_matrix
+from .decompose import _is_zero_angle, decompose_u3, u3_angles_from_matrix
 
 __all__ = [
     "cancel_adjacent_inverse_cx",
@@ -18,15 +28,20 @@ __all__ = [
     "resynthesize_single_qubit_runs",
 ]
 
-_TWO_PI = 2.0 * math.pi
+#: gates that compile to the identity when every angle is ~0
+_ROTATION_GATES = frozenset({
+    "rx", "ry", "rz", "u1", "u3", "rzz", "rxx", "ryy", "rzx",
+    "crx", "cry", "crz", "cu1", "cu3",
+})
 
 
-def _is_zero_angle(angle: float, atol: float = 1e-9) -> bool:
-    wrapped = math.fmod(angle, _TWO_PI)
-    return min(abs(wrapped), abs(abs(wrapped) - _TWO_PI)) < atol
+def _traced(step: str, compiler_pass, *args, **kwargs):
+    """Run one compiler pass under a ``transpile.pass{step=...}`` span."""
+    with telemetry.span("transpile.pass", step=step):
+        return compiler_pass(*args, **kwargs)
 
 
-def _last_touching(instructions: List[Instruction], qubits) -> Optional[int]:
+def _last_touching(instructions: List, qubits) -> Optional[int]:
     """Index of the most recent instruction that touches any of ``qubits``."""
     target = set(qubits)
     for index in range(len(instructions) - 1, -1, -1):
@@ -38,9 +53,8 @@ def _last_touching(instructions: List[Instruction], qubits) -> Optional[int]:
 def cancel_adjacent_inverse_cx_run(instructions: List) -> List:
     """List-level core of :func:`cancel_adjacent_inverse_cx`.
 
-    Operates on anything instruction-shaped (``.gate``/``.qubits``), which is
-    how the parametric transpiler reuses this pass verbatim on symbolic
-    instruction streams — the pass never reads parameter values.
+    Reads only ``.gate`` and ``.qubits``, never an angle, so it needs no
+    hooks: both pipelines run it as it is.
     """
     self_inverse_2q = {"cx", "cz", "swap"}
     out: List = []
@@ -69,43 +83,86 @@ def cancel_adjacent_inverse_cx(circuit: QuantumCircuit) -> QuantumCircuit:
     return result
 
 
-def merge_adjacent_rz(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Fuse consecutive RZ rotations on the same qubit; drop zero rotations."""
-    out: List[Instruction] = []
-    for instruction in circuit.instructions:
+def _fuse_rz(first: Instruction, second: Instruction, angle: float) -> Instruction:
+    return Instruction("rz", second.qubits, (angle,))
+
+
+def _merge_adjacent_rz_run(
+    instructions: List, *, is_zero=_is_zero_angle, fuse=_fuse_rz
+) -> List:
+    """List-level core of :func:`merge_adjacent_rz`."""
+    out: List = []
+    for instruction in instructions:
         if instruction.gate == "rz":
             previous = _last_touching(out, instruction.qubits)
-            if previous is not None and out[previous].gate == "rz" and out[
-                previous
-            ].qubits == instruction.qubits:
-                merged = out[previous].params[0] + instruction.params[0]
-                out.pop(previous)
-                if not _is_zero_angle(merged):
-                    out.append(Instruction("rz", instruction.qubits, (merged,)))
+            if (
+                previous is not None
+                and out[previous].gate == "rz"
+                and out[previous].qubits == instruction.qubits
+            ):
+                first = out.pop(previous)
+                merged = first.params[0] + instruction.params[0]
+                if not is_zero(merged):
+                    out.append(fuse(first, instruction, merged))
                 continue
-            if _is_zero_angle(instruction.params[0]):
+            if is_zero(instruction.params[0]):
                 continue
         out.append(instruction)
+    return out
+
+
+def merge_adjacent_rz(circuit: QuantumCircuit) -> QuantumCircuit:
+    """Fuse consecutive RZ rotations on the same qubit; drop zero rotations."""
     result = QuantumCircuit(circuit.n_qubits)
-    result.extend(out)
+    result.extend(_merge_adjacent_rz_run(circuit.instructions))
     return result
+
+
+def _drop_identity_run(instructions: List, *, is_zero=_is_zero_angle) -> List:
+    """List-level core of :func:`drop_identity_rotations`."""
+    return [
+        instruction
+        for instruction in instructions
+        if not (
+            instruction.gate in _ROTATION_GATES
+            and all(is_zero(angle) for angle in instruction.params)
+        )
+    ]
 
 
 def drop_identity_rotations(circuit: QuantumCircuit, atol: float = 1e-9):
     """Remove rotations whose angles are all ~0 (they compile to identity)."""
-    rotation_gates = {"rx", "ry", "rz", "u1", "rzz", "rxx", "ryy", "rzx",
-                      "crx", "cry", "crz", "cu1"}
-    out = QuantumCircuit(circuit.n_qubits)
-    for instruction in circuit.instructions:
-        if instruction.gate in rotation_gates and all(
-            _is_zero_angle(p, atol) for p in instruction.params
-        ):
+    result = QuantumCircuit(circuit.n_qubits)
+    result.extend(_drop_identity_run(
+        circuit.instructions, is_zero=lambda angle: _is_zero_angle(angle, atol)
+    ))
+    return result
+
+
+def _flush_run(qubit: int, run: List) -> List[Instruction]:
+    """Multiply a run's 2x2 matrices and re-emit the product as one U3."""
+    matrix = np.eye(2, dtype=complex)
+    for instruction in run:
+        matrix = instruction.matrix() @ matrix
+    theta, phi, lam = u3_angles_from_matrix(matrix)
+    return decompose_u3(qubit, theta, phi, lam)
+
+
+def _resynthesize_run(instructions: List, *, flush=_flush_run) -> List:
+    """List-level core of :func:`resynthesize_single_qubit_runs`."""
+    pending: Dict[int, List] = {}
+    out: List = []
+    for instruction in instructions:
+        if len(instruction.qubits) == 1:
+            pending.setdefault(instruction.qubits[0], []).append(instruction)
             continue
-        if instruction.gate in ("u3", "cu3") and all(
-            _is_zero_angle(p, atol) for p in instruction.params
-        ):
-            continue
+        for qubit in instruction.qubits:
+            run = pending.pop(qubit, None)
+            if run is not None:
+                out.extend(flush(qubit, run))
         out.append(instruction)
+    for qubit in sorted(pending):
+        out.extend(flush(qubit, pending[qubit]))
     return out
 
 
@@ -117,28 +174,33 @@ def resynthesize_single_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     which both shortens the circuit and restores the zero-angle special cases
     after pruning.
     """
-    pending: Dict[int, np.ndarray] = {}
-    out: List[Instruction] = []
-
-    def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is None:
-            return
-        theta, phi, lam = u3_angles_from_matrix(matrix)
-        out.extend(decompose_u3(qubit, theta, phi, lam))
-
-    for instruction in circuit.instructions:
-        if len(instruction.qubits) == 1:
-            qubit = instruction.qubits[0]
-            matrix = instruction.matrix()
-            pending[qubit] = matrix @ pending.get(qubit, np.eye(2, dtype=complex))
-        else:
-            for qubit in instruction.qubits:
-                flush(qubit)
-            out.append(instruction)
-    for qubit in sorted(pending):
-        flush(qubit)
-
     result = QuantumCircuit(circuit.n_qubits)
-    result.extend(out)
+    result.extend(_resynthesize_run(circuit.instructions))
     return result
+
+
+def _optimize(
+    instructions: List, level: int, *,
+    is_zero=_is_zero_angle, fuse=_fuse_rz, flush=_flush_run,
+) -> List:
+    """Optimization ``level``'s pass sequence over a decomposed instruction list.
+
+    Level 1 cancels adjacent CX pairs, merges RZs and drops identity
+    rotations; level 2 then re-synthesizes single-qubit runs and cancels and
+    merges once more.  Each pass runs under its ``transpile.pass`` span.
+    """
+    if level >= 1:
+        instructions = _traced("cancel_cx", cancel_adjacent_inverse_cx_run,
+                               instructions)
+        instructions = _traced("merge_rz", _merge_adjacent_rz_run, instructions,
+                               is_zero=is_zero, fuse=fuse)
+        instructions = _traced("drop_identity", _drop_identity_run, instructions,
+                               is_zero=is_zero)
+    if level >= 2:
+        instructions = _traced("resynthesize", _resynthesize_run, instructions,
+                               flush=flush)
+        instructions = _traced("cancel_cx", cancel_adjacent_inverse_cx_run,
+                               instructions)
+        instructions = _traced("merge_rz", _merge_adjacent_rz_run, instructions,
+                               is_zero=is_zero, fuse=fuse)
+    return instructions

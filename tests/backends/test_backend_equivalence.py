@@ -111,8 +111,9 @@ def test_forced_capable_backend_reproduces_default_scores(
 def test_forcing_statevector_on_noise_sim_keeps_density_scores(
     u3cu3_supercircuit, yorktown, tiny_dataset
 ):
-    """The REPRO_BACKEND=statevector CI lane contract: an incapable override
-    never changes a noisy score — it is ignored for that group."""
+    """The ignored-override contract (REPRO_BACKEND=statevector): an
+    incapable override never changes a noisy score — it is ignored for that
+    group."""
     space = get_design_space("u3cu3")
     candidates = make_population(space, 4, yorktown, seed=3, size=3)
 

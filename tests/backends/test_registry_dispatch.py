@@ -59,7 +59,7 @@ def test_incapable_override_is_ignored_not_fatal(yorktown):
         == "density"
     )
     assert dispatcher.overrides_ignored == 1
-    # ...but applies where capable (the CI statevector lane's contract)
+    # ...but applies where capable
     assert (
         dispatcher.select(DispatchRequest(mode="noise_free", n_qubits=4))
         == "statevector"

@@ -128,7 +128,7 @@ def test_incapable_override_never_changes_real_qc_scores(u3cu3_supercircuit,
                                                          yorktown,
                                                          tiny_dataset):
     """Only a *shot-capable* override opts real_qc into batched dispatch; an
-    ignored override (the REPRO_BACKEND=statevector lane) must keep the
+    ignored override (e.g. REPRO_BACKEND=statevector) must keep the
     sequential rng-stream path and its exact scores."""
     space = get_design_space("u3cu3")
     candidates = make_population(space, yorktown, seed=29, size=3)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quantum.circuit import Instruction, QuantumCircuit
-from repro.quantum.gates import gate_matrix, gate_num_params
+from repro.quantum.gates import GATES, gate_matrix, gate_num_params
 from repro.quantum.statevector import circuit_unitary
 from repro.transpile.decompose import (
     BASIS_GATES,
+    _gate_entries,
     compiled_gate_count_u3,
     decompose_circuit,
     decompose_instruction,
@@ -126,3 +127,20 @@ def test_decompose_circuit_only_contains_basis_or_opaque_gates():
 def test_identity_rotations_disappear():
     assert decompose_instruction(Instruction("rz", (0,), (0.0,))) == []
     assert decompose_instruction(Instruction("i", (0,))) == []
+
+
+@pytest.mark.parametrize(
+    "gate", sorted(name for name, spec in GATES.items() if spec.num_qubits == 1)
+)
+def test_scalar_entries_equal_gate_matrix(gate):
+    """The scalar 2x2 entries the decomposition and bind-time replay read are
+    ``gate_matrix``'s, entry for entry, at random and at branch angles."""
+    rng = np.random.default_rng(sorted(GATES).index(gate))
+    n_params = gate_num_params(gate)
+    draws = [rng.uniform(-2 * np.pi, 2 * np.pi, n_params) for _ in range(200)]
+    draws += [np.full(n_params, angle) for angle in (0.0, np.pi, -np.pi, np.pi / 2)]
+    for params in draws:
+        params = tuple(float(p) for p in params)
+        matrix = gate_matrix(gate, params)
+        expected = (matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1])
+        assert _gate_entries(gate, params) == expected, (gate, params)
