@@ -270,7 +270,8 @@ class ParametricCacheStats(MergeableStats):
 
     @property
     def fallback_rate(self) -> float:
-        requests = self.bind_requests
+        """Share of every requested row, batch rows included, that fell back."""
+        requests = self.batch_rows + self.bind_requests
         return self.fallbacks / requests if requests else 0.0
 
 

@@ -38,6 +38,11 @@ numbers).  Three mechanisms make this exact rather than approximate:
   identity rotation, the zero-angle special cases of the U3 decomposition,
   which of two SABRE layouts wins at optimization level 3) are taken for a
   *witness* binding and recorded as guards ``is_zero(expr) == verdict``.
+  At optimization level >= 2 a decision that *keeps* an angle of an outer
+  single-qubit gate (no multi-qubit gate before it on its qubit, or none
+  after it) records no guard: re-synthesis absorbs the gate into a replay
+  node, which decides a zeroed angle (an encoder's blank pixel) itself, and
+  no CX pair can cancel across the gate.  Every other decision is guarded.
 
 * **Replay nodes.**  Steps that are genuinely non-affine — extracting U3
   angles from a gate matrix, re-synthesizing a run of single-qubit gates into
@@ -454,7 +459,9 @@ class _EmissionGuard:
     only the *emptiness* of their concrete decomposition is structurally
     load-bearing (it decides whether the gate blocks a CX cancellation).
     Emptiness — unlike the emitted gate order — does not flip when the angle
-    changes sign, which is what keeps templates stable across samples.
+    changes sign, which is what keeps templates stable across samples.  An
+    outer gate blocks no cancellation, so it records this guard only when
+    its witness emission is empty (see :class:`_TraceState`).
     """
 
     __slots__ = ("gate", "qubits", "params", "empty")
@@ -488,6 +495,28 @@ class _EmissionGuard:
             )
 
 
+def _outer_exprs(instructions: Sequence[_SymbolicInstruction]) -> frozenset:
+    """Ids of the parameter expressions of a routed circuit's *outer* gates.
+
+    A single-qubit gate is outer when no multi-qubit gate on its qubit comes
+    before it, or none comes after it: no CX pair can cancel across it.
+    """
+    first: Dict[int, int] = {}
+    last: Dict[int, int] = {}
+    for position, inst in enumerate(instructions):
+        if len(inst.qubits) > 1:
+            for qubit in inst.qubits:
+                first.setdefault(qubit, position)
+                last[qubit] = position
+    outer: set = set()
+    for position, inst in enumerate(instructions):
+        if len(inst.qubits) == 1:
+            qubit = inst.qubits[0]
+            if not first.get(qubit, position) < position < last.get(qubit, position):
+                outer.update(id(expr) for expr in inst.params)
+    return frozenset(outer)
+
+
 class _TraceState:
     """Witness context plus the guards/nodes accumulated for one layout.
 
@@ -495,19 +524,38 @@ class _TraceState:
     with: :meth:`is_zero` records a guard, :meth:`decompose` and
     :meth:`decompose_single` lower symbolic instructions (through the
     concrete rules) and :meth:`flush` re-emits a single-qubit run.
+
+    At optimization >= 2 a decision that *keeps* an angle of an outer gate
+    (its expression id is in ``outer``, see :func:`_outer_exprs`) records no
+    guard.  The gate sits in a run that re-synthesis replaces with a replay
+    node, so an angle that binds to zero (or ``2*pi*k``) only multiplies the
+    identity, up to a global phase, into that node's product: the node
+    re-emits what the concrete flush of the shorter run emits, or refuses the
+    row.  And no CX pair can cancel across an outer gate, so keeping it in
+    the stream until re-synthesis changes no cancellation.  Decisions that
+    drop an angle (the template lost it), decisions on derived expressions (a
+    merged RZ sum, ``phi + pi``), decisions on gates between two multi-qubit
+    gates on their qubit, and every decision below level 2 keep their guards.
     """
 
-    def __init__(self, witness: np.ndarray, defer_single: bool = False) -> None:
+    def __init__(
+        self,
+        witness: np.ndarray,
+        defer_single: bool = False,
+        outer: frozenset = frozenset(),
+    ) -> None:
         self.ctx = _BindContext(witness)
         self.guards: List = []
         self.nodes: List[_ReplayNode] = []
         #: at optimization >= 2 non-affine 1q gates are deferred (see
         #: :class:`_EmissionGuard`) instead of replayed piece-for-piece
         self.defer_single = defer_single
+        #: ids of the outer gates' parameter expressions (empty below level 2)
+        self.outer = outer
 
     def is_zero(self, expr) -> bool:
         verdict = _is_zero_angle(expr.evaluate(self.ctx))
-        if not expr.is_const:
+        if not expr.is_const and (verdict or id(expr) not in self.outer):
             self.guards.append(_Guard(expr, verdict))
         return verdict
 
@@ -577,9 +625,10 @@ class _TraceState:
             tuple(expr.evaluate(self.ctx) for expr in inst.params),
             _emit_tuple,
         )
-        self.guards.append(
-            _EmissionGuard(inst.gate, inst.qubits, inst.params, not emitted)
-        )
+        if not emitted or id(inst.params[0]) not in self.outer:
+            self.guards.append(
+                _EmissionGuard(inst.gate, inst.qubits, inst.params, not emitted)
+            )
         return [] if not emitted else [inst]
 
     def _register(self, node: _ReplayNode) -> List[_SymbolicInstruction]:
@@ -721,10 +770,12 @@ class ParametricCompiledCircuit:
         for inst in chosen.circuit.instructions:
             reduced_qubits = tuple(index[q] for q in inst.qubits)
             if inst.is_const():
+                # the symbolic instruction already holds a canonical name,
+                # int qubits and float angles: nothing left to validate
                 params = inst.const_params()
-                self._slots.append(Instruction(inst.gate, inst.qubits, params))
+                self._slots.append(_fast_instruction(inst.gate, inst.qubits, params))
                 self._reduced_slots.append(
-                    Instruction(inst.gate, reduced_qubits, params)
+                    _fast_instruction(inst.gate, reduced_qubits, params)
                 )
             else:
                 plan = tuple(plan_param(expr) for expr in inst.params)
@@ -1079,8 +1130,14 @@ def parametric_transpile(
     symbolic = _symbolic_logical_circuit(circuit)
 
     def compile_with_layout(layout) -> _LayoutCandidate:
-        trace = _TraceState(witness, defer_single=optimization_level >= 2)
         routed = _traced("route", route_circuit, symbolic, device, layout)
+        resynthesize = optimization_level >= 2
+        trace = _TraceState(
+            witness,
+            defer_single=resynthesize,
+            outer=_outer_exprs(routed.circuit.instructions)
+            if resynthesize else frozenset(),
+        )
         lowered = _traced("decompose", trace.decompose_circuit, routed.circuit)
         optimized = _optimize(
             lowered, optimization_level,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
+from repro.core import EvolutionConfig, EvolutionEngine, SuperCircuit, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
 from repro.devices import QuantumBackend
 from repro.execution import ExecutionEngine, ParametricTranspileCache, TranspileCache
+from repro.qml import encoder_for_task
 from repro.transpile.compiler import transpile
 
 ATOL = 1e-9
@@ -98,7 +99,10 @@ def test_branch_crossings_are_served_by_the_fallback(u3cu3_supercircuit, yorktow
     order the rows arrive in."""
     candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
     generic = np.linspace(0.3, 1.8, 16)
-    # zeroed features cross the generic witness's non-zero encoder branches
+    # the first run of physical qubit 4 holds its encoder gates and a CU3's
+    # leading U1 piece; with those features zeroed it multiplies to a
+    # diagonal matrix, so its replay node emits one RZ where the template
+    # holds five, and both rows cross
     zeroed = np.zeros(16)
     zeroed_2 = np.zeros(16)
     zeroed_2[0] = 0.7
@@ -163,7 +167,7 @@ def test_fallback_shares_the_structure_seed_at_level_3(
     u3cu3_supercircuit, yorktown
 ):
     """Template binds and exact fallbacks must share one pinned SABRE seed:
-    a guard-crossing binding served by the fallback has to equal a fresh
+    a branch-crossing binding served by the fallback has to equal a fresh
     transpile with the *structure* key's seed, not the bound key's."""
     candidate, circuit, weights = structure_inputs(u3cu3_supercircuit, yorktown)
     cache = ParametricTranspileCache()
@@ -188,9 +192,11 @@ def test_fallback_shares_the_structure_seed_at_level_3(
 
 
 def test_population_evaluation_keeps_parametric_compilations_immutable(
-    u3cu3_supercircuit, yorktown, tiny_dataset
+    yorktown, tiny_dataset
 ):
     space = get_design_space("u3cu3")
+    # a private SuperCircuit: the test prunes its parameters
+    supercircuit = SuperCircuit(space, 4, encoder=encoder_for_task("mnist-4"), seed=3)
     evolution = EvolutionEngine(space, 4, yorktown, EvolutionConfig(seed=6))
     config_a, config_b = evolution.random_config(), evolution.random_config()
     mapping = evolution.random_mapping()
@@ -202,11 +208,39 @@ def test_population_evaluation_keeps_parametric_compilations_immutable(
     estimator = PerformanceEstimator(
         yorktown, EstimatorConfig(mode="noise_sim", n_valid_samples=2)
     )
-    engine = ExecutionEngine(estimator, u3cu3_supercircuit)
+    engine = ExecutionEngine(estimator, supercircuit)
+    cache = engine.parametric_cache
+
+    # the templates are traced against the inherited weights, and the
+    # blank pixel of the first validation image binds through them
+    blank_row = tiny_dataset.x_valid[0]
+    assert (blank_row == 0.0).any()
+    engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+    assert cache.stats.fallbacks == 0
+    circuit, _ = supercircuit.build_standalone_circuit(config_a)
+    weights = supercircuit.inherited_weights(config_a)
+    compiled = cache.get_bound(circuit, weights, blank_row, yorktown, mapping)
+    assert cache.stats.fallbacks == 0
+    fresh = transpile(
+        circuit.bind(weights, blank_row), yorktown, initial_layout=mapping,
+        optimization_level=2, seed=cache.key_for(circuit, yorktown, mapping, 2)[-1],
+    )
+    assert [(i.gate, i.qubits) for i in compiled.circuit.instructions] == [
+        (i.gate, i.qubits) for i in fresh.circuit.instructions
+    ]
+    for got, ref in zip(compiled.circuit.instructions, fresh.circuit.instructions):
+        wrapped = (np.subtract(got.params, ref.params) + np.pi) % (2 * np.pi) - np.pi
+        assert np.all(np.abs(wrapped) < ATOL)
+
+    # pruning moves the weights off the templates' witness, as training
+    # moves deploy's: these rows cross and the fallback fills the bound LRU
+    parameters = supercircuit.parameters.copy()
+    parameters[::2] = 0.0
+    supercircuit.update_parameters(parameters)
     first_scores = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
     assert first_scores[0] == first_scores[2]
+    assert cache.stats.fallbacks > 0
 
-    cache = engine.parametric_cache
     bound = list(cache._bound.values())
     assert bound, "population evaluation should have populated the bound cache"
     snapshots = [

@@ -11,15 +11,27 @@ Bindings that cross a compile-time branch must *refuse* (``try_bind`` →
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import (
+    EstimatorConfig,
+    EvolutionConfig,
+    EvolutionEngine,
+    PerformanceEstimator,
+    SubCircuitConfig,
+    get_design_space,
+)
 from repro.devices import QuantumBackend, get_device
-from repro.quantum.circuit import ParameterizedCircuit
+from repro.execution import ExecutionEngine, ParametricTranspileCache
+from repro.quantum.circuit import Instruction, ParameterizedCircuit
 from repro.quantum.gates import gate_num_params
 from repro.transpile.compiler import transpile
 from repro.transpile.parametric import (
     ParametricBindMismatch,
+    _default_witness,
     num_feature_params,
     parametric_fingerprint,
     parametric_transpile,
@@ -260,6 +272,144 @@ def test_branch_crossing_refuses_instead_of_guessing(yorktown):
     # recorded non-zero branch no longer holds
     with pytest.raises(ParametricBindMismatch):
         parametric.bind(np.array([0.0, 0.7]))
+
+
+def blank_rows(n_features):
+    """Feature rows of blank pixels: all zero, six of sixteen zero, and every
+    angle a full turn (the concrete pipeline drops each such rotation)."""
+    some = np.random.default_rng(41).uniform(0.2, 2.9, n_features)
+    some[::3] = 0.0
+    return {
+        "all zero": np.zeros(n_features),
+        "some zero": some,
+        "all 2pi": np.full(n_features, 2.0 * np.pi),
+    }
+
+
+@pytest.mark.parametrize("layout_kind", LAYOUT_KINDS + ["sabre"])
+@pytest.mark.parametrize("optimization_level", [0, 1, 2, 3])
+def test_blank_rows_bind_where_resynthesis_absorbs_them(
+    u3cu3_supercircuit, yorktown, layout_kind, optimization_level
+):
+    """Blank pixels zero mnist-4 encoder rotations.  No CX precedes an
+    encoder gate on its qubit, so at levels 2 and 3 the re-synthesized run
+    that absorbs it decides the row, and blank rows bind exactly.  Levels 0
+    and 1 have no re-synthesis: blank rows still refuse there."""
+    config = SubCircuitConfig.full(get_design_space("u3cu3"), 4, n_blocks=2)
+    circuit, _ = u3cu3_supercircuit.build_standalone_circuit(config)
+    weights = u3cu3_supercircuit.inherited_weights(config)
+    n_features = num_feature_params(circuit)
+    rng = np.random.default_rng(53)
+    layout = (
+        "sabre" if layout_kind == "sabre"
+        else layout_spec(layout_kind, 4, yorktown, rng)
+    )
+    # the parametric cache's witness: real weights, generic features
+    witness = np.concatenate([weights, _default_witness(n_features, None)])
+    template = parametric_transpile(
+        circuit, yorktown, initial_layout=layout,
+        optimization_level=optimization_level, seed=19, witness_values=witness,
+    )
+    rows = {"generic": rng.uniform(0.2, 2.9, n_features), **blank_rows(n_features)}
+    for name, features in rows.items():
+        compiled = template.try_bind(np.concatenate([weights, features]))
+        if optimization_level < 2 and name != "generic":
+            assert compiled is None, name
+            continue
+        assert compiled is not None, name
+        fresh = transpile(
+            circuit.bind(weights, features), yorktown, initial_layout=layout,
+            optimization_level=optimization_level, seed=19,
+        )
+        assert_bind_matches_fresh(compiled, fresh)
+
+
+def test_kept_angle_between_cx_gates_keeps_its_guard(yorktown):
+    """Only gates outside every CX pair on their qubit bind unguarded.
+
+    Two encoder rotations sit between a CX pair.  At the witness features
+    (0.7, -0.7) they multiply to the identity, re-synthesis empties their
+    run and the pair cancels, leaving 9 gates.  Bound to (0, 0), the
+    concrete pipeline drops both rotations, cancels the pair at once and
+    merges the two trainable U3s into one: 5 gates.  Their guards stay, so
+    the row refuses, and the cache's fallback serves the concrete compile.
+    """
+    circuit = ParameterizedCircuit(2)
+    circuit.add_trainable("u3", [0])
+    circuit.add_fixed("cx", [0, 1])
+    circuit.add_encoder("ry", [1], [0])
+    circuit.add_encoder("ry", [1], [1])
+    circuit.add_fixed("cx", [0, 1])
+    circuit.add_trainable("u3", [0])
+    weights = np.array([0.9, 0.4, -1.3, 1.7, -0.6, 0.8])
+    blank = np.zeros(2)
+    for level in (2, 3):
+        template = parametric_transpile(
+            circuit, yorktown, optimization_level=level, seed=3,
+            witness_values=np.concatenate([weights, [0.7, -0.7]]),
+        )
+        assert template.num_instructions == 9
+        assert template.try_bind(np.concatenate([weights, blank])) is None
+
+        cache = ParametricTranspileCache()
+        compiled = cache.get_bound(circuit, weights, blank, yorktown, None, level)
+        assert cache.stats.fallbacks == 1
+        fresh = transpile(
+            circuit.bind(weights, blank), yorktown, optimization_level=level,
+            seed=cache.key_for(circuit, yorktown, None, level)[-1],
+        )
+        assert len(fresh.circuit.instructions) == 5
+        assert_bind_matches_fresh(compiled, fresh)
+
+
+def test_blank_pixel_population_binds_without_fallbacks(
+    u3cu3_supercircuit, yorktown, tiny_dataset, seed_path_scorer
+):
+    """A noise_sim population whose validation images have blank corners:
+    every row binds through its structure's template, and the scores equal
+    the per-candidate seed path's."""
+    x_valid = tiny_dataset.x_valid.copy()
+    x_valid[:, [0, 3, 12, 15]] = 0.0
+    dataset = dataclasses.replace(tiny_dataset, x_valid=x_valid)
+    evolution = EvolutionEngine(
+        get_design_space("u3cu3"), 4, yorktown, EvolutionConfig(seed=11)
+    )
+    candidates = [evolution.random_candidate() for _ in range(6)]
+    config = EstimatorConfig(mode="noise_sim", n_valid_samples=3)
+    estimator = PerformanceEstimator(yorktown, config)
+    with ExecutionEngine(estimator, u3cu3_supercircuit) as engine:
+        scores = engine.evaluate_qml_population(candidates, dataset, 4)
+    stats = estimator.parametric_transpile_cache.stats
+    assert stats.fallbacks == 0
+    assert stats.batch_rows == len(candidates) * 3
+    reference = seed_path_scorer(
+        yorktown, u3cu3_supercircuit, config, dataset=dataset, n_classes=4
+    )(candidates)
+    np.testing.assert_allclose(scores, reference, rtol=0, atol=ATOL)
+
+
+def test_constant_slots_equal_validated_instructions(yorktown):
+    """Constant template slots are built without re-validation; each still
+    equals the validated :class:`Instruction` it stands for, with float
+    angles and int qubits, on the physical and the reduced register."""
+    rng = np.random.default_rng(37)
+    checked = 0
+    for level in range(4):
+        circuit = random_parameterized_circuit(4, 14, rng)
+        weights, features = random_binding(circuit, rng)
+        template = parametric_transpile(
+            circuit, yorktown, initial_layout=[3, 1, 4, 2],
+            optimization_level=level,
+            witness_values=np.concatenate([weights, features]),
+        )
+        for slot in template._slots + template._reduced_slots:
+            if type(slot) is not Instruction:
+                continue
+            assert slot == Instruction(slot.gate, slot.qubits, slot.params)
+            assert all(type(param) is float for param in slot.params)
+            assert all(type(qubit) is int for qubit in slot.qubits)
+            checked += 1
+    assert checked
 
 
 def test_reduced_circuit_is_prebuilt_and_consistent(yorktown):
