@@ -22,7 +22,6 @@ from .operators import PauliString, PauliSum, group_commuting
 from .statevector import (
     apply_matrix,
     circuit_unitary,
-    expectation_pauli_string,
     expectation_pauli_sum,
     expectation_z,
     expectation_z_all,
@@ -61,7 +60,6 @@ __all__ = [
     "group_commuting",
     "apply_matrix",
     "circuit_unitary",
-    "expectation_pauli_string",
     "expectation_pauli_sum",
     "expectation_z",
     "expectation_z_all",

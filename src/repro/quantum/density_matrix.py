@@ -370,25 +370,11 @@ def expectation_z_all_dm(rho: np.ndarray) -> np.ndarray:
 
 
 def expectation_pauli_sum_dm(rho: np.ndarray, observable: PauliSum) -> float:
-    """``Tr(H rho)`` for a Pauli-sum observable."""
-    from .gates import gate_matrix
-
+    """``Tr(H rho)`` for a Pauli-sum observable: one gather over the sum's
+    compiled table (:mod:`repro.quantum.operators`)."""
     n = rho.ndim // 2
-    total = 0.0
-    for term in observable.terms:
-        if term.is_identity:
-            total += term.coefficient
-            continue
-        transformed = rho
-        for qubit, pauli in term.paulis:
-            transformed = _apply_left(
-                transformed, gate_matrix(pauli.lower()), (qubit,), n
-            )
-        dim = 2**n
-        total += term.coefficient * float(
-            np.real(np.trace(transformed.reshape(dim, dim)))
-        )
-    return total
+    dim = 2**n
+    return observable._table(n).trace(rho.reshape(dim, dim))
 
 
 def purity(rho: np.ndarray) -> float:

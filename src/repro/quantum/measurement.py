@@ -12,7 +12,7 @@ import numpy as np
 
 from ..utils.rng import ensure_rng
 from .circuit import QuantumCircuit
-from .operators import PauliString, PauliSum, group_commuting
+from .operators import PauliString, PauliSum, _diagonal_weights, group_commuting
 
 __all__ = [
     "sample_counts",
@@ -20,7 +20,6 @@ __all__ = [
     "expectation_z_from_probabilities",
     "expectation_z_all_from_probabilities",
     "basis_change_circuit",
-    "pauli_expectation_from_probabilities",
     "MeasurementPlan",
 ]
 
@@ -84,25 +83,6 @@ def basis_change_circuit(n_qubits: int, bases: Dict[int, str]) -> QuantumCircuit
     return circuit
 
 
-def pauli_expectation_from_probabilities(
-    probabilities: np.ndarray, term: PauliString, n_qubits: int
-) -> float:
-    """Expectation of a Pauli string given Z-basis probabilities *after* the
-    appropriate basis change has already been applied to the circuit."""
-    if term.is_identity:
-        return term.coefficient
-    probs = np.asarray(probabilities, dtype=float).reshape((2,) * n_qubits)
-    qubits = term.qubits
-    axes = tuple(a for a in range(n_qubits) if a not in qubits)
-    marginal = probs.sum(axis=axes) if axes else probs
-    # marginal is indexed by the retained qubits in increasing order
-    value = 0.0
-    for outcome in np.ndindex(*marginal.shape):
-        parity = (-1) ** (sum(outcome) % 2)
-        value += parity * marginal[outcome]
-    return term.coefficient * float(value)
-
-
 class MeasurementPlan:
     """Groups a Pauli-sum observable into simultaneously measurable settings.
 
@@ -110,6 +90,10 @@ class MeasurementPlan:
     all qubits in the Z basis — exactly how VQE expectation values are
     estimated on hardware ("we prepare the state multiple times for
     measurements on different qubits and bases").
+
+    After a group's basis change every term of the group is a parity over
+    its support, so each group folds once into one sign-weighted vector over
+    outcomes, and the energy is ``c0 + sum_g p_g . v_g``.
     """
 
     def __init__(self, observable: PauliSum, n_qubits: int) -> None:
@@ -117,6 +101,7 @@ class MeasurementPlan:
         self.n_qubits = n_qubits
         self.groups: List[List[PauliString]] = group_commuting(observable)
         self.constant = observable.constant
+        self._outcome_weights: Optional[List[np.ndarray]] = None
         self._settings: Optional[
             List[Tuple[QuantumCircuit, List[PauliString]]]
         ] = None
@@ -151,10 +136,13 @@ class MeasurementPlan:
         """Combine per-setting probability vectors into <H>."""
         if len(group_probabilities) != len(self.groups):
             raise ValueError("one probability vector per measurement group required")
+        if self._outcome_weights is None:
+            # memoized like settings(): a plan is built per VQE model, and
+            # most models never measure
+            self._outcome_weights = [
+                _diagonal_weights(group, self.n_qubits) for group in self.groups
+            ]
         total = self.constant
-        for probs, group in zip(group_probabilities, self.groups):
-            for term in group:
-                total += pauli_expectation_from_probabilities(
-                    probs, term, self.n_qubits
-                )
+        for probs, weights in zip(group_probabilities, self._outcome_weights):
+            total += float(np.dot(np.asarray(probs, dtype=float), weights))
         return float(total)

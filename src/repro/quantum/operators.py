@@ -3,6 +3,29 @@
 These are the observables measured by the QML readout layer (single-qubit
 Pauli-Z expectations) and by VQE (molecular Hamiltonians expressed as weighted
 sums of Pauli strings).
+
+Every kernel that evaluates a Pauli sum reads it through one compiled form,
+the binary symplectic form of its strings, built in this module only:
+
+* Qubit ``q`` is bit ``n - 1 - q`` of a basis index: qubit 0 is the most
+  significant bit, as in every dense matrix of this package.
+* A string ``c P`` has an x-mask (its X and Y factors), a z-mask (its Z and
+  Y factors) and ``n_Y`` Y factors, and
+  ``P|k> = i**n_Y (-1)**popcount(k & z) |k ^ x>``.
+* Strings with the same x-mask fold into one weight vector over basis
+  states, ``w_x(k) = sum_t c_t i**n_Y,t (-1)**popcount(k & z_t)``, and
+  identity strings into the constant ``c0``, so
+  ``H = c0 + sum_x sum_k w_x(k) |k ^ x><k|``.
+* :class:`_PauliTable` stores each ``w_x`` at the row it lands in,
+  ``H[j, j ^ x] = w_x(j ^ x) = sum_t c_t (-i)**n_Y,t (-1)**popcount(j & z_t)``
+  (a Y factor both flips and reads its bit).  Then ``tr(H rho)``,
+  ``<psi|H|psi>`` and ``H|psi>`` are each one gather of the flat state at
+  ``j ^ x``, for every row of a batch at once.  ``c0`` is added as is,
+  never scaled by a trace or a norm.
+
+:meth:`PauliSum._table` memoizes one table per register size, keyed on the
+size and the tuple of terms, so a sum whose ``terms`` list changes never
+reads a stale table.  Pickles carry the terms only.
 """
 
 from __future__ import annotations
@@ -155,6 +178,126 @@ class PauliSum:
 
     def shifted(self, constant: float) -> "PauliSum":
         return PauliSum(self.terms + [PauliString(float(constant), ())])
+
+    def _table(self, n_qubits: int) -> "_PauliTable":
+        """This sum compiled for an ``n_qubits`` register, memoized."""
+        terms = tuple(self.terms)
+        memo = self.__dict__.setdefault("_tables", {})
+        entry = memo.get(n_qubits)
+        if entry is None or entry[0] != terms:
+            entry = memo[n_qubits] = (terms, _PauliTable(terms, n_qubits))
+        return entry[1]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # the memoized tables are rebuilt on demand, never shipped
+        return {"terms": self.terms}
+
+
+#: ``(-i) ** n_Y`` by ``n_Y mod 4``: a string's phase read at its rows
+_ROW_PHASES = (1.0, -1.0j, -1.0, 1.0j)
+
+
+def _term_masks(term: PauliString, n_qubits: int) -> Tuple[int, int, int]:
+    """``(x-mask, z-mask, n_Y)`` of a string on an ``n_qubits`` register."""
+    x_mask = z_mask = n_y = 0
+    for qubit, pauli in term.paulis:
+        if not 0 <= qubit < n_qubits:
+            raise ValueError(
+                f"Pauli term acts on qubit {qubit}, outside the "
+                f"{n_qubits}-qubit register"
+            )
+        bit = 1 << (n_qubits - 1 - qubit)
+        if pauli != "Z":
+            x_mask |= bit
+        if pauli != "X":
+            z_mask |= bit
+        n_y += pauli == "Y"
+    return x_mask, z_mask, n_y
+
+
+def _parity_signs(values: np.ndarray, n_qubits: int) -> np.ndarray:
+    """``(-1) ** popcount(v)`` of each ``n_qubits``-bit integer ``v``.
+
+    The parity folds in signed integers and the sign is taken in floats: an
+    unsigned ``1 - 2 * parity`` would wrap around.
+    """
+    bits = np.array(values, dtype=np.int64)
+    shift = 1
+    while shift < n_qubits:
+        bits ^= bits >> shift
+        shift <<= 1
+    return 1.0 - 2.0 * (bits & 1)
+
+
+def _diagonal_weights(terms: Sequence[PauliString], n_qubits: int) -> np.ndarray:
+    """``sum_t c_t (-1) ** popcount(k & s_t)`` over basis states ``k``.
+
+    ``s_t`` is the support mask of term ``t``: once a basis change has made
+    every factor of a string Z, its value on outcome ``k`` is the parity of
+    ``k`` over its support.
+    """
+    basis = np.arange(1 << n_qubits, dtype=np.int64)
+    supports = np.zeros(len(terms), dtype=np.int64)
+    for index, term in enumerate(terms):
+        x_mask, z_mask, _ = _term_masks(term, n_qubits)
+        supports[index] = x_mask | z_mask
+    coefficients = np.array([term.coefficient for term in terms], dtype=float)
+    signs = _parity_signs(supports[:, None] & basis, n_qubits)
+    return (coefficients[:, None] * signs).sum(axis=0)
+
+
+class _PauliTable:
+    """A Pauli sum compiled for an ``n_qubits`` register (module docstring).
+
+    ``masks`` holds the distinct x-masks in increasing order and
+    ``columns[m, j] = j ^ masks[m]``.  ``weights[m, j] = H[j, columns[m, j]]``
+    is the weight vector of ``masks[m]`` at the rows it lands in, so every
+    form reads the state at ``columns``.  ``constant`` is ``c0``.
+    """
+
+    __slots__ = ("constant", "masks", "columns", "weights")
+
+    def __init__(self, terms: Sequence[PauliString], n_qubits: int) -> None:
+        basis = np.arange(1 << n_qubits, dtype=np.int64)
+        self.constant = float(sum(t.coefficient for t in terms if t.is_identity))
+        strings = [term for term in terms if not term.is_identity]
+        x_masks = np.zeros(len(strings), dtype=np.int64)
+        z_masks = np.zeros(len(strings), dtype=np.int64)
+        factors = np.zeros(len(strings), dtype=complex)
+        for index, term in enumerate(strings):
+            x_mask, z_mask, n_y = _term_masks(term, n_qubits)
+            x_masks[index], z_masks[index] = x_mask, z_mask
+            # popcount((j ^ x) & z) = popcount(j & z) + n_Y (mod 2)
+            factors[index] = term.coefficient * _ROW_PHASES[n_y % 4]
+        order = np.argsort(x_masks, kind="stable")
+        self.masks, starts = np.unique(x_masks[order], return_index=True)
+        self.columns = basis ^ self.masks[:, None]
+        signs = _parity_signs(z_masks[order, None] & basis, n_qubits)
+        if strings:
+            grid = factors[order, None] * signs
+            self.weights = np.add.reduceat(grid, starts, axis=0)
+        else:
+            self.weights = np.zeros((0, basis.size), dtype=complex)
+
+    def _moved(self, states: np.ndarray) -> np.ndarray:
+        """``moved[b, m, j] = H[j, j ^ masks[m]] psi_b[j ^ masks[m]]``."""
+        moved = states[:, self.columns].astype(complex, copy=False)
+        moved *= self.weights
+        return moved
+
+    def expectations(self, states: np.ndarray) -> np.ndarray:
+        """``<psi|H|psi>`` of each row of a ``(batch, 2**n)`` array."""
+        overlap = np.einsum("bj,bmj->b", states.conj(), self._moved(states))
+        return self.constant + overlap.real
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """``H|psi>`` of each row of a ``(batch, 2**n)`` array."""
+        return self.constant * states + self._moved(states).sum(axis=1)
+
+    def trace(self, rho: np.ndarray) -> float:
+        """``tr(H rho)`` of one ``(2**n, 2**n)`` density matrix."""
+        gathered = rho[self.columns, np.arange(rho.shape[0])]
+        return self.constant + float(np.sum(self.weights * gathered).real)
 
 
 def group_commuting(observable: PauliSum) -> List[List[PauliString]]:

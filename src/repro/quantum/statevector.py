@@ -24,7 +24,7 @@ import numpy as np
 from .circuit import ParameterizedCircuit, QuantumCircuit
 from .density_matrix import _apply_front_matrix
 from .gates import batched_gate_matrix, gate_matrix
-from .operators import PauliString, PauliSum
+from .operators import PauliSum
 
 __all__ = [
     "zero_state",
@@ -38,7 +38,6 @@ __all__ = [
     "probabilities",
     "expectation_z",
     "expectation_z_all",
-    "expectation_pauli_string",
     "expectation_pauli_sum",
     "apply_pauli_sum",
     "state_fidelity",
@@ -226,39 +225,18 @@ def expectation_z_all(states: np.ndarray) -> np.ndarray:
     return np.stack([expectation_z(states, q) for q in range(n_qubits)], axis=1)
 
 
-def expectation_pauli_string(states: np.ndarray, term: PauliString) -> np.ndarray:
-    """Expectation value of a single Pauli string, shape ``(batch,)``."""
-    transformed = states
-    for qubit, pauli in term.paulis:
-        transformed = apply_pauli(transformed, qubit, pauli)
-    batch = states.shape[0]
-    overlap = np.sum(
-        np.conj(states.reshape(batch, -1)) * transformed.reshape(batch, -1), axis=1
-    )
-    return term.coefficient * overlap.real
-
-
 def expectation_pauli_sum(states: np.ndarray, observable: PauliSum) -> np.ndarray:
-    """Expectation value of a weighted Pauli sum, shape ``(batch,)``."""
-    batch = states.shape[0]
-    total = np.zeros(batch)
-    for term in observable.terms:
-        if term.is_identity:
-            total += term.coefficient
-        else:
-            total += expectation_pauli_string(states, term)
-    return total
+    """Expectation value of a weighted Pauli sum, shape ``(batch,)``: one
+    gather over the sum's compiled table (:mod:`repro.quantum.operators`)."""
+    table = observable._table(_num_qubits_of(states))
+    return table.expectations(states.reshape(states.shape[0], -1))
 
 
 def apply_pauli_sum(states: np.ndarray, observable: PauliSum) -> np.ndarray:
-    """Apply ``H = sum_i c_i P_i`` to a batched state (not a unitary)."""
-    out = np.zeros_like(states)
-    for term in observable.terms:
-        transformed = states
-        for qubit, pauli in term.paulis:
-            transformed = apply_pauli(transformed, qubit, pauli)
-        out = out + term.coefficient * transformed
-    return out
+    """Apply ``H = sum_i c_i P_i`` to a batched state (not a unitary): one
+    gather over the sum's compiled table (:mod:`repro.quantum.operators`)."""
+    table = observable._table(_num_qubits_of(states))
+    return table.apply(states.reshape(states.shape[0], -1)).reshape(states.shape)
 
 
 def state_fidelity(state_a: np.ndarray, state_b: np.ndarray) -> float:

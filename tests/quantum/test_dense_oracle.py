@@ -18,7 +18,11 @@ pinned against dense linear algebra that shares none of their code:
   calibration fields, with Kraus sets derived here: depolarizing in its
   matrix-unit form, thermal relaxation from the Choi matrix of its action
   on populations and coherences.  Those decompose the channels differently
-  from ``repro.noise.channels``; the pins compare channel action.
+  from ``repro.noise.channels``; the pins compare channel action;
+* a Pauli sum is the sum of its strings, each a ``np.kron`` of textbook X,
+  Y and Z factors embedded on its qubits; a measured energy reads the
+  diagonal of the state rotated by textbook H and S-dagger gates, and a
+  remapped Hamiltonian is the dense one embedded on the permuted qubits.
 
 Conventions (the repository's): qubit 0 is the most significant bit of a
 basis index and of a multi-qubit gate matrix, and a controlled gate takes
@@ -51,6 +55,7 @@ from repro.quantum.density_matrix import (
     DensityMatrixSimulator,
     apply_fused_positions,
     channel_superoperator,
+    expectation_pauli_sum_dm,
     zero_density_matrices,
 )
 from repro.quantum.gates import (
@@ -60,8 +65,12 @@ from repro.quantum.gates import (
     gate_gradients,
     gate_matrix,
 )
+from repro.quantum.measurement import MeasurementPlan
+from repro.quantum.operators import PauliSum
 from repro.quantum.statevector import (
     apply_matrix,
+    apply_pauli_sum,
+    expectation_pauli_sum,
     op_matrix,
     run_circuit,
     run_parameterized,
@@ -74,6 +83,8 @@ GATE_TOL = 1e-12
 BATCHED_TOL = 1e-15
 #: whole circuits, kernels and noisy evolutions
 CIRCUIT_TOL = 1e-10
+#: Pauli-sum expectations, applications and measured energies
+PAULI_TOL = 1e-12
 N_QUBITS = [2, 3, 4, 5, 6]
 N_FEATURES = 3
 
@@ -634,3 +645,114 @@ def test_apply_readout_error(n_qubits, kind):
     np.testing.assert_allclose(model.apply_readout_error(probabilities, n_qubits),
                                expected / expected.sum(),
                                rtol=0, atol=CIRCUIT_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Pauli-sum observables
+# ---------------------------------------------------------------------------
+
+PAULI = {"X": X, "Y": Y, "Z": Z}
+#: the basis change that maps each Pauli onto Z: ``R P R^dagger = Z``
+TO_Z_BASIS = {"X": H, "Y": H @ np.diag([1, -1j]), "Z": I2}
+
+
+def random_pauli_sum(n_qubits, rng):
+    """Random strings with every letter, identity terms and repeated
+    strings, in random order."""
+    terms = [(float(rng.normal()), {}), (float(rng.normal()), {})]
+    for letter in "XYZ":
+        terms.append((float(rng.normal()), {int(rng.integers(n_qubits)): letter}))
+    for _ in range(int(rng.integers(4, 12))):
+        support = rng.permutation(n_qubits)[: int(rng.integers(1, n_qubits + 1))]
+        terms.append((
+            float(rng.normal()),
+            {int(q): str(rng.choice(["X", "Y", "Z"])) for q in support},
+        ))
+    terms += [(float(rng.normal()), paulis) for _, paulis in terms[2:5]]
+    order = rng.permutation(len(terms))
+    return PauliSum.from_terms([terms[i] for i in order])
+
+
+def dense_pauli_sum(observable, n_qubits):
+    """``sum_t c_t P_t`` with each string a kron of its textbook factors."""
+    out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for term in observable.terms:
+        factor = np.eye(1, dtype=complex)
+        for _, letter in term.paulis:
+            factor = np.kron(factor, PAULI[letter])
+        out += term.coefficient * embed(factor, term.qubits, n_qubits)
+    return out
+
+
+def random_states(n_qubits, batch, rng):
+    states = rng.normal(size=(batch, 2**n_qubits)) + 1j * rng.normal(
+        size=(batch, 2**n_qubits)
+    )
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6, 7])
+def test_pauli_sum_forms(n_qubits):
+    """``tr(H rho)``, ``<psi|H|psi>`` and ``H|psi>`` on random batches."""
+    rng = np.random.default_rng(800 + n_qubits)
+    observable = random_pauli_sum(n_qubits, rng)
+    dense = dense_pauli_sum(observable, n_qubits)
+    dim = 2**n_qubits
+    for rho in random_density_matrices(n_qubits, 4, rng):
+        value = expectation_pauli_sum_dm(rho.reshape((2,) * (2 * n_qubits)), observable)
+        assert isinstance(value, float)
+        assert abs(value - np.trace(dense @ rho).real) <= PAULI_TOL
+    psi = random_states(n_qubits, 4, rng)
+    states = psi.reshape((4,) + (2,) * n_qubits)
+    np.testing.assert_allclose(
+        expectation_pauli_sum(states, observable),
+        np.einsum("bi,ij,bj->b", psi.conj(), dense, psi).real,
+        rtol=0, atol=PAULI_TOL,
+    )
+    applied = apply_pauli_sum(states, observable)
+    assert applied.shape == states.shape
+    np.testing.assert_allclose(applied.reshape(4, dim), psi @ dense.T,
+                               rtol=0, atol=PAULI_TOL)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6, 7])
+def test_measured_energy_from_rotated_probabilities(n_qubits):
+    """Each group's probabilities after its basis change, combined by the
+    plan, give ``tr(H rho)``."""
+    rng = np.random.default_rng(900 + n_qubits)
+    observable = random_pauli_sum(n_qubits, rng)
+    plan = MeasurementPlan(observable, n_qubits)
+    rho = random_density_matrices(n_qubits, 1, rng)[0]
+    probabilities = []
+    for group in plan.groups:
+        rotation = np.eye(2**n_qubits, dtype=complex)
+        bases = {qubit: letter for term in group for qubit, letter in term.paulis}
+        for qubit, letter in bases.items():
+            rotation = embed(TO_Z_BASIS[letter], (qubit,), n_qubits) @ rotation
+        probabilities.append(np.diag(rotation @ rho @ rotation.conj().T).real)
+    expected = np.trace(dense_pauli_sum(observable, n_qubits) @ rho).real
+    measured = plan.expectation_from_group_probabilities(probabilities)
+    assert abs(measured - expected) <= PAULI_TOL
+
+
+def test_remap_hamiltonian_is_a_basis_permutation():
+    """A logical Hamiltonian remapped onto the reduced register of a routed
+    circuit acts as the dense one embedded on the permuted qubits."""
+    rng = np.random.default_rng(1000)
+    used_physical = [6, 1, 4, 0, 3]
+    final_layout = {0: 4, 1: 0, 2: 6, 3: 3}
+    observable = random_pauli_sum(len(final_layout), rng)
+    remapped = PerformanceEstimator.remap_hamiltonian(
+        observable, SimpleNamespace(final_layout=final_layout), used_physical
+    )
+    reduced = [used_physical.index(final_layout[q]) for q in range(len(final_layout))]
+    assert reduced != sorted(reduced)
+    expected = embed(dense_pauli_sum(observable, len(final_layout)), reduced,
+                     len(used_physical))
+    np.testing.assert_allclose(dense_pauli_sum(remapped, len(used_physical)),
+                               expected, rtol=0, atol=PAULI_TOL)
+    for rho in random_density_matrices(len(used_physical), 3, rng):
+        value = expectation_pauli_sum_dm(
+            rho.reshape((2,) * (2 * len(used_physical))), remapped
+        )
+        assert abs(value - np.trace(expected @ rho).real) <= PAULI_TOL

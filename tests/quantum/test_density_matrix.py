@@ -112,6 +112,15 @@ def test_expectation_pauli_sum_dm_matches_dense():
     assert np.isclose(expectation_pauli_sum_dm(rho, observable), expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("qubit", [2, 3, 4, 7])
+def test_expectation_pauli_sum_dm_rejects_qubit_outside_register(qubit):
+    """A term on qubit n <= q < 2n must not read the bra axis of qubit q - n."""
+    rho = _random_density_matrix(2, seed=7)
+    observable = PauliSum.from_terms([(1.0, {qubit: "X"})])
+    with pytest.raises(ValueError, match=f"qubit {qubit}, outside the 2-qubit"):
+        expectation_pauli_sum_dm(rho, observable)
+
+
 def test_readout_error_biases_probabilities():
     circuit = QuantumCircuit(1)  # stays in |0>
     model = NoiseModel.uniform(1, single_qubit_error=0.0, readout_error=0.1)

@@ -10,10 +10,9 @@ from repro.quantum.measurement import (
     counts_to_probabilities,
     expectation_z_all_from_probabilities,
     expectation_z_from_probabilities,
-    pauli_expectation_from_probabilities,
     sample_counts,
 )
-from repro.quantum.operators import PauliString, PauliSum
+from repro.quantum.operators import PauliSum
 from repro.quantum.statevector import (
     expectation_pauli_sum,
     probabilities,
@@ -87,11 +86,29 @@ def test_measurement_plan_group_count_and_validation():
         plan.expectation_from_group_probabilities([np.ones(4) / 4])
 
 
-def test_pauli_expectation_from_probabilities_parity():
-    term = PauliString.from_dict(1.0, {0: "Z", 1: "Z"})
+def test_measurement_plan_reads_parity_over_support():
+    """A measured term is the parity of the outcome over the term's support
+    (qubit 0 is the most significant bit of an outcome)."""
+    plan = MeasurementPlan(PauliSum.from_terms([(1.0, {0: "Z", 1: "Z"})]), 2)
     probs = np.zeros(4)
     probs[3] = 1.0  # |11> -> even parity -> +1
-    assert pauli_expectation_from_probabilities(probs, term, 2) == pytest.approx(1.0)
+    assert plan.expectation_from_group_probabilities([probs]) == pytest.approx(1.0)
     probs = np.zeros(4)
     probs[1] = 1.0  # |01> -> odd parity -> -1
-    assert pauli_expectation_from_probabilities(probs, term, 2) == pytest.approx(-1.0)
+    assert plan.expectation_from_group_probabilities([probs]) == pytest.approx(-1.0)
+    plan = MeasurementPlan(PauliSum.from_terms([(0.5, {0: "X"}), (0.25, {})]), 3)
+    probs = np.zeros(8)
+    probs[3] = 1.0  # |011>: qubit 0 reads 0 -> +0.5, qubits 1-2 unmeasured
+    assert plan.expectation_from_group_probabilities([probs]) == pytest.approx(0.75)
+    probs = np.zeros(8)
+    probs[4] = 1.0  # |100>: qubit 0 reads 1 -> -0.5
+    assert plan.expectation_from_group_probabilities([probs]) == pytest.approx(-0.25)
+
+
+@pytest.mark.parametrize("qubit", [2, 4, 7])
+def test_measurement_plan_rejects_qubit_outside_register(qubit):
+    observable = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {qubit: "X"})])
+    plan = MeasurementPlan(observable, 2)
+    probabilities = [np.full(4, 0.25)] * len(plan)
+    with pytest.raises(ValueError, match=f"qubit {qubit}, outside the 2-qubit"):
+        plan.expectation_from_group_probabilities(probabilities)

@@ -11,7 +11,6 @@ from repro.quantum.statevector import (
     apply_matrix,
     apply_pauli_sum,
     circuit_unitary,
-    expectation_pauli_string,
     expectation_pauli_sum,
     expectation_z,
     expectation_z_all,
@@ -121,6 +120,22 @@ def test_apply_pauli_sum_matches_dense():
     applied = apply_pauli_sum(states, observable)[0].reshape(-1)
     dense = observable.to_matrix(2) @ states[0].reshape(-1)
     assert np.allclose(applied, dense, atol=1e-10)
+
+
+@pytest.mark.parametrize("qubit", [2, 3, 5])
+def test_expectation_pauli_sum_rejects_qubit_outside_register(qubit):
+    states = zero_state(2, batch=2)
+    observable = PauliSum.from_terms([(1.0, {0: "Z"}), (0.5, {qubit: "Y"})])
+    with pytest.raises(ValueError, match=f"qubit {qubit}, outside the 2-qubit"):
+        expectation_pauli_sum(states, observable)
+
+
+@pytest.mark.parametrize("qubit", [2, 3, 5])
+def test_apply_pauli_sum_rejects_qubit_outside_register(qubit):
+    states = zero_state(2, batch=2)
+    observable = PauliSum.from_terms([(0.5, {qubit: "X"})])
+    with pytest.raises(ValueError, match=f"qubit {qubit}, outside the 2-qubit"):
+        apply_pauli_sum(states, observable)
 
 
 def test_run_parameterized_batches_match_individual_binds():
