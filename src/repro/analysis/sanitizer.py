@@ -25,12 +25,10 @@ one compiled template, fingerprinted like any other entry.
 The same switch arms the density-matrix physics checks, all to ``1e-10``:
 
 * every batch the :class:`~repro.backends.density.BatchedDensityRunner`
-  evolves (its one ``_simulate``, which also serves every circuit
-  :class:`~repro.devices.backend.QuantumBackend` runs) is checked matrix by
-  matrix: unit trace, Hermitian, smallest eigenvalue at least ``-1e-10``;
-* every state the reference
-  :class:`~repro.quantum.density_matrix.DensityMatrixSimulator` returns from
-  ``run`` takes the same check;
+  evolves (its one ``_simulate``, which serves every noisy simulation:
+  the engines, every circuit :class:`~repro.devices.backend.QuantumBackend`
+  runs and the estimator's seed path) is checked matrix by matrix: unit
+  trace, Hermitian, smallest eigenvalue at least ``-1e-10``;
 * every row handle's ``probabilities()`` sums to 1;
 * every composed channel superoperator the runner memoizes preserves the
   trace;
@@ -315,18 +313,6 @@ def _wrap_density_runner(cls, row_cls) -> None:
     row_cls.probabilities = probabilities
 
 
-def _wrap_density_simulator(cls) -> None:
-    original_run = cls.run
-    _ORIGINALS[(cls, "run")] = original_run
-
-    def run(self, circuit, initial=None):
-        rho = original_run(self, circuit, initial)
-        check_density_batch(rho[None])
-        return rho
-
-    cls.run = run
-
-
 #: id -> Kraus set already checked; holding the set keeps its id unique
 _CHECKED_KRAUS: Dict[int, object] = {}
 
@@ -363,12 +349,10 @@ def install_sanitizer() -> None:
     from ..backends import density as density_module
     from ..execution import cache as cache_module
     from ..noise import models as noise_models
-    from ..quantum import density_matrix
 
     _wrap_transpile_cache(cache_module.TranspileCache)
     _wrap_parametric_cache(cache_module.ParametricTranspileCache)
     _wrap_density_runner(density_module.BatchedDensityRunner, density_module._Row)
-    _wrap_density_simulator(density_matrix.DensityMatrixSimulator)
     _wrap_noise_model(noise_models.NoiseModel)
 
 

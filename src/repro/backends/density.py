@@ -2,16 +2,17 @@
 
 This is the in-repo noisy simulator behind the
 :class:`~repro.backends.base.SimulationBackend` protocol, and the kernel of
-:class:`~repro.devices.backend.QuantumBackend`, which runs each compiled
-circuit on a fresh runner as a batch of one.  Every row's
-result applies the same unitaries and noise channels that
-:class:`~repro.quantum.density_matrix.DensityMatrixSimulator` would apply
-sample by sample, composed: each position's unitary conjugation and its
-channels become one superoperator, and runs of positions on at most two
-qubits fold into one block contraction of the batch
-(:func:`~repro.quantum.density_matrix.apply_fused_positions`).  Results
-agree with the sample-by-sample simulator to rounding, not bit for bit;
-the simulator stays the reference.
+:class:`~repro.devices.backend.QuantumBackend` and of the estimator's
+``noise_sim`` seed path, which run each compiled circuit on a fresh runner
+as a batch of one.  Every row's result is gate-by-gate Kraus evolution:
+after each gate's unitary, the noise model's channels for that gate, as
+``sum K rho K^dagger``.  The runner composes them: each position's unitary
+conjugation and its channels become one superoperator, and runs of
+positions on at most two qubits fold into one block contraction of the
+batch (:func:`~repro.quantum.density_matrix.apply_fused_positions`), so
+results agree with the gate-by-gate sequence to rounding, not bit for bit.
+The dense oracle (``tests/quantum/test_dense_oracle.py``) pins that
+agreement.
 
 The runner simulates one batch type: the rows of one reduced structure
 (the same gates on the same qubits at every position) over one register of
@@ -35,8 +36,8 @@ only on gate arity and qubits, never on parameters, so the runner composes
 each position's channels once per ``(used physical qubits, gate qubits)``
 for its lifetime.  A register above ``max_density_qubits`` is not evolved:
 each row takes the success-rate approximation of its reduced circuit,
-rebuilt from the slots, exactly as the estimator's seed path falls back for
-large circuits.  One row handle serves every row of either source.
+rebuilt from the slots, without readout confusion.  One row handle serves
+every row of either source.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ class _Row(JobResult):
         if self._probabilities is None:
             batch = self.batch
             if batch.rhos is None:
-                # large-circuit approximation — no readout confusion, exactly
-                # like the estimator's seed path
+                # large-circuit approximation: no readout confusion
                 self._probabilities = batch.approximate[self.position]
             else:
                 self._probabilities = batch.noise_model.apply_readout_error(
@@ -192,14 +192,15 @@ class _Row(JobResult):
 class BatchedDensityRunner:
     """Simulates rows batched by reduced structure.
 
-    Equivalence contract: every row's result applies the same unitaries and
-    noise channels that :class:`DensityMatrixSimulator` would apply
-    sample by sample, composed into fused blocks
-    (:func:`apply_fused_positions`), so the two agree to rounding.  Noise
-    channels depend on gate arity and qubits (never parameters), so their
-    composed superoperator is memoized per ``(used_physical, qubits)`` for
-    the runner's lifetime: one population under one device noise model, or
-    one circuit of the device backend.  The runner keeps every row it
+    Equivalence contract: every row's result applies each gate's unitary
+    and then the noise model's Kraus channels for that gate, composed into
+    fused blocks (:func:`apply_fused_positions`), so it agrees with
+    gate-by-gate ``sum K rho K^dagger`` evolution to rounding; the dense
+    oracle pins that at 1e-10.  Noise channels depend on gate arity and
+    qubits (never parameters), so their composed superoperator is memoized
+    per ``(used_physical, qubits)`` for the runner's lifetime: one
+    population under one device noise model, or one circuit of the device
+    backend or of the estimator's seed path.  The runner keeps every row it
     simulated, so it lives no longer than the rows it serves.
     """
 
@@ -270,8 +271,7 @@ class BatchedDensityRunner:
         batch.noise_model = noise_model
         n = batch.n_reduced
         if n > self.max_density_qubits:
-            # success-rate (global depolarizing) approximation, exactly as
-            # the estimator's seed path falls back for large circuits
+            # success-rate (global depolarizing) approximation
             batch.approximate = [
                 approximate_probabilities(batch.reduced_circuit(row), noise_model)
                 for row in range(batch.n_rows)

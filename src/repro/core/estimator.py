@@ -22,17 +22,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..devices.backend import (
-    QuantumBackend,
-    approximate_probabilities,
-    logical_probabilities,
-)
+from ..backends.density import BatchedDensityRunner
+from ..devices.backend import QuantumBackend
 from ..devices.library import Device
 from ..qml.datasets import Dataset
 from ..qml.qnn import QNNModel
 from ..quantum.circuit import ParameterizedCircuit
-from ..quantum.density_matrix import DensityMatrixSimulator, expectation_pauli_sum_dm
-from ..quantum.measurement import expectation_z_all_from_probabilities
 from ..quantum.operators import PauliString, PauliSum
 from ..quantum.statevector import expectation_pauli_sum, run_parameterized
 from ..transpile.compiler import transpile
@@ -98,6 +93,13 @@ class EstimatorConfig:
         if self.shard_min_group_size < 1:
             raise ValueError("shard_min_group_size must be positive")
         self.backend = normalize_backend(self.backend)
+
+
+def _noise_free_energy(
+    ansatz: ParameterizedCircuit, weights: np.ndarray, hamiltonian: PauliSum
+) -> float:
+    states = run_parameterized(ansatz, weights)
+    return float(expectation_pauli_sum(states, hamiltonian)[0])
 
 
 class PerformanceEstimator:
@@ -199,7 +201,15 @@ class PerformanceEstimator:
         n_classes: int,
         layout=None,
     ) -> float:
-        """Predicted validation loss of a QML SubCircuit (lower is better)."""
+        """Predicted validation loss of a QML SubCircuit (lower is better).
+
+        This per-candidate loop is the seed path the population engines are
+        checked against.  In ``noise_sim`` and ``real_qc`` every validation
+        sample runs through :meth:`QuantumBackend.run`: an uncached compile,
+        the one fused density kernel (as a batch of one), readout confusion
+        and one #QC run per sample.  ``noise_sim`` reads the exact
+        probabilities (``shots=0``); ``real_qc`` samples ``config.shots``.
+        """
         self.num_queries += 1
         model = QNNModel.from_circuit(circuit, n_classes)
         features, labels = self.validation_subset(dataset)
@@ -220,50 +230,17 @@ class PerformanceEstimator:
             )
             return noise_free / compiled.success_rate()
 
+        shots = self.config.shots if mode == "real_qc" else 0
         expectations = np.zeros((len(labels), circuit.n_qubits))
         for index, row in enumerate(features):
-            bound = circuit.bind(weights, row)
-            if mode == "real_qc":
-                expectations[index] = self._backend.run(
-                    bound,
-                    initial_layout=layout,
-                    optimization_level=self.config.optimization_level,
-                    shots=self.config.shots,
-                ).expectation_z_all()
-            else:
-                expectations[index] = expectation_z_all_from_probabilities(
-                    self._reference_probabilities(bound, layout),
-                    circuit.n_qubits,
-                )
+            expectations[index] = self._backend.run(
+                circuit.bind(weights, row),
+                initial_layout=layout,
+                optimization_level=self.config.optimization_level,
+                shots=shots,
+            ).expectation_z_all()
         logits = model.logits_from_expectations(expectations)
         return nll_loss(softmax(logits), labels)
-
-    def _reference_probabilities(self, bound, layout) -> np.ndarray:
-        """Logical probabilities of one bound circuit on the reference kernel.
-
-        The seed path compiles exactly as :meth:`QuantumBackend.run` does and
-        simulates on the unfused :class:`DensityMatrixSimulator` (the
-        success-rate approximation above ``max_density_qubits``), so the
-        equivalence suites compare the engines against it.  Each call is one
-        circuit on the backend's #QC-runs budget.
-        """
-        compiled = transpile(
-            bound,
-            self.device,
-            initial_layout=layout,
-            optimization_level=self.config.optimization_level,
-        )
-        reduced, used_physical = compiled.reduced_circuit()
-        noise_model = self.device.noise_model().reduced(used_physical)
-        if reduced.n_qubits <= self.config.max_density_qubits:
-            simulator = DensityMatrixSimulator(reduced.n_qubits, noise_model)
-            reduced_probs = simulator.probabilities(reduced)
-        else:
-            reduced_probs = approximate_probabilities(reduced, noise_model)
-        self._backend.record_executions(1)
-        return logical_probabilities(
-            reduced_probs, compiled, used_physical, bound.n_qubits
-        )
 
     def validation_subset(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
         n_valid = len(dataset.y_valid)
@@ -280,27 +257,19 @@ class PerformanceEstimator:
         molecule: Molecule,
         layout=None,
     ) -> float:
-        """Predicted measured energy of a VQE ansatz (lower is better)."""
+        """Predicted measured energy of a VQE ansatz (lower is better).
+
+        In ``noise_sim`` the compiled circuit runs on the one fused density
+        kernel, a :class:`~repro.backends.density.BatchedDensityRunner` batch
+        of one, and the energy is the Hamiltonian remapped onto the reduced
+        register, read off the density matrix.  That charges no #QC run,
+        and the engine's VQE path charges none either.  ``success_rate``,
+        and ``noise_sim`` above ``max_density_qubits``, weight the
+        noise-free energy by the compiled circuit's success rate.
+        """
         self.num_queries += 1
         hamiltonian = self.observable_for(molecule)
         mode = self.resolve_mode(ansatz.n_qubits)
-
-        states = run_parameterized(ansatz, weights)
-        noise_free_energy = float(expectation_pauli_sum(states, hamiltonian)[0])
-        if mode == "noise_free":
-            return noise_free_energy
-
-        bound = ansatz.bind(weights)
-        compiled = transpile(
-            bound,
-            self.device,
-            initial_layout=layout,
-            optimization_level=self.config.optimization_level,
-        )
-        if mode in ("success_rate",):
-            rate = compiled.success_rate()
-            mixed_energy = hamiltonian.constant
-            return rate * noise_free_energy + (1.0 - rate) * mixed_energy
 
         if mode == "real_qc":
             from ..vqe.vqe import VQEModel
@@ -318,18 +287,30 @@ class PerformanceEstimator:
                 shots=self.config.shots,
             )
 
-        # noise_sim: density-matrix expectation with the Hamiltonian remapped to
-        # the reduced physical register.
-        reduced, used_physical = compiled.reduced_circuit()
-        if len(used_physical) > self.config.max_density_qubits:
-            rate = compiled.success_rate()
-            mixed_energy = hamiltonian.constant
-            return rate * noise_free_energy + (1.0 - rate) * mixed_energy
-        noise_model = self.device.noise_model().reduced(used_physical)
-        simulator = DensityMatrixSimulator(reduced.n_qubits, noise_model)
-        rho = simulator.run(reduced)
-        remapped = self.remap_hamiltonian(hamiltonian, compiled, used_physical)
-        return expectation_pauli_sum_dm(rho, remapped)
+        if mode == "noise_free":
+            return _noise_free_energy(ansatz, weights, hamiltonian)
+
+        compiled = transpile(
+            ansatz.bind(weights),
+            self.device,
+            initial_layout=layout,
+            optimization_level=self.config.optimization_level,
+        )
+        if mode == "noise_sim":
+            _reduced, used_physical = compiled.reduced_circuit()
+            if len(used_physical) <= self.config.max_density_qubits:
+                runner = BatchedDensityRunner(
+                    self.device, self.config.max_density_qubits
+                )
+                row = runner.submit(compiled)
+                runner.run()
+                return row.pauli_expectation(
+                    self.remap_hamiltonian(hamiltonian, compiled, used_physical)
+                )
+        # success_rate, and noise_sim above max_density_qubits
+        rate = compiled.success_rate()
+        noise_free_energy = _noise_free_energy(ansatz, weights, hamiltonian)
+        return rate * noise_free_energy + (1.0 - rate) * hamiltonian.constant
 
     @staticmethod
     def remap_hamiltonian(

@@ -47,9 +47,9 @@ def approximate_probabilities(
 ) -> np.ndarray:
     """Success-rate (global depolarizing) approximation for large circuits.
 
-    Shared between the density runner (which serves this module's backend)
-    and the estimator's seed path, so both fall back identically beyond the
-    density-matrix regime.
+    The density runner's fallback beyond the density-matrix regime, so every
+    noisy path (the engines, this module's backend and the estimator's seed
+    path, which all simulate on the runner) falls back identically.
     """
     states = run_circuit(reduced, states=zero_state(reduced.n_qubits, 1))
     ideal = sv_probabilities(states)[0]
@@ -69,8 +69,9 @@ def logical_probabilities(
     ``final_layout`` maps logical qubits to physical ones — either the dict
     itself or any object exposing one as ``.final_layout`` (a
     :class:`~repro.transpile.compiler.CompiledCircuit`, a parametric
-    template).  Shared between the simulation backends and the estimator's
-    seed path so every engine maps physical measurement outcomes identically.
+    template).  Every density row maps its outcomes through it, so the
+    engines, this module's backend and the estimator's seed path map
+    physical measurement outcomes identically.
     """
     if not isinstance(final_layout, dict):
         final_layout = final_layout.final_layout
@@ -264,9 +265,9 @@ class QuantumBackend:
     def record_executions(self, n: int = 1) -> None:
         """Count circuits executed on the backend's behalf by external engines.
 
-        The batched population engine and the estimator's seed path simulate
-        compiled circuits themselves but still charge them to the backend so
-        the paper's #QC-runs budget (:attr:`executions`) stays comparable
-        across engines.
+        The batched population engine simulates compiled circuits itself but
+        still charges them to the backend, so the paper's #QC-runs budget
+        (:attr:`executions`) stays comparable with the seed path, which runs
+        each circuit through :meth:`run`.
         """
         self._executions += int(n)

@@ -96,8 +96,7 @@ from .stats import MergeableStats
 # later share point — post-merge mutation of shared compilations raises
 # repro.analysis.CacheMutationError instead of silently eroding the
 # determinism contract.  It also checks every density matrix the density
-# runner and the reference DensityMatrixSimulator produce (trace,
-# Hermiticity, positivity), every row's
+# runner produces (trace, Hermiticity, positivity), every row's
 # probabilities (sum to 1), every noise channel it composes (trace
 # preservation) and every Kraus set the noise model hands out (Σ K†K = I),
 # raising DensityInvariantError.  The CI sanitizer lane runs tier-1 this way.

@@ -431,19 +431,25 @@ class ExecutionEngine:
         backends: Dict[str, object] = {}
 
         noise_free: Dict[int, float] = {}
-        for group_index, (entry, indices) in enumerate(groups):
-            statevector = self._statevector(
-                backends, mode, entry.circuit.n_qubits, needs_observables=True
-            )
-            handle = statevector.run_group(entry, [SimulationJob()])[0]
-            noise_free[group_index] = float(
-                handle.pauli_expectations(hamiltonian)[0]
-            )
+
+        def noise_free_energy(group_index: int) -> float:
+            # one statevector probe per group, run on first read: noise_sim
+            # reads it only for registers above max_density_qubits
+            if group_index not in noise_free:
+                entry = groups[group_index][0]
+                statevector = self._statevector(
+                    backends, mode, entry.circuit.n_qubits, needs_observables=True
+                )
+                handle = statevector.run_group(entry, [SimulationJob()])[0]
+                noise_free[group_index] = float(
+                    handle.pauli_expectations(hamiltonian)[0]
+                )
+            return noise_free[group_index]
 
         if mode == "noise_free":
-            for group_index, (entry, indices) in enumerate(groups):
+            for group_index, (_entry, indices) in enumerate(groups):
                 for index in indices:
-                    scores[index] = noise_free[group_index]
+                    scores[index] = noise_free_energy(group_index)
             self._merge_backend_stats(backends)
             return scores
 
@@ -455,7 +461,6 @@ class ExecutionEngine:
 
         with telemetry.phase_span("engine.phase", phase="schedule"):
             for group_index, (entry, indices) in enumerate(groups):
-                energy = noise_free[group_index]
                 if mode == "noise_sim":
                     request = DispatchRequest(
                         mode=mode,
@@ -489,7 +494,8 @@ class ExecutionEngine:
                     if mode == "success_rate":
                         rate = compiled.success_rate()
                         scores[index] = (
-                            rate * energy + (1.0 - rate) * mixed_energy
+                            rate * noise_free_energy(group_index)
+                            + (1.0 - rate) * mixed_energy
                         )
                         continue
                     # noise_sim: the reduced register is compile metadata
@@ -500,7 +506,8 @@ class ExecutionEngine:
                     if len(used_physical) > max_density:
                         rate = compiled.success_rate()
                         scores[index] = (
-                            rate * energy + (1.0 - rate) * mixed_energy
+                            rate * noise_free_energy(group_index)
+                            + (1.0 - rate) * mixed_energy
                         )
                     else:
                         group_jobs.append((index, compiled, used_physical))

@@ -2,8 +2,8 @@
 
 The three error families the paper's estimator uses ("coherent (depolarizing),
 decoherence (thermal relaxation), and SPAM (readout) errors") are implemented
-as Kraus channels consumed by :class:`repro.quantum.density_matrix.
-DensityMatrixSimulator`.
+as Kraus channels.  The density kernel composes them into superoperators
+(:func:`repro.quantum.density_matrix.channel_superoperator`).
 """
 
 from __future__ import annotations

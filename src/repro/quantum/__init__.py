@@ -37,7 +37,6 @@ from .autodiff import (
     finite_difference_gradient,
     parameter_shift_jacobian,
 )
-from .density_matrix import DensityMatrixSimulator, purity, zero_density_matrix
 from .measurement import MeasurementPlan, sample_counts
 
 __all__ = [
@@ -73,9 +72,6 @@ __all__ = [
     "adjoint_gradient",
     "finite_difference_gradient",
     "parameter_shift_jacobian",
-    "DensityMatrixSimulator",
-    "purity",
-    "zero_density_matrix",
     "MeasurementPlan",
     "sample_counts",
 ]

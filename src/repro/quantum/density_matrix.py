@@ -1,15 +1,16 @@
-"""Density-matrix simulation with noise channels.
+"""Density-matrix simulation with noise channels: the one fused kernel.
 
-Two kernels live here.  :class:`DensityMatrixSimulator` applies each gate
-and each Kraus channel in turn; it serves only the estimator's sequential
-seed path (``estimate_qml`` / ``estimate_vqe`` in ``noise_sim`` mode), the
-reference the equivalence suites compare the engines against.  The batched,
-fused kernel (:func:`apply_fused_positions`) runs inside
-:class:`~repro.backends.density.BatchedDensityRunner`, which serves the
-population and gradient engines and the shot-based device backend.
-Density matrices are stored as tensors of shape ``(2,) * n + (2,) * n`` so
-that gates and Kraus operators are applied locally without building full
-``2**n x 2**n`` unitaries.
+:func:`apply_fused_positions` evolves a batch of density matrices through
+noisy gate positions, each position's unitary and the noise channels after
+it composed into one superoperator and folded into blocks of at most two
+qubits.  It runs inside :class:`~repro.backends.density.BatchedDensityRunner`,
+which serves every noisy simulation: the population and gradient engines,
+the shot-based device backend, and the estimator's per-candidate seed path.
+The dense oracle (``tests/quantum/test_dense_oracle.py``) pins it against
+gate-by-gate ``sum K rho K^dagger`` evolution and shares no code with it.
+A density matrix is stored as a tensor of shape ``(2,) * 2n``, and a batch
+as ``(batch,) + (2,) * 2n``, so that gates and channels are applied locally
+without building full ``2**n x 2**n`` unitaries.
 """
 
 from __future__ import annotations
@@ -19,54 +20,15 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import QuantumCircuit
-from .measurement import expectation_z_all_from_probabilities
 from .operators import PauliSum
 
 __all__ = [
-    "zero_density_matrix",
     "zero_density_matrices",
-    "apply_unitary",
-    "apply_kraus",
     "channel_superoperator",
     "apply_fused_positions",
     "density_probabilities",
     "expectation_pauli_sum_dm",
-    "expectation_z_all_dm",
-    "purity",
-    "DensityMatrixSimulator",
 ]
-
-
-def zero_density_matrix(n_qubits: int) -> np.ndarray:
-    """``|0..0><0..0|`` as a rank-2n tensor."""
-    rho = np.zeros((2,) * (2 * n_qubits), dtype=complex)
-    rho[(0,) * (2 * n_qubits)] = 1.0
-    return rho
-
-
-def _apply_left(rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], n: int):
-    """Apply ``matrix`` to the row (ket) indices of ``rho``."""
-    k = len(qubits)
-    reshaped = matrix.reshape((2,) * (2 * k))
-    axes = list(qubits)
-    out = np.tensordot(reshaped, rho, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
-
-
-def _apply_right(rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], n: int):
-    """Apply ``matrix``'s conjugate transpose to the column (bra) indices."""
-    k = len(qubits)
-    conj = matrix.conj().reshape((2,) * (2 * k))
-    axes = [n + q for q in qubits]
-    out = np.tensordot(conj, rho, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
-
-
-def apply_unitary(rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]):
-    """``U rho U†`` applied on ``qubits``."""
-    n = rho.ndim // 2
-    return _apply_right(_apply_left(rho, matrix, qubits, n), matrix, qubits, n)
 
 
 def kraus_to_superoperator(kraus_operators: Sequence[np.ndarray]) -> np.ndarray:
@@ -99,47 +61,18 @@ def _cached_superoperator(kraus_operators: Sequence[np.ndarray]) -> np.ndarray:
     return entry[1]
 
 
-def apply_kraus(
-    rho: np.ndarray, kraus_operators: Sequence[np.ndarray], qubits: Sequence[int]
-) -> np.ndarray:
-    """``sum_i K_i rho K_i†`` applied on ``qubits``.
-
-    Channels with many Kraus operators (e.g. two-qubit depolarizing) are
-    applied through their precomputed superoperator, which contracts the
-    density matrix once instead of once per Kraus term.
-    """
-    n = rho.ndim // 2
-    if len(kraus_operators) <= 2:
-        out = np.zeros_like(rho)
-        for kraus in kraus_operators:
-            out = out + _apply_right(
-                _apply_left(rho, kraus, qubits, n), kraus, qubits, n
-            )
-        return out
-    k = len(qubits)
-    superop = _cached_superoperator(kraus_operators)
-    reshaped = superop.reshape((2,) * (4 * k))
-    axes = [q for q in qubits] + [n + q for q in qubits]
-    moved = np.tensordot(reshaped, rho, axes=(list(range(2 * k, 4 * k)), axes))
-    return np.moveaxis(moved, list(range(2 * k)), axes)
-
-
 # ---------------------------------------------------------------------------
 # Batched density matrices
 #
-# Batched density matrices are stored as tensors of shape
-# ``(batch,) + (2,) * 2n`` so a stack of noisy circuits that share their gate
-# *structure* (same gate names and qubits at every position, possibly with
-# per-sample parameters) evolves through one sequence of contractions.  This
-# is the hot loop of the population execution engine's ``noise_sim`` mode
-# and of every circuit the device backend runs.
-#
-# Each position's unitary conjugation ``U (.) U^dagger`` and the noise
-# channels after it compose into one superoperator, and runs of positions on
-# at most two qubits fold into one block before touching the state, so the
-# batch sees one contraction per block instead of two per gate plus at least
-# one per channel.  The result applies the same channels as
-# :class:`DensityMatrixSimulator`, composed, and agrees with it to rounding.
+# A stack of noisy circuits that share their gate *structure* (same gate
+# names and qubits at every position, possibly with per-sample parameters)
+# evolves through one sequence of contractions.  Each position's unitary
+# conjugation ``U (.) U^dagger`` and the noise channels after it compose
+# into one superoperator, and runs of positions on at most two qubits fold
+# into one block before touching the state, so the batch sees one
+# contraction per block instead of two per gate plus at least one per
+# channel.  The result applies the same channels as gate-by-gate Kraus
+# evolution, composed, and agrees with it to rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -362,67 +295,9 @@ def density_probabilities(rho: np.ndarray) -> np.ndarray:
     return probs
 
 
-def expectation_z_all_dm(rho: np.ndarray) -> np.ndarray:
-    """Z expectation on every qubit computed from the diagonal of rho."""
-    return expectation_z_all_from_probabilities(
-        density_probabilities(rho), rho.ndim // 2
-    )
-
-
 def expectation_pauli_sum_dm(rho: np.ndarray, observable: PauliSum) -> float:
     """``Tr(H rho)`` for a Pauli-sum observable: one gather over the sum's
     compiled table (:mod:`repro.quantum.operators`)."""
     n = rho.ndim // 2
     dim = 2**n
     return observable._table(n).trace(rho.reshape(dim, dim))
-
-
-def purity(rho: np.ndarray) -> float:
-    """``Tr(rho^2)`` — 1 for pure states, < 1 for mixed states."""
-    n = rho.ndim // 2
-    dim = 2**n
-    matrix = rho.reshape(dim, dim)
-    return float(np.real(np.trace(matrix @ matrix)))
-
-
-class DensityMatrixSimulator:
-    """Runs concrete circuits with an optional noise model.
-
-    The noise model (see :mod:`repro.noise.models`) supplies Kraus channels to
-    insert after each instruction plus per-qubit readout confusion matrices.
-    """
-
-    def __init__(self, n_qubits: int, noise_model=None) -> None:
-        self.n_qubits = int(n_qubits)
-        self.noise_model = noise_model
-
-    def run(
-        self, circuit: QuantumCircuit, initial: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if circuit.n_qubits != self.n_qubits:
-            raise ValueError("circuit size does not match simulator size")
-        rho = zero_density_matrix(self.n_qubits) if initial is None else initial.copy()
-        for instruction in circuit.instructions:
-            rho = apply_unitary(rho, instruction.matrix(), instruction.qubits)
-            if self.noise_model is not None:
-                for kraus_ops, qubits in self.noise_model.channels_for(instruction):
-                    rho = apply_kraus(rho, kraus_ops, qubits)
-        return rho
-
-    def probabilities(
-        self, circuit: QuantumCircuit, with_readout_error: bool = True
-    ) -> np.ndarray:
-        """Final measurement probabilities, including readout confusion."""
-        rho = self.run(circuit)
-        probs = density_probabilities(rho)
-        if with_readout_error and self.noise_model is not None:
-            probs = self.noise_model.apply_readout_error(probs, self.n_qubits)
-        return probs
-
-    def expectation_z_all(
-        self, circuit: QuantumCircuit, with_readout_error: bool = True
-    ) -> np.ndarray:
-        """Per-qubit Z expectations of the noisy output distribution."""
-        return expectation_z_all_from_probabilities(
-            self.probabilities(circuit, with_readout_error), self.n_qubits
-        )

@@ -84,10 +84,20 @@ class VQEModel:
             if measurement_plan.n_qubits != ansatz.n_qubits:
                 raise ValueError("measurement plan does not match the ansatz size")
             self.hamiltonian: PauliSum = measurement_plan.observable
-            self.measurement_plan = measurement_plan
         else:
             self.hamiltonian = molecule.hamiltonian
-            self.measurement_plan = MeasurementPlan(self.hamiltonian, ansatz.n_qubits)
+        self._measurement_plan = measurement_plan
+
+    @property
+    def measurement_plan(self) -> MeasurementPlan:
+        """The commuting-group plan of the Hamiltonian, built on first read
+        when none was passed: noise-free training never measures, and
+        SuperCircuit training builds a model per step."""
+        if self._measurement_plan is None:
+            self._measurement_plan = MeasurementPlan(
+                self.hamiltonian, self.ansatz.n_qubits
+            )
+        return self._measurement_plan
 
     @property
     def num_weights(self) -> int:

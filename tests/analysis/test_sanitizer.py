@@ -25,12 +25,14 @@ from repro.analysis.sanitizer import (
 from repro.backends import density as density_backend
 from repro.backends.density import BatchedDensityRunner
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
+from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
+from repro.devices import get_device
 from repro.execution import ParametricTranspileCache, TranspileCache
 from repro.noise import models as noise_models
 from repro.noise.models import NoiseModel
-from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.density_matrix import DensityMatrixSimulator
+from repro.quantum.circuit import ParameterizedCircuit, QuantumCircuit
+from repro.vqe import load_molecule
 
 
 @pytest.fixture
@@ -301,30 +303,36 @@ def scaled_depolarizing(monkeypatch):
     )
 
 
-def simulator_run(model):
-    """The same kind of circuit through the sample-by-sample simulator."""
-    circuit = QuantumCircuit(2)
-    circuit.add("h", (0,))
-    circuit.add("cx", (0, 1))
-    return DensityMatrixSimulator(2, model).run(circuit)
+def seed_path_energy():
+    """An H2 energy through the estimator's noise_sim seed path on
+    yorktown, which simulates on a density runner."""
+    ansatz = ParameterizedCircuit(2)
+    ansatz.add_trainable("ry", (0,))
+    ansatz.add_fixed("cx", (0, 1))
+    estimator = PerformanceEstimator(
+        get_device("yorktown"), EstimatorConfig(mode="noise_sim", workers=1)
+    )
+    return estimator.estimate_vqe(ansatz, np.array([0.3]), load_molecule("h2"),
+                                  layout=(0, 1))
 
 
 def test_incomplete_kraus_sets_trip_both_paths_when_armed(sanitized,
                                                           monkeypatch):
-    simulator_run(NoiseModel.uniform(2))
+    noisy_run(NoiseModel.uniform(3))
+    seed_path_energy()
     scaled_depolarizing(monkeypatch)
     with pytest.raises(DensityInvariantError, match="Kraus set"):
-        simulator_run(NoiseModel.uniform(2))
-    with pytest.raises(DensityInvariantError, match="Kraus set"):
         noisy_run(NoiseModel.uniform(3))
+    with pytest.raises(DensityInvariantError, match="Kraus set"):
+        seed_path_energy()
 
 
 def test_incomplete_kraus_sets_run_unchecked_when_not_armed(unsanitized,
                                                             monkeypatch):
     scaled_depolarizing(monkeypatch)
-    rho = simulator_run(NoiseModel.uniform(2)).reshape(4, 4)
+    rho = noisy_run(NoiseModel.uniform(3))
     assert abs(np.trace(rho) - 1.0) > 1e-6
-    noisy_run(NoiseModel.uniform(3))
+    seed_path_energy()
 
 
 class SkewedReadoutModel(NoiseModel):
@@ -367,38 +375,3 @@ def test_row_probabilities_must_sum_to_one_when_armed(sanitized):
 
 def test_row_probabilities_run_unchecked_when_not_armed(unsanitized):
     assert abs(skewed_row().probabilities().sum() - 1.0) > 1e-3
-
-
-def skewed_reference_run():
-    """A reference-simulator run from a unit-trace but non-Hermitian state;
-    unitaries and channels keep the skew."""
-    initial = np.zeros((2, 2), dtype=complex)
-    initial[0, 0] = 1.0
-    initial[0, 1] = 0.5
-    circuit = QuantumCircuit(1)
-    circuit.add("h", (0,))
-    return DensityMatrixSimulator(1, NoiseModel.uniform(1)).run(
-        circuit, initial=initial
-    )
-
-
-def test_reference_simulator_states_checked_when_armed(sanitized):
-    simulator_run(NoiseModel.uniform(2))  # a physical state passes
-    with pytest.raises(DensityInvariantError, match="not Hermitian"):
-        skewed_reference_run()
-
-
-def test_reference_simulator_states_run_unchecked_when_not_armed(unsanitized):
-    rho = skewed_reference_run()
-    assert np.abs(rho - rho.conj().T).max() > 1e-3
-
-
-def test_uninstall_restores_reference_simulator_run(unsanitized):
-    original = DensityMatrixSimulator.run
-    install_sanitizer()
-    try:
-        assert DensityMatrixSimulator.run is not original
-    finally:
-        uninstall_sanitizer()
-    assert DensityMatrixSimulator.run is original
-    skewed_reference_run()  # hooks gone: no check, no raise

@@ -1,16 +1,18 @@
-"""The device backend against the reference density kernel.
+"""The device backend's plumbing against the dense oracle's route.
 
 ``QuantumBackend`` simulates every compiled circuit on the fused
-:class:`~repro.backends.density.BatchedDensityRunner`; the estimator's seed
-path keeps the unfused :class:`DensityMatrixSimulator`.  These tests are the
-link between the two: the backend's probabilities equal the reference route
-(reduce, simulate, marginalize) to 1e-12, its oversized-register fallback
-equals the success-rate route exactly, and its shot counts equal sampling the
-reference probabilities with the same seed.  The last test pins the #QC-runs
-charge of the seed path.
+:class:`~repro.backends.density.BatchedDensityRunner`, as does the
+estimator's seed path.  These tests check what the backend does around the
+kernel: its probabilities equal the dense oracle's route (reduce, evolve
+densely, read out, marginalize; ``test_dense_oracle.py``) to 1e-12, its
+oversized-register fallback equals the success-rate route exactly, and its
+shot counts equal sampling the reference probabilities with the same seed.
+The last test pins the #QC-runs charge of the seed path.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,26 +26,36 @@ from repro.devices.backend import (
     logical_probabilities,
 )
 from repro.devices.library import get_device
-from repro.quantum.density_matrix import DensityMatrixSimulator
 from repro.quantum.measurement import sample_counts
 from repro.transpile.compiler import transpile
 from repro.utils.rng import ensure_rng
 from repro.vqe import load_molecule
 from repro.vqe.vqe import VQEModel
 
+
+def _load_oracle():
+    # test directories are not packages: load the oracle module by path
+    path = Path(__file__).resolve().parents[1] / "quantum" / "test_dense_oracle.py"
+    spec = importlib.util.spec_from_file_location("dense_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
+
 TOL = 1e-12
 
 
 def reference_probabilities(compiled, device, n_logical, max_density_qubits=10):
-    """Reduce, simulate on the reference kernel, marginalize."""
+    """The oracle's dense route, or the success-rate route for a register
+    above ``max_density_qubits``."""
     reduced, used_physical = compiled.reduced_circuit()
-    noise_model = device.noise_model().reduced(used_physical)
     if reduced.n_qubits <= max_density_qubits:
-        reduced_probs = DensityMatrixSimulator(
-            reduced.n_qubits, noise_model
-        ).probabilities(reduced)
-    else:
-        reduced_probs = approximate_probabilities(reduced, noise_model)
+        return oracle.density_route(compiled, device, n_logical)
+    reduced_probs = approximate_probabilities(
+        reduced, device.noise_model().reduced(used_physical)
+    )
     return logical_probabilities(reduced_probs, compiled, used_physical, n_logical)
 
 

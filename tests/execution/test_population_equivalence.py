@@ -137,6 +137,42 @@ def test_vqe_population_energies_match(yorktown, seed_path_scorer, mode):
     np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
 
 
+def h2_population(yorktown):
+    molecule = load_molecule("h2")
+    space = get_design_space("u3cu3")
+    supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
+    candidates = make_population(space, molecule.n_qubits, yorktown, seed=7, size=5)
+    return molecule, supercircuit, candidates
+
+
+def test_vqe_noise_sim_population_runs_no_noise_free_probe(yorktown):
+    """noise_sim reads a group's noise-free energy only for registers above
+    max_density_qubits: a population that fits runs no statevector pass."""
+    molecule, supercircuit, candidates = h2_population(yorktown)
+    engine = batched_engine(yorktown, supercircuit,
+                            EstimatorConfig(mode="noise_sim"))
+    engine.evaluate_vqe_population(candidates, molecule)
+    assert engine.stats.density_circuits == len(candidates)
+    assert engine.stats.statevector_batches == 0
+
+
+def test_oversized_vqe_population_matches_seed_path(yorktown, seed_path_scorer):
+    """With routed registers above max_density_qubits, only the groups that
+    hold one run the noise-free probe, and every energy matches the seed
+    path."""
+    molecule, supercircuit, candidates = h2_population(yorktown)
+    config = EstimatorConfig(mode="noise_sim", max_density_qubits=2)
+
+    seq = seed_path_scorer(yorktown, supercircuit, config,
+                           molecule=molecule)(candidates)
+    engine = batched_engine(yorktown, supercircuit, config)
+    bat = engine.evaluate_vqe_population(candidates, molecule)
+
+    np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
+    assert 0 < engine.stats.density_circuits < len(candidates)
+    assert 0 < engine.stats.statevector_batches < engine.stats.config_groups
+
+
 @pytest.mark.parametrize("mode,n_valid,population", [
     ("success_rate", 6, 8),
     ("noise_sim", 2, 6),

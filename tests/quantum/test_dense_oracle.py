@@ -22,7 +22,13 @@ pinned against dense linear algebra that shares none of their code:
 * a Pauli sum is the sum of its strings, each a ``np.kron`` of textbook X,
   Y and Z factors embedded on its qubits; a measured energy reads the
   diagonal of the state rotated by textbook H and S-dagger gates, and a
-  remapped Hamiltonian is the dense one embedded on the permuted qubits.
+  remapped Hamiltonian is the dense one embedded on the permuted qubits;
+* the density route of a compiled circuit evolves its reduced circuit
+  densely under the reduced noise model, applies one ``np.kron`` readout
+  confusion over the register and sums the diagonal onto the logical
+  qubits of the final layout.  It pins the device backend and the
+  estimator's ``noise_sim`` seed path end to end, which both simulate on
+  the one fused density kernel.
 
 Conventions (the repository's): qubit 0 is the most significant bit of a
 basis index and of a multi-qubit gate matrix, and a controlled gate takes
@@ -32,6 +38,7 @@ to feed the kernels.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -40,9 +47,12 @@ import pytest
 from scipy.linalg import block_diag, expm, sqrtm
 
 from repro.backends import SimulationJob, StatevectorBackend
-from repro.core.estimator import PerformanceEstimator
-from repro.devices import get_device
+from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
+from repro.core.estimator import EstimatorConfig, PerformanceEstimator
+from repro.core.supercircuit import SuperCircuit
+from repro.devices import QuantumBackend, get_device
 from repro.noise.models import NoiseModel
+from repro.qml.qnn import QNNModel
 from repro.quantum.circuit import (
     ParamOp,
     ParameterizedCircuit,
@@ -52,7 +62,6 @@ from repro.quantum.circuit import (
     weight,
 )
 from repro.quantum.density_matrix import (
-    DensityMatrixSimulator,
     apply_fused_positions,
     channel_superoperator,
     expectation_pauli_sum_dm,
@@ -76,6 +85,10 @@ from repro.quantum.statevector import (
     run_parameterized,
     run_parameterized_rows,
 )
+from repro.transpile.compiler import transpile
+from repro.utils.stats import nll_loss, softmax
+from repro.vqe import load_molecule
+from repro.vqe.vqe import VQEModel
 
 #: single gates, their derivatives and parameter batches
 GATE_TOL = 1e-12
@@ -617,16 +630,15 @@ def test_apply_fused_positions(build, n_qubits, kind):
     )
 
 
-@pytest.mark.parametrize("kind", ["uniform", "device"])
-@pytest.mark.parametrize("n_qubits", N_QUBITS)
-def test_density_matrix_simulator(n_qubits, kind):
-    rng = np.random.default_rng(600 + n_qubits)
-    model = noise_model(kind, n_qubits, rng)
-    circuit = every_gate_circuit(n_qubits, rng)
-    rho = DensityMatrixSimulator(n_qubits, model).run(circuit)
-    np.testing.assert_allclose(rho.reshape(2**n_qubits, 2**n_qubits),
-                               noisy_density(circuit, model),
-                               rtol=0, atol=CIRCUIT_TOL)
+def readout_confusion(model, n_qubits):
+    """``M[i, j] = P(read i | prepared j)`` over the register, one
+    ``np.kron`` factor per qubit; qubit 0 is the leading factor."""
+    confusion = np.ones((1, 1))
+    for qubit in range(n_qubits):
+        calibration = model.qubits[qubit]
+        p01, p10 = calibration.readout_p01, calibration.readout_p10
+        confusion = np.kron(confusion, [[1 - p01, p10], [p01, 1 - p10]])
+    return confusion
 
 
 @pytest.mark.parametrize("kind", ["uniform", "device"])
@@ -635,13 +647,7 @@ def test_apply_readout_error(n_qubits, kind):
     rng = np.random.default_rng(700 + n_qubits)
     model = noise_model(kind, n_qubits, rng)
     probabilities = rng.dirichlet(np.ones(2**n_qubits))
-    confusion = np.ones((1, 1))
-    for qubit in range(n_qubits):
-        calibration = model.qubits[qubit]
-        p01, p10 = calibration.readout_p01, calibration.readout_p10
-        # M[i, j] = P(read i | prepared j); qubit 0 is the leading factor
-        confusion = np.kron(confusion, [[1 - p01, p10], [p01, 1 - p10]])
-    expected = confusion @ probabilities
+    expected = readout_confusion(model, n_qubits) @ probabilities
     np.testing.assert_allclose(model.apply_readout_error(probabilities, n_qubits),
                                expected / expected.sum(),
                                rtol=0, atol=CIRCUIT_TOL)
@@ -756,3 +762,108 @@ def test_remap_hamiltonian_is_a_basis_permutation():
             rho.reshape((2,) * (2 * len(used_physical))), remapped
         )
         assert abs(value - np.trace(expected @ rho).real) <= PAULI_TOL
+
+
+# ---------------------------------------------------------------------------
+# The density route: compiled circuit to logical outcomes and energies
+# ---------------------------------------------------------------------------
+
+
+def basis_bits(n_qubits):
+    """``bits[i, q]``, qubit ``q``'s bit of basis index ``i``."""
+    shifts = np.arange(n_qubits - 1, -1, -1)
+    return (np.arange(2**n_qubits)[:, None] >> shifts) & 1
+
+
+def held_qubits(compiled, n_logical):
+    """The reduced qubit holding each logical qubit at the end."""
+    _reduced, used_physical = compiled.reduced_circuit()
+    return [list(used_physical).index(compiled.final_layout[q])
+            for q in range(n_logical)]
+
+
+def reduced_density(compiled, device):
+    """The reduced circuit evolved densely under the reduced noise model."""
+    reduced, used_physical = compiled.reduced_circuit()
+    model = device.noise_model().reduced(used_physical)
+    return reduced.n_qubits, model, noisy_density(reduced, model)
+
+
+def density_route(compiled, device, n_logical):
+    """Logical outcome probabilities of a compiled circuit: dense evolution,
+    readout confusion, then the diagonal summed onto the logical qubits."""
+    n_reduced, model, rho = reduced_density(compiled, device)
+    probabilities = readout_confusion(model, n_reduced) @ np.diag(rho).real
+    bits = basis_bits(n_reduced)[:, held_qubits(compiled, n_logical)]
+    logical_index = bits @ (1 << np.arange(n_logical - 1, -1, -1))
+    marginal = np.bincount(logical_index, weights=probabilities,
+                           minlength=2**n_logical)
+    return marginal / marginal.sum()
+
+
+def test_density_route_of_a_routed_qml_bind(u3cu3_supercircuit, yorktown,
+                                            tiny_dataset):
+    """A 4-qubit QML SubCircuit on yorktown, routed with swaps, through the
+    device backend and through ``estimate_qml``'s ``noise_sim`` seed path."""
+    config = EvolutionEngine(
+        get_design_space("u3cu3"), 4, yorktown, EvolutionConfig(seed=2)
+    ).random_config()
+    circuit, _ = u3cu3_supercircuit.build_standalone_circuit(config)
+    weights = u3cu3_supercircuit.inherited_weights(config)
+    layout = (0, 1, 3, 4)
+    estimator = PerformanceEstimator(
+        yorktown, EstimatorConfig(mode="noise_sim", n_valid_samples=2, workers=1)
+    )
+    features, labels = estimator.validation_subset(tiny_dataset)
+    expectations = []
+    for row in features:
+        compiled = transpile(circuit.bind(weights, row), yorktown,
+                             initial_layout=layout, optimization_level=2)
+        assert compiled.num_swaps > 0
+        expected = density_route(compiled, yorktown, 4)
+        result = QuantumBackend(yorktown, shots=0).run_compiled(compiled, 4)
+        np.testing.assert_allclose(result.probabilities, expected,
+                                   rtol=0, atol=CIRCUIT_TOL)
+        expectations.append(expected @ (1 - 2 * basis_bits(4)))
+    logits = QNNModel.from_circuit(circuit, 4).logits_from_expectations(
+        np.array(expectations)
+    )
+    loss = estimator.estimate_qml(circuit, weights, tiny_dataset, 4,
+                                  layout=layout)
+    assert abs(loss - nll_loss(softmax(logits), labels)) <= CIRCUIT_TOL
+
+
+def test_density_route_of_lih_on_jakarta():
+    """A LiH ansatz on jakarta: one measurement group through the device
+    backend, and the energy ``estimate_vqe`` reads in ``noise_sim``."""
+    device = get_device("jakarta")
+    molecule = load_molecule("lih")
+    n_qubits = molecule.n_qubits
+    space = dataclasses.replace(get_design_space("u3cu3"), max_blocks=2)
+    supercircuit = SuperCircuit(space, n_qubits, encoder=None, seed=4)
+    config = EvolutionEngine(
+        space, n_qubits, device, EvolutionConfig(seed=4)
+    ).random_config()
+    ansatz, _ = supercircuit.build_standalone_circuit(config, include_encoder=False)
+    weights = supercircuit.inherited_weights(config)
+    layout = (6, 5, 3, 1, 0, 2)
+
+    model = VQEModel(ansatz, molecule)
+    basis_change, _terms = model.measurement_plan.settings()[-1]
+    group = transpile(model.bound_circuit(weights).compose(basis_change), device,
+                      initial_layout=layout, optimization_level=2)
+    result = QuantumBackend(device, shots=0).run_compiled(group, n_qubits)
+    np.testing.assert_allclose(result.probabilities,
+                               density_route(group, device, n_qubits),
+                               rtol=0, atol=CIRCUIT_TOL)
+
+    compiled = transpile(ansatz.bind(weights), device, initial_layout=layout,
+                         optimization_level=2)
+    n_reduced, _model, rho = reduced_density(compiled, device)
+    hamiltonian = embed(dense_pauli_sum(molecule.hamiltonian, n_qubits),
+                        held_qubits(compiled, n_qubits), n_reduced)
+    estimator = PerformanceEstimator(
+        device, EstimatorConfig(mode="noise_sim", workers=1)
+    )
+    energy = estimator.estimate_vqe(ansatz, weights, molecule, layout=layout)
+    assert abs(energy - np.trace(hamiltonian @ rho).real) <= CIRCUIT_TOL

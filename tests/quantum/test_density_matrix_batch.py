@@ -1,12 +1,16 @@
-"""The fused batched density kernel against the single-sample references.
+"""The fused batched density kernel against dense single-row evolution.
 
 ``apply_fused_positions`` composes each position's unitary with its noise
 channels and folds runs on at most two qubits into one contraction; every
-row must still match ``apply_unitary`` followed by ``apply_kraus`` on that
-row alone.
+row must still match ``U rho U^dagger`` followed by ``sum K rho K^dagger``
+for each channel, on that row alone, with every operator embedded densely
+by the dense oracle (``test_dense_oracle.py``).
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +22,22 @@ from repro.noise.channels import (
 )
 from repro.quantum.density_matrix import (
     apply_fused_positions,
-    apply_kraus,
-    apply_unitary,
     channel_superoperator,
     zero_density_matrices,
-    zero_density_matrix,
 )
 from repro.quantum.gates import gate_matrix
+
+
+def _load_oracle():
+    # test directories are not packages: load the oracle module by path
+    path = Path(__file__).resolve().parent / "test_dense_oracle.py"
+    spec = importlib.util.spec_from_file_location("dense_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
 
 ATOL = 1e-12
 
@@ -52,12 +65,16 @@ def random_gate(qubits, rng, batch=None):
 
 
 def reference(rho, positions):
-    """One row through the unfused seed kernels, position by position."""
+    """One row through dense evolution, position by position."""
+    n_qubits = rho.ndim // 2
+    dim = 2**n_qubits
+    rho = rho.reshape(dim, dim)
     for matrix, qubits, channels in positions:
-        rho = apply_unitary(rho, matrix, qubits)
+        full = oracle.embed(matrix, qubits, n_qubits)
+        rho = full @ rho @ full.conj().T
         for kraus, targets in channels:
-            rho = apply_kraus(rho, kraus, targets)
-    return rho
+            rho = oracle.apply_channel(rho, kraus, targets, n_qubits)
+    return rho.reshape((2,) * (2 * n_qubits))
 
 
 def check_against_reference(rhos, positions):
@@ -77,10 +94,11 @@ def check_against_reference(rhos, positions):
 
 def test_zero_density_matrices_matches_single():
     batch = zero_density_matrices(3, batch=4)
-    single = zero_density_matrix(3)
+    single = np.zeros((8, 8), dtype=complex)
+    single[0, 0] = 1.0
     assert batch.shape == (4,) + (2,) * 6
     for index in range(4):
-        np.testing.assert_array_equal(batch[index], single)
+        np.testing.assert_array_equal(batch[index].reshape(8, 8), single)
 
 
 @pytest.mark.parametrize("n_qubits,qubits", [(2, (0,)), (3, (2,)), (3, (0, 2)),

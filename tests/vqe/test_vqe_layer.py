@@ -9,8 +9,10 @@ from repro.devices.calibration import CalibrationTargets, generate_calibration
 from repro.devices.library import Device, get_device
 from repro.devices.topology import line_topology
 from repro.quantum.circuit import ParameterizedCircuit
+from repro.quantum.measurement import MeasurementPlan
 from repro.quantum.operators import PauliString
 from repro.quantum.statevector import run_parameterized
+from repro.vqe import vqe as vqe_module
 from repro.vqe.molecules import (
     MOLECULE_SPECS,
     available_molecules,
@@ -119,6 +121,33 @@ class TestVQE:
         energy, grads = model.energy_and_gradient(weights)
         assert energy == pytest.approx(model.energy(weights))
         assert grads.shape == (model.num_weights,)
+
+    def test_measurement_plan_is_built_on_first_read(self, monkeypatch):
+        """Noise-free training builds no plan; a passed plan is used as is
+        and its size is still checked in the constructor."""
+        built = []
+
+        def counting_plan(*args):
+            built.append(MeasurementPlan(*args))
+            return built[-1]
+
+        monkeypatch.setattr(vqe_module, "MeasurementPlan", counting_plan)
+        molecule = load_molecule("h2")
+        model = VQEModel(self._simple_ansatz(), molecule)
+        model.energy_and_gradient(model.init_weights(np.random.default_rng(0)))
+        assert built == []
+        plan = model.measurement_plan
+        assert built == [plan]
+        assert model.measurement_plan is plan
+        assert built == [plan]
+
+        passed = MeasurementPlan(molecule.hamiltonian, 2)
+        model = VQEModel(self._simple_ansatz(), molecule, measurement_plan=passed)
+        assert model.measurement_plan is passed
+        with pytest.raises(ValueError, match="measurement plan"):
+            VQEModel(self._simple_ansatz(n_qubits=3), molecule,
+                     measurement_plan=passed)
+        assert len(built) == 1
 
     def test_measured_energy_on_ideal_backend_matches_statevector(self):
         molecule = load_molecule("h2")
