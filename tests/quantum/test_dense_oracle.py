@@ -26,9 +26,10 @@ pinned against dense linear algebra that shares none of their code:
 * the density route of a compiled circuit evolves its reduced circuit
   densely under the reduced noise model, applies one ``np.kron`` readout
   confusion over the register and sums the diagonal onto the logical
-  qubits of the final layout.  It pins the device backend and the
-  estimator's ``noise_sim`` seed path end to end, which both simulate on
-  the one fused density kernel.
+  qubits of the final layout.  It pins the density runner, a batch of one
+  on every registry gate, and the device backend and the estimator's
+  ``noise_sim`` seed path end to end, which all simulate on the one fused
+  density kernel.
 
 Conventions (the repository's): qubit 0 is the most significant bit of a
 basis index and of a multi-qubit gate matrix, and a controlled gate takes
@@ -47,6 +48,7 @@ import pytest
 from scipy.linalg import block_diag, expm, sqrtm
 
 from repro.backends import SimulationJob, StatevectorBackend
+from repro.backends.density import BatchedDensityRunner
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.supercircuit import SuperCircuit
@@ -799,6 +801,42 @@ def density_route(compiled, device, n_logical):
     marginal = np.bincount(logical_index, weights=probabilities,
                            minlength=2**n_logical)
     return marginal / marginal.sum()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "device"])
+@pytest.mark.parametrize("n_qubits", N_QUBITS)
+def test_density_runner_batch_of_one(n_qubits, kind):
+    """Every registry gate through ``BatchedDensityRunner`` as a batch of
+    one, as the device backend and the seed path run a compiled circuit:
+    its registry matrices and its channels composed per gate arity and
+    qubits give the dense state; its readout and marginal onto a permuted
+    final layout, its Z expectations and its Pauli expectation follow."""
+    rng = np.random.default_rng(600 + n_qubits)
+    model = noise_model(kind, n_qubits, rng)
+    circuit = every_gate_circuit(n_qubits, rng)
+    register = tuple(range(n_qubits))
+    n_logical = n_qubits - 1
+    held = [int(q) for q in rng.permutation(n_qubits)[:n_logical]]
+    device = SimpleNamespace(noise_model=lambda: model)
+    compiled = SimpleNamespace(reduced_circuit=lambda: (circuit, register),
+                               final_layout=dict(enumerate(held)))
+    runner = BatchedDensityRunner(device, max_density_qubits=n_qubits)
+    row = runner.submit(compiled)
+    runner.run()
+
+    rho = noisy_density(circuit, model)
+    dim = 2**n_qubits
+    np.testing.assert_allclose(row.batch.rhos[row.position].reshape(dim, dim),
+                               rho, rtol=0, atol=CIRCUIT_TOL)
+    expected = density_route(compiled, device, n_logical)
+    np.testing.assert_allclose(row.logical_probabilities(n_logical), expected,
+                               rtol=0, atol=CIRCUIT_TOL)
+    np.testing.assert_allclose(row.logical_z_expectations(n_logical),
+                               expected @ (1 - 2 * basis_bits(n_logical)),
+                               rtol=0, atol=CIRCUIT_TOL)
+    observable = random_pauli_sum(n_qubits, rng)
+    energy = np.trace(dense_pauli_sum(observable, n_qubits) @ rho).real
+    assert abs(row.pauli_expectation(observable) - energy) <= CIRCUIT_TOL
 
 
 def test_density_route_of_a_routed_qml_bind(u3cu3_supercircuit, yorktown,
