@@ -119,7 +119,7 @@ REQUIRED_DISPATCH_SPEEDUP = 1.3
 #: ExecutionStats fields reported as the per-backend cold/warm columns
 BACKEND_COUNTER_FIELDS = (
     "density_batches", "density_circuits", "template_batches",
-    "statevector_batches", "shot_circuits", "fused_segments",
+    "statevector_batches", "shot_circuits",
 )
 PATHS = ("sequential", "bound_key", "parametric", "sharded_w1",
          f"sharded_w{SHARDED_WORKERS}")

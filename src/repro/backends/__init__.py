@@ -26,6 +26,7 @@ capable.  Third-party engines register through
 from .base import (
     BackendCapabilities,
     BackendCapabilityError,
+    GroupEntry,
     JobResult,
     SimulationBackend,
     SimulationJob,
@@ -48,6 +49,7 @@ from .statevector import StatevectorBackend
 __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
+    "GroupEntry",
     "JobResult",
     "SimulationBackend",
     "SimulationJob",

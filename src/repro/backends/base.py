@@ -14,10 +14,10 @@ Protocol
 A backend declares :class:`BackendCapabilities` and implements
 ``run_group(entry, jobs)``:
 
-* ``entry`` is the structure-group context — an object with ``circuit`` (the
-  standalone :class:`~repro.quantum.circuit.ParameterizedCircuit`),
-  ``weights`` (the inherited weight vector) and a writable ``fusion_plan``
-  slot backends may use to memoize per-structure artifacts.
+* ``entry`` is the structure group's :class:`GroupEntry`: ``circuit`` (the
+  standalone :class:`~repro.quantum.circuit.ParameterizedCircuit`) and
+  ``weights`` (the inherited weight vector), the defaults of every job
+  that carries no circuit or weights of its own.
 * ``jobs`` is a list of :class:`SimulationJob` — each one binding (or one
   vectorized batch of bindings) awaiting execution.
 * the return value is one :class:`JobResult` handle per scheduled binding.
@@ -51,6 +51,7 @@ import numpy as np
 __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
+    "GroupEntry",
     "SimulationJob",
     "JobResult",
     "SimulationBackend",
@@ -90,6 +91,14 @@ class BackendCapabilities:
     observables: bool = False
     batched: bool = False
     max_qubits: Optional[int] = None
+
+
+@dataclass
+class GroupEntry:
+    """One structure group: a standalone circuit and its inherited weights."""
+
+    circuit: object
+    weights: np.ndarray
 
 
 @dataclass

@@ -3,34 +3,26 @@
 Serves every loss term that never needed a density matrix: the
 ``noise_free`` estimator mode, the noise-free numerator of
 ``success_rate``-weighted scores, and the per-group noise-free energy probes
-of the VQE paths.  Forward passes run over the whole validation batch at
-once in the ``(batch,) + (2,) * n`` state layout, with consecutive concrete
-(weight-bound) gate segments fused into dense ``<= MAX_FUSED_QUBITS``
-unitaries (TorchQuantum's static mode) so the hot loop applies fewer, larger
-contractions.  Per-sample encoder gates stay dynamic and are applied with
-batched matrices.
-
-The fusion plan is memoized on the structure-group entry (the engine's
-per-genome cache), so successive populations — and successive backend
-instances — reuse it until the SuperCircuit parameters change.
+of the VQE paths.  There is one forward pass, the one training and the
+per-candidate seed path run: :func:`~repro.quantum.statevector.
+run_parameterized` over the whole validation batch at once in the
+``(batch,) + (2,) * n`` state layout, or
+:func:`~repro.quantum.statevector.run_parameterized_rows` when a job
+carries a weight matrix.  No gate fusion (static mode) runs here, so
+noise-free scores equal the seed path bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..quantum.circuit import Instruction, QuantumCircuit
-from ..quantum.fusion import fuse_circuit
 from ..quantum.statevector import (
-    apply_matrix,
     expectation_pauli_sum,
     expectation_z_all,
-    op_matrix,
     run_parameterized,
     run_parameterized_rows,
-    zero_state,
 )
 from .base import (
     BackendCapabilities,
@@ -41,9 +33,6 @@ from .base import (
 from .registry import register_backend
 
 __all__ = ["StatevectorBackend"]
-
-#: widest dense unitary a fused concrete segment is grouped into
-MAX_FUSED_QUBITS = 3
 
 
 class _StatevectorResult(JobResult):
@@ -83,90 +72,29 @@ class StatevectorBackend(SimulationBackend):
 
     def __init__(self, estimator) -> None:
         super().__init__(estimator)
-        self.segments_fused = 0
         self.batches_run = 0
 
     def run_group(self, entry, jobs: List[SimulationJob]) -> List[JobResult]:
         """One forward pass per job; ``features`` may be a whole matrix.
 
-        A job carrying its own ``weights`` (the gradient engine's shifted
-        evaluations) overrides the entry's inherited weight vector; a 2-D
-        ``(rows, num_weights)`` weight matrix runs every row over the whole
-        feature batch in one pass (row-major).  Weight-carrying jobs bypass
-        the fusion plan — its fused matrices bake the *entry's* weights in.
+        A job's own ``circuit`` and ``weights`` (the gradient engine's
+        shifted evaluations) override the entry's; a 2-D ``(rows,
+        num_weights)`` weight matrix runs every row over the whole feature
+        batch in one pass (row-major).
         """
         self.groups_run += 1
         handles: List[JobResult] = []
         for job in jobs:
-            if job.weights is not None:
-                states = self._weighted_states(entry, job)
+            circuit = job.circuit if job.circuit is not None else entry.circuit
+            weights = job.weights if job.weights is not None else entry.weights
+            if np.ndim(weights) == 2:
+                states = run_parameterized_rows(circuit, weights, job.features)
             else:
-                states = self._forward_states(entry, job.features)
+                states = run_parameterized(circuit, weights, job.features)
             self.batches_run += 1
             self.jobs_run += states.shape[0]
             handles.append(_StatevectorResult(states))
         return handles
 
-    def _weighted_states(self, entry, job: SimulationJob) -> np.ndarray:
-        circuit = job.circuit if job.circuit is not None else entry.circuit
-        weights = np.asarray(job.weights, dtype=float)
-        if weights.ndim == 2:
-            return run_parameterized_rows(circuit, weights, job.features)
-        return run_parameterized(circuit, weights, job.features)
-
     def stats_delta(self) -> Dict[str, int]:
-        return {
-            "statevector_batches": self.batches_run,
-            "fused_segments": self.segments_fused,
-        }
-
-    # -- fused forward pass ---------------------------------------------------
-
-    def _fusion_plan(self, entry) -> List[Tuple[str, object]]:
-        """Fuse concrete (weight/const) segments; keep encoder ops dynamic."""
-        if entry.fusion_plan is not None:
-            return entry.fusion_plan
-        circuit, weights = entry.circuit, entry.weights
-        plan: List[Tuple[str, object]] = []
-        segment: List[Instruction] = []
-
-        def flush() -> None:
-            if not segment:
-                return
-            concrete = QuantumCircuit(circuit.n_qubits, list(segment))
-            for block in fuse_circuit(concrete, MAX_FUSED_QUBITS):
-                plan.append(("fused", block))
-            self.segments_fused += 1
-            segment.clear()
-
-        for op in circuit.ops:
-            if op.uses_input:
-                flush()
-                plan.append(("dynamic", op))
-            else:
-                params = circuit.resolve_params(op, weights)
-                segment.append(Instruction(op.gate, op.qubits, tuple(params)))
-        flush()
-        entry.fusion_plan = plan
-        return plan
-
-    def _forward_states(
-        self, entry, features: Optional[np.ndarray], batch: int = 1
-    ) -> np.ndarray:
-        """Statevector forward pass with static-mode fusion."""
-        circuit, weights = entry.circuit, entry.weights
-        if features is not None:
-            features = np.asarray(features, dtype=float)
-            if features.ndim == 1:
-                features = features[None, :]
-            batch = features.shape[0]
-        states = zero_state(circuit.n_qubits, batch)
-        for kind, payload in self._fusion_plan(entry):
-            if kind == "fused":
-                states = apply_matrix(states, payload.matrix, payload.qubits)
-            else:
-                params = circuit.resolve_params(payload, weights, features)
-                states = apply_matrix(
-                    states, op_matrix(payload.gate, params), payload.qubits
-                )
-        return states
+        return {"statevector_batches": self.batches_run}

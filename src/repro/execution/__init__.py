@@ -6,20 +6,21 @@ work that is shared across the population.  This package batches that work
 along four axes:
 
 **Genome grouping.**  Candidates are grouped by SubCircuit genome
-(``config.as_gene()``).  The standalone circuit, the inherited SuperCircuit
-weights and the gate-fusion plan are built once per unique genome — a
+(``config.as_gene()``).  The standalone circuit and the inherited
+SuperCircuit weights are built once per unique genome per population — a
 mapping-only or late-generation population collapses to a handful of circuit
 builds.  Everything that does not depend on the qubit mapping (the noise-free
 forward pass, QML validation losses, VQE energies) is computed once per group
-and shared by every candidate in it.
+and shared by every candidate in it.  Nothing built for a population is kept
+for the next: the estimator's transpile caches (below) are the only memo
+that outlives a population.
 
 **Batched statevector evaluation.**  Noise-free forwards run over the whole
 validation set at once in the ``(batch,) + (2,) * n_qubits`` state layout
-(the paper's Fig. 12 batched execution mode), with consecutive concrete
-(weight-bound) gate segments fused into dense ≤ 3-qubit unitaries
-via :mod:`repro.quantum.fusion` — TorchQuantum's static mode — so the hot
-loop applies fewer, larger contractions.  Per-sample encoder gates stay
-dynamic and are applied with batched matrices.
+(the paper's Fig. 12 batched execution mode).  They run the same forward
+pass as training and the per-candidate seed path
+(:func:`~repro.quantum.statevector.run_parameterized`), so noise-free scores
+equal the seed path's bit for bit.
 
 **Parametric transpilation.**  In ``noise_sim`` mode every (genome, mapping)
 structure is compiled *once* into a :class:`repro.transpile.parametric.
@@ -69,7 +70,7 @@ reference is the original per-candidate seed path —
 ``PerformanceEstimator.estimate_qml``/``estimate_vqe`` called once per
 candidate — which the equivalence tests in ``tests/execution`` loop directly
 and pin the engines against to 1e-9 on expectations, losses and evolution
-rankings.
+rankings, and exactly on ``noise_free`` and ``success_rate`` scores.
 """
 
 from .cache import (

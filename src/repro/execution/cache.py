@@ -21,13 +21,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..devices.library import Device
 from ..quantum.circuit import ParameterizedCircuit, QuantumCircuit
-from ..transpile.compiler import CompiledCircuit, transpile
+from ..transpile.compiler import (
+    CompiledCircuit,
+    _normalize_layout,
+    compile_key,
+    transpile,
+)
 from ..transpile.parametric import (
     ParametricCompiledCircuit,
     TemplateBatchBinding,
@@ -72,27 +77,6 @@ class TranspileCacheStats(MergeableStats):
         return self.hits / self.requests if self.requests else 0.0
 
 
-def _normalize_layout(initial_layout) -> Hashable:
-    """A hashable, order-insensitive representation of a layout spec."""
-    if initial_layout is None or isinstance(initial_layout, str):
-        return initial_layout
-    if isinstance(initial_layout, dict):
-        return ("dict",) + tuple(sorted(
-            (int(k), int(v)) for k, v in initial_layout.items()
-        ))
-    return ("seq",) + tuple(int(q) for q in initial_layout)
-
-
-def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
-    """Hashable fingerprint of a concrete circuit (structure and parameters)."""
-    return (
-        circuit.n_qubits,
-        tuple(
-            (inst.gate, inst.qubits, inst.params) for inst in circuit.instructions
-        ),
-    )
-
-
 class TranspileCache:
     """An LRU cache mapping logical circuits to their compiled form.
 
@@ -120,20 +104,12 @@ class TranspileCache:
         optimization_level: int,
         seed: Optional[int] = None,
     ) -> Tuple:
-        base = (
-            device.name,
-            int(optimization_level),
-            _normalize_layout(initial_layout),
-            circuit_fingerprint(circuit),
-        )
-        # The transpile seed is pinned per key: ``optimization_level=3`` runs
-        # randomized SABRE trials, and an unseeded compile would make cache
-        # entries depend on insertion order (first caller wins).  Deriving the
-        # seed from the key keeps compilations a pure function of their
-        # inputs; an explicit ``seed`` (e.g. a parametric structure's pinned
-        # seed, so template binds and exact fallbacks share one compilation
-        # stream) overrides the derived one and is part of the key.
-        return base + (stable_seed(base) if seed is None else int(seed),)
+        # The key ends in the transpile seed ``transpile`` itself derives when
+        # none is given, so a cached compilation equals an uncached one; an
+        # explicit ``seed`` (e.g. a parametric structure's pinned seed, so
+        # template binds and exact fallbacks share one compilation stream)
+        # overrides the derived one and is part of the key.
+        return compile_key(circuit, device, initial_layout, optimization_level, seed)
 
     def get(
         self,

@@ -3,8 +3,8 @@
 See the package docstring (:mod:`repro.execution`) for the grouping/batching
 strategy.  The short version:
 
-1.  Candidates are grouped by SubCircuit genome; the standalone circuit,
-    inherited weights and gate-fusion plan are built once per unique genome
+1.  Candidates are grouped by SubCircuit genome; the standalone circuit
+    and inherited weights are built once per unique genome per population
     instead of once per candidate.
 2.  Every simulation flows through a :mod:`repro.backends` engine selected
     per structure group by the deterministic
@@ -14,7 +14,9 @@ strategy.  The short version:
     on the pinned-seed shot sampler.  The engine itself contains no
     simulation code — it organizes groups, transpilations and score
     formulas.
-3.  Transpilations are memoized in the estimator-owned caches.  In
+3.  Transpilations are memoized in the estimator-owned caches, the only
+    memo that outlives a population: the engine keeps no state between
+    populations except its :class:`ExecutionStats`.  In
     ``noise_sim`` mode each (genome, mapping) structure is compiled once
     into one parametric template and every validation sample's angles come
     out of a single vectorized template bind (one affine matmul per
@@ -34,23 +36,22 @@ directly and pin the engine against to 1e-9.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..backends import (
     BackendDispatcher,
     DispatchRequest,
+    GroupEntry,
     SimulationJob,
     run_bound_rows,
 )
 from ..qml.qnn import readout_matrix
-from ..quantum.circuit import ParameterizedCircuit
+from ..transpile.compiler import _normalize_layout
 from ..utils.stats import nll_loss, softmax
 from .. import telemetry
-from .cache import _normalize_layout
 from .stats import MergeableStats
 
 __all__ = ["ExecutionStats", "ExecutionEngine"]
@@ -76,7 +77,6 @@ class ExecutionStats(MergeableStats):
     populations: int = 0
     candidates: int = 0
     config_groups: int = 0
-    fused_segments: int = 0
     density_batches: int = 0
     density_circuits: int = 0
     #: density batches fed straight from vectorized template bindings (no
@@ -87,25 +87,6 @@ class ExecutionStats(MergeableStats):
     #: circuits executed through the pinned-seed shot-sampler backend
     shot_circuits: int = 0
     sequential_fallbacks: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Per-genome structure cache
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StructureEntry:
-    """Standalone circuit + inherited weights for one SubCircuit genome.
-
-    This is the group context handed to simulation backends: ``circuit`` and
-    ``weights`` define the structure, ``fusion_plan`` is a memoization slot
-    the statevector backend fills (see :mod:`repro.backends.base`).
-    """
-
-    circuit: ParameterizedCircuit
-    weights: np.ndarray
-    fusion_plan: Optional[List[Tuple[str, object]]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +105,6 @@ class ExecutionEngine:
     resources on exit.
     """
 
-    _STRUCTURE_CACHE_SIZE = 256
-
     def __init__(self, estimator, supercircuit) -> None:
         self.estimator = estimator
         self.supercircuit = supercircuit
@@ -135,10 +114,6 @@ class ExecutionEngine:
         #: every sharded worker from the pickled estimator config
         self.dispatcher = BackendDispatcher(estimator)
         self.stats = ExecutionStats()
-        self._qml_structures: "OrderedDict[Tuple, _StructureEntry]" = OrderedDict()
-        self._vqe_structures: "OrderedDict[Tuple, _StructureEntry]" = OrderedDict()
-        self._readouts: Dict[Tuple[int, int], np.ndarray] = {}
-        self._params_snapshot: Optional[bytes] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -252,7 +227,6 @@ class ExecutionEngine:
         self, candidates: List, dataset, n_classes: int
     ) -> List[float]:
         estimator = self.estimator
-        self._maybe_invalidate_structures()
         n_qubits = self.supercircuit.n_qubits
         mode = estimator.resolve_mode(n_qubits)
         if mode == "real_qc" and not self._shot_dispatch_opt_in():
@@ -275,13 +249,14 @@ class ExecutionEngine:
         features, labels = estimator.validation_subset(dataset)
         groups = self._group(candidates, include_encoder=True)
         self.stats.config_groups += len(groups)
+        readout = readout_matrix(n_qubits, n_classes)
         scores = [0.0] * len(candidates)
         backends: Dict[str, object] = {}
 
         if mode == "noise_free":
             for entry, indices in groups:
                 loss = self._qml_noise_free_loss(
-                    backends, mode, entry, features, labels, n_classes
+                    backends, mode, entry, features, labels, readout
                 )
                 for index in indices:
                     scores[index] = loss
@@ -296,7 +271,7 @@ class ExecutionEngine:
             optimization_level = estimator.config.optimization_level
             for entry, indices in groups:
                 loss = self._qml_noise_free_loss(
-                    backends, mode, entry, features, labels, n_classes
+                    backends, mode, entry, features, labels, readout
                 )
                 bound = entry.circuit.bind(entry.weights, features[0])
                 for index in indices:
@@ -349,7 +324,6 @@ class ExecutionEngine:
         estimator._backend.record_executions(len(candidates) * len(features))
 
         with telemetry.phase_span("engine.phase", phase="score"):
-            readout = self._readout_matrix(n_qubits, n_classes)
             for index, handles in handles_by_candidate.items():
                 expectations = np.stack(
                     [handle.logical_z_expectations(n_qubits) for handle in handles]
@@ -360,7 +334,7 @@ class ExecutionEngine:
         return scores
 
     def _schedule_shot_rows(
-        self, backend, entry: _StructureEntry, gene_key, mapping, features
+        self, backend, entry: GroupEntry, gene_key, mapping, features
     ) -> List[object]:
         """Per-sample shot jobs with seeds pinned to (genome, mapping, row)."""
         mapping_key = _normalize_layout(mapping)
@@ -377,7 +351,7 @@ class ExecutionEngine:
         return backend.run_group(entry, jobs)
 
     def _schedule_density_rows(
-        self, backend, entry: _StructureEntry, mapping, features
+        self, backend, entry: GroupEntry, mapping, features
     ) -> List[object]:
         """Density jobs for every validation sample of one (genome, mapping):
         one vectorized template bind, with the samples that cross one of
@@ -410,7 +384,6 @@ class ExecutionEngine:
 
     def _evaluate_vqe(self, candidates: List, molecule) -> List[float]:
         estimator = self.estimator
-        self._maybe_invalidate_structures()
         n_qubits = self.supercircuit.n_qubits
         mode = estimator.resolve_mode(n_qubits)
         if mode == "real_qc":
@@ -565,60 +538,34 @@ class ExecutionEngine:
 
     # -- internals ----------------------------------------------------------------
 
-    def _maybe_invalidate_structures(self) -> None:
-        """Drop cached circuits when the SuperCircuit parameters change."""
-        snapshot = self.supercircuit.parameters.tobytes()
-        if snapshot != self._params_snapshot:
-            self._qml_structures.clear()
-            self._vqe_structures.clear()
-            self._params_snapshot = snapshot
-
     def _group(
         self, candidates: Sequence, include_encoder: bool
-    ) -> List[Tuple[_StructureEntry, List[int]]]:
-        """Group candidate indices by SubCircuit genome, building each once."""
-        cache = self._qml_structures if include_encoder else self._vqe_structures
-        groups: "OrderedDict[Tuple, Tuple[_StructureEntry, List[int]]]" = OrderedDict()
+    ) -> List[Tuple[GroupEntry, List[int]]]:
+        """Group candidate indices by SubCircuit genome, building each
+        genome's circuit and inherited weights once per population."""
+        groups: Dict[Tuple, Tuple[GroupEntry, List[int]]] = {}
         for index, candidate in enumerate(candidates):
             key = tuple(candidate.config.as_gene())
             bucket = groups.get(key)
             if bucket is None:
-                entry = cache.get(key)
-                if entry is None:
-                    circuit, weight_map = self.supercircuit.build_standalone_circuit(
-                        candidate.config, include_encoder=include_encoder
-                    )
-                    weights = self.supercircuit.parameters[weight_map].copy()
-                    entry = _StructureEntry(circuit, weights)
-                    cache[key] = entry
-                    if len(cache) > self._STRUCTURE_CACHE_SIZE:
-                        cache.popitem(last=False)
-                else:
-                    cache.move_to_end(key)
-                bucket = (entry, [])
-                groups[key] = bucket
+                circuit, weight_map = self.supercircuit.build_standalone_circuit(
+                    candidate.config, include_encoder=include_encoder
+                )
+                weights = self.supercircuit.parameters[weight_map].copy()
+                bucket = groups[key] = (GroupEntry(circuit, weights), [])
             bucket[1].append(index)
         return list(groups.values())
-
-    def _readout_matrix(self, n_qubits: int, n_classes: int) -> np.ndarray:
-        key = (n_qubits, n_classes)
-        if key not in self._readouts:
-            self._readouts[key] = readout_matrix(n_qubits, n_classes)
-        return self._readouts[key]
 
     def _qml_noise_free_loss(
         self,
         backends: Dict[str, object],
         mode: str,
-        entry: _StructureEntry,
+        entry: GroupEntry,
         features: np.ndarray,
         labels: np.ndarray,
-        n_classes: int,
+        readout: np.ndarray,
     ) -> float:
         statevector = self._statevector(backends, mode, entry.circuit.n_qubits)
         handle = statevector.run_group(entry, [SimulationJob(features=features)])[0]
         expectations = handle.logical_z_expectations(entry.circuit.n_qubits)
-        logits = expectations @ self._readout_matrix(
-            entry.circuit.n_qubits, n_classes
-        ).T
-        return nll_loss(softmax(logits), labels)
+        return nll_loss(softmax(expectations @ readout.T), labels)

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.base import SimulationJob, run_bound_rows
+from ..backends.base import GroupEntry, SimulationJob, run_bound_rows
 from ..backends.dispatch import BackendDispatcher, DispatchRequest
 from ..devices.backend import QuantumBackend
 from ..execution.cache import ParametricTranspileCache, TranspileCache
@@ -112,22 +112,6 @@ class GradientEngineStats(MergeableStats):
     fallback_rows: int = 0
     shot_jobs: int = 0
     measured_rows: int = 0
-
-
-class _GroupEntry:
-    """The structure-group context handed to ``run_group``.
-
-    Gradient jobs always carry their own weight rows, so ``weights`` here is
-    only the witness (center) vector; ``fusion_plan`` stays unused because
-    weight-carrying jobs bypass the statevector fusion plan.
-    """
-
-    __slots__ = ("circuit", "weights", "fusion_plan")
-
-    def __init__(self, circuit, weights) -> None:
-        self.circuit = circuit
-        self.weights = weights
-        self.fusion_plan = None
 
 
 class BatchedGradientEngine:
@@ -266,7 +250,7 @@ class BatchedGradientEngine:
         backend = self.dispatcher.backend_for(
             DispatchRequest(mode=mode, n_qubits=n_qubits)
         )
-        entry = _GroupEntry(circuit, witness)
+        entry = GroupEntry(circuit, witness)
 
         if not backend.capabilities.noisy:
             # statevector: the rows join the batch dimension of one job
@@ -366,7 +350,7 @@ class BatchedGradientEngine:
                     mode=mode, n_qubits=n_qubits, needs_observables=True
                 )
             )
-            entry = _GroupEntry(ansatz, witness)
+            entry = GroupEntry(ansatz, witness)
             weights = rows if n_rows > 1 else rows[0]
             handles = backend.run_group(
                 entry, [SimulationJob(circuit=ansatz, weights=weights)]
@@ -384,7 +368,7 @@ class BatchedGradientEngine:
         )
         group_probs: List[List[np.ndarray]] = []
         for group_index, structure in enumerate(structures):
-            entry = _GroupEntry(structure, witness)
+            entry = GroupEntry(structure, witness)
             if backend.capabilities.shot_based:
                 # REPRO_BACKEND=shots override: per-(group, row) jobs with
                 # content-pinned seeds (shots == 0 here, so no sampling noise)
@@ -479,7 +463,7 @@ class BatchedGradientEngine:
         return np.asarray(witness_weights, dtype=float).ravel()
 
     def _schedule_density_rows(
-        self, backend, entry: _GroupEntry, values: np.ndarray
+        self, backend, entry: GroupEntry, values: np.ndarray
     ) -> List[object]:
         """Template-bind a values matrix (branch-crossing rows compiled
         exactly) and schedule every row; one handle per row, in row order."""

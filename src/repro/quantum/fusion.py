@@ -2,8 +2,11 @@
 
 Consecutive instructions whose combined support fits in ``max_fused_qubits``
 are fused into a single unitary, so the simulator applies fewer, larger
-contractions.  This reproduces the >2x static-mode speedup the paper reports
-for TorchQuantum in Fig. 12.
+contractions.  This is Fig. 12's static-mode engine: it reproduces the >2x
+static-mode speedup the paper reports for TorchQuantum, and
+``benchmarks/bench_fig12_training_speed.py`` measures it.  No simulation
+backend uses it; every noise-free score runs the dynamic forward
+(:func:`~repro.quantum.statevector.run_parameterized`).
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ Each gate has two constructor pairs, kept side by side:
 
 * **Scalar** — :func:`gate_matrix` / :func:`gate_gradients` build one
   matrix from one parameter tuple.  Their callers apply one instruction at
-  a time: ``Instruction.matrix()`` in the transpiler, the statevector
-  fusion plan and the concrete density simulator, thousands of calls per
-  pipeline.
+  a time: ``Instruction.matrix()`` in the transpiler, static-mode gate
+  fusion (:mod:`repro.quantum.fusion`) and the concrete density simulator,
+  thousands of calls per pipeline.
 * **Batched** — :func:`batched_gate_matrix` / :func:`batched_gate_gradients`
   build ``(batch, d, d)`` stacks from a ``(batch, n_params)`` array with
   numpy elementwise arithmetic, for every caller that holds per-sample

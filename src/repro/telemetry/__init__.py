@@ -9,7 +9,7 @@ Two instruments over one contract:
   the existing ``_ShardResult`` payloads and re-parent under the
   dispatching generation span (:func:`adopt_spans`).
 * **Metrics** (:mod:`~repro.telemetry.metrics`) — labelled
-  counters/gauges/histograms (per-tenant service accounting, per-backend
+  counters/histograms (per-tenant service accounting, per-backend
   job counts, per-phase engine timings), readable as a plain snapshot or
   Prometheus text via :func:`get_metrics`.
 
@@ -38,14 +38,13 @@ from contextlib import contextmanager
 from typing import Iterable, List, Optional
 
 from .spans import DEFAULT_BUFFER_SPANS, SpanRecord, Tracer
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .export import TraceWriter, read_trace
 
 __all__ = [
     "SpanRecord",
     "Tracer",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TraceWriter",

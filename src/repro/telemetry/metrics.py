@@ -1,4 +1,4 @@
-"""Metrics: labelled counters, gauges and histograms with text export.
+"""Metrics: labelled counters and histograms with text export.
 
 A :class:`MetricsRegistry` hands out instruments keyed by
 ``(name, sorted label items)`` — the Prometheus data model, minus the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -43,26 +43,8 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
+            raise ValueError("counters only go up")
         self.value += amount
-
-
-class Gauge:
-    """A settable level."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -94,7 +76,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[_Key, Counter] = {}
-        self._gauges: Dict[_Key, Gauge] = {}
         self._histograms: Dict[_Key, Histogram] = {}
 
     # -- instruments ---------------------------------------------------------
@@ -104,13 +85,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = _key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def histogram(self, name: str, **labels) -> Histogram:
@@ -123,13 +97,9 @@ class MetricsRegistry:
     # -- reading -------------------------------------------------------------
 
     def value(self, name: str, **labels) -> Optional[float]:
-        """The current value of a counter or gauge, or None if unknown."""
-        key = _key(name, labels)
-        if key in self._counters:
-            return self._counters[key].value
-        if key in self._gauges:
-            return self._gauges[key].value
-        return None
+        """The current value of a counter, or None if unknown."""
+        counter = self._counters.get(_key(name, labels))
+        return None if counter is None else counter.value
 
     def snapshot(self) -> Dict[str, Dict[str, Dict[str, object]]]:
         """Plain-dict view: ``{kind: {name: {label_string: value}}}``."""
@@ -138,16 +108,12 @@ class MetricsRegistry:
             return ",".join(f"{k}={v}" for k, v in labels) or ""
 
         out: Dict[str, Dict[str, Dict[str, object]]] = {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
+            "counters": {}, "histograms": {},
         }
         for (name, labels), counter in sorted(self._counters.items()):
             out["counters"].setdefault(name, {})[label_string(labels)] = (
                 counter.value
             )
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            out["gauges"].setdefault(name, {})[label_string(labels)] = gauge.value
         for (name, labels), histogram in sorted(self._histograms.items()):
             out["histograms"].setdefault(name, {})[label_string(labels)] = {
                 "count": histogram.count,
@@ -169,8 +135,6 @@ class MetricsRegistry:
         lines: List[str] = []
         for (name, labels), counter in sorted(self._counters.items()):
             lines.append(f"{fmt(name, labels)} {counter.value}")
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            lines.append(f"{fmt(name, labels)} {gauge.value}")
         for (name, labels), histogram in sorted(self._histograms.items()):
             lines.append(f"{fmt(name, labels, '_count')} {histogram.count}")
             lines.append(f"{fmt(name, labels, '_sum')} {histogram.total}")
@@ -178,5 +142,4 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()

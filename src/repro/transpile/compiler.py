@@ -10,13 +10,13 @@ cleaned up by the optimization passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..devices.library import Device
 from ..quantum.circuit import QuantumCircuit
-from ..utils.rng import ensure_rng
+from ..utils.rng import ensure_rng, stable_seed
 from .decompose import decompose_circuit
 from .layout import (
     Layout,
@@ -28,7 +28,7 @@ from .layout import (
 from .passes import _optimize, _traced
 from .routing import RoutedCircuit, route_circuit
 
-__all__ = ["CompiledCircuit", "transpile"]
+__all__ = ["CompiledCircuit", "compile_key", "transpile"]
 
 LayoutSpec = Union[str, Layout, Sequence[int], None]
 
@@ -125,6 +125,50 @@ class CompiledCircuit:
         }
 
 
+def _normalize_layout(initial_layout) -> Hashable:
+    """A hashable, order-insensitive representation of a layout spec."""
+    if initial_layout is None or isinstance(initial_layout, str):
+        return initial_layout
+    if isinstance(initial_layout, dict):
+        return ("dict",) + tuple(sorted(
+            (int(k), int(v)) for k, v in initial_layout.items()
+        ))
+    return ("seq",) + tuple(int(q) for q in initial_layout)
+
+
+def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
+    """Hashable fingerprint of a concrete circuit (structure and parameters)."""
+    return (
+        circuit.n_qubits,
+        tuple(
+            (inst.gate, inst.qubits, inst.params) for inst in circuit.instructions
+        ),
+    )
+
+
+def compile_key(
+    circuit: QuantumCircuit,
+    device: Device,
+    initial_layout: LayoutSpec,
+    optimization_level: int,
+    seed: Optional[int] = None,
+) -> Tuple:
+    """Every input of one :func:`transpile` call as a hashable key, seed last.
+
+    Without a ``seed`` the seed is derived from the other inputs, so the
+    randomized SABRE trials (``optimization_level=3``, or a ``"sabre"``
+    layout) are a pure function of what is compiled, never of an unpinned
+    stream.
+    """
+    base = (
+        device.name,
+        int(optimization_level),
+        _normalize_layout(initial_layout),
+        circuit_fingerprint(circuit),
+    )
+    return base + (stable_seed(base) if seed is None else int(seed),)
+
+
 def _resolve_layout(
     circuit: QuantumCircuit,
     device: Device,
@@ -163,9 +207,14 @@ def transpile(
         0 — decompose only; 1 — cancel adjacent CX and merge RZ; 2 — also
         re-synthesize single-qubit runs; 3 — additionally try SABRE layouts
         and keep the compilation with the fewest two-qubit gates.
+    seed:
+        pins the SABRE draws; ``None`` derives it from the other inputs
+        (:func:`compile_key`).
     """
     if not 0 <= optimization_level <= 3:
         raise ValueError("optimization_level must be between 0 and 3")
+    if seed is None:
+        seed = compile_key(circuit, device, initial_layout, optimization_level)[-1]
     rng = ensure_rng(seed)
 
     def compile_with_layout(layout: Layout) -> CompiledCircuit:

@@ -3,7 +3,9 @@
 The batched engine is only allowed to *reorganize* work, never to change the
 numbers: expectations, losses and evolution rankings must agree with the
 per-candidate seed path to 1e-9 in both estimator modes the co-search uses
-(``noise_sim`` and ``success_rate``).
+(``noise_sim`` and ``success_rate``).  Noise-free terms run the seed path's
+own forward pass, so ``noise_free`` and ``success_rate`` scores agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
 from repro.devices import QuantumBackend
 from repro.execution import ExecutionEngine
+from repro.qml import encoder_for_task
 from repro.vqe.molecules import load_molecule
 
 ATOL = 1e-9
@@ -55,20 +58,107 @@ def test_qml_population_losses_match(u3cu3_supercircuit, yorktown, tiny_dataset,
     assert bat[1] == bat[-1]
 
 
-def test_fused_qml_losses_match(u3cu3_supercircuit, yorktown, tiny_dataset,
-                                seed_path_scorer):
-    """success_rate numerators run on the statevector backend's fused
-    (static-mode) forward pass and still reproduce the seed path."""
+@pytest.mark.parametrize("mode,level", [
+    ("noise_free", 2), ("success_rate", 2), ("success_rate", 3),
+])
+def test_noise_free_qml_losses_equal_seed_path(u3cu3_supercircuit, yorktown,
+                                               tiny_dataset, seed_path_scorer,
+                                               mode, level):
+    """noise_free losses and success_rate numerators run on the statevector
+    backend, whose forward pass is the seed path's, and at level 3 the
+    engine's cached compile and the seed path's uncached one pin the same
+    SABRE seed: the scores are equal."""
     space = get_design_space("u3cu3")
     candidates = make_population(space, 4, yorktown, seed=23, size=4)
-    config = EstimatorConfig(mode="success_rate", n_valid_samples=8)
+    config = EstimatorConfig(mode=mode, n_valid_samples=8,
+                             optimization_level=level)
     batched = batched_engine(yorktown, u3cu3_supercircuit, config)
 
     seq = seed_path_scorer(yorktown, u3cu3_supercircuit, config,
                            dataset=tiny_dataset, n_classes=4)(candidates)
-    bat = batched.evaluate_qml_population(candidates, tiny_dataset, 4)
-    np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
-    assert batched.stats.fused_segments > 0
+    assert batched.evaluate_qml_population(candidates, tiny_dataset, 4) == seq
+    assert batched.stats.statevector_batches > 0
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "success_rate"])
+def test_sharded_noise_free_scores_equal_seed_path(u3cu3_supercircuit, yorktown,
+                                                   tiny_dataset,
+                                                   seed_path_scorer, mode):
+    """The same equality, QML and VQE, through ``population_engine`` with two
+    worker processes."""
+    space = get_design_space("u3cu3")
+    candidates = make_population(space, 4, yorktown, seed=23, size=4)
+    molecule, supercircuit, h2_candidates = h2_population(yorktown)
+    # shards small enough that the populations split over both workers
+    config = EstimatorConfig(mode=mode, n_valid_samples=8, workers=2,
+                             shard_min_group_size=2)
+
+    with PerformanceEstimator(yorktown, config) \
+            .population_engine(u3cu3_supercircuit) as engine:
+        qml = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+        assert engine.scheduler_stats.sharded_generations == 1
+    with PerformanceEstimator(yorktown, config) \
+            .population_engine(supercircuit) as engine:
+        vqe = engine.evaluate_vqe_population(h2_candidates, molecule)
+        assert engine.scheduler_stats.sharded_generations == 1
+
+    assert qml == seed_path_scorer(yorktown, u3cu3_supercircuit, config,
+                                   dataset=tiny_dataset, n_classes=4)(candidates)
+    assert vqe == seed_path_scorer(yorktown, supercircuit, config,
+                                   molecule=molecule)(h2_candidates)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode,n_valid", [("success_rate", 8), ("noise_sim", 3)])
+def test_reused_engine_scores_updated_parameters(yorktown, tiny_dataset,
+                                                 seed_path_scorer, mode,
+                                                 n_valid, workers):
+    """An engine that scored a population before a SuperCircuit parameter
+    update scores the new parameters: the seed path's scores at them."""
+    space = get_design_space("u3cu3")
+    supercircuit = SuperCircuit(space, 4, encoder=encoder_for_task("mnist-4"),
+                                seed=3)
+    candidates = make_population(space, 4, yorktown, seed=11, size=4)
+    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid,
+                             workers=workers, shard_min_group_size=2)
+
+    with PerformanceEstimator(yorktown, config) \
+            .population_engine(supercircuit) as engine:
+        before = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+        supercircuit.update_parameters(np.random.default_rng(5).uniform(
+            -np.pi, np.pi, supercircuit.num_parameters
+        ))
+        after = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+
+    seq = seed_path_scorer(yorktown, supercircuit, config,
+                           dataset=tiny_dataset, n_classes=4)(candidates)
+    assert not np.allclose(after, before)
+    if mode == "success_rate":
+        assert after == seq
+    else:
+        np.testing.assert_allclose(after, seq, rtol=0, atol=ATOL)
+
+
+def test_level3_seed_path_is_deterministic(u3cu3_supercircuit, yorktown,
+                                           tiny_dataset, seed_path_scorer):
+    """Level 3 runs SABRE layout trials.  With no seed given, ``transpile``
+    derives one from its inputs, so fresh estimators score alike."""
+    space = get_design_space("u3cu3")
+    candidates = make_population(space, 4, yorktown, seed=31, size=6)
+    molecule, supercircuit, h2_candidates = h2_population(yorktown)
+    config = EstimatorConfig(mode="noise_sim", n_valid_samples=2,
+                             optimization_level=3)
+
+    def qml():
+        return seed_path_scorer(yorktown, u3cu3_supercircuit, config,
+                                dataset=tiny_dataset, n_classes=4)(candidates)
+
+    def vqe():
+        return seed_path_scorer(yorktown, supercircuit, config,
+                                molecule=molecule)(h2_candidates)
+
+    assert qml() == qml() == qml()
+    assert vqe() == vqe() == vqe()
 
 
 def test_noisy_expectations_match_backend(u3cu3_supercircuit, yorktown,
@@ -122,19 +212,21 @@ def test_oversized_qml_population_matches_seed_path(
     assert engine.stats.density_circuits == len(candidates) * 3
 
 
-@pytest.mark.parametrize("mode", ["success_rate", "noise_sim"])
+@pytest.mark.parametrize("mode", ["noise_free", "success_rate", "noise_sim"])
 def test_vqe_population_energies_match(yorktown, seed_path_scorer, mode):
-    molecule = load_molecule("h2")
-    space = get_design_space("u3cu3")
-    supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
-    candidates = make_population(space, molecule.n_qubits, yorktown, seed=7, size=5)
+    """Energies equal the seed path's where only the noise-free forward and
+    the compiled success rate enter, and agree to 1e-9 in noise_sim."""
+    molecule, supercircuit, candidates = h2_population(yorktown)
     config = EstimatorConfig(mode=mode, n_valid_samples=8)
 
     seq = seed_path_scorer(yorktown, supercircuit, config,
                            molecule=molecule)(candidates)
     bat = batched_engine(yorktown, supercircuit, config) \
         .evaluate_vqe_population(candidates, molecule)
-    np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
+    if mode == "noise_sim":
+        np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
+    else:
+        assert bat == seq
 
 
 def h2_population(yorktown):

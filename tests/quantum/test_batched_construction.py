@@ -14,12 +14,11 @@ property of the circuit structure and must not grow with the batch size:
 """
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.backends import SimulationJob, StatevectorBackend
+from repro.backends import GroupEntry, SimulationJob, StatevectorBackend
 from repro.core import PerformanceEstimator, SuperCircuit, get_design_space
 from repro.core.subcircuit import SubCircuitConfig
 from repro.qml import QNNModel, encoder_for_task
@@ -102,9 +101,7 @@ def test_statevector_run_group_construction_does_not_scale_with_batch(
     backend = StatevectorBackend(PerformanceEstimator(yorktown))
 
     def run(batch):
-        # a fresh entry per batch size, so each count includes the fusion plan
-        entry = SimpleNamespace(circuit=model.circuit, weights=rows[0],
-                                fusion_plan=None)
+        entry = GroupEntry(model.circuit, rows[0])
         job = SimulationJob(features=features_for(batch),
                             weights=rows if weighted else None)
         backend.run_group(entry, [job])

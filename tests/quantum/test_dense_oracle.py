@@ -47,7 +47,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm, sqrtm
 
-from repro.backends import SimulationJob, StatevectorBackend
+from repro.backends import GroupEntry, SimulationJob, StatevectorBackend
 from repro.backends.density import BatchedDensityRunner
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
@@ -249,15 +249,16 @@ def every_gate_circuit(n_qubits, rng):
     return circuit
 
 
-def every_gate_template(n_qubits, rng):
+def every_gate_template(n_qubits, rng, kinds=3):
     """Every registry gate once; each parameter slot is a random constant,
-    weight or input feature, so ops mix all three kinds."""
+    weight or input feature, so ops mix all three kinds (``kinds=2``: no
+    input features)."""
     pcirc = ParameterizedCircuit(n_qubits)
     n_weights = 0
     for name in rng.permutation(sorted(ORACLE)):
         arity, n_params, _ = ORACLE[name]
         slots = []
-        for kind in rng.integers(3, size=n_params):
+        for kind in rng.integers(kinds, size=n_params):
             if kind == 0:
                 slots.append(const(rng.uniform(-np.pi, np.pi)))
             elif kind == 1:
@@ -518,15 +519,40 @@ def test_run_parameterized_and_rows(n_qubits):
 
 
 @pytest.mark.parametrize("n_qubits", N_QUBITS)
-def test_fused_statevector_backend_forward(n_qubits, yorktown):
+def test_statevector_backend_job_shapes(n_qubits, yorktown):
+    """Every job shape runs the oracle's forward on the job's circuit and
+    weights, else the entry's."""
     pcirc, rows, features, expected = template_case(n_qubits, 300 + n_qubits)
+    rng = np.random.default_rng(350 + n_qubits)
+    plain = every_gate_template(n_qubits, rng, kinds=2)
+    plain_rows = rng.uniform(-np.pi, np.pi, size=(2, plain.num_weights))
+    plain_expected = np.array([
+        unitary_of(n_qubits, bound_gates(plain, row, None))[:, 0]
+        for row in plain_rows
+    ])
+    dim = 2**n_qubits
+    entry = GroupEntry(pcirc, rows[0])
+    # a job that carries its own circuit must not run the entry's
+    decoy = GroupEntry(ParameterizedCircuit(n_qubits), rows[0])
+    cases = [
+        ("entry weights, feature batch", entry,
+         SimulationJob(features=features), expected[0]),
+        ("1-D weights", entry,
+         SimulationJob(weights=rows[1], features=features), expected[1]),
+        ("weight rows, feature batch", entry,
+         SimulationJob(weights=rows, features=features), expected.reshape(6, dim)),
+        ("weight rows, no features", decoy,
+         SimulationJob(circuit=plain, weights=plain_rows), plain_expected),
+        ("own circuit, entry weights", decoy,
+         SimulationJob(circuit=pcirc, features=features), expected[0]),
+    ]
     backend = StatevectorBackend(PerformanceEstimator(yorktown))
-    entry = SimpleNamespace(circuit=pcirc, weights=rows[0], fusion_plan=None)
-    handle = backend.run_group(entry, [SimulationJob(features=features)])[0]
-    backend.synchronize()
-    np.testing.assert_allclose(handle.states.reshape(3, -1), expected[0],
-                               rtol=0, atol=CIRCUIT_TOL)
-    assert backend.stats_delta()["fused_segments"] > 0
+    for label, group, job, states in cases:
+        handle = backend.run_group(group, [job])[0]
+        backend.synchronize()
+        np.testing.assert_allclose(handle.states.reshape(-1, dim), states,
+                                   rtol=0, atol=CIRCUIT_TOL, err_msg=label)
+    assert backend.stats_delta() == {"statevector_batches": len(cases)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("active_jobs")
-        gauge.set(4)
-        gauge.dec()
-        gauge.inc(0.5)
-        assert registry.value("active_jobs") == 3.5
-
     def test_histogram_summary_statistics(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("phase_seconds", phase="simulate")
@@ -62,11 +54,9 @@ class TestSnapshot:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("jobs_total", tenant="qml").inc(2)
-        registry.gauge("active").set(1)
         registry.histogram("seconds", phase="bind").observe(0.5)
         snap = registry.snapshot()
         assert snap["counters"]["jobs_total"] == {"tenant=qml": 2.0}
-        assert snap["gauges"]["active"] == {"": 1.0}
         assert snap["histograms"]["seconds"]["phase=bind"] == {
             "count": 1, "sum": 0.5, "min": 0.5, "max": 0.5, "mean": 0.5,
         }
@@ -86,6 +76,4 @@ class TestSnapshot:
         registry.counter("jobs_total").inc()
         registry.reset()
         assert registry.value("jobs_total") is None
-        assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        assert registry.snapshot() == {"counters": {}, "histograms": {}}

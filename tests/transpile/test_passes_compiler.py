@@ -6,7 +6,7 @@ import pytest
 from repro.devices.library import get_device
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.statevector import circuit_unitary
-from repro.transpile.compiler import transpile
+from repro.transpile.compiler import compile_key, transpile
 from repro.transpile.decompose import BASIS_GATES
 from repro.transpile.passes import (
     cancel_adjacent_inverse_cx,
@@ -120,6 +120,27 @@ class TestTranspile:
         level2 = transpile(circuit, device, optimization_level=2, seed=0)
         level3 = transpile(circuit, device, optimization_level=3, seed=0)
         assert level3.num_two_qubit_gates <= level2.num_two_qubit_gates
+
+    @pytest.mark.parametrize("layout,level", [("sabre", 2), (None, 3)])
+    def test_unseeded_sabre_draws_are_pinned_to_the_inputs(self, layout, level):
+        # a 5-qubit ring on 7-qubit jakarta: unpinned SABRE draws pick
+        # different layouts from one compile to the next
+        device = get_device("jakarta")
+        circuit = QuantumCircuit(5)
+        for qubit in range(5):
+            circuit.add("u3", (qubit,), (0.5, 0.2, -0.3))
+        for qubit in range(5):
+            circuit.add("cu3", (qubit, (qubit + 1) % 5), (0.8, 0.1, 0.4))
+        for qubit in range(3):
+            circuit.add("cx", (qubit, qubit + 2))
+        seed = compile_key(circuit, device, layout, level)[-1]
+        seeded = transpile(circuit, device, initial_layout=layout,
+                           optimization_level=level, seed=seed)
+        for _ in range(10):
+            compiled = transpile(circuit, device, initial_layout=layout,
+                                 optimization_level=level)
+            assert compiled.initial_layout == seeded.initial_layout
+            assert compiled.circuit.instructions == seeded.circuit.instructions
 
     def test_invalid_optimization_level(self):
         with pytest.raises(ValueError):
