@@ -30,18 +30,15 @@ evaluation of the same population) passes:
 
 All paths must agree to 1e-9 — the engines are pure reorganizations of the
 same numbers.  Every run additionally reports its per-backend counters
-(``repro.backends`` dispatch: density batches, vectorized template batches,
-statevector forwards, shot circuits), and a sixth measurement runs the
-``noise_sim`` workload through the pinned-seed shot-sampler backend
-(``backend="shots"``) — its scores are shot-sampled, so it is reported for
-timing only, outside the 1e-9 equivalence assertion.  Every run's timings,
+(``repro.backends``: density batches, vectorized template batches,
+statevector forwards).  Every run's timings,
 transpile-time shares, per-shard worker reports and cache counters are
 written to ``BENCH_execution.json`` next to the working directory so CI can
 archive them.
 
-The dispatch gate: success_rate populations — whose per-group dispatch
-routes every simulation to the cheap statevector backend — must beat the
-density-only (noise_sim) path by >= 1.3x per simulated circuit.  Both modes
+The dispatch gate: success_rate populations — whose mode runs every
+simulation on the cheap statevector backend — must beat the density-only
+(noise_sim) path by >= 1.3x per simulated circuit.  Both modes
 run the same candidates; the per-circuit normalization accounts for their
 different validation-sample counts.
 
@@ -119,7 +116,7 @@ REQUIRED_DISPATCH_SPEEDUP = 1.3
 #: ExecutionStats fields reported as the per-backend cold/warm columns
 BACKEND_COUNTER_FIELDS = (
     "density_batches", "density_circuits", "template_batches",
-    "statevector_batches", "shot_circuits",
+    "statevector_batches",
 )
 PATHS = ("sequential", "bound_key", "parametric", "sharded_w1",
          f"sharded_w{SHARDED_WORKERS}")
@@ -236,7 +233,7 @@ def shard_report(engine, elapsed):
 
 
 def evaluate(path, mode, n_valid, supercircuit, device, candidates, dataset,
-             n_classes, backend=None):
+             n_classes):
     """One engine path: cold pass, warm pass, scores and cache counters."""
     workers = int(path.split("_w")[1]) if path.startswith("sharded") else 1
     config = EstimatorConfig(
@@ -245,7 +242,6 @@ def evaluate(path, mode, n_valid, supercircuit, device, candidates, dataset,
         workers=workers,
         # shard even the smoke workload's 2-genome population
         shard_min_group_size=1,
-        backend=backend,
     )
     estimator = None if path == "sequential" else PerformanceEstimator(device, config)
     score = None
@@ -379,26 +375,6 @@ def run_experiment():
             runs["sequential"]["warm_seconds"] / runs["parametric"]["warm_seconds"]
         )
         report["modes"][mode] = mode_report
-
-        if mode == "noise_sim":
-            # the shot-sampler backend column: the same population through
-            # the pinned-seed real-QC path — timing only, its scores are
-            # shot-sampled by design and stay outside the 1e-9 assertion
-            shot_run = evaluate(
-                "parametric", mode, n_valid, supercircuit, device,
-                candidates, dataset, dataset.n_classes, backend="shots",
-            )
-            mode_report["shot_backend"] = {
-                "cold_seconds": shot_run["cold_seconds"],
-                "warm_seconds": shot_run["warm_seconds"],
-                "backend_counters": shot_run["backend_counters"],
-            }
-            rows.append([
-                mode, "shots_backend", n_valid,
-                shot_run["cold_seconds"], shot_run["warm_seconds"],
-                runs["sequential"]["cold_seconds"] / shot_run["cold_seconds"],
-                "n/a", "shot-sampled",
-            ])
 
     # per-circuit dispatch gate: success_rate populations route every
     # simulation to the statevector backend; normalize by simulated-circuit

@@ -10,7 +10,7 @@ The package is organised as:
 * :mod:`repro.vqe`       — variational-quantum-eigensolver layer (molecules, UCCSD)
 * :mod:`repro.core`      — QuantumNAS itself (SuperCircuit, co-search, pruning)
 * :mod:`repro.execution` — batched population-evaluation engine for the co-search
-* :mod:`repro.backends`  — pluggable simulation backends with per-group dispatch
+* :mod:`repro.backends`  — density-matrix, statevector and shot simulation backends
 * :mod:`repro.service`   — multi-tenant co-search service (shared worker pools)
 * :mod:`repro.baselines` — human / random / noise-unaware baselines
 """

@@ -1,10 +1,9 @@
 """Static-analysis suite enforcing the engine's determinism contracts.
 
-PRs 2–5 made the co-search hot path batched, parametrically compiled,
-process-sharded and backend-dispatched — an engine whose value proposition
-is a *contract*: scores bit-for-bit independent of worker count and backend
-choice, shard payloads that pickle cleanly, caches that merge without
-shared-state mutation.  The equivalence tests enforce that contract
+The co-search hot path is batched, parametrically compiled and
+process-sharded — an engine whose value proposition is a *contract*: scores
+bit-for-bit independent of worker count and scheduling order, shard payloads
+that pickle cleanly, caches that merge without shared-state mutation.  The equivalence tests enforce that contract
 dynamically; this package enforces it statically (and, for the one property
 statics cannot see, with a runtime sanitizer):
 
@@ -14,9 +13,6 @@ statics cannot see, with a runtime sanitizer):
 * :mod:`~repro.analysis.pickle_safety` — the ``_ShardTask`` /
   ``_ShardResult`` payload graphs stay statically picklable
   (rules ``pickle-*``);
-* :mod:`~repro.analysis.conformance` — every ``register_backend``
-  registrant honors the ``SimulationBackend`` protocol
-  (rules ``backend-*``);
 * :mod:`~repro.analysis.telemetry` — span/metric/clock values stay
   observation-only: no telemetry-derived value reaches a return outside
   the telemetry/stats modules (rule ``telemetry-flow``);
@@ -51,9 +47,7 @@ from .sanitizer import (
     verify_cache,
 )
 
-# Importing the concrete modules registers the in-tree checkers (the same
-# idiom as repro.backends).
-from . import conformance  # noqa: F401  (registers backend-conformance)
+# Importing the concrete modules registers the in-tree checkers.
 from . import determinism  # noqa: F401  (registers determinism)
 from . import pickle_safety  # noqa: F401  (registers pickle-safety)
 from . import telemetry  # noqa: F401  (registers telemetry-flow)

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Determinism / pickle-safety / backend-conformance static "
+            "Determinism / pickle-safety / telemetry-flow static "
             "analysis for the repro codebase."
         ),
     )

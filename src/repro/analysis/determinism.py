@@ -1,9 +1,8 @@
 """Determinism lint: the static half of the bit-for-bit score contract.
 
-The sharded scheduler, the backend dispatcher and the parametric caches all
-promise that scores are pure functions of ``(population, config, seed)`` —
-independent of worker count, backend choice, scheduling order and wall
-clock.  A single unseeded ``np.random`` call or a time-based branch erodes
+The sharded scheduler, the simulation backends and the parametric caches
+all promise that scores are pure functions of ``(population, config,
+seed)`` — independent of worker count, scheduling order and wall clock.  A single unseeded ``np.random`` call or a time-based branch erodes
 that silently until a flaky 1e-9 diff appears in the equivalence suite.
 This checker flags the sources of that erosion at lint time:
 

@@ -1,9 +1,8 @@
 """The pluggable checker registry.
 
-Checkers mirror the simulation-backend registry idiom
-(:mod:`repro.backends.registry`): a checker subclasses :class:`Checker`,
-declares a ``name`` and the :class:`~repro.analysis.findings.Rule` catalogue
-it can fire, and registers itself with :func:`register_checker`.  The runner
+A checker subclasses :class:`Checker`, declares a ``name`` and the
+:class:`~repro.analysis.findings.Rule` catalogue it can fire, and registers
+itself with :func:`register_checker`.  The runner
 and the CLI only ever talk to the registry, so an out-of-tree checker (or a
 repo-specific one added later) needs no wiring beyond its import.
 """
@@ -32,7 +31,7 @@ class Checker(abc.ABC):
     A checker is stateless between runs; the runner constructs one instance
     per analysis and calls :meth:`check_module` for every module, handing it
     the whole :class:`Project` so cross-module facts (imported payload
-    classes, backend base classes) resolve.  Findings are returned raw —
+    classes) resolve.  Findings are returned raw —
     suppression filtering is the runner's job.
     """
 

@@ -5,14 +5,12 @@ genome groups, inherited weights, transpilations, score formulas.  *How* a
 compiled binding is actually simulated is a backend concern: density matrices
 with the device noise model, batched noise-free statevector trajectories, or
 finite-shot sampling on the shot-based device backend.  This module defines
-the contract the engine programs against; concrete backends live next to it
-and register themselves in :mod:`repro.backends.registry`, and the per-group
-choice is made by :class:`repro.backends.dispatch.BackendDispatcher`.
+the contract the engines program against; the three backends live next to
+it, and each engine constructs the one its resolved estimator mode needs.
 
 Protocol
 --------
-A backend declares :class:`BackendCapabilities` and implements
-``run_group(entry, jobs)``:
+A backend implements ``run_group(entry, jobs)``:
 
 * ``entry`` is the structure group's :class:`GroupEntry`: ``circuit`` (the
   standalone :class:`~repro.quantum.circuit.ParameterizedCircuit`) and
@@ -49,7 +47,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "BackendCapabilities",
     "BackendCapabilityError",
     "GroupEntry",
     "SimulationJob",
@@ -61,36 +58,6 @@ __all__ = [
 
 class BackendCapabilityError(RuntimeError):
     """A backend was asked for a result kind it cannot produce."""
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a simulation backend can do — the dispatcher's decision inputs.
-
-    ``noisy``
-        simulates the device noise model (density channels or shot noise);
-    ``noise_free``
-        produces ideal (noiseless, infinite-shot) trajectories;
-    ``shot_based``
-        samples a finite number of shots (results carry sampling noise and
-        require a pinned seed to be deterministic);
-    ``observables``
-        can return expectations of arbitrary Pauli-sum observables (the VQE
-        energy path), not just Z-basis readout;
-    ``batched``
-        stacks structurally aligned bindings into one evolution;
-    ``max_qubits``
-        densest register the backend simulates exactly (``None`` when the
-        backend handles arbitrary sizes, possibly via an internal
-        approximation such as the density backend's success-rate fallback).
-    """
-
-    noisy: bool = False
-    noise_free: bool = False
-    shot_based: bool = False
-    observables: bool = False
-    batched: bool = False
-    max_qubits: Optional[int] = None
 
 
 @dataclass
@@ -138,9 +105,8 @@ class JobResult(abc.ABC):
     """Handle to one scheduled binding's results.
 
     Valid only after the owning backend's :meth:`~SimulationBackend.
-    synchronize` ran.  Backends implement the result kinds their
-    capabilities advertise and raise :class:`BackendCapabilityError`
-    otherwise.
+    synchronize` ran.  Each backend implements the result kinds it
+    produces; the others raise :class:`BackendCapabilityError`.
     """
 
     def logical_z_expectations(self, n_logical: int) -> np.ndarray:
@@ -178,7 +144,7 @@ class JobResult(abc.ABC):
 
         Backends whose handles cover a whole batch (the statevector forward
         pass) override this; the default wraps the scalar
-        :meth:`pauli_expectation`, so an ``observables``-capable backend
+        :meth:`pauli_expectation`, so a backend that measures observables
         only has to implement one of the two.
         """
         return np.asarray([self.pauli_expectation(observable)])
@@ -187,21 +153,19 @@ class JobResult(abc.ABC):
 class SimulationBackend(abc.ABC):
     """Abstract base of every simulation backend.
 
-    Subclasses define ``name`` (the registry key), ``capabilities`` and
-    :meth:`run_group`; they are constructed per population evaluation with
-    the owning :class:`~repro.core.estimator.PerformanceEstimator` as sole
-    argument (everything a backend needs — device, config, shared transpile
-    caches, the shot-based device backend — hangs off it).
+    Subclasses define ``name`` and :meth:`run_group`; they are constructed
+    per population evaluation with the owning
+    :class:`~repro.core.estimator.PerformanceEstimator` (or the gradient
+    engine, which exposes the same attributes) as sole argument: everything
+    a backend needs — device, config, shared transpile caches — hangs off
+    it.
     """
 
-    #: registry key; subclasses must override
+    #: the ``backend`` label of the engine's ``backend.synchronize`` span
     name: str = ""
-    capabilities: BackendCapabilities = BackendCapabilities()
 
     def __init__(self, estimator) -> None:
         self.estimator = estimator
-        self.groups_run = 0
-        self.jobs_run = 0
 
     @abc.abstractmethod
     def run_group(self, entry, jobs: List[SimulationJob]) -> List[JobResult]:
@@ -216,11 +180,8 @@ class SimulationBackend(abc.ABC):
         for backends that run eagerly)."""
 
     def stats_delta(self) -> Dict[str, int]:
-        """Counter increments to fold into the engine's ``ExecutionStats``.
-
-        Keys must name ``ExecutionStats`` fields; unknown keys are ignored,
-        so third-party backends can expose extra counters harmlessly.
-        """
+        """Counter increments to fold into the engine's ``ExecutionStats``;
+        every key names an ``ExecutionStats`` field."""
         return {}
 
 

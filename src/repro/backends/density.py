@@ -59,13 +59,11 @@ from ..quantum.density_matrix import (
 from ..quantum.gates import batched_gate_matrix, gate_matrix
 from ..quantum.measurement import expectation_z_all_from_probabilities
 from .base import (
-    BackendCapabilities,
     BackendCapabilityError,
     JobResult,
     SimulationBackend,
     SimulationJob,
 )
-from .registry import register_backend
 
 __all__ = [
     "BatchedDensityRunner",
@@ -323,19 +321,10 @@ class BatchedDensityRunner:
         return channel_superoperator(noise_model.channels_for(probe), qubits)
 
 
-@register_backend
 class DensityMatrixBackend(SimulationBackend):
-    """The default ``noise_sim`` backend: batched density matrices."""
+    """The ``noise_sim`` backend: batched density matrices."""
 
     name = "density"
-    capabilities = BackendCapabilities(
-        noisy=True,
-        noise_free=False,
-        shot_based=False,
-        observables=True,
-        batched=True,
-        max_qubits=None,  # oversized registers use the success-rate fallback
-    )
 
     def __init__(self, estimator) -> None:
         super().__init__(estimator)
@@ -344,14 +333,12 @@ class DensityMatrixBackend(SimulationBackend):
         )
 
     def run_group(self, entry, jobs: List[SimulationJob]) -> List[JobResult]:
-        self.groups_run += 1
         handles: List[JobResult] = []
         for job in jobs:
             if job.template_batch is not None:
                 handles.extend(self.runner.submit_template(job.template_batch))
             else:
                 handles.append(self.runner.submit(job.compiled))
-        self.jobs_run += len(handles)
         return handles
 
     def synchronize(self) -> None:

@@ -1,38 +1,29 @@
-"""Shot-sampling backend: real-QC-style execution through the population
-protocol.
+"""Shot-sampling backend: real-QC-style execution with pinned seeds.
 
 Wraps :meth:`repro.devices.backend.QuantumBackend.run_parameterized` — the
 same compile-and-run path the paper's "search with real QC in the loop"
 configuration uses — behind the :class:`~repro.backends.base.
-SimulationBackend` protocol, so shot-based searches run through the
-*identical* batched population machinery (genome grouping, shared transpile
-caches, sharded scheduling) as the simulator-backed modes.
+SimulationBackend` protocol.  The gradient engine runs its ``real_qc`` QML
+readout rows on it (:class:`~repro.gradients.engine.BatchedGradientEngine`).
 
-Determinism: the historical real-QC path consumes one shared rng stream in
-population order, which is why the engine evaluates it candidate-by-candidate
+Determinism: the population engine's real-QC path consumes one shared rng
+stream in population order, which is why it evaluates candidates one by one
 in the parent process.  This backend instead pins an independent seed per
 *job* — derived with :func:`repro.utils.rng.stable_seed` from the job's
-``seed_key`` (genome gene, mapping, sample index), never from scheduling
-order — so scores are bit-for-bit reproducible across repeated evaluations,
-group orderings and worker counts.  Select it with
-``EstimatorConfig(backend="shots")`` or ``REPRO_BACKEND=shots``.
+``seed_key`` (shift-rule row label and sample index), never from scheduling
+order — so results are bit-for-bit reproducible across repeated
+evaluations and worker counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from ..devices.backend import QuantumBackend
 from ..utils.rng import stable_seed
-from .base import (
-    BackendCapabilities,
-    JobResult,
-    SimulationBackend,
-    SimulationJob,
-)
-from .registry import register_backend
+from .base import JobResult, SimulationBackend, SimulationJob
 
 __all__ = ["ShotSamplerBackend"]
 
@@ -48,48 +39,29 @@ class _ShotResult(JobResult):
     def logical_z_expectations(self, n_logical: int) -> np.ndarray:
         return self.result.expectation_z_all()
 
-    def probabilities(self) -> np.ndarray:
-        return self.result.probabilities
 
-    def logical_probabilities(self, n_logical: int) -> np.ndarray:
-        # the device backend already measured the logical register
-        return self.result.probabilities
-
-
-@register_backend
 class ShotSamplerBackend(SimulationBackend):
-    """Finite-shot execution with per-job pinned seeds."""
+    """Finite-shot execution with per-job pinned seeds (Z-basis readout
+    only)."""
 
     name = "shots"
-    capabilities = BackendCapabilities(
-        noisy=True,
-        noise_free=False,
-        shot_based=True,
-        observables=False,   # Z-basis readout only; VQE stays on density
-        batched=False,
-        max_qubits=None,
-    )
 
     def __init__(self, estimator) -> None:
         super().__init__(estimator)
         config = estimator.config
         self.shots = int(config.shots)
-        self.seed = int(getattr(config, "seed", 0))
+        self.seed = int(config.seed)
         self.optimization_level = int(config.optimization_level)
-        # A private QuantumBackend sharing the estimator's warm transpile
-        # caches: compilations flow into the same caches every other stage
-        # reuses, while the per-job reseeding below never disturbs the
-        # estimator's own backend rng stream (which the sequential real_qc
-        # path consumes in population order).
+        # A private QuantumBackend sharing the owner's warm transpile caches:
+        # compilations flow into the same caches every other stage reuses,
+        # while the per-job reseeding below disturbs no other rng stream.
         self._backend = QuantumBackend(
             estimator.device,
             shots=self.shots,
             seed=self.seed,
             max_density_qubits=config.max_density_qubits,
-            transpile_cache=getattr(estimator, "transpile_cache", None),
-            parametric_cache=getattr(
-                estimator, "parametric_transpile_cache", None
-            ),
+            transpile_cache=estimator.transpile_cache,
+            parametric_cache=estimator.parametric_transpile_cache,
         )
 
     def job_seed(self, seed_key) -> int:
@@ -97,7 +69,6 @@ class ShotSamplerBackend(SimulationBackend):
         return stable_seed((self.seed, "shot-backend") + tuple(seed_key or ()))
 
     def run_group(self, entry, jobs: List[SimulationJob]) -> List[JobResult]:
-        self.groups_run += 1
         handles: List[JobResult] = []
         for job in jobs:
             self._backend.reseed(self.job_seed(job.seed_key))
@@ -112,8 +83,4 @@ class ShotSamplerBackend(SimulationBackend):
                 shots=self.shots,
             )
             handles.append(_ShotResult(result))
-            self.jobs_run += 1
         return handles
-
-    def stats_delta(self) -> Dict[str, int]:
-        return {"shot_circuits": self.jobs_run}

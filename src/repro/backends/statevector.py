@@ -24,13 +24,7 @@ from ..quantum.statevector import (
     run_parameterized,
     run_parameterized_rows,
 )
-from .base import (
-    BackendCapabilities,
-    JobResult,
-    SimulationBackend,
-    SimulationJob,
-)
-from .registry import register_backend
+from .base import JobResult, SimulationBackend, SimulationJob
 
 __all__ = ["StatevectorBackend"]
 
@@ -55,20 +49,11 @@ class _StatevectorResult(JobResult):
         return float(self.pauli_expectations(observable)[0])
 
 
-@register_backend
 class StatevectorBackend(SimulationBackend):
     """Noise-free trajectories for loss terms that never needed a density
     matrix."""
 
     name = "statevector"
-    capabilities = BackendCapabilities(
-        noisy=False,
-        noise_free=True,
-        shot_based=False,
-        observables=True,
-        batched=True,
-        max_qubits=None,
-    )
 
     def __init__(self, estimator) -> None:
         super().__init__(estimator)
@@ -82,7 +67,6 @@ class StatevectorBackend(SimulationBackend):
         num_weights)`` weight matrix runs every row over the whole feature
         batch in one pass (row-major).
         """
-        self.groups_run += 1
         handles: List[JobResult] = []
         for job in jobs:
             circuit = job.circuit if job.circuit is not None else entry.circuit
@@ -92,7 +76,6 @@ class StatevectorBackend(SimulationBackend):
             else:
                 states = run_parameterized(circuit, weights, job.features)
             self.batches_run += 1
-            self.jobs_run += states.shape[0]
             handles.append(_StatevectorResult(states))
         return handles
 

@@ -16,7 +16,6 @@ Table IV "search with real QC in the loop" configuration.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -31,7 +30,7 @@ from ..quantum.circuit import ParameterizedCircuit
 from ..quantum.operators import PauliString, PauliSum
 from ..quantum.statevector import expectation_pauli_sum, run_parameterized
 from ..transpile.compiler import transpile
-from ..utils.env import env_workers, normalize_backend
+from ..utils.env import env_workers
 from ..utils.rng import ensure_rng
 from ..utils.stats import nll_loss, softmax
 from ..vqe.molecules import Molecule
@@ -63,16 +62,10 @@ class EstimatorConfig:
     #: minimum candidates per shard worth one process dispatch; populations
     #: smaller than ``2 * shard_min_group_size`` evaluate in-process
     shard_min_group_size: int = 4
-    #: simulation-backend override for population evaluation (see
-    #: :mod:`repro.backends`): ``None`` lets the dispatcher pick per group by
-    #: estimator mode / qubit count; a name ("density", "statevector",
-    #: "shots", or any registered third-party backend) is applied wherever
-    #: that backend's capabilities allow and ignored elsewhere.  Defaults to
-    #: the ``REPRO_BACKEND`` environment variable.  Unknown names raise when
-    #: the first execution engine is constructed.
-    backend: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND")
-    )
+    #: must be ``None``: the resolved mode picks the simulation backend
+    #: (see :mod:`repro.backends`).  Kept only because perfbench's workloads
+    #: pass ``backend=None``; any other value raises.
+    backend: Optional[str] = None
     # -- shard resilience policy (see repro.execution.resilience) -------------
     #: per-shard wall-clock deadline; a shard still running past it is
     #: declared hung, its worker pool is killed, and the shard is retried.
@@ -92,7 +85,11 @@ class EstimatorConfig:
         self.workers = int(self.workers)
         if self.shard_min_group_size < 1:
             raise ValueError("shard_min_group_size must be positive")
-        self.backend = normalize_backend(self.backend)
+        if self.backend is not None:
+            raise ValueError(
+                f"backend={self.backend!r}: the estimator mode picks the "
+                "simulation backend, so backend must be None"
+            )
 
 
 def _noise_free_energy(

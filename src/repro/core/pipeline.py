@@ -154,9 +154,8 @@ class QuantumNASQMLPipeline:
         )
         # Populations are submitted through the execution engine, which
         # batches them (sharding across worker processes when
-        # ``EstimatorConfig.workers > 1``, dispatching each structure group
-        # to a simulation backend per ``EstimatorConfig.backend`` /
-        # ``REPRO_BACKEND``).  The compilations land in the estimator-owned
+        # ``EstimatorConfig.workers > 1``) on the simulation backend of the
+        # estimator mode.  The compilations land in the estimator-owned
         # caches that stage 5 reuses, so the sharded engine's worker pool
         # can be shut down as soon as the search returns — the context
         # manager guarantees that even when the search raises.

@@ -157,7 +157,7 @@ class QuantumBackend:
         Used wherever determinism must not depend on execution order: the
         sharded scheduler pins each worker's stream per shard task, and the
         shot-sampler simulation backend pins a stream per job so shot-based
-        population scores are bit-for-bit independent of grouping and worker
+        gradient rows are bit-for-bit independent of sharding and worker
         count.
         """
         self.rng = ensure_rng(seed)

@@ -40,19 +40,17 @@ Compiled circuits are treated as immutable shared state.  Both caches are
 owned by the :class:`~repro.core.estimator.PerformanceEstimator`, so they
 persist across co-search restarts and into the deploy/evaluate backend.
 
-**Pluggable simulation backends.**  The engine contains no simulation code of
-its own: every group's bindings are dispatched to a
-:mod:`repro.backends` engine selected by the deterministic
-:class:`~repro.backends.dispatch.BackendDispatcher` policy (estimator mode,
-qubit count, capability flags, with the ``EstimatorConfig(backend=...)`` /
-``REPRO_BACKEND`` override applied wherever capable).  ``noise_sim``
+**Simulation backends.**  The engine contains no simulation code of its
+own: every group's bindings run on the :mod:`repro.backends` engine of the
+resolved estimator mode.  ``noise_sim``
 candidates go to the batched density-matrix backend, which groups
 structurally aligned circuits (same gates and qubits at every position) and
 evolves each group as one ``(batch,) + (2,) * 2n`` density-matrix stack —
 fed, on the parametric path, straight from vectorized template bindings (one
 affine matmul per structure, no per-sample ``Instruction`` construction).
-Noise-free terms run on the batched statevector backend, and shot-based
-(real-QC-style) searches on the pinned-seed shot sampler.
+Noise-free terms run on the batched statevector backend.  ``real_qc``
+candidates take the per-candidate seed path, which draws the device
+backend's shot stream in population order.
 
 **Sharded multi-process scheduling.**  ``EstimatorConfig(workers=N)`` routes
 whole-population evaluation through :class:`ShardedExecutionEngine`, an

@@ -31,6 +31,7 @@ from ..transpile.compiler import (
     CompiledCircuit,
     _normalize_layout,
     compile_key,
+    compile_seed,
     transpile,
 )
 from ..transpile.parametric import (
@@ -40,7 +41,6 @@ from ..transpile.parametric import (
     parametric_fingerprint,
     parametric_transpile,
 )
-from ..utils.rng import stable_seed
 from ..utils import clock
 from .. import telemetry
 from .stats import MergeableStats
@@ -105,10 +105,9 @@ class TranspileCache:
         seed: Optional[int] = None,
     ) -> Tuple:
         # The key ends in the transpile seed ``transpile`` itself derives when
-        # none is given, so a cached compilation equals an uncached one; an
-        # explicit ``seed`` (e.g. a parametric structure's pinned seed, so
-        # template binds and exact fallbacks share one compilation stream)
-        # overrides the derived one and is part of the key.
+        # none is given (the structure's ``compile_seed``), so a cached
+        # compilation equals an uncached one; an explicit ``seed`` overrides
+        # the derived one and is part of the key.
         return compile_key(circuit, device, initial_layout, optimization_level, seed)
 
     def get(
@@ -298,9 +297,8 @@ class ParametricTranspileCache:
         self._bound: "OrderedDict[Tuple, CompiledCircuit]" = OrderedDict()
         # ParameterizedCircuit objects are long-lived (one per genome group);
         # fingerprinting — and deriving the seed-carrying full key, which
-        # serializes the whole fingerprint — per sample would dominate bind
-        # time, so both are memoized per (circuit object, device, layout,
-        # level).  LRU-bounded: the strong circuit references (needed so
+        # serializes the structure — per sample would dominate bind time, so
+        # both are memoized per (circuit object, device, layout, level).  LRU-bounded: the strong circuit references (needed so
         # CPython cannot recycle the id) must not pin every circuit a
         # long-lived estimator ever saw.
         self._keys: "OrderedDict[int, Tuple[ParameterizedCircuit, dict]]" = (
@@ -331,8 +329,13 @@ class ParametricTranspileCache:
         variant = (device.name, int(optimization_level), _normalize_layout(initial_layout))
         key = entry[1].get(variant)
         if key is None:
-            base = variant + (parametric_fingerprint(circuit),)
-            key = base + (stable_seed(base),)
+            key = variant + (
+                parametric_fingerprint(circuit),
+                compile_seed(
+                    device, initial_layout, optimization_level,
+                    circuit.n_qubits, circuit.ops,
+                ),
+            )
             entry[1][variant] = key
         return key
 

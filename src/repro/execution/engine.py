@@ -6,14 +6,13 @@ strategy.  The short version:
 1.  Candidates are grouped by SubCircuit genome; the standalone circuit
     and inherited weights are built once per unique genome per population
     instead of once per candidate.
-2.  Every simulation flows through a :mod:`repro.backends` engine selected
-    per structure group by the deterministic
-    :class:`~repro.backends.dispatch.BackendDispatcher` policy: noise-free
-    terms run on the batched statevector backend, ``noise_sim`` terms on the
-    batched density-matrix backend, and shot-based (real-QC-style) searches
-    on the pinned-seed shot sampler.  The engine itself contains no
-    simulation code — it organizes groups, transpilations and score
-    formulas.
+2.  Every simulation flows through a :mod:`repro.backends` engine, picked
+    by the resolved estimator mode: noise-free terms run on the batched
+    statevector backend and ``noise_sim`` terms on the batched
+    density-matrix backend.  ``real_qc`` scores take the per-candidate seed
+    path, which consumes the device backend's shot stream in population
+    order.  The engine itself contains no simulation code — it organizes
+    groups, transpilations and score formulas.
 3.  Transpilations are memoized in the estimator-owned caches, the only
     memo that outlives a population: the engine keeps no state between
     populations except its :class:`ExecutionStats`.  In
@@ -37,15 +36,16 @@ directly and pin the engine against to 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
 from ..backends import (
-    BackendDispatcher,
-    DispatchRequest,
+    DensityMatrixBackend,
     GroupEntry,
+    SimulationBackend,
     SimulationJob,
+    StatevectorBackend,
     run_bound_rows,
 )
 from ..qml.qnn import readout_matrix
@@ -68,10 +68,10 @@ class ExecutionStats(MergeableStats):
     fields are sub-population work counters that sum across shards.
     Aggregation goes through :class:`~repro.execution.stats.MergeableStats`.
 
-    The ``density_* / statevector_* / template_* / shot_*`` fields are the
-    per-backend counters harvested from the :mod:`repro.backends` engines
-    after every population (each backend's
-    :meth:`~repro.backends.base.SimulationBackend.stats_delta`).
+    The ``density_batches``, ``template_batches`` and
+    ``statevector_batches`` fields are the per-backend counters harvested
+    from the :mod:`repro.backends` engines after every population (each
+    backend's :meth:`~repro.backends.base.SimulationBackend.stats_delta`).
     """
 
     populations: int = 0
@@ -84,8 +84,6 @@ class ExecutionStats(MergeableStats):
     template_batches: int = 0
     #: whole-batch noise-free forward passes on the statevector backend
     statevector_batches: int = 0
-    #: circuits executed through the pinned-seed shot-sampler backend
-    shot_circuits: int = 0
     sequential_fallbacks: int = 0
 
 
@@ -97,7 +95,7 @@ class ExecutionStats(MergeableStats):
 class ExecutionEngine:
     """Evaluates whole co-search populations through the performance estimator.
 
-    Everything comes from the estimator: its config (``backend``,
+    Everything comes from the estimator: its config (``mode``,
     ``max_density_qubits``, ...) and its transpile caches, which
     engines created for successive co-searches — and the deploy/evaluate
     stage — share.  Engines are context managers: ``with
@@ -110,9 +108,6 @@ class ExecutionEngine:
         self.supercircuit = supercircuit
         self.transpile_cache = estimator.transpile_cache
         self.parametric_cache = estimator.parametric_transpile_cache
-        #: per-group backend selection policy; rebuilt identically inside
-        #: every sharded worker from the pickled estimator config
-        self.dispatcher = BackendDispatcher(estimator)
         self.stats = ExecutionStats()
 
     # -- lifecycle -------------------------------------------------------------
@@ -153,36 +148,23 @@ class ExecutionEngine:
 
     # -- backend plumbing -------------------------------------------------------
 
-    def _shot_dispatch_opt_in(self) -> bool:
-        """Whether a backend override opts real_qc into batched dispatch.
-
-        Only a *shot-capable* override (e.g. ``backend="shots"``) changes the
-        real_qc path — its scores are intentionally different (pinned-seed
-        draws instead of the population-order stream).  An incapable
-        override is ignored, matching the dispatcher's contract that ignored
-        overrides never change a score.
-        """
-        override = self.dispatcher.override
-        if override is None:
-            return False
-        from ..backends import backend_class
-
-        return backend_class(override).capabilities.shot_based
-
-    def _backend_instance(self, backends: Dict[str, object], name: str):
-        """One backend instance per name per population evaluation."""
-        backend = backends.get(name)
+    def _backend_for(self, backends: Dict[type, SimulationBackend],
+                     cls: Type[SimulationBackend]) -> SimulationBackend:
+        """One backend instance per class per population evaluation: the
+        density backend batches aligned circuits across groups."""
+        backend = backends.get(cls)
         if backend is None:
-            backend = self.dispatcher.create(name)
-            backends[name] = backend
+            backend = backends[cls] = cls(self.estimator)
         return backend
 
-    def _synchronize(self, backends: Dict[str, object]) -> None:
-        for name, backend in backends.items():
-            with telemetry.span("backend.synchronize", backend=name):
+    def _synchronize(self, backends: Dict[type, SimulationBackend]) -> None:
+        for backend in backends.values():
+            with telemetry.span("backend.synchronize", backend=backend.name):
                 backend.synchronize()
 
-    def _merge_backend_stats(self, backends: Dict[str, object]) -> None:
+    def _merge_backend_stats(
+        self, backends: Dict[type, SimulationBackend]
+    ) -> None:
         """Fold every backend's counters into :attr:`stats`.
 
         They are recorded there only: :class:`ExecutionStats` merges across
@@ -190,24 +172,7 @@ class ExecutionEngine:
         """
         for backend in backends.values():
             for field, delta in backend.stats_delta().items():
-                if hasattr(self.stats, field):
-                    setattr(self.stats, field, getattr(self.stats, field) + delta)
-
-    def _statevector(self, backends: Dict[str, object], mode: str, n_qubits: int,
-                     needs_observables: bool = False):
-        """The noise-free backend for this population (usually statevector).
-
-        The dispatch request's mode is the group's resolved estimator mode
-        when that mode is itself noise-free, and ``"noise_free"`` for the
-        noise-free probes the noisy modes embed (success-rate numerators,
-        VQE energy probes).
-        """
-        request = DispatchRequest(
-            mode=mode if mode in ("noise_free", "success_rate") else "noise_free",
-            n_qubits=n_qubits,
-            needs_observables=needs_observables,
-        )
-        return self._backend_instance(backends, self.dispatcher.select(request))
+                setattr(self.stats, field, getattr(self.stats, field) + delta)
 
     # -- population evaluation: QML ---------------------------------------------
 
@@ -229,14 +194,9 @@ class ExecutionEngine:
         estimator = self.estimator
         n_qubits = self.supercircuit.n_qubits
         mode = estimator.resolve_mode(n_qubits)
-        if mode == "real_qc" and not self._shot_dispatch_opt_in():
-            # the historical real_qc path consumes the backend rng stream per
-            # candidate in population order; batching would reorder the
-            # draws.  Explicitly overriding to a shot-capable backend (the
-            # pinned-seed shot sampler) opts into the deterministic batched
-            # protocol instead; any other override is ignored here exactly
-            # like dispatch ignores incapable overrides — scores must stay
-            # identical to the default lanes.
+        if mode == "real_qc":
+            # real_qc consumes the backend rng stream per candidate in
+            # population order; batching would reorder the draws
             self.stats.sequential_fallbacks += len(candidates)
             return [
                 self._sequential_qml(candidate, dataset, n_classes)
@@ -251,12 +211,12 @@ class ExecutionEngine:
         self.stats.config_groups += len(groups)
         readout = readout_matrix(n_qubits, n_classes)
         scores = [0.0] * len(candidates)
-        backends: Dict[str, object] = {}
+        backends: Dict[type, SimulationBackend] = {}
 
         if mode == "noise_free":
             for entry, indices in groups:
                 loss = self._qml_noise_free_loss(
-                    backends, mode, entry, features, labels, readout
+                    backends, entry, features, labels, readout
                 )
                 for index in indices:
                     scores[index] = loss
@@ -271,7 +231,7 @@ class ExecutionEngine:
             optimization_level = estimator.config.optimization_level
             for entry, indices in groups:
                 loss = self._qml_noise_free_loss(
-                    backends, mode, entry, features, labels, readout
+                    backends, entry, features, labels, readout
                 )
                 bound = entry.circuit.bind(entry.weights, features[0])
                 for index in indices:
@@ -285,42 +245,26 @@ class ExecutionEngine:
             self._merge_backend_stats(backends)
             return scores
 
-        # noise_sim (or an overridden real_qc): per-sample expectations from
-        # the dispatched backend — density matrices batched per structure and
-        # fed from vectorized template bindings, or pinned-seed shot sampling
-        # when dispatch selects the shot backend
+        # noise_sim: per-sample expectations from density matrices batched
+        # per structure and fed from vectorized template bindings
+        density = self._backend_for(backends, DensityMatrixBackend)
         handles_by_candidate: Dict[int, List[object]] = {}
-        density_rows = 0
         with telemetry.phase_span("engine.phase", phase="schedule"):
             for entry, indices in groups:
-                request = DispatchRequest(
-                    mode=mode, n_qubits=entry.circuit.n_qubits
-                )
-                backend = self._backend_instance(
-                    backends, self.dispatcher.select(request)
-                )
-                if not backend.capabilities.shot_based:
-                    density_rows += len(indices) * len(features)
-                gene_key = tuple(candidates[indices[0]].config.as_gene())
                 handles_by_mapping: Dict[object, List[object]] = {}
                 for index in indices:
                     mapping = candidates[index].mapping
                     mapping_key = _normalize_layout(mapping)
                     handles = handles_by_mapping.get(mapping_key)
                     if handles is None:
-                        if backend.capabilities.shot_based:
-                            handles = self._schedule_shot_rows(
-                                backend, entry, gene_key, mapping, features
-                            )
-                        else:
-                            handles = self._schedule_density_rows(
-                                backend, entry, mapping, features
-                            )
+                        handles = self._schedule_density_rows(
+                            density, entry, mapping, features
+                        )
                         handles_by_mapping[mapping_key] = handles
                     handles_by_candidate[index] = handles
         with telemetry.phase_span("engine.phase", phase="simulate"):
             self._synchronize(backends)
-        self.stats.density_circuits += density_rows
+        self.stats.density_circuits += len(candidates) * len(features)
         estimator._backend.record_executions(len(candidates) * len(features))
 
         with telemetry.phase_span("engine.phase", phase="score"):
@@ -332,23 +276,6 @@ class ExecutionEngine:
                 scores[index] = nll_loss(softmax(logits), labels)
         self._merge_backend_stats(backends)
         return scores
-
-    def _schedule_shot_rows(
-        self, backend, entry: GroupEntry, gene_key, mapping, features
-    ) -> List[object]:
-        """Per-sample shot jobs with seeds pinned to (genome, mapping, row)."""
-        mapping_key = _normalize_layout(mapping)
-        jobs = [
-            SimulationJob(
-                circuit=entry.circuit,
-                weights=entry.weights,
-                features=row,
-                initial_layout=mapping,
-                seed_key=(gene_key, mapping_key, row_index),
-            )
-            for row_index, row in enumerate(features)
-        ]
-        return backend.run_group(entry, jobs)
 
     def _schedule_density_rows(
         self, backend, entry: GroupEntry, mapping, features
@@ -387,8 +314,7 @@ class ExecutionEngine:
         n_qubits = self.supercircuit.n_qubits
         mode = estimator.resolve_mode(n_qubits)
         if mode == "real_qc":
-            # the shot backend cannot measure Pauli-sum observables; VQE
-            # real_qc always takes the sequential measurement-plan path
+            # the measurement-plan path, in population order like QML
             self.stats.sequential_fallbacks += len(candidates)
             return [
                 self._sequential_vqe(candidate, molecule) for candidate in candidates
@@ -401,7 +327,7 @@ class ExecutionEngine:
         groups = self._group(candidates, include_encoder=False)
         self.stats.config_groups += len(groups)
         scores = [0.0] * len(candidates)
-        backends: Dict[str, object] = {}
+        backends: Dict[type, SimulationBackend] = {}
 
         noise_free: Dict[int, float] = {}
 
@@ -410,9 +336,7 @@ class ExecutionEngine:
             # reads it only for registers above max_density_qubits
             if group_index not in noise_free:
                 entry = groups[group_index][0]
-                statevector = self._statevector(
-                    backends, mode, entry.circuit.n_qubits, needs_observables=True
-                )
+                statevector = self._backend_for(backends, StatevectorBackend)
                 handle = statevector.run_group(entry, [SimulationJob()])[0]
                 noise_free[group_index] = float(
                     handle.pauli_expectations(hamiltonian)[0]
@@ -435,14 +359,7 @@ class ExecutionEngine:
         with telemetry.phase_span("engine.phase", phase="schedule"):
             for group_index, (entry, indices) in enumerate(groups):
                 if mode == "noise_sim":
-                    request = DispatchRequest(
-                        mode=mode,
-                        n_qubits=entry.circuit.n_qubits,
-                        needs_observables=True,
-                    )
-                    backend = self._backend_instance(
-                        backends, self.dispatcher.select(request)
-                    )
+                    backend = self._backend_for(backends, DensityMatrixBackend)
                     bound = None
                 else:
                     backend = None
@@ -558,14 +475,13 @@ class ExecutionEngine:
 
     def _qml_noise_free_loss(
         self,
-        backends: Dict[str, object],
-        mode: str,
+        backends: Dict[type, SimulationBackend],
         entry: GroupEntry,
         features: np.ndarray,
         labels: np.ndarray,
         readout: np.ndarray,
     ) -> float:
-        statevector = self._statevector(backends, mode, entry.circuit.n_qubits)
+        statevector = self._backend_for(backends, StatevectorBackend)
         handle = statevector.run_group(entry, [SimulationJob(features=features)])[0]
         expectations = handle.logical_z_expectations(entry.circuit.n_qubits)
         return nll_loss(softmax(expectations @ readout.T), labels)

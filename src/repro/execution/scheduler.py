@@ -133,11 +133,10 @@ class ShardedExecutionEngine(ShardRuntime, ExecutionEngine):
     sharing, because every unit of evaluation is hermetic with respect to
     which process (and alongside which tenants) it runs.
 
-    Simulation-backend dispatch (:mod:`repro.backends`) composes with
-    sharding without any payload changes: backend selection is a pure
-    function of the estimator config that ships to workers anyway, so every
-    worker's engine rebuilds an identical dispatcher and ``_ShardTask``
-    carries no backend state.
+    The simulation backends (:mod:`repro.backends`) compose with sharding
+    without any payload changes: the backend is a function of the
+    estimator mode, which ships to workers with the config anyway, so
+    ``_ShardTask`` carries no backend state.
 
     Call :meth:`close` (pipelines do, via the context-manager protocol) to
     shut the worker pool down.

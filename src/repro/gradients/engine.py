@@ -1,10 +1,10 @@
-"""Batched parameter-shift gradient evaluation through backend dispatch.
+"""Batched parameter-shift gradient evaluation on the simulation backends.
 
 A parameter-shift gradient evaluates one circuit structure under
 ``2 * num_weights`` shifted weight vectors (plus the unshifted center) — the
 exact workload the population machinery already batches: one structure, many
-parameter rows.  :class:`BatchedGradientEngine` routes those rows through the
-:class:`~repro.backends.dispatch.BackendDispatcher` as the same job shapes
+parameter rows.  :class:`BatchedGradientEngine` sends those rows to the
+:mod:`repro.backends` engine of its resolved mode as the same job shapes
 the execution engine produces, so every gradient mode reuses the code path
 (and the caches) its forward pass runs on:
 
@@ -22,8 +22,8 @@ the execution engine produces, so every gradient mode reuses the code path
     QML readout runs through the shot backend with one pinned
     ``seed_key`` per (row, sample) job; VQE energies take the sequential
     measured loop in :meth:`BatchedGradientEngine._vqe_rows_measured`
-    (the registered shot backend samples Z-basis readout only, not
-    Pauli-sum observables), reseeded per row so the loop shards cleanly.
+    (the shot backend samples Z-basis readout only, not Pauli-sum
+    observables), reseeded per row so the loop shards cleanly.
 
 Determinism contract (the gradient sibling of the scheduler's)
 --------------------------------------------------------------
@@ -47,20 +47,24 @@ label))``.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.base import GroupEntry, SimulationJob, run_bound_rows
-from ..backends.dispatch import BackendDispatcher, DispatchRequest
+from ..backends import (
+    DensityMatrixBackend,
+    GroupEntry,
+    ShotSamplerBackend,
+    SimulationJob,
+    StatevectorBackend,
+    run_bound_rows,
+)
 from ..devices.backend import QuantumBackend
 from ..execution.cache import ParametricTranspileCache, TranspileCache
 from ..execution.stats import MergeableStats
 from ..quantum.autodiff import ShiftRulePlan, build_shift_plan
 from ..quantum.circuit import ParameterizedCircuit
-from ..utils.env import normalize_backend
 from ..utils.rng import stable_seed
 
 __all__ = [
@@ -77,29 +81,20 @@ class GradientEngineConfig:
 
     Quacks like :class:`~repro.core.estimator.EstimatorConfig` for the
     simulation backends (``shots``, ``seed``, ``optimization_level``,
-    ``max_density_qubits``, ``backend``) and ships to sharded gradient
-    workers by pickle, so worker engines rebuild an identical dispatcher
-    from the config alone.
+    ``max_density_qubits``) and ships to sharded gradient workers by
+    pickle, so worker engines rebuild an identical engine from the config
+    alone.
     """
 
     shots: int = 0
     seed: int = 0
     optimization_level: int = 2
     max_density_qubits: int = 10
-    #: backend override, applied where capable (see BackendDispatcher
-    #: policy); defaults to ``REPRO_BACKEND``, normalized like the
-    #: estimator's
-    backend: Optional[str] = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND")
-    )
     # -- shard resilience policy (see repro.execution.resilience) -------------
     shard_deadline_seconds: Optional[float] = 600.0
     shard_retries: int = 2
     shard_backoff_seconds: float = 0.05
     shard_backoff_max_seconds: float = 2.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "backend", normalize_backend(self.backend))
 
 
 @dataclass
@@ -115,12 +110,12 @@ class GradientEngineStats(MergeableStats):
 
 
 class BatchedGradientEngine:
-    """Evaluates shift-rule row matrices through the backend dispatcher.
+    """Evaluates shift-rule row matrices on the backend of its mode.
 
     Estimator shim: exposes ``device``, ``config``, ``transpile_cache`` and
     ``parametric_transpile_cache`` exactly like
-    :class:`~repro.core.estimator.PerformanceEstimator`, so the registered
-    simulation backends construct against it unchanged.
+    :class:`~repro.core.estimator.PerformanceEstimator`, so the simulation
+    backends construct against it unchanged.
     """
 
     def __init__(
@@ -150,7 +145,6 @@ class BatchedGradientEngine:
             if parametric_cache is not None
             else ParametricTranspileCache(fallback=self.transpile_cache)
         )
-        self.dispatcher = BackendDispatcher(self)
         self.stats = GradientEngineStats()
         #: id(circuit) -> (circuit, plan); the circuit reference keeps the
         #: id stable for the memo's lifetime
@@ -247,13 +241,11 @@ class BatchedGradientEngine:
         """One engine call over ``rows`` — the sharding unit is one row."""
         n_rows, batch = rows.shape[0], features.shape[0]
         n_qubits = circuit.n_qubits
-        backend = self.dispatcher.backend_for(
-            DispatchRequest(mode=mode, n_qubits=n_qubits)
-        )
         entry = GroupEntry(circuit, witness)
 
-        if not backend.capabilities.noisy:
+        if mode == "noise_free":
             # statevector: the rows join the batch dimension of one job
+            backend = StatevectorBackend(self)
             weights = rows if n_rows > 1 else rows[0]
             handles = backend.run_group(
                 entry,
@@ -263,7 +255,8 @@ class BatchedGradientEngine:
             expectations = handles[0].logical_z_expectations(n_qubits)
             return np.asarray(expectations).reshape(n_rows, batch, n_qubits)
 
-        if backend.capabilities.shot_based:
+        if mode == "real_qc":
+            backend = ShotSamplerBackend(self)
             jobs = [
                 SimulationJob(
                     circuit=circuit,
@@ -280,6 +273,7 @@ class BatchedGradientEngine:
         else:
             # density: one values matrix over every (row, sample) pair,
             # row-major
+            backend = DensityMatrixBackend(self)
             values = np.concatenate(
                 [np.repeat(rows, batch, axis=0), np.tile(features, (n_rows, 1))],
                 axis=1,
@@ -324,20 +318,18 @@ class BatchedGradientEngine:
             return np.concatenate(
                 [
                     self._vqe_rows_once(
-                        ansatz, plan, rows[i : i + 1],
-                        labels[i : i + 1], mode, witness,
+                        ansatz, plan, rows[i : i + 1], mode, witness
                     )
                     for i in range(rows.shape[0])
                 ]
             )
-        return self._vqe_rows_once(ansatz, plan, rows, labels, mode, witness)
+        return self._vqe_rows_once(ansatz, plan, rows, mode, witness)
 
     def _vqe_rows_once(
         self,
         ansatz: ParameterizedCircuit,
         plan,
         rows: np.ndarray,
-        labels: np.ndarray,
         mode: str,
         witness: np.ndarray,
     ) -> np.ndarray:
@@ -345,11 +337,7 @@ class BatchedGradientEngine:
         n_qubits = ansatz.n_qubits
 
         if mode == "noise_free":
-            backend = self.dispatcher.backend_for(
-                DispatchRequest(
-                    mode=mode, n_qubits=n_qubits, needs_observables=True
-                )
-            )
+            backend = StatevectorBackend(self)
             entry = GroupEntry(ansatz, witness)
             weights = rows if n_rows > 1 else rows[0]
             handles = backend.run_group(
@@ -363,30 +351,11 @@ class BatchedGradientEngine:
         # per-group circuit structures so the parametric cache compiles each
         # (ansatz + basis change) once per plan, not once per shifted row
         structures = self._vqe_group_structures(ansatz, plan)
-        backend = self.dispatcher.backend_for(
-            DispatchRequest(mode=mode, n_qubits=n_qubits)
-        )
+        backend = DensityMatrixBackend(self)
         group_probs: List[List[np.ndarray]] = []
-        for group_index, structure in enumerate(structures):
+        for structure in structures:
             entry = GroupEntry(structure, witness)
-            if backend.capabilities.shot_based:
-                # REPRO_BACKEND=shots override: per-(group, row) jobs with
-                # content-pinned seeds (shots == 0 here, so no sampling noise)
-                jobs = [
-                    SimulationJob(
-                        circuit=structure,
-                        weights=rows[r],
-                        initial_layout=self.initial_layout,
-                        seed_key=(
-                            "vqe-pshift", int(labels[r]), int(group_index)
-                        ),
-                    )
-                    for r in range(n_rows)
-                ]
-                handles = backend.run_group(entry, jobs)
-                self.stats.shot_jobs += len(jobs)
-            else:
-                handles = self._schedule_density_rows(backend, entry, rows)
+            handles = self._schedule_density_rows(backend, entry, rows)
             backend.synchronize()
             group_probs.append(
                 [handle.logical_probabilities(n_qubits) for handle in handles]
@@ -405,7 +374,7 @@ class BatchedGradientEngine:
     ) -> np.ndarray:
         """Finite-shot energies, one measured setting loop per row.
 
-        The registered shot backend samples Z-basis readout only, so the
+        The shot backend samples Z-basis readout only, so the
         ``real_qc`` energy path keeps the device-backend measured loop —
         but reseeded per *row* from its global label, making each row a
         pure function of step content (and therefore shardable).

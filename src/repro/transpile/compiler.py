@@ -10,7 +10,7 @@ cleaned up by the optimization passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .layout import (
 from .passes import _optimize, _traced
 from .routing import RoutedCircuit, route_circuit
 
-__all__ = ["CompiledCircuit", "compile_key", "transpile"]
+__all__ = ["CompiledCircuit", "compile_key", "compile_seed", "transpile"]
 
 LayoutSpec = Union[str, Layout, Sequence[int], None]
 
@@ -146,6 +146,30 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
     )
 
 
+def compile_seed(
+    device: Device,
+    initial_layout: LayoutSpec,
+    optimization_level: int,
+    n_qubits: int,
+    gates: Iterable,
+) -> int:
+    """The default seed of a compile's SABRE draws, from its structure only.
+
+    ``gates`` are a circuit's instructions or a
+    :class:`~repro.quantum.circuit.ParameterizedCircuit`'s ops; both carry
+    ``gate`` and ``qubits``, and ``bind`` keeps every gate, so a structure
+    and each of its bound rows share one seed.  Angles never enter it: a
+    parametric template, its exact fallbacks and the uncached compile of
+    any bound row draw the same SABRE layouts.
+    """
+    return stable_seed((
+        device.name,
+        int(optimization_level),
+        _normalize_layout(initial_layout),
+        (int(n_qubits), tuple((gate.gate, gate.qubits) for gate in gates)),
+    ))
+
+
 def compile_key(
     circuit: QuantumCircuit,
     device: Device,
@@ -155,18 +179,23 @@ def compile_key(
 ) -> Tuple:
     """Every input of one :func:`transpile` call as a hashable key, seed last.
 
-    Without a ``seed`` the seed is derived from the other inputs, so the
-    randomized SABRE trials (``optimization_level=3``, or a ``"sabre"``
-    layout) are a pure function of what is compiled, never of an unpinned
-    stream.
+    Without a ``seed`` the seed is :func:`compile_seed` of the circuit's
+    structure, so the randomized SABRE trials (``optimization_level=3``, or
+    a ``"sabre"`` layout) are a pure function of what is compiled, never of
+    an unpinned stream.
     """
-    base = (
+    if seed is None:
+        seed = compile_seed(
+            device, initial_layout, optimization_level,
+            circuit.n_qubits, circuit.instructions,
+        )
+    return (
         device.name,
         int(optimization_level),
         _normalize_layout(initial_layout),
         circuit_fingerprint(circuit),
+        int(seed),
     )
-    return base + (stable_seed(base) if seed is None else int(seed),)
 
 
 def _resolve_layout(
@@ -208,13 +237,16 @@ def transpile(
         re-synthesize single-qubit runs; 3 — additionally try SABRE layouts
         and keep the compilation with the fewest two-qubit gates.
     seed:
-        pins the SABRE draws; ``None`` derives it from the other inputs
-        (:func:`compile_key`).
+        pins the SABRE draws; ``None`` derives it from the circuit's
+        structure and the other inputs (:func:`compile_seed`).
     """
     if not 0 <= optimization_level <= 3:
         raise ValueError("optimization_level must be between 0 and 3")
     if seed is None:
-        seed = compile_key(circuit, device, initial_layout, optimization_level)[-1]
+        seed = compile_seed(
+            device, initial_layout, optimization_level,
+            circuit.n_qubits, circuit.instructions,
+        )
     rng = ensure_rng(seed)
 
     def compile_with_layout(layout: Layout) -> CompiledCircuit:

@@ -1,15 +1,14 @@
 """Environment defaults shared by the engine configurations.
 
 Every ``REPRO_*`` variable treats an empty value as unset: the CI matrix
-passes ``REPRO_BACKEND=`` empty on most lanes.
+passes ``REPRO_SANITIZE=`` empty on most lanes.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-__all__ = ["env_workers", "normalize_backend"]
+__all__ = ["env_workers"]
 
 
 def env_workers() -> int:
@@ -23,15 +22,3 @@ def env_workers() -> int:
         raise ValueError(
             f"REPRO_WORKERS must be an integer worker count, got {value!r}"
         ) from None
-
-
-def normalize_backend(name) -> Optional[str]:
-    """A simulation-backend name stripped and lower-cased; empty means None.
-
-    Both engine configs apply it to explicit ``backend=`` values and to the
-    ``REPRO_BACKEND`` default alike, so ``Statevector`` selects the
-    registered ``statevector`` backend everywhere.
-    """
-    if name is None:
-        return None
-    return str(name).strip().lower() or None

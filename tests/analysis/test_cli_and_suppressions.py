@@ -117,10 +117,6 @@ def test_list_rules(capsys):
         "det-unordered-iter",
         "pickle-unsafe-field",
         "pickle-unsafe-attr",
-        "backend-missing-name",
-        "backend-missing-capabilities",
-        "backend-missing-run-group",
-        "backend-bad-signature",
     ):
         assert rule in out
     for checker in available_checkers():

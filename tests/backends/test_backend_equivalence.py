@@ -1,11 +1,9 @@
-"""Backend dispatch is a pure reorganization of the same numbers.
+"""The mode's backend is a pure reorganization of the same numbers.
 
-Population scores routed through the dispatched backends must match the
-per-candidate sequential seed path to 1e-9 across qubit counts (2q/4q/6q),
-tasks (QML and VQE) and estimator modes (``noise_sim``/``success_rate``),
-and forcing a capable backend must either reproduce the default exactly
-(density, statevector) or be deterministically pinned (shots — covered in
-``test_shot_sampler``).
+Population scores computed on the backend of each estimator mode must match
+the per-candidate sequential seed path to 1e-9 across qubit counts
+(2q/4q/6q), tasks (QML and VQE) and estimator modes
+(``noise_sim``/``success_rate``).
 """
 
 from __future__ import annotations
@@ -49,11 +47,9 @@ def qml_task(n_qubits: int):
     return encoder, dataset
 
 
-def qml_scores(device, supercircuit, dataset, candidates, mode, backend=None,
-               n_valid=3):
+def qml_scores(device, supercircuit, dataset, candidates, mode, n_valid=3):
     estimator = PerformanceEstimator(
-        device,
-        EstimatorConfig(mode=mode, n_valid_samples=n_valid, backend=backend),
+        device, EstimatorConfig(mode=mode, n_valid_samples=n_valid)
     )
     with ExecutionEngine(estimator, supercircuit) as engine:
         scores = engine.evaluate_qml_population(candidates, dataset, 2)
@@ -86,55 +82,6 @@ def test_qml_dispatch_matches_sequential_across_widths(seed_path_scorer, n_qubit
         )
 
 
-@pytest.mark.parametrize("mode,backend", [
-    ("noise_sim", "density"),
-    ("success_rate", "statevector"),
-    ("noise_free", "statevector"),
-])
-def test_forced_capable_backend_reproduces_default_scores(
-    u3cu3_supercircuit, yorktown, tiny_dataset, mode, backend
-):
-    space = get_design_space("u3cu3")
-    candidates = make_population(space, 4, yorktown, seed=7, size=4)
-
-    def scores(backend_name):
-        estimator = PerformanceEstimator(
-            yorktown,
-            EstimatorConfig(mode=mode, n_valid_samples=4, backend=backend_name),
-        )
-        with ExecutionEngine(estimator, u3cu3_supercircuit) as engine:
-            return engine.evaluate_qml_population(candidates, tiny_dataset, 4)
-
-    assert scores(backend) == scores(None)
-
-
-def test_forcing_statevector_on_noise_sim_keeps_density_scores(
-    u3cu3_supercircuit, yorktown, tiny_dataset
-):
-    """The ignored-override contract (REPRO_BACKEND=statevector): an
-    incapable override never changes a noisy score — it is ignored for that
-    group."""
-    space = get_design_space("u3cu3")
-    candidates = make_population(space, 4, yorktown, seed=3, size=3)
-
-    def run(backend_name):
-        estimator = PerformanceEstimator(
-            yorktown,
-            EstimatorConfig(
-                mode="noise_sim", n_valid_samples=2, backend=backend_name
-            ),
-        )
-        with ExecutionEngine(estimator, u3cu3_supercircuit) as engine:
-            scores = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
-        return scores, engine
-
-    forced_scores, forced_engine = run("statevector")
-    default_scores, _ = run(None)
-    np.testing.assert_allclose(forced_scores, default_scores, rtol=0, atol=ATOL)
-    assert forced_engine.dispatcher.overrides_ignored > 0
-    assert forced_engine.stats.density_circuits == 3 * 2
-
-
 @pytest.mark.parametrize("molecule_name,device_name", [
     ("h2", "yorktown"),     # 2 qubits
     ("lih", "jakarta"),     # 6 qubits
@@ -149,23 +96,14 @@ def test_vqe_dispatch_matches_sequential_across_widths(seed_path_scorer,
     supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
     candidates = make_population(space, molecule.n_qubits, device, seed=7, size=3)
 
-    def scores(backend=None):
-        estimator = PerformanceEstimator(
-            device, EstimatorConfig(mode=mode, backend=backend)
-        )
-        with ExecutionEngine(estimator, supercircuit) as engine:
-            return engine.evaluate_vqe_population(candidates, molecule)
+    estimator = PerformanceEstimator(device, EstimatorConfig(mode=mode))
+    with ExecutionEngine(estimator, supercircuit) as engine:
+        scores = engine.evaluate_vqe_population(candidates, molecule)
 
     sequential = seed_path_scorer(
         device, supercircuit, EstimatorConfig(mode=mode), molecule=molecule
     )(candidates)
-    np.testing.assert_allclose(scores(), sequential, rtol=0, atol=ATOL)
-    # forcing the default engine family must be a no-op; forcing the shot
-    # backend is vetoed by the observable requirement and is one too
-    for forced in ("density", "statevector", "shots"):
-        np.testing.assert_allclose(
-            scores(backend=forced), sequential, rtol=0, atol=ATOL
-        )
+    np.testing.assert_allclose(scores, sequential, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("mode,n_valid,population", [
@@ -182,7 +120,7 @@ def test_evolution_rankings_match_under_dispatch(u3cu3_supercircuit, yorktown,
         iterations=2, population_size=population, parent_size=3,
         mutation_size=max(2, population - 5), crossover_size=2, seed=9,
     )
-    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid, backend=None)
+    config = EstimatorConfig(mode=mode, n_valid_samples=n_valid)
     sequential = EvolutionEngine(space, 4, yorktown, evolution_config).search(
         population_score_fn=seed_path_scorer(
             yorktown, u3cu3_supercircuit, config,

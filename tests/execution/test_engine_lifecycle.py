@@ -57,13 +57,3 @@ def test_close_survives_partially_constructed_engines(yorktown,
     slots existed must not turn that into a second error."""
     engine = ShardedExecutionEngine.__new__(ShardedExecutionEngine)
     engine.close()  # no _executors attribute yet — must be a clean no-op
-
-
-def test_unknown_backend_fails_fast_without_leaking(yorktown,
-                                                    u3cu3_supercircuit):
-    estimator = PerformanceEstimator(
-        yorktown, EstimatorConfig(workers=2, backend=None)
-    )
-    estimator.config.backend = "definitely-not-registered"
-    with pytest.raises(ValueError, match="unknown simulation backend"):
-        ShardedExecutionEngine(estimator, u3cu3_supercircuit)

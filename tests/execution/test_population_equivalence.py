@@ -17,7 +17,7 @@ from repro.backends import DensityMatrixBackend, SimulationJob
 from repro.core import EvolutionConfig, EvolutionEngine, SuperCircuit, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
-from repro.devices import QuantumBackend
+from repro.devices import QuantumBackend, get_device
 from repro.execution import ExecutionEngine
 from repro.qml import encoder_for_task
 from repro.vqe.molecules import load_molecule
@@ -159,6 +159,33 @@ def test_level3_seed_path_is_deterministic(u3cu3_supercircuit, yorktown,
 
     assert qml() == qml() == qml()
     assert vqe() == vqe() == vqe()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("device_name", ["yorktown", "jakarta"])
+def test_level3_noise_sim_scores_equal_seed_path(u3cu3_supercircuit,
+                                                 tiny_dataset,
+                                                 seed_path_scorer,
+                                                 device_name, workers):
+    """At level 3 a structure's template, its exact fallbacks and the seed
+    path's uncached compile of every bound row seed SABRE from the structure
+    alone, so they pick the same layouts and the noisy scores agree."""
+    device = get_device(device_name)
+    space = get_design_space("u3cu3")
+    candidates = make_population(space, 4, device, seed=37, size=8)
+    config = EstimatorConfig(mode="noise_sim", n_valid_samples=3,
+                             optimization_level=3, workers=workers,
+                             shard_min_group_size=2)
+
+    with PerformanceEstimator(device, config) \
+            .population_engine(u3cu3_supercircuit) as engine:
+        scores = engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+        if workers > 1:
+            assert engine.scheduler_stats.sharded_generations == 1
+
+    seq = seed_path_scorer(device, u3cu3_supercircuit, config,
+                           dataset=tiny_dataset, n_classes=4)(candidates)
+    np.testing.assert_allclose(scores, seq, rtol=0, atol=ATOL)
 
 
 def test_noisy_expectations_match_backend(u3cu3_supercircuit, yorktown,

@@ -3,9 +3,8 @@
 Three tolerance tiers lock the batched parameter-shift engines down:
 
 * **bitwise** — paths that are contractually the *same floats*: the
-  sequential engine vs the legacy closure on the noise-free simulator, the
-  shot-sampled modes under repeated runs (per-job pinned seeds), and the
-  ``backend="shots"`` dispatch override at ``shots == 0``;
+  sequential engine vs the legacy closure on the noise-free simulator, and
+  the shot-sampled modes under repeated runs (per-job pinned seeds);
 * **``1e-12``** — batched vs sequential row evaluation (the fused evolution
   only reorders floating-point contractions) and the density engine vs the
   per-sample legacy/measured references;
@@ -206,21 +205,6 @@ class TestQMLEquivalence:
         assert loss == pytest.approx(loss_ref, abs=BATCH_TOL)
         np.testing.assert_allclose(grads, grads_ref, rtol=0, atol=BATCH_TOL)
 
-    def test_repro_backend_env_is_normalized(self, monkeypatch):
-        """``REPRO_BACKEND=Statevector`` names the registered statevector
-        backend for gradient engines too, exactly as for the estimator."""
-        model = random_model(3, seed=181)
-        weights, features, labels = random_batch(model, seed=182)
-        with ParameterShiftGradient(workers=1) as gradient:
-            loss_ref, grads_ref = gradient(model, weights, features, labels)
-        monkeypatch.setenv("REPRO_BACKEND", "Statevector")
-        assert GradientEngineConfig().backend == "statevector"
-        assert GradientEngineConfig(backend=" Shots ").backend == "shots"
-        with ParameterShiftGradient(workers=1) as gradient:
-            loss, grads = gradient(model, weights, features, labels)
-        assert loss == loss_ref
-        assert np.array_equal(grads, grads_ref)
-
     def test_shot_gradient_repeats_bitwise(self, santiago):
         model = random_model(3, seed=111, layers=1)
         weights, features, labels = random_batch(model, seed=112, batch=2)
@@ -231,30 +215,6 @@ class TestQMLEquivalence:
                 runs.append(gradient(model, weights, features, labels))
         assert runs[0][0] == runs[1][0]
         assert np.array_equal(runs[0][1], runs[1][1])
-
-    def test_shots_backend_override_matches_density(self, santiago):
-        model = random_model(3, seed=121, layers=1)
-        weights, features, _labels = random_batch(model, seed=122, batch=2)
-        density = BatchedGradientEngine(
-            santiago, GradientEngineConfig(shots=0, backend=None),
-            engine="sequential",
-        )
-        overridden = BatchedGradientEngine(
-            santiago, GradientEngineConfig(shots=0, backend="shots"),
-            engine="sequential",
-        )
-        rows = shift_rows(density, model.circuit, weights)
-        reference = density.qml_expectations_rows(
-            model.circuit, rows, features, witness_weights=weights
-        )
-        routed = overridden.qml_expectations_rows(
-            model.circuit, rows, features, witness_weights=weights
-        )
-        # at shots == 0 the shot backend evolves the exact density, so the
-        # dispatch override must not change a single float
-        np.testing.assert_allclose(routed, reference, rtol=0, atol=BATCH_TOL)
-        assert overridden.stats.shot_jobs > 0
-        assert density.stats.shot_jobs == 0
 
 
 class TestVQEEquivalence:

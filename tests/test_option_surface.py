@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
+import pytest
+
 from repro.core.estimator import EstimatorConfig
 from repro.execution import ParametricTranspileCache, TranspileCache
 from repro.gradients import GradientEngineConfig
@@ -46,7 +48,6 @@ def test_option_surface_is_pinned():
         "seed",
         "optimization_level",
         "max_density_qubits",
-        "backend",
         "shard_deadline_seconds",
         "shard_retries",
         "shard_backoff_seconds",
@@ -56,3 +57,12 @@ def test_option_surface_is_pinned():
         "maxsize", "bound_maxsize", "fallback",
     ]
     assert constructor_parameters(TranspileCache) == ["maxsize"]
+
+
+def test_estimator_backend_accepts_only_none():
+    """The estimator mode picks the simulation backend: ``backend`` is a
+    ``None``-only field, and naming a backend fails at construction."""
+    assert EstimatorConfig(backend=None).backend is None
+    for name in ("shots", "density", "statevector", ""):
+        with pytest.raises(ValueError, match="backend must be None"):
+            EstimatorConfig(backend=name)
