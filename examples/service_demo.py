@@ -7,12 +7,12 @@ the deadline job's generations first, admission control queues the third
 job until a slot frees up, and every tenant's consumption lands in its
 :class:`repro.service.TenantStats` ledger.
 
-The accounting table is read back from the telemetry metrics registry —
-the always-on per-tenant counters the service publishes every round — and
-the demo finishes by re-running one tenant's job alone and asserting its
-scores are bitwise identical to the shared run: the determinism contract
-the service is built on, and the reason the telemetry can only ever
-*observe* those numbers.
+The accounting table is read from those ledgers (``service.tenant_stats``),
+the one record of what each tenant consumed, and the demo finishes by
+re-running one tenant's job alone and asserting its scores are bitwise
+identical to the shared run: the determinism contract the service is
+built on, and the reason accounting and telemetry can only ever *observe*
+those numbers.
 
 Run with ``python examples/service_demo.py`` (set ``REPRO_WORKERS=2`` to
 watch the shared pool shard generations across processes, and
@@ -22,7 +22,6 @@ watch the shared pool shard generations across processes, and
 
 from __future__ import annotations
 
-from repro import telemetry
 from repro.core import EstimatorConfig, EvolutionConfig
 from repro.qml import encoder_for_task, make_classification_dataset
 from repro.service import CoSearchService, SearchJob
@@ -87,9 +86,9 @@ def main() -> None:
             print(f"submitted {handle.name:15s} -> {handle.state}")
         results = service.run()
 
-        # the service mirrors every tenant's consumption into always-on
-        # telemetry counters; the accounting table reads those back
-        metrics = telemetry.get_metrics()
+        # the service charges every round to its tenant's TenantStats
+        # ledger; the accounting table reads those ledgers
+        ledgers = service.tenant_stats
         print_table(
             ["tenant", "state", "done@round", "best score", "generations",
              "candidates", "cache hits", "sim seconds"],
@@ -99,28 +98,18 @@ def main() -> None:
                     service.handles[name].state,
                     service.handles[name].completed_round,
                     results[name].best_score,
-                    int(metrics.value(
-                        "service_generations_total", tenant=name
-                    )),
-                    int(metrics.value(
-                        "service_candidates_total", tenant=name
-                    )),
-                    int(metrics.value(
-                        "service_cache_hits_total", tenant=name
-                    )),
-                    metrics.value(
-                        "service_simulator_seconds_total", tenant=name
-                    ),
+                    ledgers[name].generations,
+                    ledgers[name].candidates,
+                    ledgers[name].cache_hits,
+                    ledgers[name].simulator_seconds,
                 ]
                 for name in sorted(results)
             ],
-            title="Per-tenant accounting (telemetry metrics snapshot)",
+            title="Per-tenant accounting (TenantStats)",
         )
         for name in sorted(results):
-            ledger = service.tenant_stats[name]
-            assert metrics.value(
-                "service_generations_total", tenant=name
-            ) == ledger.generations, "metrics diverged from TenantStats"
+            assert ledgers[name].generations == len(results[name].history)
+            assert ledgers[name].candidates == results[name].evaluated
 
     # determinism check: one tenant re-run alone reproduces its shared-run
     # scores exactly

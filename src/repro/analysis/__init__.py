@@ -33,7 +33,6 @@ from .registry import (
     available_checkers,
     checker_class,
     register_checker,
-    unregister_checker,
 )
 from .runner import AnalysisReport, analyze, analyze_paths
 from .project import ModuleInfo, Project, load_project
@@ -61,7 +60,6 @@ __all__ = [
     "available_checkers",
     "checker_class",
     "register_checker",
-    "unregister_checker",
     "AnalysisReport",
     "analyze",
     "analyze_paths",

@@ -18,7 +18,6 @@ from .project import ModuleInfo, Project
 __all__ = [
     "Checker",
     "register_checker",
-    "unregister_checker",
     "available_checkers",
     "checker_class",
     "all_rules",
@@ -66,11 +65,6 @@ def register_checker(cls: Type[Checker]) -> Type[Checker]:
         raise TypeError(f"{cls.__name__} must subclass Checker")
     _REGISTRY[name] = cls
     return cls
-
-
-def unregister_checker(name: str) -> None:
-    """Remove a registered checker (for tests of third-party registration)."""
-    _REGISTRY.pop(name, None)
 
 
 def available_checkers() -> List[str]:

@@ -45,7 +45,8 @@ class TenantStats(MergeableStats):
     cache_hits: int = 0
     cache_misses: int = 0
     #: wall time spent evaluating: summed worker-side shard seconds when the
-    #: generation was sharded, parent wall time when it ran in-process
+    #: generation was sharded, parent wall time otherwise (in-process, or
+    #: every candidate already scored)
     simulator_seconds: float = 0.0
     worker_failures: int = 0
     retried_shards: int = 0

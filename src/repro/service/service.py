@@ -213,27 +213,16 @@ class CoSearchService:
         stats.retried_shards += sched.retried_shards
         stats.rebalanced_shards += sched.rebalanced_shards
         stats.degraded_generations += sched.degraded_generations
-        shard_seconds = sum(
-            report["elapsed_seconds"] for report in engine.last_shard_reports
-        )
-        stats.simulator_seconds += shard_seconds if shard_seconds else elapsed
-        # observation-only mirror of the deltas into the metrics registry —
-        # the same numbers TenantStats accumulates, queryable per tenant
-        metrics = telemetry.get_metrics()
-        tenant = runtime.job.name
-        metrics.counter("service_generations_total", tenant=tenant).inc()
-        metrics.counter("service_candidates_total", tenant=tenant).inc(
-            engine_delta.candidates
-        )
-        metrics.counter("service_cache_hits_total", tenant=tenant).inc(
-            bound.hits + parametric.structure_hits + parametric.bind_hits
-        )
-        metrics.counter("service_cache_misses_total", tenant=tenant).inc(
-            bound.misses + parametric.structure_misses + parametric.bind_misses
-        )
-        metrics.counter("service_simulator_seconds_total", tenant=tenant).inc(
-            shard_seconds if shard_seconds else elapsed
-        )
+        # the shard reports describe the last sharded generation, which is
+        # not this step's unless this step dispatched one (a fully cached
+        # population never reaches the engine)
+        if sched.sharded_generations:
+            stats.simulator_seconds += sum(
+                report["elapsed_seconds"]
+                for report in engine.last_shard_reports
+            )
+        else:
+            stats.simulator_seconds += elapsed
 
     def _retire(self, name: str) -> None:
         runtime = self._runtimes.pop(name, None)

@@ -8,10 +8,12 @@ Two instruments over one contract:
   processes record their spans into capture buffers that ride home inside
   the existing ``_ShardResult`` payloads and re-parent under the
   dispatching generation span (:func:`adopt_spans`).
-* **Metrics** (:mod:`~repro.telemetry.metrics`) — labelled
-  counters/histograms (per-tenant service accounting, per-backend
-  job counts, per-phase engine timings), readable as a plain snapshot or
-  Prometheus text via :func:`get_metrics`.
+* **Metrics** (:mod:`~repro.telemetry.metrics`) — the
+  ``engine_phase_seconds{phase=...}`` histogram that :func:`phase_span`
+  observes, read through :func:`get_metrics`.  Counts of work done are
+  kept once, in the ``MergeableStats`` ledgers that merge across
+  processes (``ExecutionStats``, ``SchedulerStats``, the service's
+  per-tenant ``TenantStats``), not here.
 
 ``python -m repro.telemetry summarize <trace.jsonl>`` renders the top
 spans, per-tenant / per-shard / per-phase breakdowns and the critical
@@ -38,13 +40,12 @@ from contextlib import contextmanager
 from typing import Iterable, List, Optional
 
 from .spans import DEFAULT_BUFFER_SPANS, SpanRecord, Tracer
-from .metrics import Counter, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .export import TraceWriter, read_trace
 
 __all__ = [
     "SpanRecord",
     "Tracer",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "TraceWriter",

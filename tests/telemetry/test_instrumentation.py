@@ -5,7 +5,7 @@ The two halves of the telemetry acceptance contract:
 * **coverage** — a traced sharded run produces the expected span tree:
   ``scheduler.generation`` roots, worker shard spans re-parented under
   them (after riding home inside ``_ShardResult`` payloads), engine
-  phase spans, and per-tenant ``service.round`` spans with metrics; a
+  phase spans, and per-tenant ``service.round`` spans; a
   traced pipeline records one ``pipeline.stage`` span per stage call,
   with the SuperCircuit's ``train.step`` spans, the ``train.epoch`` spans
   of SubCircuit training and the pruning finetunes, and one
@@ -144,12 +144,11 @@ class TestSpanCoverage:
     ):
         telemetry.configure(enabled=True)
         evaluate_qml(yorktown, u3cu3_supercircuit, tiny_dataset, workers=1)
-        snapshot = telemetry.get_metrics().snapshot()
-        phases = snapshot["histograms"].get("engine_phase_seconds", {})
-        observed = {labels for labels in phases}
-        assert "phase=schedule" in observed
-        assert "phase=simulate" in observed
-        assert "phase=score" in observed
+        metrics = telemetry.get_metrics()
+        for phase in ("schedule", "simulate", "score"):
+            histogram = metrics.histogram("engine_phase_seconds", phase=phase)
+            assert histogram.count > 0, phase
+            assert histogram.total > 0.0, phase
 
     def test_untraced_run_records_nothing(
         self, clean_telemetry, u3cu3_supercircuit, yorktown, tiny_dataset
