@@ -22,14 +22,16 @@ pass as training and the per-candidate seed path
 (:func:`~repro.quantum.statevector.run_parameterized`), so noise-free scores
 equal the seed path's bit for bit.
 
-**Parametric transpilation.**  In ``noise_sim`` mode every (genome, mapping)
-structure is compiled *once* into a :class:`repro.transpile.parametric.
+**Parametric transpilation.**  In QML ``noise_sim`` mode every (genome,
+mapping) structure is compiled *once* into a :class:`repro.transpile.parametric.
 ParametricCompiledCircuit` — layout, routing, decomposition and the
 value-agnostic optimization passes run per structure, and each validation
 sample's angles are filled into the compiled template in O(params) through
 the :class:`ParametricTranspileCache` (structure-keyed, one template per
 structure, with the bound-key cache as exact fallback for bindings that
-cross a compile-time branch).
+cross a compile-time branch).  A VQE candidate has a single binding, which
+a template would be traced only to bind once, so VQE compiles it through
+the bound-key cache below, as the seed path compiles it.
 
 **LRU transpilation cache.**  Compilations are memoized by (bound-circuit
 fingerprint, device, initial layout, optimization level, pinned seed).

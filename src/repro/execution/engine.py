@@ -15,7 +15,7 @@ strategy.  The short version:
     groups, transpilations and score formulas.
 3.  Transpilations are memoized in the estimator-owned caches, the only
     memo that outlives a population: the engine keeps no state between
-    populations except its :class:`ExecutionStats`.  In
+    populations except its :class:`ExecutionStats`.  In QML
     ``noise_sim`` mode each (genome, mapping) structure is compiled once
     into one parametric template and every validation sample's angles come
     out of a single vectorized template bind (one affine matmul per
@@ -23,8 +23,9 @@ strategy.  The short version:
     :meth:`~repro.execution.cache.ParametricTranspileCache.bind_rows`)
     consumed directly by the density backend; a sample that crosses one of
     the template's compile-time branches is compiled exactly by the
-    bound-key cache.  ``success_rate`` mode compiles one bound circuit per
-    candidate through the bound-key cache.
+    bound-key cache.  A candidate with one binding — every QML
+    ``success_rate`` candidate and every VQE candidate — compiles that
+    bound circuit through the bound-key cache.
 
 The engine reads every setting from the estimator's
 :class:`~repro.core.estimator.EstimatorConfig`.  Its reference is the
@@ -227,7 +228,9 @@ class ExecutionEngine:
             # one binding per candidate — there is nothing for a parametric
             # template to amortize inside a population, so this path stays on
             # the bound-key cache (itself sped up by the memoized noise model
-            # behind success_rate()); warm populations hit the cache as before
+            # behind success_rate()); warm populations hit the cache as before.
+            # VQE candidates have one binding in every mode, so _evaluate_vqe
+            # compiles through the same cache
             optimization_level = estimator.config.optimization_level
             for entry, indices in groups:
                 loss = self._qml_noise_free_loss(
@@ -358,29 +361,18 @@ class ExecutionEngine:
 
         with telemetry.phase_span("engine.phase", phase="schedule"):
             for group_index, (entry, indices) in enumerate(groups):
-                if mode == "noise_sim":
-                    backend = self._backend_for(backends, DensityMatrixBackend)
-                    bound = None
-                else:
-                    backend = None
-                    bound = entry.circuit.bind(entry.weights)
+                # a VQE candidate has one binding, so a parametric template
+                # would be traced only to be bound once: compile the binding
+                # concretely, exactly as the seed path does
+                bound = entry.circuit.bind(entry.weights)
                 group_jobs: List[Tuple[int, object, Tuple[int, ...]]] = []
                 for index in indices:
-                    if bound is None:
-                        compiled = self.parametric_cache.get_bound(
-                            entry.circuit,
-                            entry.weights,
-                            device=estimator.device,
-                            initial_layout=candidates[index].mapping,
-                            optimization_level=optimization_level,
-                        )
-                    else:
-                        compiled = self.transpile_cache.get(
-                            bound,
-                            estimator.device,
-                            initial_layout=candidates[index].mapping,
-                            optimization_level=optimization_level,
-                        )
+                    compiled = self.transpile_cache.get(
+                        bound,
+                        estimator.device,
+                        initial_layout=candidates[index].mapping,
+                        optimization_level=optimization_level,
+                    )
                     if mode == "success_rate":
                         rate = compiled.success_rate()
                         scores[index] = (
@@ -402,7 +394,8 @@ class ExecutionEngine:
                     else:
                         group_jobs.append((index, compiled, used_physical))
                 if group_jobs:
-                    handles = backend.run_group(
+                    density = self._backend_for(backends, DensityMatrixBackend)
+                    handles = density.run_group(
                         entry,
                         [
                             SimulationJob(compiled=compiled)

@@ -10,6 +10,21 @@ Two layers of representation are used throughout the repository:
   bound to a trainable weight vector (``weight`` slots) or to per-sample input
   features (``input`` slots).  This is the TorchQuantum-style trainable module
   the QML/VQE layers and QuantumNAS operate on.
+
+Where validation lives
+----------------------
+
+A circuit is validated once, where it is built from outside input:
+``Instruction(...)`` and :class:`ParamOp` canonicalize the gate name and
+check arity, distinct qubits and the parameter count, and
+:meth:`QuantumCircuit.append` and the ``add_*`` methods of
+:class:`ParameterizedCircuit` check that every qubit lies inside the
+register.  Everything derived from validated circuits —
+:meth:`ParameterizedCircuit.bind`, and the transpiler's routing,
+decomposition, optimization passes and reduced circuits — builds its output
+through :func:`trusted_instruction` and :func:`trusted_circuit`, which take
+canonical names, ``int`` qubit tuples and ``float`` parameter tuples as they
+are and check nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..utils.rng import ensure_rng
-from .gates import gate_matrix, gate_num_params, gate_num_qubits, canonical_name
+from .gates import GATES, gate_num_params, gate_num_qubits, canonical_name
 
 __all__ = [
     "Instruction",
@@ -32,6 +47,27 @@ __all__ = [
     "ParamOp",
     "ParameterizedCircuit",
 ]
+
+
+def _check_qubits(gate: str, qubits: Tuple[int, ...]) -> None:
+    """Arity and distinct qubits of one gate application."""
+    expected_qubits = gate_num_qubits(gate)
+    if len(qubits) != expected_qubits:
+        raise ValueError(
+            f"gate '{gate}' acts on {expected_qubits} qubits, got {len(qubits)}"
+        )
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubits in instruction: {qubits}")
+
+
+def _check_register(item, n_qubits: int) -> None:
+    """Every qubit of ``item`` (an instruction or op) inside ``n_qubits`` wires."""
+    for qubit in item.qubits:
+        if not 0 <= qubit < n_qubits:
+            raise ValueError(
+                f"{item} addresses qubit {qubit}, outside register of size "
+                f"{n_qubits}"
+            )
 
 
 @dataclass(frozen=True)
@@ -46,14 +82,7 @@ class Instruction:
         object.__setattr__(self, "gate", canonical_name(self.gate))
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        expected_qubits = gate_num_qubits(self.gate)
-        if len(self.qubits) != expected_qubits:
-            raise ValueError(
-                f"gate '{self.gate}' acts on {expected_qubits} qubits, "
-                f"got {len(self.qubits)}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubits in instruction: {self.qubits}")
+        _check_qubits(self.gate, self.qubits)
         expected_params = gate_num_params(self.gate)
         if len(self.params) != expected_params:
             raise ValueError(
@@ -62,15 +91,38 @@ class Instruction:
             )
 
     def matrix(self) -> np.ndarray:
-        return gate_matrix(self.gate, self.params)
+        # the parameter count was checked when the instruction was validated
+        return np.asarray(GATES[self.gate].matrix_fn(self.params), dtype=complex)
 
     @property
     def is_two_qubit(self) -> bool:
         return len(self.qubits) == 2
 
 
+def trusted_instruction(
+    gate: str, qubits: Tuple[int, ...], params: Tuple[float, ...] = ()
+) -> Instruction:
+    """An :class:`Instruction` built from already validated parts, unchecked.
+
+    ``gate`` must be a canonical name, ``qubits`` a tuple of ``int`` and
+    ``params`` a tuple of ``float`` of the gate's arity — what a validated
+    instruction holds.  Skipping ``__post_init__`` (registry lookups, arity
+    checks, conversions) is what keeps compiles and binds cheap.
+    """
+    instruction = object.__new__(Instruction)
+    fields = instruction.__dict__
+    fields["gate"] = gate
+    fields["qubits"] = qubits
+    fields["params"] = params
+    return instruction
+
+
 class QuantumCircuit:
-    """An ordered list of :class:`Instruction` on ``n_qubits`` wires."""
+    """An ordered list of :class:`Instruction` on ``n_qubits`` wires.
+
+    The constructor and :meth:`append` check that each instruction lies
+    inside the register; :func:`trusted_circuit` skips that check.
+    """
 
     def __init__(
         self, n_qubits: int, instructions: Optional[Iterable[Instruction]] = None
@@ -85,11 +137,7 @@ class QuantumCircuit:
     # -- construction ------------------------------------------------------
 
     def append(self, instruction: Instruction) -> "QuantumCircuit":
-        if max(instruction.qubits) >= self.n_qubits:
-            raise ValueError(
-                f"instruction {instruction} addresses qubit outside register of "
-                f"size {self.n_qubits}"
-            )
+        _check_register(instruction, self.n_qubits)
         self.instructions.append(instruction)
         return self
 
@@ -201,6 +249,18 @@ class QuantumCircuit:
         )
 
 
+def trusted_circuit(n_qubits: int, instructions: List) -> QuantumCircuit:
+    """A :class:`QuantumCircuit` that takes ``instructions`` as its own list.
+
+    No instruction is register-checked: every one must already lie inside
+    ``n_qubits`` wires, as the transpiler's derived circuits do.
+    """
+    circuit = object.__new__(QuantumCircuit)
+    circuit.n_qubits = n_qubits
+    circuit.instructions = instructions
+    return circuit
+
+
 # ---------------------------------------------------------------------------
 # Parameterized circuits
 # ---------------------------------------------------------------------------
@@ -253,6 +313,7 @@ class ParamOp:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gate", canonical_name(self.gate))
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        _check_qubits(self.gate, self.qubits)
         expected = gate_num_params(self.gate)
         if len(self.slots) != expected:
             raise ValueError(
@@ -281,6 +342,8 @@ class ParameterizedCircuit:
     """
 
     def __init__(self, n_qubits: int) -> None:
+        if n_qubits < 1:
+            raise ValueError("circuit needs at least one qubit")
         self.n_qubits = int(n_qubits)
         self.ops: List[ParamOp] = []
         self._num_weights = 0
@@ -289,8 +352,7 @@ class ParameterizedCircuit:
 
     def add_fixed(self, gate: str, qubits: Sequence[int], params: Sequence[float] = ()):
         slots = tuple(const(p) for p in params)
-        self.ops.append(ParamOp(gate, tuple(qubits), slots))
-        return self
+        return self.add_op(ParamOp(gate, tuple(qubits), slots))
 
     def add_trainable(
         self,
@@ -315,10 +377,10 @@ class ParameterizedCircuit:
             if is_fixed:
                 slots.append(const(0.0))
             else:
-                slots.append(weight(self._num_weights))
-                created.append(self._num_weights)
-                self._num_weights += 1
-        self.ops.append(ParamOp(gate, tuple(qubits), tuple(slots)))
+                created.append(self._num_weights + len(created))
+                slots.append(weight(created[-1]))
+        # add_op grows the weight vector only once the op is accepted
+        self.add_op(ParamOp(gate, tuple(qubits), tuple(slots)))
         return tuple(created)
 
     def add_encoder(
@@ -329,10 +391,12 @@ class ParameterizedCircuit:
         if len(feature_indices) != n_params:
             raise ValueError("feature_indices length must match the gate's parameters")
         slots = tuple(feature(i) for i in feature_indices)
-        self.ops.append(ParamOp(gate, tuple(qubits), slots))
-        return self
+        return self.add_op(ParamOp(gate, tuple(qubits), slots))
 
     def add_op(self, op: ParamOp) -> "ParameterizedCircuit":
+        """Append ``op``: the one path every ``add_*`` method takes, and the
+        register check :meth:`bind` relies on."""
+        _check_register(op, self.n_qubits)
         for index in op.weight_indices:
             self._num_weights = max(self._num_weights, index + 1)
         self.ops.append(op)
@@ -416,7 +480,7 @@ class ParameterizedCircuit:
                 f"expected weight vector of shape ({self.num_weights},), "
                 f"got {weights.shape}"
             )
-        circuit = QuantumCircuit(self.n_qubits)
+        instructions: List[Instruction] = []
         for op in self.ops:
             params: List[float] = []
             for slot in op.slots:
@@ -430,8 +494,11 @@ class ParameterizedCircuit:
                             "circuit contains encoder gates; provide features_row"
                         )
                     params.append(float(features_row[int(slot.value)]))
-            circuit.add(op.gate, op.qubits, params)
-        return circuit
+            # ParamOp and add_op validated the gate and its qubits
+            instructions.append(
+                trusted_instruction(op.gate, op.qubits, tuple(params))
+            )
+        return trusted_circuit(self.n_qubits, instructions)
 
     def weight_to_ops(self) -> Dict[int, List[int]]:
         """Map weight index -> indices of ops that read it."""

@@ -15,11 +15,12 @@ from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..devices.library import Device
-from ..quantum.circuit import QuantumCircuit
+from ..quantum.circuit import QuantumCircuit, trusted_circuit, trusted_instruction
 from ..utils.rng import ensure_rng, stable_seed
 from .decompose import decompose_circuit
 from .layout import (
     Layout,
+    layout_from_dict,
     layout_from_sequence,
     noise_adaptive_layout,
     sabre_layout,
@@ -95,13 +96,14 @@ class CompiledCircuit:
         if self._reduced is None:
             used = self.used_qubits
             index = {phys: i for i, phys in enumerate(used)}
-            reduced = QuantumCircuit(max(len(used), 1))
-            for instruction in self.circuit.instructions:
-                reduced.add(
+            reduced = trusted_circuit(max(len(used), 1), [
+                trusted_instruction(
                     instruction.gate,
                     tuple(index[q] for q in instruction.qubits),
                     instruction.params,
                 )
+                for instruction in self.circuit.instructions
+            ])
             self._reduced = (reduced, used)
         return self._reduced
 
@@ -213,7 +215,7 @@ def _resolve_layout(
             return sabre_layout(circuit, device, rng=rng)
         raise ValueError(f"unknown layout strategy '{initial_layout}'")
     if isinstance(initial_layout, dict):
-        return dict(initial_layout)
+        return layout_from_dict(initial_layout, device)
     return layout_from_sequence(list(initial_layout), device)
 
 
@@ -254,7 +256,7 @@ def transpile(
             "route", route_circuit, circuit, device, layout
         )
         lowered = _traced("decompose", decompose_circuit, routed.circuit)
-        optimized = QuantumCircuit(
+        optimized = trusted_circuit(
             lowered.n_qubits, _optimize(lowered.instructions, optimization_level)
         )
         return CompiledCircuit(

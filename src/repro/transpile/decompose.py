@@ -9,10 +9,13 @@ Every rule is written once and serves both compilation pipelines.  What
 differs between them arrives as keyword-only hooks that default to the
 concrete pipeline: ``make(gate, qubits, params)`` builds an emitted gate,
 ``is_zero(angle)`` decides a zero-angle branch and ``norm(angle)`` wraps an
-emitted angle.  The parametric pipeline (:mod:`.parametric`) runs the same
-rules over angle expressions, with an ``is_zero`` that records a guard and an
-identity ``norm``; its bind-time replay emits ``(gate, qubits, params)``
-tuples.
+emitted angle.  The rules only ever lower instructions that were validated
+where the circuit entered the compiler, so the default ``make`` is
+:func:`~repro.quantum.circuit.trusted_instruction`, which checks nothing;
+every emitted angle is a ``float``.  The parametric pipeline
+(:mod:`.parametric`) runs the same rules over angle expressions, with an
+``is_zero`` that records a guard and an identity ``norm``; its bind-time
+replay emits ``(gate, qubits, params)`` tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..quantum.circuit import Instruction, QuantumCircuit
+from ..quantum.circuit import (
+    Instruction,
+    QuantumCircuit,
+    trusted_circuit,
+    trusted_instruction,
+)
 from ..quantum.gates import gate_matrix
 
 __all__ = [
@@ -137,7 +145,7 @@ def u3_angles_from_matrix(matrix: np.ndarray) -> Tuple[float, float, float]:
 
 def decompose_u3(
     qubit: int, theta, phi, lam, *,
-    make=Instruction, is_zero=_is_zero_angle, norm=_normalize_angle,
+    make=trusted_instruction, is_zero=_is_zero_angle, norm=_normalize_angle,
 ) -> List:
     """Compile ``U3`` to the ``RZ/SX`` basis with the zero-angle special cases."""
     if is_zero(theta):
@@ -165,7 +173,7 @@ def compiled_gate_count_u3(theta: float, phi: float, lam: float) -> int:
 
 
 def _decompose_single_qubit(
-    gate: str, qubit: int, params: Tuple[float, ...], make=Instruction
+    gate: str, qubit: int, params: Tuple[float, ...], make=trusted_instruction
 ) -> List:
     """One single-qubit gate with float angles in the basis, built by ``make``."""
     if gate in ("rz", "x", "sx"):
@@ -187,7 +195,7 @@ def _decompose_one(instruction: Instruction) -> List[Instruction]:
     )
 
 
-def _two_qubit_rules(instruction, make=Instruction) -> List | None:
+def _two_qubit_rules(instruction, make=trusted_instruction) -> List | None:
     """Known exact decompositions of two-qubit gates into CX + 1q gates."""
     gate = instruction.gate
     a, b = instruction.qubits
@@ -286,7 +294,7 @@ def _two_qubit_rules(instruction, make=Instruction) -> List | None:
 
 def decompose_instruction(
     instruction: Instruction, *,
-    make=Instruction, single=_decompose_one, is_zero=_is_zero_angle,
+    make=trusted_instruction, single=_decompose_one, is_zero=_is_zero_angle,
 ) -> List:
     """Decompose one instruction into the basis gate set.
 
@@ -313,7 +321,8 @@ def decompose_instruction(
 
 def decompose_circuit(circuit: QuantumCircuit) -> QuantumCircuit:
     """Decompose every instruction of a circuit into the basis gate set."""
-    out = QuantumCircuit(circuit.n_qubits)
-    for instruction in circuit.instructions:
-        out.extend(decompose_instruction(instruction))
-    return out
+    return trusted_circuit(circuit.n_qubits, [
+        piece
+        for instruction in circuit.instructions
+        for piece in decompose_instruction(instruction)
+    ])

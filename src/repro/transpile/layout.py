@@ -27,6 +27,7 @@ __all__ = [
     "Layout",
     "trivial_layout",
     "layout_from_sequence",
+    "layout_from_dict",
     "interaction_weights",
     "layout_fidelity_score",
     "noise_adaptive_layout",
@@ -45,6 +46,17 @@ def trivial_layout(n_logical: int, device: Device) -> Layout:
     return {i: i for i in range(n_logical)}
 
 
+def _checked(layout: Layout, device: Device) -> Layout:
+    """``layout`` if its physical qubits are distinct and on ``device``."""
+    physical = list(layout.values())
+    if len(set(physical)) != len(physical):
+        raise ValueError("layout assigns the same physical qubit twice")
+    for qubit in physical:
+        if not 0 <= qubit < device.n_qubits:
+            raise ValueError(f"physical qubit {qubit} outside device of size {device.n_qubits}")
+    return layout
+
+
 def layout_from_sequence(physical_qubits: Sequence[int], device: Device) -> Layout:
     """Build a layout from an ordered list of physical qubits.
 
@@ -52,13 +64,17 @@ def layout_from_sequence(physical_qubits: Sequence[int], device: Device) -> Layo
     interpreted: position ``i`` of the gene holds the physical qubit assigned
     to logical qubit ``i``.
     """
-    physical = [int(q) for q in physical_qubits]
-    if len(set(physical)) != len(physical):
-        raise ValueError("layout assigns the same physical qubit twice")
-    for qubit in physical:
-        if not 0 <= qubit < device.n_qubits:
-            raise ValueError(f"physical qubit {qubit} outside device of size {device.n_qubits}")
-    return {logical: phys for logical, phys in enumerate(physical)}
+    return _checked(
+        {logical: int(phys) for logical, phys in enumerate(physical_qubits)},
+        device,
+    )
+
+
+def layout_from_dict(mapping: Dict[int, int], device: Device) -> Layout:
+    """A ``{logical: physical}`` dict as a checked layout of ``int`` qubits."""
+    return _checked(
+        {int(logical): int(phys) for logical, phys in mapping.items()}, device
+    )
 
 
 def random_layout(

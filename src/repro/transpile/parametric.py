@@ -66,10 +66,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..devices.library import Device
-from ..quantum.circuit import Instruction, ParameterizedCircuit, QuantumCircuit
-from ..quantum.gates import canonical_name, gate_matrix
+from ..quantum.circuit import (
+    Instruction,
+    ParameterizedCircuit,
+    QuantumCircuit,
+    trusted_circuit,
+    trusted_instruction,
+)
+from ..quantum.gates import gate_matrix
 from ..utils.rng import ensure_rng
-from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout
+from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout, compile_seed
 from .decompose import (
     _decompose_single_qubit,
     _gate_entries,
@@ -249,6 +255,10 @@ def _unwrapped(angle: _Expr) -> _Expr:
 class _SymbolicInstruction:
     """An instruction whose parameters are angle expressions.
 
+    Like :func:`~repro.quantum.circuit.trusted_instruction` it takes its
+    parts as they are: a canonical gate name, a tuple of ``int`` qubits and
+    a tuple of expressions, all derived from the validated input circuit.
+
     ``sources`` tracks provenance for the run re-synthesis of optimization
     level 2: the original (pre-decomposition) single-qubit gates whose
     unitaries this instruction carries.  Decomposition emits pieces whose
@@ -268,9 +278,9 @@ class _SymbolicInstruction:
         params: Tuple = (),
         sources: Optional[Tuple] = None,
     ) -> None:
-        self.gate = canonical_name(gate)
-        self.qubits = tuple(int(q) for q in qubits)
-        self.params = tuple(params)
+        self.gate = gate
+        self.qubits = qubits
+        self.params = params
         self.sources = (self,) if sources is None else sources
 
     @property
@@ -288,21 +298,9 @@ class _SymbolicInstruction:
         return gate_matrix(self.gate, self.const_params())
 
 
-class _SymbolicCircuit(QuantumCircuit):
-    """A :class:`QuantumCircuit` that stores symbolic instructions.
-
-    Routing builds its output through ``type(circuit)``, so handing this class
-    to :func:`route_circuit` (and to the layout passes, which only read gate
-    names and qubits) reuses the concrete code paths verbatim.
-    """
-
-    def add(self, gate, qubits, params=()):  # type: ignore[override]
-        return self.append(_SymbolicInstruction(gate, qubits, params))
-
-
 def _symbolic(gate: str, qubits, params: Tuple = ()) -> _SymbolicInstruction:
     """The ``make`` hook of the two-qubit rules: float angles become constants."""
-    angles = [p if isinstance(p, _Expr) else _Affine(p) for p in params]
+    angles = tuple(p if isinstance(p, _Expr) else _Affine(p) for p in params)
     return _SymbolicInstruction(gate, qubits, angles)
 
 
@@ -317,7 +315,7 @@ def _wrap_concrete(instructions: Sequence[Instruction]) -> List[_SymbolicInstruc
 
 
 def _to_concrete(inst: _SymbolicInstruction) -> Instruction:
-    return Instruction(inst.gate, inst.qubits, inst.const_params())
+    return trusted_instruction(inst.gate, inst.qubits, inst.const_params())
 
 
 def _fuse_sources(
@@ -332,20 +330,6 @@ def _fuse_sources(
 def _emit_tuple(gate: str, qubits: Tuple[int, ...], params: Tuple) -> Tuple:
     """The bind-time ``make`` hook: ``(gate, qubits, params)``, no Instruction."""
     return (gate, qubits, params)
-
-
-def _fast_instruction(gate: str, qubits: Tuple[int, ...], params: Tuple) -> Instruction:
-    """Build an :class:`Instruction` without re-validating.
-
-    Template slots were validated when the structure was compiled; re-running
-    ``__post_init__`` (gate registry lookups, arity checks) per binding would
-    dominate bind time.
-    """
-    instruction = object.__new__(Instruction)
-    object.__setattr__(instruction, "gate", gate)
-    object.__setattr__(instruction, "qubits", qubits)
-    object.__setattr__(instruction, "params", params)
-    return instruction
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +543,7 @@ class _TraceState:
             self.guards.append(_Guard(expr, verdict))
         return verdict
 
-    def decompose_circuit(self, circuit: _SymbolicCircuit) -> List:
+    def decompose_circuit(self, circuit: QuantumCircuit) -> List:
         """Lower every instruction of a routed circuit."""
         return [
             piece for inst in circuit.instructions for piece in self.decompose(inst)
@@ -674,7 +658,7 @@ class _LayoutCandidate:
 
     __slots__ = ("circuit", "trace", "routed")
 
-    def __init__(self, circuit: _SymbolicCircuit, trace, routed) -> None:
+    def __init__(self, circuit: QuantumCircuit, trace, routed) -> None:
         self.circuit = circuit
         self.trace = trace
         self.routed = routed
@@ -770,12 +754,10 @@ class ParametricCompiledCircuit:
         for inst in chosen.circuit.instructions:
             reduced_qubits = tuple(index[q] for q in inst.qubits)
             if inst.is_const():
-                # the symbolic instruction already holds a canonical name,
-                # int qubits and float angles: nothing left to validate
                 params = inst.const_params()
-                self._slots.append(_fast_instruction(inst.gate, inst.qubits, params))
+                self._slots.append(trusted_instruction(inst.gate, inst.qubits, params))
                 self._reduced_slots.append(
-                    _fast_instruction(inst.gate, reduced_qubits, params)
+                    trusted_instruction(inst.gate, reduced_qubits, params)
                 )
             else:
                 plan = tuple(plan_param(expr) for expr in inst.params)
@@ -869,22 +851,21 @@ class ParametricCompiledCircuit:
                     affine[item] if type(item) is int else item.evaluate(ctx)
                     for item in plan
                 )
-                append(_fast_instruction(gate, qubits, params))
-                reduced_append(_fast_instruction(gate, reduced_slot[1], params))
+                append(trusted_instruction(gate, qubits, params))
+                reduced_append(trusted_instruction(gate, reduced_slot[1], params))
 
-        physical = QuantumCircuit(self.device.n_qubits)
-        physical.instructions = instructions
-        reduced = QuantumCircuit(max(len(self.used_qubits), 1))
-        reduced.instructions = reduced_instructions
         compiled = CompiledCircuit(
-            circuit=physical,
+            circuit=trusted_circuit(self.device.n_qubits, instructions),
             device=self.device,
             initial_layout=dict(self.initial_layout),
             final_layout=dict(self.final_layout),
             used_qubits=self.used_qubits,
             num_swaps=self.num_swaps,
         )
-        compiled._reduced = (reduced, self.used_qubits)
+        compiled._reduced = (
+            trusted_circuit(max(len(self.used_qubits), 1), reduced_instructions),
+            self.used_qubits,
+        )
         return compiled
 
     def try_bind(self, values: np.ndarray) -> Optional[CompiledCircuit]:
@@ -1069,14 +1050,17 @@ def num_feature_params(circuit: ParameterizedCircuit) -> int:
     return highest + 1
 
 
-def _symbolic_logical_circuit(circuit: ParameterizedCircuit) -> _SymbolicCircuit:
+def _symbolic_logical_circuit(circuit: ParameterizedCircuit) -> QuantumCircuit:
     """The logical circuit with parameter slots lifted to affine expressions.
 
     The parameter vector is the concatenation of the trainable weight vector
-    and the per-sample feature vector, in that order.
+    and the per-sample feature vector, in that order.  Symbolic circuits are
+    :class:`QuantumCircuit` objects over :class:`_SymbolicInstruction`, so the
+    layout passes, which read only gate names and qubits, take them as they
+    are.
     """
     n_weights = circuit.num_weights
-    symbolic = _SymbolicCircuit(circuit.n_qubits)
+    instructions: List[_SymbolicInstruction] = []
     for op in circuit.ops:
         exprs: List[_Affine] = []
         for slot in op.slots:
@@ -1086,8 +1070,8 @@ def _symbolic_logical_circuit(circuit: ParameterizedCircuit) -> _SymbolicCircuit
                 exprs.append(_Affine.parameter(int(slot.value)))
             else:  # input feature
                 exprs.append(_Affine.parameter(n_weights + int(slot.value)))
-        symbolic.append(_SymbolicInstruction(op.gate, op.qubits, tuple(exprs)))
-    return symbolic
+        instructions.append(_SymbolicInstruction(op.gate, op.qubits, tuple(exprs)))
+    return trusted_circuit(circuit.n_qubits, instructions)
 
 
 def _default_witness(n_params: int, seed: Optional[int]) -> np.ndarray:
@@ -1113,10 +1097,11 @@ def parametric_transpile(
     branches; bindings that take the same branches (the overwhelmingly common
     case for generic angles) bind exactly, the rest raise
     :class:`ParametricBindMismatch` from :meth:`ParametricCompiledCircuit.bind`.
+    Without a ``seed`` the SABRE draws are seeded by :func:`compile_seed` of
+    the structure, as :func:`transpile` seeds those of each bound row.
     """
     if not 0 <= optimization_level <= 3:
         raise ValueError("optimization_level must be between 0 and 3")
-    rng = ensure_rng(seed)
     n_weights = circuit.num_weights
     n_features = num_feature_params(circuit)
     if witness_values is None:
@@ -1127,10 +1112,19 @@ def parametric_transpile(
             raise ValueError(
                 f"witness needs at least {n_weights + n_features} values"
             )
+    if seed is None:
+        seed = compile_seed(
+            device, initial_layout, optimization_level,
+            circuit.n_qubits, circuit.ops,
+        )
+    rng = ensure_rng(seed)
     symbolic = _symbolic_logical_circuit(circuit)
 
     def compile_with_layout(layout) -> _LayoutCandidate:
-        routed = _traced("route", route_circuit, symbolic, device, layout)
+        routed = _traced(
+            "route", route_circuit, symbolic, device, layout,
+            make=_SymbolicInstruction,
+        )
         resynthesize = optimization_level >= 2
         trace = _TraceState(
             witness,
@@ -1144,7 +1138,7 @@ def parametric_transpile(
             is_zero=trace.is_zero, fuse=_fuse_sources, flush=trace.flush,
         )
         return _LayoutCandidate(
-            _SymbolicCircuit(device.n_qubits, optimized), trace, routed
+            trusted_circuit(device.n_qubits, optimized), trace, routed
         )
 
     base_layout = _resolve_layout(symbolic, device, initial_layout, rng)

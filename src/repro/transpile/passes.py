@@ -5,19 +5,27 @@ public :class:`QuantumCircuit` passes wrap it.  The cores read only gate
 names, qubits and angles through keyword-only hooks that default to the
 concrete pipeline: ``is_zero(angle)`` decides a zero-angle branch,
 ``fuse(first, second, angle)`` builds the RZ two merged RZs become, and
-``flush(qubit, run)`` re-emits a run of single-qubit gates.  The parametric
-pipeline passes hooks that record guards, carry provenance and replay runs
-at bind time (:mod:`.parametric`).
+``flush(qubit, run)`` re-emits a run of single-qubit gates.  The passes only
+see instructions validated where the circuit entered the compiler, so the
+default hooks build what they emit through
+:func:`~repro.quantum.circuit.trusted_instruction`, unchecked.  The
+parametric pipeline passes hooks that record guards, carry provenance and
+replay runs at bind time (:mod:`.parametric`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .. import telemetry
-from ..quantum.circuit import Instruction, QuantumCircuit
+from ..quantum.circuit import (
+    Instruction,
+    QuantumCircuit,
+    trusted_circuit,
+    trusted_instruction,
+)
 from .decompose import _is_zero_angle, decompose_u3, u3_angles_from_matrix
 
 __all__ = [
@@ -41,13 +49,14 @@ def _traced(step: str, compiler_pass, *args, **kwargs):
         return compiler_pass(*args, **kwargs)
 
 
-def _last_touching(instructions: List, qubits) -> Optional[int]:
-    """Index of the most recent instruction that touches any of ``qubits``."""
-    target = set(qubits)
-    for index in range(len(instructions) - 1, -1, -1):
-        if target & set(instructions[index].qubits):
-            return index
-    return None
+#: two-qubit gates that are their own inverse
+_SELF_INVERSE_2Q = frozenset({"cx", "cz", "swap"})
+
+# The CX-cancel and RZ-merge passes look up a qubit's latest output
+# instruction in ``last`` (qubit -> position in ``out``) instead of scanning
+# ``out`` backwards.  Only a gate the pass may remove records ``below``, the
+# positions it covered on its qubits; removing it (always the latest on each
+# of its qubits) leaves a ``None`` hole in ``out`` and restores ``last``.
 
 
 def cancel_adjacent_inverse_cx_run(instructions: List) -> List:
@@ -56,35 +65,42 @@ def cancel_adjacent_inverse_cx_run(instructions: List) -> List:
     Reads only ``.gate`` and ``.qubits``, never an angle, so it needs no
     hooks: both pipelines run it as it is.
     """
-    self_inverse_2q = {"cx", "cz", "swap"}
     out: List = []
+    last: Dict[int, int] = {}
+    below: Dict[int, Tuple[int, int]] = {}
     for instruction in instructions:
-        if instruction.gate in self_inverse_2q:
-            previous = _last_touching(out, instruction.qubits)
-            if previous is not None:
+        qubits = instruction.qubits
+        if instruction.gate in _SELF_INVERSE_2Q:
+            a, b = qubits
+            covered = (last.get(a, -1), last.get(b, -1))
+            # the latest op on either qubit; one acting on both qubits is
+            # then the latest on each
+            previous = max(covered)
+            if previous >= 0:
                 candidate = out[previous]
-                same = (
+                if (
                     candidate.gate == instruction.gate
-                    and candidate.qubits == instruction.qubits
-                )
-                # the candidate must be the latest op on *both* qubits
-                blocking = _last_touching(out[previous + 1 :], instruction.qubits)
-                if same and blocking is None:
-                    out.pop(previous)
+                    and candidate.qubits == qubits
+                ):
+                    out[previous] = None
+                    last[a], last[b] = below.pop(previous)
                     continue
+            below[len(out)] = covered
+        for qubit in qubits:
+            last[qubit] = len(out)
         out.append(instruction)
-    return out
+    return [instruction for instruction in out if instruction is not None]
 
 
 def cancel_adjacent_inverse_cx(circuit: QuantumCircuit) -> QuantumCircuit:
     """Remove back-to-back identical CX (and CZ/SWAP) pairs."""
-    result = QuantumCircuit(circuit.n_qubits)
-    result.extend(cancel_adjacent_inverse_cx_run(circuit.instructions))
-    return result
+    return trusted_circuit(
+        circuit.n_qubits, cancel_adjacent_inverse_cx_run(circuit.instructions)
+    )
 
 
 def _fuse_rz(first: Instruction, second: Instruction, angle: float) -> Instruction:
-    return Instruction("rz", second.qubits, (angle,))
+    return trusted_instruction("rz", second.qubits, (angle,))
 
 
 def _merge_adjacent_rz_run(
@@ -92,30 +108,36 @@ def _merge_adjacent_rz_run(
 ) -> List:
     """List-level core of :func:`merge_adjacent_rz`."""
     out: List = []
+    last: Dict[int, int] = {}
+    below: Dict[int, int] = {}
     for instruction in instructions:
         if instruction.gate == "rz":
-            previous = _last_touching(out, instruction.qubits)
-            if (
-                previous is not None
-                and out[previous].gate == "rz"
-                and out[previous].qubits == instruction.qubits
-            ):
-                first = out.pop(previous)
+            (qubit,) = instruction.qubits
+            previous = last.get(qubit, -1)
+            if previous >= 0 and out[previous].gate == "rz":
+                first = out[previous]
+                out[previous] = None
+                last[qubit] = below.pop(previous)
                 merged = first.params[0] + instruction.params[0]
                 if not is_zero(merged):
+                    below[len(out)] = last[qubit]
+                    last[qubit] = len(out)
                     out.append(fuse(first, instruction, merged))
                 continue
             if is_zero(instruction.params[0]):
                 continue
+            below[len(out)] = previous
+        for qubit in instruction.qubits:
+            last[qubit] = len(out)
         out.append(instruction)
-    return out
+    return [instruction for instruction in out if instruction is not None]
 
 
 def merge_adjacent_rz(circuit: QuantumCircuit) -> QuantumCircuit:
     """Fuse consecutive RZ rotations on the same qubit; drop zero rotations."""
-    result = QuantumCircuit(circuit.n_qubits)
-    result.extend(_merge_adjacent_rz_run(circuit.instructions))
-    return result
+    return trusted_circuit(
+        circuit.n_qubits, _merge_adjacent_rz_run(circuit.instructions)
+    )
 
 
 def _drop_identity_run(instructions: List, *, is_zero=_is_zero_angle) -> List:
@@ -132,16 +154,18 @@ def _drop_identity_run(instructions: List, *, is_zero=_is_zero_angle) -> List:
 
 def drop_identity_rotations(circuit: QuantumCircuit, atol: float = 1e-9):
     """Remove rotations whose angles are all ~0 (they compile to identity)."""
-    result = QuantumCircuit(circuit.n_qubits)
-    result.extend(_drop_identity_run(
+    return trusted_circuit(circuit.n_qubits, _drop_identity_run(
         circuit.instructions, is_zero=lambda angle: _is_zero_angle(angle, atol)
     ))
-    return result
+
+
+_IDENTITY = np.eye(2, dtype=complex)
+_IDENTITY.setflags(write=False)
 
 
 def _flush_run(qubit: int, run: List) -> List[Instruction]:
     """Multiply a run's 2x2 matrices and re-emit the product as one U3."""
-    matrix = np.eye(2, dtype=complex)
+    matrix = _IDENTITY
     for instruction in run:
         matrix = instruction.matrix() @ matrix
     theta, phi, lam = u3_angles_from_matrix(matrix)
@@ -174,9 +198,9 @@ def resynthesize_single_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     which both shortens the circuit and restores the zero-angle special cases
     after pruning.
     """
-    result = QuantumCircuit(circuit.n_qubits)
-    result.extend(_resynthesize_run(circuit.instructions))
-    return result
+    return trusted_circuit(
+        circuit.n_qubits, _resynthesize_run(circuit.instructions)
+    )
 
 
 def _optimize(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..quantum.circuit import Instruction, QuantumCircuit
+from ..quantum.circuit import QuantumCircuit, trusted_circuit, trusted_instruction
 from ..devices.library import Device
 
 __all__ = ["RoutedCircuit", "route_circuit"]
@@ -27,13 +27,20 @@ class RoutedCircuit:
 
 
 def route_circuit(
-    circuit: QuantumCircuit, device: Device, initial_layout: Dict[int, int]
+    circuit: QuantumCircuit, device: Device, initial_layout: Dict[int, int],
+    *, make=trusted_instruction,
 ) -> RoutedCircuit:
     """Insert SWAPs so every two-qubit gate acts on coupled physical qubits.
 
     A greedy shortest-path router: when a two-qubit gate addresses physical
     qubits that are not adjacent, SWAPs are inserted along a shortest path to
     bring the first operand next to the second.
+
+    ``initial_layout`` must be a checked layout (``int`` physical qubits,
+    distinct and on the device, as the compiler's layout resolution returns),
+    so every routed gate is built unchecked by ``make(gate, qubits,
+    params)``.  The parametric pipeline passes its symbolic instruction
+    class and routes through this same code.
     """
     topology = device.topology
     if circuit.n_qubits > device.n_qubits:
@@ -47,17 +54,13 @@ def route_circuit(
             raise ValueError(f"initial layout is missing logical qubit {logical}")
     physical_to_logical = {p: l for l, p in logical_to_physical.items()}
 
-    # The routed circuit is built through the input's class so that IR
-    # variants (e.g. the parametric transpiler's symbolic circuits, whose
-    # parameters are expressions instead of floats) route through the exact
-    # same code path as concrete circuits.
-    routed = type(circuit)(device.n_qubits)
+    routed: list = []
     num_swaps = 0
     used: set[int] = set(logical_to_physical.values())
 
     def apply_swap(phys_a: int, phys_b: int) -> None:
         nonlocal num_swaps
-        routed.add("swap", (phys_a, phys_b))
+        routed.append(make("swap", (phys_a, phys_b), ()))
         num_swaps += 1
         logical_a = physical_to_logical.get(phys_a)
         logical_b = physical_to_logical.get(phys_b)
@@ -76,7 +79,7 @@ def route_circuit(
     for instruction in circuit.instructions:
         if len(instruction.qubits) == 1:
             physical = logical_to_physical[instruction.qubits[0]]
-            routed.add(instruction.gate, (physical,), instruction.params)
+            routed.append(make(instruction.gate, (physical,), instruction.params))
             used.add(physical)
             continue
         logical_a, logical_b = instruction.qubits
@@ -89,11 +92,11 @@ def route_circuit(
                 apply_swap(path[step], path[step + 1])
             phys_a = logical_to_physical[logical_a]
             phys_b = logical_to_physical[logical_b]
-        routed.add(instruction.gate, (phys_a, phys_b), instruction.params)
+        routed.append(make(instruction.gate, (phys_a, phys_b), instruction.params))
         used.update((phys_a, phys_b))
 
     return RoutedCircuit(
-        circuit=routed,
+        circuit=trusted_circuit(device.n_qubits, routed),
         initial_layout=dict(initial_layout),
         final_layout=dict(logical_to_physical),
         num_swaps=num_swaps,

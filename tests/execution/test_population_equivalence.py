@@ -5,7 +5,8 @@ numbers: expectations, losses and evolution rankings must agree with the
 per-candidate seed path to 1e-9 in both estimator modes the co-search uses
 (``noise_sim`` and ``success_rate``).  Noise-free terms run the seed path's
 own forward pass, so ``noise_free`` and ``success_rate`` scores agree bit
-for bit.
+for bit, and so do VQE ``noise_sim`` energies, whose one binding per
+candidate is compiled as the seed path compiles it.
 """
 
 from __future__ import annotations
@@ -241,8 +242,9 @@ def test_oversized_qml_population_matches_seed_path(
 
 @pytest.mark.parametrize("mode", ["noise_free", "success_rate", "noise_sim"])
 def test_vqe_population_energies_match(yorktown, seed_path_scorer, mode):
-    """Energies equal the seed path's where only the noise-free forward and
-    the compiled success rate enter, and agree to 1e-9 in noise_sim."""
+    """Energies equal the seed path's in every mode: the noise-free forward
+    is the seed path's, and each candidate's one binding is compiled
+    concretely, as the seed path compiles it."""
     molecule, supercircuit, candidates = h2_population(yorktown)
     config = EstimatorConfig(mode=mode, n_valid_samples=8)
 
@@ -250,18 +252,47 @@ def test_vqe_population_energies_match(yorktown, seed_path_scorer, mode):
                            molecule=molecule)(candidates)
     bat = batched_engine(yorktown, supercircuit, config) \
         .evaluate_vqe_population(candidates, molecule)
-    if mode == "noise_sim":
-        np.testing.assert_allclose(bat, seq, rtol=0, atol=ATOL)
-    else:
-        assert bat == seq
+    assert bat == seq
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("molecule_name,device_name", [
+    ("h2", "yorktown"), ("lih", "jakarta"),
+])
+def test_vqe_noise_sim_compiles_no_template(seed_path_scorer, molecule_name,
+                                            device_name, workers):
+    """A VQE candidate has one binding, so the engine traces no parametric
+    template for it: noise_sim energies equal the seed path's bit for bit,
+    in process and sharded."""
+    device = get_device(device_name)
+    molecule, supercircuit, candidates = vqe_population(
+        device, load_molecule(molecule_name)
+    )
+    config = EstimatorConfig(mode="noise_sim", workers=workers,
+                             shard_min_group_size=2)
+    estimator = PerformanceEstimator(device, config)
+
+    with estimator.population_engine(supercircuit) as engine:
+        energies = engine.evaluate_vqe_population(candidates, molecule)
+        if workers > 1:
+            assert engine.scheduler_stats.sharded_generations == 1
+
+    assert energies == seed_path_scorer(device, supercircuit, config,
+                                        molecule=molecule)(candidates)
+    parametric = estimator.parametric_transpile_cache.stats
+    assert parametric.structure_misses == parametric.bind_requests == 0
+    assert estimator.transpile_cache.stats.misses > 0
+
+
+def vqe_population(device, molecule):
+    space = get_design_space("u3cu3")
+    supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
+    candidates = make_population(space, molecule.n_qubits, device, seed=7, size=5)
+    return molecule, supercircuit, candidates
 
 
 def h2_population(yorktown):
-    molecule = load_molecule("h2")
-    space = get_design_space("u3cu3")
-    supercircuit = SuperCircuit(space, molecule.n_qubits, encoder=None, seed=3)
-    candidates = make_population(space, molecule.n_qubits, yorktown, seed=7, size=5)
-    return molecule, supercircuit, candidates
+    return vqe_population(yorktown, load_molecule("h2"))
 
 
 def test_vqe_noise_sim_population_runs_no_noise_free_probe(yorktown):

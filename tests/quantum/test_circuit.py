@@ -42,6 +42,18 @@ class TestQuantumCircuit:
         with pytest.raises(ValueError):
             circuit.add("x", (2,))
 
+    @pytest.mark.parametrize("qubits", [(-1,), (0, -1), (-2, 1)])
+    def test_append_rejects_negative_qubits(self, qubits):
+        """A negative index would address a wire from the end of the state
+        and simulate a wrong circuit without an error."""
+        circuit = QuantumCircuit(2)
+        gate = "x" if len(qubits) == 1 else "cx"
+        with pytest.raises(ValueError, match="outside register"):
+            circuit.add(gate, qubits)
+        with pytest.raises(ValueError, match="outside register"):
+            QuantumCircuit(2, [Instruction(gate, qubits)])
+        assert len(circuit) == 0
+
     def test_depth_and_counts(self):
         circuit = QuantumCircuit(3)
         circuit.add("h", (0,))
@@ -161,3 +173,58 @@ class TestParameterizedCircuit:
             ParamOp("rx", (0,), (const(0.1), const(0.2)))
         assert weight(3).kind == "weight"
         assert feature(2).kind == "input"
+
+    @pytest.mark.parametrize("gate,qubits,slots", [
+        ("cx", (0,), ()),
+        ("x", (0, 1), ()),
+        ("cx", (1, 1), ()),
+        ("cu3", (1, 1), (weight(0), weight(1), weight(2))),
+    ])
+    def test_param_op_checks_arity_and_distinct_qubits(self, gate, qubits, slots):
+        with pytest.raises(ValueError):
+            ParamOp(gate, qubits, slots)
+
+    def test_trainable_gate_on_one_qubit_twice_is_rejected(self):
+        """A cu3 on (1, 1) would compile to a cx on (1, 1); it is refused
+        where it enters, and allocates no weights."""
+        pcirc = ParameterizedCircuit(2)
+        with pytest.raises(ValueError, match="duplicate qubits"):
+            pcirc.add_trainable("cu3", (1, 1))
+        assert pcirc.ops == [] and pcirc.num_weights == 0
+
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_every_add_path_checks_the_register(self, qubit):
+        pcirc = ParameterizedCircuit(2)
+        adds = [
+            lambda: pcirc.add_fixed("rx", (qubit,), (0.3,)),
+            lambda: pcirc.add_trainable("u3", (qubit,)),
+            lambda: pcirc.add_trainable("cu3", (0, qubit)),
+            lambda: pcirc.add_encoder("ry", (qubit,), (0,)),
+            lambda: pcirc.add_op(ParamOp("cx", (qubit, 0))),
+            lambda: pcirc.add_op(ParamOp("rz", (qubit,), (weight(4),))),
+        ]
+        for add in adds:
+            with pytest.raises(ValueError, match="outside register"):
+                add()
+        assert pcirc.ops == [] and pcirc.num_weights == 0
+
+    def test_rejects_an_empty_register(self):
+        with pytest.raises(ValueError):
+            ParameterizedCircuit(0)
+
+    def test_bind_emits_validated_instructions(self):
+        """bind skips re-validation; each instruction it emits still equals
+        the validated Instruction it stands for, with int qubits and float
+        angles, aliases and numpy indices included."""
+        pcirc = ParameterizedCircuit(3)
+        pcirc.add_fixed("CNOT", (np.int64(2), 0))
+        pcirc.add_trainable("U3", [np.int32(1)])
+        pcirc.add_encoder("ry", (0,), (1,))
+        pcirc.add_fixed("rzz", (0, 2), (np.float32(0.25),))
+        bound = pcirc.bind(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.5]))
+        assert [inst.gate for inst in bound] == ["cx", "u3", "ry", "rzz"]
+        for inst in bound:
+            assert inst == Instruction(inst.gate, inst.qubits, inst.params)
+            assert all(type(q) is int for q in inst.qubits)
+            assert all(type(p) is float for p in inst.params)
+            assert type(inst.qubits) is tuple and type(inst.params) is tuple

@@ -17,6 +17,7 @@ from repro.devices.library import get_device
 from repro.execution import ParametricTranspileCache
 from repro.quantum.circuit import ParameterizedCircuit, QuantumCircuit
 from repro.transpile.compiler import compile_key, compile_seed, transpile
+from repro.transpile.parametric import _default_witness, parametric_transpile
 
 
 def ring(n_qubits: int = 5) -> ParameterizedCircuit:
@@ -117,6 +118,25 @@ def test_bound_rows_compile_like_unseeded_transpiles_at_level_3():
                                    optimization_level=3)
         fresh = transpile(circuit.bind(weights), device, optimization_level=3)
         assert compiled.initial_layout == fresh.initial_layout
+        assert [(i.gate, i.qubits) for i in compiled.circuit.instructions] == [
+            (i.gate, i.qubits) for i in fresh.circuit.instructions
+        ]
+
+
+def test_seedless_parametric_transpile_pins_its_sabre_draws():
+    """Without a seed, a level-3 template draws its SABRE layouts from
+    :func:`compile_seed` of the structure, as ``transpile`` does for every
+    bound row: every seedless template binds its witness to the seedless
+    transpile of that row."""
+    device = get_device("jakarta")
+    circuit = ring()
+    witness = _default_witness(circuit.num_weights, None)
+    fresh = transpile(circuit.bind(witness), device, optimization_level=3)
+    for _ in range(8):
+        template = parametric_transpile(circuit, device, optimization_level=3)
+        compiled = template.bind(witness)
+        assert compiled.initial_layout == fresh.initial_layout
+        assert compiled.final_layout == fresh.final_layout
         assert [(i.gate, i.qubits) for i in compiled.circuit.instructions] == [
             (i.gate, i.qubits) for i in fresh.circuit.instructions
         ]

@@ -172,6 +172,51 @@ def test_bind_matches_fresh_transpile(layout_kind, optimization_level):
     assert bound >= MIN_BINDS[optimization_level][layout_kind]
 
 
+def assert_valid_stream(circuit):
+    """Every instruction re-validates and lies inside its register."""
+    for inst in circuit.instructions:
+        assert inst == Instruction(inst.gate, inst.qubits, inst.params)
+        assert type(inst.qubits) is tuple and type(inst.params) is tuple
+        assert all(type(q) is int and 0 <= q < circuit.n_qubits
+                   for q in inst.qubits)
+        assert all(isinstance(p, float) for p in inst.params)
+
+
+@pytest.mark.parametrize("layout_kind", LAYOUT_KINDS)
+@pytest.mark.parametrize("optimization_level", [0, 1, 2, 3])
+def test_compiled_instructions_revalidate(layout_kind, optimization_level):
+    """Compiles, reduced circuits and template binds build their
+    instructions unchecked; each one must still be an instruction the
+    validating constructor accepts, on the register it belongs to."""
+    rng = np.random.default_rng(
+        7 * optimization_level + 13 * LAYOUT_KINDS.index(layout_kind)
+    )
+    for _trial in range(3):
+        n_qubits = int(rng.integers(2, 7))
+        device = get_device("yorktown") if n_qubits <= 5 else get_device("jakarta")
+        circuit = random_parameterized_circuit(n_qubits, int(rng.integers(5, 16)), rng)
+        layout = layout_spec(layout_kind, n_qubits, device, rng)
+        weights, features = random_binding(circuit, rng)
+        template = parametric_transpile(
+            circuit, device, initial_layout=layout,
+            optimization_level=optimization_level,
+            witness_values=np.concatenate([weights, features]),
+        )
+        compiled = [transpile(circuit.bind(weights, features), device,
+                              initial_layout=layout,
+                              optimization_level=optimization_level)]
+        for _row in range(3):
+            compiled.append(template.try_bind(np.concatenate([weights, features])))
+            weights, features = random_binding(circuit, rng)
+        for result in compiled:
+            if result is None:
+                continue
+            assert_valid_stream(result.circuit)
+            reduced, used = result.reduced_circuit()
+            assert reduced.n_qubits == max(len(used), 1)
+            assert_valid_stream(reduced)
+
+
 def test_noisy_probabilities_match_to_1e9(yorktown):
     """Bound templates produce backend probabilities identical to fresh compiles."""
     rng = np.random.default_rng(5)
