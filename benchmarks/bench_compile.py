@@ -6,8 +6,13 @@ gates per bound circuit) are drawn by a seeded ``ConfigSampler``; each gets
 random features and a random qubit mapping and is compiled for yorktown at
 optimization level 2, the paper's setting.  The benchmark prints the min-of-N
 milliseconds per ``transpile`` of a bound circuit and per
-``parametric_transpile`` of its structure, and asserts no timing: a timing
-gate would read the host's load.
+``parametric_transpile`` of its structure, and the two steps that follow a
+template compile in the ``noise_sim`` co-search, per template and 8 rows
+(a candidate's validation samples): ``bind_batch`` (the first bind of a
+fresh template, as the search pays it, and a repeat bind) and the density
+readout (every row's logical Z expectations, read after the rows were
+simulated).  It asserts no timing: a timing gate would read the host's
+load.
 
 Its one assert is deterministic.  A circuit is validated where it enters the
 compiler, so compiling it must not build more validated ``Instruction``
@@ -20,11 +25,13 @@ derived instruction goes through the unchecked constructor.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
+from repro.backends.density import BatchedDensityRunner
 from repro.core import ConfigSampler, SuperCircuit, get_design_space
 from repro.devices import get_device
 from repro.qml import encoder_for_task
@@ -34,6 +41,8 @@ from repro.transpile.parametric import num_feature_params, parametric_transpile
 from repro.utils.tables import print_table
 
 N_CIRCUITS = 24
+#: rows per template bind: a candidate's validation samples
+N_ROWS = 8
 MAX_BLOCKS = 4
 REPEATS = 5
 OPTIMIZATION_LEVEL = 2
@@ -76,13 +85,58 @@ def counting_validations():
         Instruction.__post_init__ = original
 
 
-def _min_ms_per_compile(compile_all) -> float:
+def _min_ms_per_compile(compile_all, prepare=lambda: None) -> float:
+    """Min-of-``REPEATS`` ms per circuit of ``compile_all(prepare())``, the
+    untimed ``prepare`` run before each repeat."""
     best = float("inf")
     for _ in range(REPEATS):
+        prepared = prepare()
         start = time.perf_counter()
-        compile_all()
+        compile_all(prepared)
         best = min(best, time.perf_counter() - start)
     return 1e3 * best / N_CIRCUITS
+
+
+def _bind_and_readout_ms(device, items):
+    """ms per 8-row ``bind_batch`` (first and repeat) and per 8-row readout."""
+    rng = np.random.default_rng(SEED + 2)
+    templates, rows = [], []
+    for circuit, weights, features, mapping in items:
+        templates.append(parametric_transpile(
+            circuit, device, initial_layout=mapping,
+            optimization_level=OPTIMIZATION_LEVEL,
+            witness_values=np.concatenate([weights, features]),
+        ))
+        rows.append(np.concatenate([
+            np.broadcast_to(weights, (N_ROWS, weights.size)),
+            rng.uniform(-np.pi, np.pi, (N_ROWS, features.size)),
+        ], axis=1))
+    # a pickled copy is a fresh template: nothing of an earlier bind kept
+    fresh = pickle.dumps(templates)
+
+    def bind_all(copies):
+        return [t.bind_batch(values) for t, values in zip(copies, rows)]
+
+    def simulated():
+        runner = BatchedDensityRunner(device, max_density_qubits=8)
+        handles = [
+            runner.submit_template(binding) for _ok, binding in bind_all(templates)
+        ]
+        runner.run()
+        return handles
+
+    def read_all(handles):
+        for batch in handles:
+            for handle in batch:
+                handle.logical_z_expectations(4)
+
+    return {
+        "bind_batch_first_ms": _min_ms_per_compile(
+            bind_all, lambda: pickle.loads(fresh)
+        ),
+        "bind_batch_ms": _min_ms_per_compile(bind_all, lambda: templates),
+        "readout_ms": _min_ms_per_compile(read_all, simulated),
+    }
 
 
 def run_experiment(seed: int = SEED):
@@ -92,12 +146,12 @@ def run_experiment(seed: int = SEED):
         for circuit, weights, features, mapping in items
     ]
 
-    def concrete():
+    def concrete(_prepared):
         for circuit, mapping in bound:
             transpile(circuit, device, initial_layout=mapping,
                       optimization_level=OPTIMIZATION_LEVEL)
 
-    def parametric():
+    def parametric(_prepared):
         for circuit, weights, features, mapping in items:
             parametric_transpile(
                 circuit, device, initial_layout=mapping,
@@ -115,6 +169,7 @@ def run_experiment(seed: int = SEED):
         "gates": float(np.mean([len(circuit) for circuit, _ in bound])),
         "transpile_ms": _min_ms_per_compile(concrete),
         "parametric_transpile_ms": _min_ms_per_compile(parametric),
+        **_bind_and_readout_ms(device, items),
         "validations": validations,
     }
 
@@ -123,10 +178,14 @@ def test_compile_speed(benchmark):
     result = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     validated = sum(count for _gates, count in result["validations"])
     print_table(
-        ["compile", "ms per circuit (min of %d)" % REPEATS],
+        ["step", "ms per circuit (min of %d)" % REPEATS],
         [
             ["transpile", result["transpile_ms"]],
             ["parametric_transpile", result["parametric_transpile_ms"]],
+            [f"bind_batch, {N_ROWS} rows, first bind",
+             result["bind_batch_first_ms"]],
+            [f"bind_batch, {N_ROWS} rows, repeat", result["bind_batch_ms"]],
+            [f"density readout, {N_ROWS} rows", result["readout_ms"]],
         ],
         title=(
             f"Compile microbenchmark — {N_CIRCUITS} mnist-4 u3cu3 SubCircuits "

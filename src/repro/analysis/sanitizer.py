@@ -29,7 +29,8 @@ The same switch arms the density-matrix physics checks, all to ``1e-10``:
   the engines, every circuit :class:`~repro.devices.backend.QuantumBackend`
   runs and the estimator's seed path) is checked matrix by matrix: unit
   trace, Hermitian, smallest eigenvalue at least ``-1e-10``;
-* every row handle's ``probabilities()`` sums to 1;
+* every row of every batch's readout (the probabilities all its row
+  handles read, scores included) sums to 1;
 * every composed channel superoperator the runner memoizes preserves the
   trace;
 * every Kraus set :meth:`~repro.noise.models.NoiseModel.channels_for` hands
@@ -278,13 +279,13 @@ def check_trace_preserving(superop: np.ndarray, qubits) -> None:
         )
 
 
-def _wrap_density_runner(cls, row_cls) -> None:
+def _wrap_density_runner(cls, batch_cls) -> None:
     original_simulate = cls._simulate
     original_compose = cls._compose_channels
-    original_probabilities = row_cls.probabilities
+    original_readout = batch_cls.readout
     _ORIGINALS[(cls, "_simulate")] = original_simulate
     _ORIGINALS[(cls, "_compose_channels")] = original_compose
-    _ORIGINALS[(row_cls, "probabilities")] = original_probabilities
+    _ORIGINALS[(batch_cls, "readout")] = original_readout
 
     def _simulate(self, batch):
         original_simulate(self, batch)
@@ -299,9 +300,11 @@ def _wrap_density_runner(cls, row_cls) -> None:
             check_trace_preserving(superop, qubits)
         return superop
 
-    def probabilities(self):
-        probs = original_probabilities(self)
-        error = abs(float(np.sum(probs)) - 1.0)
+    def readout(self):
+        # every row handle reads its batch's readout, so checking it once
+        # per batch checks every scored row
+        probs = original_readout(self)
+        error = float(np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0))
         if error > DENSITY_TOL:
             raise DensityInvariantError(
                 f"row probabilities do not sum to 1 (off by {error:.3g})"
@@ -310,7 +313,7 @@ def _wrap_density_runner(cls, row_cls) -> None:
 
     cls._simulate = _simulate
     cls._compose_channels = _compose_channels
-    row_cls.probabilities = probabilities
+    batch_cls.readout = readout
 
 
 #: id -> Kraus set already checked; holding the set keeps its id unique
@@ -352,7 +355,7 @@ def install_sanitizer() -> None:
 
     _wrap_transpile_cache(cache_module.TranspileCache)
     _wrap_parametric_cache(cache_module.ParametricTranspileCache)
-    _wrap_density_runner(density_module.BatchedDensityRunner, density_module._Row)
+    _wrap_density_runner(density_module.BatchedDensityRunner, density_module._Batch)
     _wrap_noise_model(noise_models.NoiseModel)
 
 

@@ -23,8 +23,8 @@ used physical qubits, held as reduced slots in the
 final layout per row.
 
 * A template binding is one batch as it stands: its angle columns come out
-  of the template's single affine matmul, so the ``noise_sim`` hot loop
-  never constructs per-sample ``Instruction`` objects at all.
+  of the template's array bind, so the ``noise_sim`` hot loop never
+  constructs per-sample ``Instruction`` objects at all.
 * Compiled circuits are deduplicated by object identity and grouped by
   reduced structure when the runner runs; each group becomes one batch.
 
@@ -36,8 +36,20 @@ only on gate arity and qubits, never on parameters, so the runner composes
 each position's channels once per ``(used physical qubits, gate qubits)``
 for its lifetime.  A register above ``max_density_qubits`` is not evolved:
 each row takes the success-rate approximation of its reduced circuit,
-rebuilt from the slots, without readout confusion.  One row handle serves
-every row of either source.
+rebuilt from the slots, without readout confusion.
+
+Readout is one pass per batch, computed lazily and per quantity: the
+diagonals, readout confusion per qubit across the batch axis, one
+marginalization onto the logical qubits per distinct final layout, and
+every qubit's Z expectation from its marginal.  One row handle type serves
+every row of either source; its ``probabilities``, ``logical_probabilities``
+and ``logical_z_expectations`` are views of its batch's arrays, so the
+engines' scores, the gradient engine's rows and the device backend's batch
+of one read the same readout.  Every row equals the per-row composition of
+``density_probabilities``, ``NoiseModel.apply_readout_error``,
+``logical_probabilities`` and ``expectation_z_all_from_probabilities`` bit
+for bit, except a one-qubit register's, which agrees to 1e-15 (its per-row
+confusion is a BLAS matrix-vector product).
 """
 
 from __future__ import annotations
@@ -47,17 +59,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..devices.backend import approximate_probabilities, logical_probabilities
+from ..devices.backend import approximate_probabilities
 from ..quantum.circuit import Instruction, QuantumCircuit
 from ..quantum.density_matrix import (
     apply_fused_positions,
     channel_superoperator,
-    density_probabilities,
     expectation_pauli_sum_dm,
     zero_density_matrices,
 )
 from ..quantum.gates import batched_gate_matrix, gate_matrix
-from ..quantum.measurement import expectation_z_all_from_probabilities
 from .base import (
     BackendCapabilityError,
     JobResult,
@@ -72,11 +82,22 @@ __all__ = [
 
 
 class _Batch:
-    """Rows of one reduced structure: the runner's one unit of simulation."""
+    """Rows of one reduced structure: the runner's one unit of simulation.
+
+    Its readout is computed once per batch, lazily and per quantity: the
+    reduced-register probabilities (:meth:`probabilities`), their marginals
+    onto the logical qubits (:meth:`logical_probabilities`) and the logical
+    Z expectations (:meth:`z_expectations`), each a ``(rows, ...)`` array
+    that every row handle reads its row of.  Each step repeats the per-row
+    functions' arithmetic with a leading batch axis: ``density_probabilities``,
+    ``NoiseModel.apply_readout_error``, ``logical_probabilities`` and
+    ``expectation_z_all_from_probabilities`` stay the reference.
+    """
 
     __slots__ = (
         "used_qubits", "slots", "final_layouts", "from_template",
-        "noise_model", "rhos", "approximate",
+        "noise_model", "rhos", "approximate", "_probabilities", "_logical",
+        "_z",
     )
 
     def __init__(self, used_qubits, slots, final_layouts, from_template) -> None:
@@ -89,6 +110,9 @@ class _Batch:
         self.rhos: Optional[np.ndarray] = None
         #: per-row success-rate probabilities of an oversized register
         self.approximate: Optional[List[np.ndarray]] = None
+        self._probabilities: Optional[np.ndarray] = None
+        self._logical: Dict[int, np.ndarray] = {}
+        self._z: Dict[int, np.ndarray] = {}
 
     @property
     def n_rows(self) -> int:
@@ -105,6 +129,85 @@ class _Batch:
             else Instruction(slot[0], slot[1], slot[2][row])
             for slot in self.slots
         ])
+
+    # -- readout -------------------------------------------------------------
+
+    def readout(self) -> np.ndarray:
+        """Every row's reduced-register probabilities, readout confusion
+        applied across the batch axis: a ``(rows, 2**n)`` array."""
+        if self.rhos is None:
+            # large-circuit approximation: no readout confusion
+            return np.stack(self.approximate)
+        return self.noise_model.apply_readout_error(
+            _diagonals(self.rhos), self.n_reduced
+        )
+
+    def probabilities(self) -> np.ndarray:
+        """:meth:`readout`, computed once."""
+        if self._probabilities is None:
+            self._probabilities = self.readout()
+        return self._probabilities
+
+    def logical_probabilities(self, n_logical: int) -> np.ndarray:
+        """Every row's probabilities over ``n_logical`` logical qubits: one
+        marginalization per distinct final layout."""
+        n_logical = int(n_logical)
+        if n_logical not in self._logical:
+            probs = self.probabilities()
+            groups: Dict[Tuple[int, ...], List[int]] = {}
+            for row, layout in enumerate(self.final_layouts):
+                physical = tuple(layout[q] for q in range(n_logical))
+                groups.setdefault(physical, []).append(row)
+            out = np.empty((self.n_rows, 2**n_logical))
+            for physical, rows in groups.items():
+                out[rows] = _marginals(probs[rows], physical, self.used_qubits)
+            self._logical[n_logical] = out
+        return self._logical[n_logical]
+
+    def z_expectations(self, n_logical: int) -> np.ndarray:
+        """Every row's per-logical-qubit Z expectations, ``(rows, n)``: each
+        qubit's marginal difference ``p(0) - p(1)``, over the whole batch."""
+        n_logical = int(n_logical)
+        if n_logical not in self._z:
+            probs = self.logical_probabilities(n_logical).reshape(
+                (self.n_rows,) + (2,) * n_logical
+            )
+            z = np.empty((self.n_rows, n_logical))
+            for qubit in range(n_logical):
+                marginal = probs.sum(axis=tuple(
+                    axis + 1 for axis in range(n_logical) if axis != qubit
+                ))
+                z[:, qubit] = marginal[:, 0] - marginal[:, 1]
+            self._z[n_logical] = z
+        return self._z[n_logical]
+
+
+def _diagonals(rhos: np.ndarray) -> np.ndarray:
+    """:func:`density_probabilities` of every matrix of a ``(rows,) +
+    (2,) * 2n`` stack: a ``(rows, 2**n)`` array."""
+    rows = rhos.shape[0]
+    dim = 2 ** ((rhos.ndim - 1) // 2)
+    probs = np.real(np.diagonal(rhos.reshape(rows, dim, dim), axis1=1, axis2=2))
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=1, keepdims=True)
+    np.divide(probs, total, out=probs, where=total > 0)
+    return probs
+
+
+def _marginals(probs: np.ndarray, physical, used_physical) -> np.ndarray:
+    """:func:`logical_probabilities` of every row of a ``(rows, 2**k)`` stack
+    whose rows map logical qubit ``i`` to physical qubit ``physical[i]``."""
+    rows, k = probs.shape[0], len(used_physical)
+    probs = probs.reshape((rows,) + (2,) * k)
+    reduced = {phys: i for i, phys in enumerate(used_physical)}
+    keep = [reduced[phys] for phys in physical]
+    drop = tuple(axis for axis in range(k) if axis not in keep)
+    marginal = probs.sum(axis=tuple(axis + 1 for axis in drop)) if drop else probs
+    remaining = [axis for axis in range(k) if axis not in drop]
+    order = [remaining.index(axis) + 1 for axis in keep]
+    flat = np.transpose(marginal, [0] + order).reshape(rows, -1)
+    total = flat.sum(axis=1, keepdims=True)
+    return np.divide(flat, total, out=flat.copy(), where=total > 0)
 
 
 def _compiled_batch(used_qubits, members) -> _Batch:
@@ -135,46 +238,25 @@ def _compiled_batch(used_qubits, members) -> _Batch:
 
 
 class _Row(JobResult):
-    """One row of a density batch: the runner's one result handle."""
+    """One row of a density batch: the runner's one result handle, a view
+    of its batch's readout."""
 
-    __slots__ = ("batch", "position", "_probabilities", "_expectations")
+    __slots__ = ("batch", "position")
 
     def __init__(self, batch: Optional[_Batch] = None, position: int = 0) -> None:
         self.batch = batch
         self.position = position
-        self._probabilities: Optional[np.ndarray] = None
-        self._expectations: Dict[int, np.ndarray] = {}
 
     def probabilities(self) -> np.ndarray:
         """Reduced-register probabilities, readout confusion applied."""
-        if self._probabilities is None:
-            batch = self.batch
-            if batch.rhos is None:
-                # large-circuit approximation: no readout confusion
-                self._probabilities = batch.approximate[self.position]
-            else:
-                self._probabilities = batch.noise_model.apply_readout_error(
-                    density_probabilities(batch.rhos[self.position]),
-                    batch.n_reduced,
-                )
-        return self._probabilities
+        return self.batch.probabilities()[self.position]
 
     def logical_probabilities(self, n_logical: int) -> np.ndarray:
-        return logical_probabilities(
-            self.probabilities(),
-            self.batch.final_layouts[self.position],
-            self.batch.used_qubits,
-            n_logical,
-        )
+        return self.batch.logical_probabilities(n_logical)[self.position]
 
     def logical_z_expectations(self, n_logical: int) -> np.ndarray:
         """Per-logical-qubit Z expectations, matching ``BackendResult``."""
-        n_logical = int(n_logical)
-        if n_logical not in self._expectations:
-            self._expectations[n_logical] = expectation_z_all_from_probabilities(
-                self.logical_probabilities(n_logical), n_logical
-            )
-        return self._expectations[n_logical]
+        return self.batch.z_expectations(n_logical)[self.position]
 
     def pauli_expectation(self, observable) -> float:
         """Expectation of an observable already remapped onto the reduced

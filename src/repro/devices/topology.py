@@ -8,7 +8,8 @@ lattices.  This module provides those shapes as undirected coupling graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import networkx as nx
 
@@ -19,7 +20,14 @@ __all__ = ["Topology", "line_topology", "t_topology", "plus_topology",
 
 @dataclass(frozen=True)
 class Topology:
-    """An undirected coupling map over ``n_qubits`` physical qubits."""
+    """An undirected coupling map over ``n_qubits`` physical qubits.
+
+    Routing asks for adjacency and shortest paths once per two-qubit gate,
+    so the adjacency set and one graph are built once per topology and
+    every path is memoized per ordered pair (``nx.shortest_path``'s own
+    tie-breaking, so each path is the one a fresh graph yields).  The
+    lookups are derived state: pickles carry the fields only.
+    """
 
     name: str
     n_qubits: int
@@ -36,15 +44,30 @@ class Topology:
             if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits):
                 raise ValueError("edge references a qubit outside the register")
 
+    def __getstate__(self) -> dict:
+        return {"name": self.name, "n_qubits": self.n_qubits, "edges": self.edges}
+
     def graph(self) -> nx.Graph:
+        """A new coupling graph (the caller may modify it)."""
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n_qubits))
         graph.add_edges_from(self.edges)
         return graph
 
+    @cached_property
+    def _graph(self) -> nx.Graph:
+        return self.graph()
+
+    @cached_property
+    def _adjacent(self) -> FrozenSet[Tuple[int, int]]:
+        return frozenset(self.edges)
+
+    @cached_property
+    def _paths(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        return {}
+
     def are_adjacent(self, a: int, b: int) -> bool:
-        key = (min(a, b), max(a, b))
-        return key in set(self.edges)
+        return (min(a, b), max(a, b)) in self._adjacent
 
     def neighbors(self, qubit: int) -> List[int]:
         out = []
@@ -59,13 +82,16 @@ class Topology:
         return len(self.neighbors(qubit))
 
     def shortest_path(self, a: int, b: int) -> List[int]:
-        return nx.shortest_path(self.graph(), a, b)
+        path = self._paths.get((a, b))
+        if path is None:
+            path = self._paths[(a, b)] = tuple(nx.shortest_path(self._graph, a, b))
+        return list(path)
 
     def distance(self, a: int, b: int) -> int:
-        return nx.shortest_path_length(self.graph(), a, b)
+        return len(self.shortest_path(a, b)) - 1
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph())
+        return nx.is_connected(self._graph)
 
     def connected_subsets(self, size: int) -> Iterable[Tuple[int, ...]]:
         """Yield connected subsets of ``size`` qubits (used by layout search).
@@ -73,7 +99,7 @@ class Topology:
         Enumeration is pruned by growing subsets from each seed node; for large
         devices callers should cap the number of candidates they consume.
         """
-        graph = self.graph()
+        graph = self._graph
         seen: set[Tuple[int, ...]] = set()
         for seed in range(self.n_qubits):
             frontier = [(seed,)]

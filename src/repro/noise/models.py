@@ -154,18 +154,22 @@ class NoiseModel:
     # -- readout -------------------------------------------------------------
 
     def apply_readout_error(self, probabilities: np.ndarray, n_qubits: int):
-        """Apply per-qubit confusion matrices to a probability vector."""
-        probs = np.asarray(probabilities, dtype=float).reshape((2,) * n_qubits)
+        """Apply per-qubit confusion matrices to a probability vector, or to
+        every row of a ``(rows, 2**n_qubits)`` stack, and renormalize."""
+        probs = np.asarray(probabilities, dtype=float)
+        lead = probs.shape[:-1]
+        probs = probs.reshape(lead + (2,) * n_qubits)
         for qubit in range(n_qubits):
             params = self.qubits.get(qubit)
             if params is None:
                 continue
             confusion = readout_confusion_matrix(params.readout_p01, params.readout_p10)
-            probs = np.tensordot(confusion, probs, axes=([1], [qubit]))
-            probs = np.moveaxis(probs, 0, qubit)
-        flat = probs.reshape(-1)
+            axis = len(lead) + qubit
+            probs = np.tensordot(confusion, probs, axes=([1], [axis]))
+            probs = np.moveaxis(probs, 0, axis)
+        flat = probs.reshape(lead + (-1,))
         flat = np.clip(flat, 0.0, None)
-        return flat / flat.sum()
+        return flat / flat.sum(axis=-1, keepdims=True)
 
     # -- success-rate estimation ---------------------------------------------
 

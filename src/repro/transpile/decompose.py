@@ -15,7 +15,11 @@ where the circuit entered the compiler, so the default ``make`` is
 every emitted angle is a ``float``.  The parametric pipeline
 (:mod:`.parametric`) runs the same rules over angle expressions, with an
 ``is_zero`` that records a guard and an identity ``norm``; its bind-time
-replay emits ``(gate, qubits, params)`` tuples.
+replay emits ``(gate, qubits, params)`` tuples, and its batch bind runs
+:func:`decompose_u3` over arrays of angles.  For that, the scalar angle
+helpers have array forms written next to them (``_normalize_angles``,
+``_is_zero_angles``, ``_gate_entries_batch``, ``_u3_angles_batch``), each
+repeating its scalar pair's arithmetic elementwise.
 """
 
 from __future__ import annotations
@@ -59,9 +63,30 @@ def _normalize_angle(angle: float) -> float:
     return wrapped
 
 
+def _normalize_angles(angles: np.ndarray) -> np.ndarray:
+    """:func:`_normalize_angle` over an array, elementwise."""
+    wrapped = np.fmod(angles, _TWO_PI)
+    np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > math.pi)
+    np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    return wrapped
+
+
 def _is_zero_angle(angle: float, atol: float = 1e-9) -> bool:
     """Whether ``angle`` lies within ``atol`` of a multiple of ``2*pi``."""
     return abs(_normalize_angle(angle)) < atol
+
+
+def _is_zero_angles(angles: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    """:func:`_is_zero_angle` over an array, elementwise."""
+    return np.abs(_normalize_angles(angles)) < atol
+
+
+def _complex(real, imag) -> np.ndarray:
+    """``complex(real, imag)`` elementwise: no product, so no rounding."""
+    out = np.empty(np.broadcast(real, imag).shape, dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
 
 
 def _gate_entries(gate: str, params: Sequence[float]):
@@ -116,6 +141,45 @@ def _gate_entries(gate: str, params: Sequence[float]):
     )
 
 
+def _gate_entries_batch(gate: str, params: np.ndarray):
+    """:func:`_gate_entries` over arrays: ``params[..., i]`` holds angle ``i``.
+
+    Each formula repeats its scalar sibling's, so the entries agree with it
+    to rounding (numpy may round a complex product differently in the last
+    bit).  A real entry may come back as a float array, and an entry that
+    does not depend on the angles as a python scalar; both broadcast into a
+    complex array unchanged.  Only parametric gates reach it.
+    """
+    if gate in ("rz", "ry", "rx"):
+        theta = params[..., 0]
+        cos, sin = np.cos(theta / 2), np.sin(theta / 2)
+        if gate == "rz":
+            return (_complex(cos, -sin), 0j, 0j, _complex(cos, sin))
+        if gate == "ry":
+            return (cos, -sin, sin, cos)
+        return (cos, _complex(0.0, -sin), _complex(0.0, -sin), cos)
+    if gate == "u1":
+        return (1 + 0j, 0j, 0j, np.exp(1j * params[..., 0]))
+    if gate == "u3":
+        theta, phi, lam = params[..., 0], params[..., 1], params[..., 2]
+        cos, sin = np.cos(theta / 2), np.sin(theta / 2)
+        return (
+            cos,
+            -np.exp(1j * lam) * sin,
+            np.exp(1j * phi) * sin,
+            np.exp(1j * (phi + lam)) * cos,
+        )
+    if gate == "u2":
+        phi, lam = params[..., 0], params[..., 1]
+        return (
+            complex(_INV_SQRT2),
+            -_INV_SQRT2 * np.exp(1j * lam),
+            _INV_SQRT2 * np.exp(1j * phi),
+            _INV_SQRT2 * np.exp(1j * (phi + lam)),
+        )
+    raise ValueError(f"no batched 2x2 entries for gate '{gate}'")
+
+
 def _u3_angles(m00, m01, m10, m11) -> Tuple[float, float, float]:
     """``(theta, phi, lam)`` of the 2x2 unitary with entries ``m00 .. m11``."""
     abs00 = abs(m00)
@@ -133,6 +197,25 @@ def _u3_angles(m00, m01, m10, m11) -> Tuple[float, float, float]:
     phi = cmath.phase(m10) - alpha
     lam = cmath.phase(-m01) - alpha
     return (theta, _normalize_angle(phi), _normalize_angle(lam))
+
+
+def _u3_angles_batch(m00, m01, m10, m11) -> Tuple[np.ndarray, ...]:
+    """:func:`_u3_angles` over arrays of entries: each element takes the
+    scalar's diagonal, anti-diagonal or general branch."""
+    abs00 = np.abs(m00)
+    abs10 = np.abs(m10)
+    diagonal = abs10 < 1e-12
+    anti = ~diagonal & (abs00 < 1e-12)
+    phase01 = np.angle(-m01)
+    alpha = np.where(anti, phase01, np.angle(m00))
+    theta = np.where(
+        diagonal, 0.0, np.where(anti, math.pi, 2.0 * np.arctan2(abs10, abs00))
+    )
+    phi = np.where(diagonal, 0.0, np.angle(m10) - alpha)
+    lam = np.where(
+        diagonal, np.angle(m11) - alpha, np.where(anti, 0.0, phase01 - alpha)
+    )
+    return theta, _normalize_angles(phi), _normalize_angles(lam)
 
 
 def u3_angles_from_matrix(matrix: np.ndarray) -> Tuple[float, float, float]:

@@ -47,15 +47,22 @@ numbers).  Three mechanisms make this exact rather than approximate:
 * **Replay nodes.**  Steps that are genuinely non-affine — extracting U3
   angles from a gate matrix, re-synthesizing a run of single-qubit gates into
   one U3 — are recorded as *replay nodes* that run the concrete
-  decomposition of :mod:`.decompose` on the bound angles at bind time (a few
-  2x2 products of python scalars) and verify that the emitted gate sequence
-  still matches the compiled template.
+  decomposition of :mod:`.decompose` on the bound angles at bind time and
+  verify that the emitted gate sequence still matches the compiled template.
+  A level-2 mnist-4 template carries about 20 run nodes of 1-15 gates each,
+  about 50 guards on their emitted angles and about 11 emission guards.
 
 If a binding would take any branch differently (a guard fails or a replay
 node emits a different structure), :meth:`bind` raises
 :class:`ParametricBindMismatch` and the caller falls back to a full concrete
 transpile — cheap for the rare binding that lands exactly on a branch point,
 and always exact.
+
+:meth:`~ParametricCompiledCircuit.bind` replays one row in python scalars,
+and stays the reference.  :meth:`~ParametricCompiledCircuit.bind_batch`
+binds many rows at once: one matmul for every affine angle, and every replay
+node and guard evaluated over ``(rows, nodes)`` arrays by the array forms of
+the decomposition's helpers (:class:`_BatchPlan`).
 """
 
 from __future__ import annotations
@@ -73,14 +80,18 @@ from ..quantum.circuit import (
     trusted_circuit,
     trusted_instruction,
 )
-from ..quantum.gates import gate_matrix
+from ..quantum.gates import gate_matrix, gate_num_params
 from ..utils.rng import ensure_rng
 from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout, compile_seed
 from .decompose import (
     _decompose_single_qubit,
     _gate_entries,
+    _gate_entries_batch,
     _is_zero_angle,
+    _is_zero_angles,
+    _normalize_angles,
     _u3_angles,
+    _u3_angles_batch,
     decompose_instruction,
     decompose_u3,
 )
@@ -119,7 +130,7 @@ class _BindContext:
     def __init__(self, values: np.ndarray, affine: Optional[np.ndarray] = None) -> None:
         self.values = values
         self.node_outputs: Dict[int, Tuple[float, ...]] = {}
-        #: pre-evaluated affine expressions (filled by the vectorized bind)
+        #: pre-evaluated affine expressions (the matvec of :meth:`bind`)
         self.affine = affine
 
 
@@ -213,9 +224,9 @@ class _NodeAngle(_Expr):
 class _RowExpr(_Expr):
     """An affine expression resolved through the template's matvec plan.
 
-    When a binding context carries pre-evaluated affine rows (the vectorized
-    bind), evaluation is a single array indexing; otherwise (the compile-time
-    witness context) it defers to the original expression.
+    When a binding context carries pre-evaluated affine rows (:meth:`bind`'s
+    matvec), evaluation is a single array indexing; otherwise (the
+    compile-time witness context) it defers to the original expression.
     """
 
     __slots__ = ("row", "expr")
@@ -341,13 +352,15 @@ class _ReplayNode:
     """A value-dependent compile step re-executed concretely at bind time.
 
     ``kind == "single"`` replays the concrete single-qubit decomposition for
-    one parametric gate (RX/RY/U1/U2/... go through matrix-based U3
-    extraction, which is not affine in the angle).  ``kind == "run"`` replays
+    one parametric RX/RY/U1/U2 gate: U3 angles extracted from the gate
+    matrix, which is not affine in the angle.  ``kind == "run"`` replays
     the single-qubit-run re-synthesis of optimization level 2: multiply the
-    run's 2x2 matrices, extract U3 angles, re-emit through ``decompose_u3``.
+    run's 2x2 matrices, extract U3 angles.  Both re-emit through
+    ``decompose_u3``, whose zero-angle verdicts at the witness the node
+    records as ``verdicts``.
     """
 
-    __slots__ = ("kind", "qubit", "inputs", "signature", "plan")
+    __slots__ = ("kind", "qubit", "inputs", "signature", "verdicts", "plan")
 
     def __init__(
         self,
@@ -359,6 +372,7 @@ class _ReplayNode:
         self.qubit = qubit
         self.inputs = tuple(inputs)
         self.signature: Tuple = ()
+        self.verdicts: Tuple[bool, ...] = ()
         #: bind-time evaluation plan (built by the template finalizer):
         #: constant inputs become precomputed scalar matrices, parametric
         #: inputs stay as (gate, exprs) pairs
@@ -375,23 +389,31 @@ class _ReplayNode:
                 plan.append((gate, exprs))
         self.plan = plan
 
-    def emit(self, ctx: _BindContext) -> List[Tuple]:
+    def sources(self) -> List:
+        """The factors of the node's 2x2 unitary, first applied first: four
+        constant entries or a ``(gate, exprs)`` pair each."""
+        if self.kind == "single":
+            gate, _qubits, exprs = self.inputs[0]
+            return [(gate, exprs)]
+        if self.plan is None:
+            return [(gate, exprs) for gate, _qubits, exprs in self.inputs]
+        return self.plan
+
+    def emit(self, ctx: _BindContext, is_zero=_is_zero_angle) -> List[Tuple]:
         """Emitted ``(gate, qubits, params)`` tuples for one binding."""
         if self.kind == "single":
-            gate, qubits, exprs = self.inputs[0]
+            # _decompose_single_qubit's U3 branch: the gate is not rz/u3
+            gate, exprs = self.sources()[0]
             params = tuple(expr.evaluate(ctx) for expr in exprs)
-            return _decompose_single_qubit(gate, qubits[0], params, _emit_tuple)
+            theta, phi, lam = _u3_angles(*_gate_entries(gate, params))
+            return decompose_u3(
+                self.qubit, theta, phi, lam, make=_emit_tuple, is_zero=is_zero
+            )
         # run: multiply the sources' 2x2 matrices (last gate leftmost), then
         # re-emit through the U3 extraction — the concrete run flush in python
         # scalars, equal up to a global phase
-        plan = self.plan
-        if plan is None:
-            plan = [
-                (gate, exprs)
-                for gate, _qubits, exprs in self.inputs
-            ]
         m00, m01, m10, m11 = (1 + 0j, 0j, 0j, 1 + 0j)
-        for entry in plan:
+        for entry in self.sources():
             if len(entry) == 4:
                 g00, g01, g10, g11 = entry
             else:
@@ -405,7 +427,9 @@ class _ReplayNode:
                 g10 * m01 + g11 * m11,
             )
         theta, phi, lam = _u3_angles(m00, m01, m10, m11)
-        return decompose_u3(self.qubit, theta, phi, lam, make=_emit_tuple)
+        return decompose_u3(
+            self.qubit, theta, phi, lam, make=_emit_tuple, is_zero=is_zero
+        )
 
     def replay(self, ctx: _BindContext) -> None:
         emitted = self.emit(ctx)
@@ -616,7 +640,14 @@ class _TraceState:
         return [] if not emitted else [inst]
 
     def _register(self, node: _ReplayNode) -> List[_SymbolicInstruction]:
-        emitted = node.emit(self.ctx)
+        verdicts: List[bool] = []
+
+        def is_zero(angle: float) -> bool:
+            verdicts.append(_is_zero_angle(angle))
+            return verdicts[-1]
+
+        emitted = node.emit(self.ctx, is_zero)
+        node.verdicts = tuple(verdicts)
         node.signature = tuple((gate, qubits) for gate, qubits, _params in emitted)
         self.ctx.node_outputs[id(node)] = tuple(
             param for _gate, _qubits, params in emitted for param in params
@@ -780,6 +811,14 @@ class ParametricCompiledCircuit:
             self._affine_const = None
         self._guard_rows = np.asarray(guard_rows, dtype=np.intp)
         self._guard_expected = np.asarray(guard_expected, dtype=bool)
+        self._batch_plan: Optional[_BatchPlan] = None
+
+    def __getstate__(self) -> dict:
+        # the batch plan is derived state, rebuilt by the first bind_batch:
+        # pickles stay lean and a shared template's fingerprint stays put
+        state = self.__dict__.copy()
+        state["_batch_plan"] = None
+        return state
 
     # -- inspection ----------------------------------------------------------
 
@@ -824,13 +863,8 @@ class ParametricCompiledCircuit:
         for node in self._aux_nodes:
             node.replay(ctx)
         if self._guard_rows.size:
-            # _is_zero_angle, vectorized: distance to the nearest multiple
-            # of 2*pi below the shared 1e-9 tolerance
-            wrapped = np.abs(
-                np.mod(affine[self._guard_rows] + math.pi, 2.0 * math.pi)
-                - math.pi
-            )
-            if not np.array_equal(wrapped < 1e-9, self._guard_expected):
+            verdicts = _is_zero_angles(affine[self._guard_rows])
+            if not np.array_equal(verdicts, self._guard_expected):
                 raise ParametricBindMismatch(
                     "angle crossed a zero-branch point recorded at compile time"
                 )
@@ -882,23 +916,23 @@ class ParametricCompiledCircuit:
     ) -> Tuple[np.ndarray, Optional["TemplateBatchBinding"]]:
         """Bind many parameter rows at once, without per-row circuit objects.
 
-        ``values`` is a ``(n_rows, >= expected_params())`` matrix; every
+        ``values`` is a ``(n_rows, >= expected_params())`` matrix.  Every
         affine angle of every row comes from *one* matmul against the
-        template's affine plan (where :meth:`bind` runs one matvec per row),
-        the zero-branch guards are checked vectorized across rows, and only
-        replay nodes / non-affine guards fall back to per-row scalar work.
+        template's affine plan (where :meth:`bind` runs one matvec per row);
+        the replay nodes, the guards and the slot angles are evaluated for
+        all rows at once by the template's :class:`_BatchPlan`.
 
         Returns ``(ok, binding)``: ``ok[i]`` is whether row ``i`` takes the
         template's compile-time branches, and ``binding`` covers exactly the
         ``ok`` rows (``None`` when no row binds).  Rows with ``ok[i] False``
         must be served by a full concrete transpile — the same fallback
-        contract as :meth:`bind`.
+        contract as :meth:`bind`, which refuses the same rows.
 
-        The angles a row receives are numerically the one-matvec evaluation
-        of the same affine expressions :meth:`bind` evaluates row-wise; any
-        difference is below the 1e-9 equivalence tolerance the execution
-        engine is pinned to (BLAS may round a matmul and a matvec
-        differently in the last ulp).
+        A row's angles agree with :meth:`bind`'s to rounding: BLAS may round
+        a matmul and a matvec differently in the last ulp, and numpy's
+        complex products and ``arctan2`` may round differently from python's
+        scalars, so an angle on the ``pi`` wrap point may also come out
+        ``2*pi`` apart (a global phase).
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
@@ -908,70 +942,297 @@ class ParametricCompiledCircuit:
                 f"expected at least {self._width} parameter values per row "
                 f"(got {values.shape[1]})"
             )
-        n_rows = values.shape[0]
         if self._affine_matrix is not None:
-            affine_all = values[:, : self._width] @ self._affine_matrix.T
-            affine_all += self._affine_const
+            affine = values[:, : self._width] @ self._affine_matrix.T
+            affine += self._affine_const
         else:
-            affine_all = None
-        ok = np.ones(n_rows, dtype=bool)
+            affine = np.empty((values.shape[0], 0))
+        ok = np.ones(values.shape[0], dtype=bool)
         if self._guard_rows.size:
-            wrapped = np.abs(
-                np.mod(affine_all[:, self._guard_rows] + math.pi, 2.0 * math.pi)
-                - math.pi
-            )
-            ok &= ((wrapped < 1e-9) == self._guard_expected).all(axis=1)
-
-        # Replay nodes and non-affine guards are inherently scalar; they are
-        # rare (a few 1q-run re-syntheses per circuit) and the expensive
-        # parts — the matvec and the instruction materialization — stay
-        # vectorized regardless.
-        contexts: Dict[int, _BindContext] = {}
-
-        def context_for(row: int) -> _BindContext:
-            ctx = contexts.get(row)
-            if ctx is None:
-                ctx = _BindContext(
-                    values[row],
-                    affine_all[row] if affine_all is not None else None,
-                )
-                contexts[row] = ctx
-            return ctx
-
-        if self._nodes or self._aux_nodes or self._other_guards:
-            for row in np.flatnonzero(ok):
-                ctx = context_for(int(row))
-                try:
-                    for node in self._nodes:
-                        node.replay(ctx)
-                    for node in self._aux_nodes:
-                        node.replay(ctx)
-                    for guard in self._other_guards:
-                        guard.check(ctx)
-                except ParametricBindMismatch:
-                    ok[row] = False
-
+            verdicts = _is_zero_angles(affine[:, self._guard_rows])
+            ok &= (verdicts == self._guard_expected).all(axis=1)
+        if self._batch_plan is None:
+            self._batch_plan = _BatchPlan(self)
+        table = self._batch_plan.table(values, affine, ok)
         kept = np.flatnonzero(ok)
         if kept.size == 0:
             return ok, None
+        return ok, TemplateBatchBinding(
+            self, kept, self._batch_plan.slots(table, kept)
+        )
 
-        slots: List = []
-        for reduced_slot in self._reduced_slots:
-            if type(reduced_slot) is Instruction:
-                slots.append(reduced_slot)
-                continue
-            gate, qubits, plan = reduced_slot
-            params = np.empty((kept.size, len(plan)))
-            for column, item in enumerate(plan):
-                if type(item) is int:
-                    params[:, column] = affine_all[kept, item]
+
+class _BatchPlan:
+    """A template's replay nodes, non-affine guards and slots, over all rows.
+
+    Built by the first :meth:`ParametricCompiledCircuit.bind_batch` of its
+    template.  Every angle a node, guard or slot reads is one row of a
+    per-call ``(columns, rows)`` table ``[affine | other affine | node
+    angles | sums]``:
+
+    * the template's matmul yields the affine columns; the affine
+      expressions outside it (emission-guard angles, parts of sums) are
+      evaluated term by term, as :meth:`_Affine.evaluate` does;
+    * the 2x2 unitaries of every node, and of every deferred gate an
+      emission guard checks, form one complex ``(products, 2, 2, rows)``
+      stack: each step multiplies every product by its next source, from
+      the identity, shorter products padded with identities in front;
+    * :func:`_u3_angles_batch` extracts every product's U3 angles at once,
+      and :func:`decompose_u3` runs over them unchanged, once per branch
+      path the nodes recorded at trace time.  Its ``is_zero`` hook notes the
+      angle it is asked about and answers the recorded verdict, so the
+      emitted angles line up with the template's slots; its ``norm`` hook
+      wraps nothing, and the emitted angles are wrapped together afterwards
+      (wrapping is idempotent, so no verdict moves);
+    * a sum is its parts added left to right, as :meth:`_Sum.evaluate` does;
+    * the noted angles and every non-affine guard's angle are checked in one
+      :func:`_is_zero_angles` call against the recorded verdicts: a row is
+      refused wherever one differs, so exactly where the scalar replay's
+      signature check or a guard refuses it.
+    """
+
+    def __init__(self, template: "ParametricCompiledCircuit") -> None:
+        nodes = template._nodes + template._aux_nodes
+        emission = []
+        guards = []
+        for guard in template._other_guards:
+            (emission if isinstance(guard, _EmissionGuard) else guards).append(guard)
+        items = [
+            item
+            for slot in template._reduced_slots
+            if type(slot) is not Instruction
+            for item in slot[2]
+        ]
+        sums = {
+            id(expr): expr
+            for expr in [guard.expr for guard in guards] + items
+            if isinstance(expr, _Sum)
+        }
+
+        self.n_affine = (
+            0 if template._affine_matrix is None
+            else template._affine_matrix.shape[0]
+        )
+        extra: List[_Affine] = []
+        extra_column: Dict[int, int] = {}
+
+        def affine_column(expr) -> int:
+            if isinstance(expr, _RowExpr):
+                return expr.row
+            if id(expr) not in extra_column:
+                extra_column[id(expr)] = self.n_affine + len(extra)
+                extra.append(expr)
+            return extra_column[id(expr)]
+
+        # the product stack: source 0 is the identity, then every node's
+        # sources, then every emission guard's gate
+        const_positions: List[int] = [0]
+        const_entries: List[Tuple] = [(1 + 0j, 0j, 0j, 1 + 0j)]
+        by_gate: Dict[str, Tuple[List[int], List[Tuple[int, ...]]]] = {}
+        products: List[List[int]] = []
+        n_sources = 1
+        for sources in [node.sources() for node in nodes] + [
+            [(guard.gate, guard.params)] for guard in emission
+        ]:
+            products.append(list(range(n_sources, n_sources + len(sources))))
+            for source in sources:
+                if len(source) == 4:
+                    const_positions.append(n_sources)
+                    const_entries.append(source)
                 else:
-                    for position, row in enumerate(kept):
-                        params[position, column] = item.evaluate(
-                            context_for(int(row))
-                        )
-            slots.append((gate, qubits, params))
-        return ok, TemplateBatchBinding(self, kept, slots)
+                    gate, exprs = source
+                    members, columns = by_gate.setdefault(gate, ([], []))
+                    members.append(n_sources)
+                    columns.append([affine_column(e) for e in exprs])
+                n_sources += 1
+        for expr in sums.values():
+            for part in expr.parts:
+                if isinstance(part, _Affine):
+                    affine_column(part)
+        self.n_sources = n_sources
+        self.const_positions = np.asarray(const_positions, dtype=np.intp)
+        self.const_entries = np.asarray(const_entries).reshape(-1, 2, 2, 1)
+        self.by_gate = [
+            (gate, np.asarray(members, dtype=np.intp),
+             np.asarray(columns, dtype=np.intp))
+            for gate, (members, columns) in by_gate.items()
+        ]
+        depth = max((len(product) for product in products), default=0)
+        self.steps = np.zeros((depth, len(products)), dtype=np.intp)
+        for column, product in enumerate(products):
+            self.steps[depth - len(product):, column] = product
+        # term t of every extra expression that has one: (columns, coeffs,
+        # parameter indices)
+        self.n_extra = len(extra)
+        self.extra_const = np.asarray([[e.const] for e in extra])
+        self.extra_terms = []
+        for t in range(max((len(e.terms) for e in extra), default=0)):
+            members = [
+                (i, e.terms[t]) for i, e in enumerate(extra) if len(e.terms) > t
+            ]
+            self.extra_terms.append((
+                np.asarray([i for i, _ in members], dtype=np.intp),
+                np.asarray([[coeff] for _, (_, coeff) in members]),
+                np.asarray([index for _, (index, _) in members], dtype=np.intp),
+            ))
+
+        # node angles: node k's emitted angles are consecutive columns; the
+        # nodes of one branch path emit the same number
+        paths: Dict[Tuple[bool, ...], List[int]] = {}
+        for position, node in enumerate(nodes):
+            paths.setdefault(node.verdicts, []).append(position)
+        offsets: Dict[int, int] = {}
+        width = self.n_affine + self.n_extra
+        self.paths = []
+        #: the verdict each checked angle must reproduce: the paths' hooks'
+        #: angles in the order they are asked, then the non-affine guards'
+        expected: List[bool] = []
+        for verdicts, members in paths.items():
+            expected.extend(v for v in verdicts for _ in members)
+            count = sum(
+                gate_num_params(gate) for gate, _ in nodes[members[0]].signature
+            )
+            targets = np.arange(width, width + count * len(members), dtype=np.intp)
+            for position, member in enumerate(members):
+                offsets[id(nodes[member])] = width + count * position
+            width += count * len(members)
+            self.paths.append((
+                verdicts, np.asarray(members, dtype=np.intp),
+                targets.reshape(len(members), count),
+            ))
+        self.n_nodes = len(nodes)
+        self.emission_empty = np.asarray(
+            [[guard.empty] for guard in emission], dtype=bool
+        )
+
+        sum_index = {key: width + i for i, key in enumerate(sums)}
+        self.width = width + len(sums)
+
+        def column(expr) -> int:
+            if type(expr) is int:  # a slot's affine row
+                return expr
+            if isinstance(expr, _NodeAngle):
+                return offsets[id(expr.node)] + expr.index
+            if isinstance(expr, _Sum):
+                return sum_index[id(expr)]
+            return affine_column(expr)
+
+        self.sums = [
+            (sum_index[key], [column(part) for part in expr.parts])
+            for key, expr in sums.items()
+        ]
+        self.guard_columns = np.asarray(
+            [column(guard.expr) for guard in guards], dtype=np.intp
+        )
+        expected.extend(guard.zero for guard in guards)
+        self.expected = np.asarray(expected, dtype=bool)[:, None]
+        self.slot_columns = np.asarray([column(item) for item in items], dtype=np.intp)
+        self.reduced_slots = template._reduced_slots
+
+    def table(
+        self, values: np.ndarray, affine: np.ndarray, ok: np.ndarray
+    ) -> np.ndarray:
+        """Every column over every row, ``(columns, rows)``; clears ``ok``
+        where a row crosses a node's, an emission guard's or a non-affine
+        guard's branch."""
+        table = np.empty((self.width, values.shape[0]))
+        table[: self.n_affine] = affine.T
+        if self.n_extra:
+            # _Affine.evaluate, term by term: const + c0 * v0 + c1 * v1 ...
+            extra = table[self.n_affine : self.n_affine + self.n_extra]
+            extra[:] = self.extra_const
+            for columns, coeffs, indices in self.extra_terms:
+                extra[columns] += coeffs * values[:, indices].T
+        checked: List[np.ndarray] = []
+        if self.steps.size:
+            self._replay(table, ok, checked)
+        for target, parts in self.sums:
+            total = 0
+            for part in parts:
+                total = total + table[part]
+            table[target] = total
+        if self.guard_columns.size:
+            checked.append(table[self.guard_columns])
+        if checked:
+            verdicts = _is_zero_angles(np.concatenate(checked))
+            ok &= (verdicts == self.expected).all(axis=0)
+        return table
+
+    def _replay(
+        self, table: np.ndarray, ok: np.ndarray, checked: List[np.ndarray]
+    ) -> None:
+        """Multiply every product, re-emit the nodes' angles into ``table``
+        and append every angle whose verdict must be checked to ``checked``;
+        clear ``ok`` where an emission guard's verdict differs."""
+        matrix = self._products(table)
+        theta, phi, lam = _u3_angles_batch(
+            matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 0], matrix[:, 1, 1]
+        )
+
+        for verdicts, members, targets in self.paths:
+            recorded = iter(verdicts)
+            emitted: List[np.ndarray] = []
+
+            def is_zero(angle: np.ndarray) -> bool:
+                checked.append(angle)
+                return next(recorded)
+
+            def make(gate, qubits, params) -> None:
+                emitted.extend(params)
+
+            decompose_u3(
+                0, theta[members], phi[members], lam[members],
+                make=make, is_zero=is_zero, norm=_unwrapped,
+            )
+            if emitted:
+                table[targets] = _normalize_angles(np.stack(emitted, axis=1))
+
+        if self.emission_empty.size:
+            # an emission is empty exactly on decompose_u3's first branch
+            theta, phi, lam = (
+                angles[self.n_nodes:] for angles in (theta, phi, lam)
+            )
+            empty = _is_zero_angles(theta) & _is_zero_angles(
+                _normalize_angles(phi + lam)
+            )
+            ok &= (empty == self.emission_empty).all(axis=0)
+
+    def _products(self, table: np.ndarray) -> np.ndarray:
+        """Every product's 2x2 unitary, ``(products, 2, 2, rows)``."""
+        entries = np.empty((self.n_sources, 2, 2, table.shape[1]), dtype=complex)
+        entries[self.const_positions] = self.const_entries
+        for gate, members, columns in self.by_gate:
+            values = _gate_entries_batch(gate, np.moveaxis(table[columns], 1, -1))
+            for (i, j), value in zip(((0, 0), (0, 1), (1, 0), (1, 1)), values):
+                entries[members, i, j] = value
+        # from the identity, each source in application order (last
+        # leftmost), as the scalar run flush multiplies
+        matrix = entries[np.zeros(self.steps.shape[1], dtype=np.intp)]
+        for step in self.steps:
+            factor = entries[step]
+            matrix = (
+                factor[:, :, :1] * matrix[:, None, 0]
+                + factor[:, :, 1:] * matrix[:, None, 1]
+            )
+        return matrix
+
+    def slots(self, table: np.ndarray, kept: np.ndarray) -> List:
+        """The reduced slots of the ``kept`` rows: shared instructions, and
+        ``(gate, qubits, (kept, k) angles)`` views of one array."""
+        angles = table[self.slot_columns]
+        if kept.size < table.shape[1]:
+            angles = angles[:, kept]
+        angles = np.ascontiguousarray(angles.T)
+        slots: List = []
+        start = 0
+        for slot in self.reduced_slots:
+            if type(slot) is Instruction:
+                slots.append(slot)
+                continue
+            gate, qubits, plan = slot
+            slots.append((gate, qubits, angles[:, start : start + len(plan)]))
+            start += len(plan)
+        return slots
 
 
 class TemplateBatchBinding:

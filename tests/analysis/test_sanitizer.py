@@ -28,7 +28,7 @@ from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
 from repro.core.evolution import Candidate
 from repro.devices import get_device
-from repro.execution import ParametricTranspileCache, TranspileCache
+from repro.execution import ExecutionEngine, ParametricTranspileCache, TranspileCache
 from repro.noise import models as noise_models
 from repro.noise.models import NoiseModel
 from repro.quantum.circuit import ParameterizedCircuit, QuantumCircuit
@@ -335,19 +335,29 @@ def test_incomplete_kraus_sets_run_unchecked_when_not_armed(unsanitized,
     seed_path_energy()
 
 
-class SkewedReadoutModel(NoiseModel):
-    """Readout confusion whose first column sums to 1.01, applied without
-    renormalizing: outcome probabilities no longer sum to 1."""
+#: readout confusion whose first column sums to 1.01
+SKEWED_CONFUSION = np.array([[0.99, 0.0], [0.02, 1.0]])
 
-    CONFUSION = np.array([[0.99, 0.0], [0.02, 1.0]])
+
+def skewed_readout(probabilities, n_qubits):
+    """``SKEWED_CONFUSION`` on every qubit of a probability vector or a
+    ``(rows, 2**n)`` stack, without renormalizing: outcome probabilities
+    no longer sum to 1."""
+    probs = np.asarray(probabilities)
+    lead = probs.shape[:-1]
+    probs = probs.reshape(lead + (2,) * n_qubits)
+    for axis in range(len(lead), probs.ndim):
+        probs = np.moveaxis(
+            np.tensordot(SKEWED_CONFUSION, probs, axes=([1], [axis])), 0, axis
+        )
+    return probs.reshape(lead + (-1,))
+
+
+class SkewedReadoutModel(NoiseModel):
+    """A noise model whose readout is :func:`skewed_readout`."""
 
     def apply_readout_error(self, probabilities, n_qubits):
-        probs = np.asarray(probabilities).reshape((2,) * n_qubits)
-        for qubit in range(n_qubits):
-            probs = np.moveaxis(
-                np.tensordot(self.CONFUSION, probs, axes=([1], [qubit])), 0, qubit
-            )
-        return probs.reshape(-1)
+        return skewed_readout(probabilities, n_qubits)
 
     def reduced(self, physical_qubits):
         return SkewedReadoutModel(**vars(super().reduced(physical_qubits)))
@@ -375,3 +385,40 @@ def test_row_probabilities_must_sum_to_one_when_armed(sanitized):
 
 def test_row_probabilities_run_unchecked_when_not_armed(unsanitized):
     assert abs(skewed_row().probabilities().sum() - 1.0) > 1e-3
+
+
+def engine_noise_sim_scores(u3cu3_supercircuit, yorktown, tiny_dataset):
+    """Two candidates scored by the population engine in noise_sim mode."""
+    evolution = EvolutionEngine(
+        get_design_space("u3cu3"), 4, yorktown, EvolutionConfig(seed=11)
+    )
+    candidates = [evolution.random_candidate() for _ in range(2)]
+    estimator = PerformanceEstimator(
+        yorktown, EstimatorConfig(mode="noise_sim", n_valid_samples=2, workers=1)
+    )
+    with ExecutionEngine(estimator, u3cu3_supercircuit) as engine:
+        return engine.evaluate_qml_population(candidates, tiny_dataset, 4)
+
+
+def test_engine_scores_read_a_checked_readout_when_armed(
+    sanitized, monkeypatch, u3cu3_supercircuit, yorktown, tiny_dataset
+):
+    """The engine's noise_sim scores read each batch's readout once, not
+    row by row: a readout that does not sum to 1 stops the score phase."""
+    monkeypatch.setattr(
+        NoiseModel, "apply_readout_error",
+        lambda self, probabilities, n_qubits: skewed_readout(probabilities, n_qubits),
+    )
+    with pytest.raises(DensityInvariantError, match="sum to 1"):
+        engine_noise_sim_scores(u3cu3_supercircuit, yorktown, tiny_dataset)
+
+
+def test_engine_scores_run_unchecked_when_not_armed(
+    unsanitized, monkeypatch, u3cu3_supercircuit, yorktown, tiny_dataset
+):
+    monkeypatch.setattr(
+        NoiseModel, "apply_readout_error",
+        lambda self, probabilities, n_qubits: skewed_readout(probabilities, n_qubits),
+    )
+    scores = engine_noise_sim_scores(u3cu3_supercircuit, yorktown, tiny_dataset)
+    assert np.all(np.isfinite(scores))

@@ -1,9 +1,10 @@
 """The vectorized template bind feeding the density backend.
 
 ``bind_batch`` must be a pure reorganization of per-row ``bind`` calls: same
-instruction skeleton, same angles (to fp round-off of one matmul vs. many
-matvecs), same branch behavior — rows that cross a compile-time branch are
-rejected exactly like ``bind`` raising ``ParametricBindMismatch``.
+instruction skeleton, same angles (to the round-off of one matmul against
+many matvecs, and of numpy's array replay against python's scalar one),
+same branch behavior — rows that cross a compile-time branch are rejected
+exactly like ``bind`` raising ``ParametricBindMismatch``.
 """
 
 from __future__ import annotations
@@ -13,14 +14,22 @@ import pytest
 
 from repro.core import EvolutionConfig, EvolutionEngine, get_design_space
 from repro.core.estimator import EstimatorConfig, PerformanceEstimator
+from repro.devices import get_device
 from repro.execution import ExecutionEngine
 from repro.execution.cache import ParametricTranspileCache
-from repro.quantum.circuit import Instruction
+from repro.quantum.circuit import Instruction, ParameterizedCircuit
 from repro.transpile.compiler import transpile
 from repro.transpile.parametric import (
     _default_witness,
     num_feature_params,
     parametric_transpile,
+)
+
+from parametric_corpus import (
+    LAYOUT_KINDS,
+    layout_spec,
+    random_binding,
+    random_parameterized_circuit,
 )
 
 
@@ -75,6 +84,116 @@ def test_bind_batch_matches_per_row_bind(u3cu3_supercircuit, yorktown, rng):
                 np.testing.assert_allclose(
                     params[position], inst.params, rtol=0, atol=1e-12
                 )
+
+
+def assert_row_matches_bind(binding, position, compiled):
+    """Row ``position`` of a batch binding equals ``compiled``, a scalar
+    bind of the same row: the same skeleton, shared instructions equal, and
+    angles within 1e-12 modulo ``2*pi`` (numpy and python may round a
+    product's phase differently, which moves an angle on the ``pi`` wrap
+    point by a full turn)."""
+    reduced, used = compiled.reduced_circuit()
+    assert used == binding.used_qubits
+    assert binding.final_layout == compiled.final_layout
+    assert len(binding.slots) == len(reduced.instructions)
+    for slot, inst in zip(binding.slots, reduced.instructions):
+        if type(slot) is Instruction:
+            assert (slot.gate, slot.qubits, slot.params) == (
+                inst.gate, inst.qubits, inst.params
+            )
+            continue
+        gate, qubits, angles = slot
+        assert (gate, qubits) == (inst.gate, inst.qubits)
+        turns = np.subtract(angles[position], inst.params) / (2.0 * np.pi)
+        assert np.all(np.abs(turns - np.round(turns)) * 2.0 * np.pi < 1e-12)
+
+
+def corpus_rows(circuit, weights, features, rng):
+    """The witness row, two generic rows, blank pixels (zero and full-turn
+    features), pruned weights (every other one zero, as after pruning),
+    and both at once: every kind the engines bind, branch crossings
+    included."""
+    def row(weights, features):
+        return np.concatenate([weights, features])
+
+    pruned_weights = weights.copy()
+    pruned_weights[::2] = 0.0
+    blank = np.zeros_like(features)
+    return np.array([
+        row(weights, features),
+        row(*random_binding(circuit, rng)),
+        row(*random_binding(circuit, rng)),
+        row(weights, blank),
+        row(weights, np.full_like(features, 2.0 * np.pi)),
+        row(pruned_weights, features),
+        row(pruned_weights, blank),
+    ])
+
+
+@pytest.mark.parametrize("layout_kind", LAYOUT_KINDS)
+@pytest.mark.parametrize("optimization_level", [0, 1, 2, 3])
+def test_bind_batch_matches_per_row_bind_over_random_structures(
+    layout_kind, optimization_level
+):
+    """The random 2-6 qubit structures of the parametric-transpile tests,
+    on yorktown and jakarta: ``bind_batch`` refuses exactly the rows
+    ``try_bind`` refuses, and every row it keeps equals that row's bind."""
+    rng = np.random.default_rng(
+        7 * optimization_level + 31 * LAYOUT_KINDS.index(layout_kind)
+    )
+    outcomes = {True: 0, False: 0}
+    for _trial in range(4):
+        n_qubits = int(rng.integers(2, 7))
+        device = get_device("yorktown" if n_qubits <= 5 else "jakarta")
+        circuit = random_parameterized_circuit(n_qubits, int(rng.integers(5, 16)), rng)
+        weights, features = random_binding(circuit, rng)
+        template = parametric_transpile(
+            circuit, device,
+            initial_layout=layout_spec(layout_kind, n_qubits, device, rng),
+            optimization_level=optimization_level,
+            seed=int(rng.integers(1 << 30)),
+            witness_values=np.concatenate([weights, features]),
+        )
+        values = corpus_rows(circuit, weights, features, rng)
+        ok, binding = template.bind_batch(values)
+        assert ok[0]  # the witness always binds
+        for index, row in enumerate(values):
+            compiled = template.try_bind(row)
+            assert ok[index] == (compiled is not None), index
+            outcomes[bool(ok[index])] += 1
+            if compiled is not None:
+                position = int(np.flatnonzero(binding.rows == index)[0])
+                assert_row_matches_bind(binding, position, compiled)
+    assert outcomes[True] and outcomes[False]  # both kinds of row occur
+
+
+@pytest.mark.parametrize("optimization_level", [2, 3])
+def test_rows_reviving_a_dropped_gate_are_refused(yorktown, optimization_level):
+    """A witness angle of exactly zero drops its gate at trace time, and
+    only that gate's emission guard sees a row bring it back: both binds
+    refuse such a row, and bind what keeps the dropped gates dropped."""
+    circuit = ParameterizedCircuit(2)
+    circuit.add_trainable("ry", [0])
+    circuit.add_fixed("cx", [0, 1])
+    circuit.add_trainable("rx", [1])
+    circuit.add_fixed("cx", [1, 0])
+    circuit.add_trainable("u1", [0])
+    template = parametric_transpile(
+        circuit, yorktown, optimization_level=optimization_level,
+        witness_values=np.array([0.0, 1.1, 0.0]),
+    )
+    values = np.array([
+        [0.0, 1.1, 0.0],
+        [0.0, 0.4, 0.0],
+        [0.5, 1.1, 0.0],  # revives the ry
+        [0.0, 1.1, 0.3],  # revives the u1
+        [2.0 * np.pi, 0.8, 0.0],  # a full turn stays dropped
+    ])
+    ok, binding = template.bind_batch(values)
+    assert list(ok) == [True, True, False, False, True]
+    assert [template.try_bind(row) is not None for row in values] == list(ok)
+    for position, row in enumerate(binding.rows):
+        assert_row_matches_bind(binding, position, template.bind(values[row]))
 
 
 def assert_row_matches_fresh(binding, position, fresh):

@@ -1,7 +1,11 @@
 """Tests for device topologies."""
 
+import pickle
+
+import networkx as nx
 import pytest
 
+from repro.devices import available_devices, get_device
 from repro.devices.topology import (
     Topology,
     bowtie_topology,
@@ -100,3 +104,35 @@ def test_connected_subsets_are_connected():
 def test_neighbors_sorted():
     topo = bowtie_topology()
     assert topo.neighbors(2) == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("name", available_devices())
+def test_lookups_match_a_fresh_graph_for_every_pair(name):
+    """The memoized lookups answer what the networkx calls on a fresh graph
+    answer, for every ordered pair, asked twice and after a pickle round
+    trip; a pickle carries the fields only, however many paths were asked."""
+    topology = get_device(name).topology
+    lean = len(pickle.dumps(topology))
+    restored = pickle.loads(pickle.dumps(topology))
+    fresh = topology.graph()
+    for a in range(topology.n_qubits):
+        for b in range(topology.n_qubits):
+            path = nx.shortest_path(fresh, a, b)
+            assert topology.shortest_path(a, b) == path
+            assert topology.shortest_path(a, b) == path
+            assert restored.shortest_path(a, b) == path
+            assert topology.distance(a, b) == nx.shortest_path_length(fresh, a, b)
+            assert topology.are_adjacent(a, b) == fresh.has_edge(a, b)
+    assert len(pickle.dumps(topology)) == lean
+    assert restored == topology and hash(restored) == hash(topology)
+
+
+def test_paths_and_graphs_handed_out_are_copies():
+    topo = h_topology()
+    path = topo.shortest_path(0, 6)
+    path.reverse()
+    assert topo.shortest_path(0, 6)[0] == 0
+    graph = topo.graph()
+    graph.add_edge(0, 6)
+    assert topo.distance(0, 6) == 4
+    assert not topo.graph().has_edge(0, 6)

@@ -27,7 +27,6 @@ from repro.core import (
 from repro.devices import QuantumBackend, get_device
 from repro.execution import ExecutionEngine, ParametricTranspileCache
 from repro.quantum.circuit import Instruction, ParameterizedCircuit
-from repro.quantum.gates import gate_num_params
 from repro.transpile.compiler import transpile
 from repro.transpile.parametric import (
     ParametricBindMismatch,
@@ -37,58 +36,14 @@ from repro.transpile.parametric import (
     parametric_transpile,
 )
 
+from parametric_corpus import (
+    LAYOUT_KINDS,
+    layout_spec,
+    random_binding,
+    random_parameterized_circuit,
+)
+
 ATOL = 1e-9
-
-GATES_1Q = ["u3", "rx", "ry", "rz", "u1", "h", "x", "sx"]
-GATES_2Q = ["cx", "cu3", "crz", "rzz", "cry", "rxx", "cz", "swap", "cu1"]
-
-
-def random_parameterized_circuit(n_qubits, n_ops, rng, n_features=4):
-    """A random mixed circuit: trainable, encoder and constant gates."""
-    circuit = ParameterizedCircuit(n_qubits)
-    for _ in range(n_ops):
-        if rng.random() < 0.55 or n_qubits == 1:
-            gate = GATES_1Q[rng.integers(len(GATES_1Q))]
-            qubits = [int(rng.integers(n_qubits))]
-        else:
-            gate = GATES_2Q[rng.integers(len(GATES_2Q))]
-            a, b = rng.choice(n_qubits, size=2, replace=False)
-            qubits = [int(a), int(b)]
-        n_params = gate_num_params(gate)
-        if n_params == 0:
-            circuit.add_fixed(gate, qubits)
-            continue
-        draw = rng.random()
-        if draw < 0.25:
-            circuit.add_encoder(
-                gate, qubits, [int(rng.integers(n_features)) for _ in range(n_params)]
-            )
-        elif draw < 0.6:
-            circuit.add_trainable(gate, qubits)
-        else:
-            circuit.add_fixed(gate, qubits, rng.uniform(-np.pi, np.pi, size=n_params))
-    return circuit
-
-
-def random_binding(circuit, rng, n_features=4):
-    weights = rng.uniform(-np.pi, np.pi, circuit.num_weights)
-    features = rng.uniform(-1.5, 1.5, n_features)
-    return weights, features
-
-
-def layout_spec(kind, n_qubits, device, rng):
-    if kind == "trivial":
-        return None
-    if kind == "sequence":
-        return [int(q) for q in rng.permutation(device.n_qubits)[:n_qubits]]
-    if kind == "dict":
-        return {
-            logical: int(physical)
-            for logical, physical in enumerate(
-                rng.permutation(device.n_qubits)[:n_qubits]
-            )
-        }
-    return "noise_adaptive"
 
 
 def angles_equal_mod_2pi(a, b, atol=ATOL):
@@ -112,8 +67,6 @@ def assert_bind_matches_fresh(bound_compiled, fresh):
         fresh.success_rate(), abs=ATOL
     )
 
-
-LAYOUT_KINDS = ["trivial", "sequence", "dict", "noise_adaptive"]
 
 #: fewest of a case's 12 bindings that must bind through the template, per
 #: optimization level and layout kind: the counts measured when this floor
