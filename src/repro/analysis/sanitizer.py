@@ -282,10 +282,10 @@ def check_trace_preserving(superop: np.ndarray, qubits) -> None:
 def _wrap_density_runner(cls, batch_cls) -> None:
     original_simulate = cls._simulate
     original_compose = cls._compose_channels
-    original_readout = batch_cls.readout
+    original_probabilities = batch_cls.probabilities
     _ORIGINALS[(cls, "_simulate")] = original_simulate
     _ORIGINALS[(cls, "_compose_channels")] = original_compose
-    _ORIGINALS[(batch_cls, "readout")] = original_readout
+    _ORIGINALS[(batch_cls, "probabilities")] = original_probabilities
 
     def _simulate(self, batch):
         original_simulate(self, batch)
@@ -300,10 +300,10 @@ def _wrap_density_runner(cls, batch_cls) -> None:
             check_trace_preserving(superop, qubits)
         return superop
 
-    def readout(self):
-        # every row handle reads its batch's readout, so checking it once
-        # per batch checks every scored row
-        probs = original_readout(self)
+    def probabilities(self):
+        # every row handle reads its batch's readout through here, so every
+        # scored row is checked
+        probs = original_probabilities(self)
         error = float(np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0))
         if error > DENSITY_TOL:
             raise DensityInvariantError(
@@ -313,7 +313,7 @@ def _wrap_density_runner(cls, batch_cls) -> None:
 
     cls._simulate = _simulate
     cls._compose_channels = _compose_channels
-    batch_cls.readout = readout
+    batch_cls.probabilities = probabilities
 
 
 #: id -> Kraus set already checked; holding the set keeps its id unique

@@ -132,20 +132,17 @@ class _Batch:
 
     # -- readout -------------------------------------------------------------
 
-    def readout(self) -> np.ndarray:
+    def probabilities(self) -> np.ndarray:
         """Every row's reduced-register probabilities, readout confusion
         applied across the batch axis: a ``(rows, 2**n)`` array."""
-        if self.rhos is None:
-            # large-circuit approximation: no readout confusion
-            return np.stack(self.approximate)
-        return self.noise_model.apply_readout_error(
-            _diagonals(self.rhos), self.n_reduced
-        )
-
-    def probabilities(self) -> np.ndarray:
-        """:meth:`readout`, computed once."""
         if self._probabilities is None:
-            self._probabilities = self.readout()
+            if self.rhos is None:
+                # large-circuit approximation: no readout confusion
+                self._probabilities = np.stack(self.approximate)
+            else:
+                self._probabilities = self.noise_model.apply_readout_error(
+                    _diagonals(self.rhos), self.n_reduced
+                )
         return self._probabilities
 
     def logical_probabilities(self, n_logical: int) -> np.ndarray:

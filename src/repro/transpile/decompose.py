@@ -148,7 +148,8 @@ def _gate_entries_batch(gate: str, params: np.ndarray):
     to rounding (numpy may round a complex product differently in the last
     bit).  A real entry may come back as a float array, and an entry that
     does not depend on the angles as a python scalar; both broadcast into a
-    complex array unchanged.  Only parametric gates reach it.
+    complex array unchanged.  Only the gates a replay node or an emission
+    guard reads reach it: U3 is always decomposed symbolically.
     """
     if gate in ("rz", "ry", "rx"):
         theta = params[..., 0]
@@ -160,15 +161,6 @@ def _gate_entries_batch(gate: str, params: np.ndarray):
         return (cos, _complex(0.0, -sin), _complex(0.0, -sin), cos)
     if gate == "u1":
         return (1 + 0j, 0j, 0j, np.exp(1j * params[..., 0]))
-    if gate == "u3":
-        theta, phi, lam = params[..., 0], params[..., 1], params[..., 2]
-        cos, sin = np.cos(theta / 2), np.sin(theta / 2)
-        return (
-            cos,
-            -np.exp(1j * lam) * sin,
-            np.exp(1j * phi) * sin,
-            np.exp(1j * (phi + lam)) * cos,
-        )
     if gate == "u2":
         phi, lam = params[..., 0], params[..., 1]
         return (
