@@ -155,9 +155,13 @@ class _Batch:
             for row, layout in enumerate(self.final_layouts):
                 physical = tuple(layout[q] for q in range(n_logical))
                 groups.setdefault(physical, []).append(row)
-            out = np.empty((self.n_rows, 2**n_logical))
-            for physical, rows in groups.items():
-                out[rows] = _marginals(probs[rows], physical, self.used_qubits)
+            if len(groups) == 1:  # every template batch, every batch of one
+                (physical,) = groups
+                out = _marginals(probs, physical, self.used_qubits)
+            else:
+                out = np.empty((self.n_rows, 2**n_logical))
+                for physical, rows in groups.items():
+                    out[rows] = _marginals(probs[rows], physical, self.used_qubits)
             self._logical[n_logical] = out
         return self._logical[n_logical]
 

@@ -114,13 +114,14 @@ def three_qubit_circuit(angle):
 
 @pytest.mark.parametrize("n_logical", [2, 3])
 def test_compiled_rows_with_different_final_layouts(yorktown, n_logical):
-    """One reduced structure, three final layouts: each row marginalizes
-    (and, for two logical qubits, drops a different axis) its own way."""
+    """One reduced structure, five rows over three final layouts: each row
+    marginalizes (and, for two logical qubits, drops a different axis) its
+    own way, two of them sharing a layout with a later row."""
     layouts = [{0: 0, 1: 1, 2: 2}, {0: 2, 1: 0, 2: 1}, {0: 1, 1: 2, 2: 0}]
     runner = BatchedDensityRunner(yorktown, max_density_qubits=8)
     rows = [
         runner.submit(fake_compiled(three_qubit_circuit(angle), (0, 1, 2), layout))
-        for angle, layout in zip((0.3, 1.1, 2.4), layouts)
+        for angle, layout in zip((0.3, 1.1, 2.4, 0.7, 1.9), layouts + layouts[:2])
     ]
     runner.run()
     assert len({id(row.batch) for row in rows}) == 1
