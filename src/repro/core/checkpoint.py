@@ -21,18 +21,19 @@ restored exactly, so a search resumed at generation *k* produces the same
 best candidate, scores and history tail as the uninterrupted run — the
 checkpoint tests assert equality, not closeness.
 
-File format (version 2): a single :mod:`pickle` payload ``{"version": 2,
+File format (version 3): a single :mod:`pickle` payload ``{"version": 3,
 "iteration": int, "rng_state": dict, "population": [gene, ...], "cache":
 [(gene, score), ...], "history": [...], "evaluated": int, "best": gene |
 None, "best_score": float, "estimator_caches": {"bound": [(key, compiled),
 ...], "parametric": {"structures": [(key, template), ...], "bound": [...]}}
-| None}``.  Version 1 stored a tuple of template variants per structure
-and no longer loads.  Writes are atomic (temp file +
-``os.replace`` in the target directory), so a crash mid-write leaves the
-previous checkpoint intact; unknown versions raise instead of resuming
-wrong, while a truncated/corrupt file (one written without the atomic
-rename, or rotted on disk) degrades to resume-from-scratch with a
-``RuntimeWarning`` rather than crashing the run.
+| None}``.  Version 1 stored a tuple of template variants per structure,
+and version 2 templates whose replay nodes lack the branch verdicts their
+batch binds answer (only a fresh trace records them); neither loads.
+Writes are atomic (temp file + ``os.replace`` in the target directory), so
+a crash mid-write leaves the previous checkpoint intact; unknown versions
+raise instead of resuming wrong, while a truncated/corrupt file (one
+written without the atomic rename, or rotted on disk) degrades to
+resume-from-scratch with a ``RuntimeWarning`` rather than crashing the run.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SearchCheckpointer:
     what it stores.
     """
 
-    VERSION = 2
+    VERSION = 3
 
     def __init__(self, path: str, estimator=None) -> None:
         self.path = str(path)

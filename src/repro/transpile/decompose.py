@@ -64,8 +64,8 @@ def _normalize_angle(angle: float) -> float:
 
 
 def _normalize_angles(angles: np.ndarray) -> np.ndarray:
-    """:func:`_normalize_angle` over an array, elementwise."""
-    wrapped = np.fmod(angles, _TWO_PI)
+    """:func:`_normalize_angle` over an array, elementwise (a 0-d one too)."""
+    wrapped = np.asarray(np.fmod(angles, _TWO_PI))
     np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > math.pi)
     np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -math.pi)
     return wrapped
@@ -141,8 +141,8 @@ def _gate_entries(gate: str, params: Sequence[float]):
     )
 
 
-def _gate_entries_batch(gate: str, params: np.ndarray):
-    """:func:`_gate_entries` over arrays: ``params[..., i]`` holds angle ``i``.
+def _gate_entries_batch(gate: str, params: Sequence[np.ndarray]):
+    """:func:`_gate_entries` over arrays: ``params[i]`` holds angle ``i``.
 
     Each formula repeats its scalar sibling's, so the entries agree with it
     to rounding (numpy may round a complex product differently in the last
@@ -152,7 +152,7 @@ def _gate_entries_batch(gate: str, params: np.ndarray):
     guard reads reach it: U3 is always decomposed symbolically.
     """
     if gate in ("rz", "ry", "rx"):
-        theta = params[..., 0]
+        theta = params[0]
         cos, sin = np.cos(theta / 2), np.sin(theta / 2)
         if gate == "rz":
             return (_complex(cos, -sin), 0j, 0j, _complex(cos, sin))
@@ -160,9 +160,9 @@ def _gate_entries_batch(gate: str, params: np.ndarray):
             return (cos, -sin, sin, cos)
         return (cos, _complex(0.0, -sin), _complex(0.0, -sin), cos)
     if gate == "u1":
-        return (1 + 0j, 0j, 0j, np.exp(1j * params[..., 0]))
+        return (1 + 0j, 0j, 0j, np.exp(1j * params[0]))
     if gate == "u2":
-        phi, lam = params[..., 0], params[..., 1]
+        phi, lam = params
         return (
             complex(_INV_SQRT2),
             -_INV_SQRT2 * np.exp(1j * lam),

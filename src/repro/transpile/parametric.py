@@ -60,9 +60,12 @@ and always exact.
 
 :meth:`~ParametricCompiledCircuit.bind` replays one row in python scalars,
 and stays the reference.  :meth:`~ParametricCompiledCircuit.bind_batch`
-binds many rows at once: one matmul for every affine angle, and every replay
-node and guard evaluated over ``(rows, nodes)`` arrays by the array forms of
-the decomposition's helpers (:class:`_BatchPlan`).
+binds many rows at once: one matmul for every affine angle, then the same
+expressions and guards evaluated once over a binding context whose every
+value is an array over the rows.  The replay nodes' 2x2 products form one
+complex stack over nodes and rows, the array forms of the decomposition's
+helpers extract its U3 angles, and :func:`~.decompose.decompose_u3` re-emits
+each node's angles along the branches its witness took.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from ..quantum.circuit import (
     trusted_circuit,
     trusted_instruction,
 )
-from ..quantum.gates import gate_matrix, gate_num_params
+from ..quantum.gates import gate_matrix
 from ..utils.rng import ensure_rng
 from .compiler import CompiledCircuit, LayoutSpec, _resolve_layout, compile_seed
 from .decompose import (
@@ -123,7 +126,13 @@ class ParametricBindMismatch(Exception):
 
 
 class _BindContext:
-    """Parameter values plus replay-node outputs for one binding."""
+    """Parameter values plus replay-node outputs for one binding.
+
+    The expressions only index, add and scale what the context holds, so a
+    context whose ``values[i]`` and ``affine[j]`` are arrays over rows (the
+    transposed matrices of :meth:`ParametricCompiledCircuit.bind_batch`)
+    evaluates every expression for all the rows at once.
+    """
 
     __slots__ = ("values", "node_outputs", "affine")
 
@@ -405,27 +414,25 @@ class _ReplayNode:
             # _decompose_single_qubit's U3 branch: the gate is not rz/u3
             gate, exprs = self.sources()[0]
             params = tuple(expr.evaluate(ctx) for expr in exprs)
-            theta, phi, lam = _u3_angles(*_gate_entries(gate, params))
-            return decompose_u3(
-                self.qubit, theta, phi, lam, make=_emit_tuple, is_zero=is_zero
-            )
-        # run: multiply the sources' 2x2 matrices (last gate leftmost), then
-        # re-emit through the U3 extraction — the concrete run flush in python
-        # scalars, equal up to a global phase
-        m00, m01, m10, m11 = (1 + 0j, 0j, 0j, 1 + 0j)
-        for entry in self.sources():
-            if len(entry) == 4:
-                g00, g01, g10, g11 = entry
-            else:
-                gate, exprs = entry
-                params = tuple(expr.evaluate(ctx) for expr in exprs)
-                g00, g01, g10, g11 = _gate_entries(gate, params)
-            m00, m01, m10, m11 = (
-                g00 * m00 + g01 * m10,
-                g00 * m01 + g01 * m11,
-                g10 * m00 + g11 * m10,
-                g10 * m01 + g11 * m11,
-            )
+            m00, m01, m10, m11 = _gate_entries(gate, params)
+        else:
+            # run: multiply the sources' 2x2 matrices (last gate leftmost),
+            # then re-emit through the U3 extraction — the concrete run
+            # flush in python scalars, equal up to a global phase
+            m00, m01, m10, m11 = (1 + 0j, 0j, 0j, 1 + 0j)
+            for entry in self.sources():
+                if len(entry) == 4:
+                    g00, g01, g10, g11 = entry
+                else:
+                    gate, exprs = entry
+                    params = tuple(expr.evaluate(ctx) for expr in exprs)
+                    g00, g01, g10, g11 = _gate_entries(gate, params)
+                m00, m01, m10, m11 = (
+                    g00 * m00 + g01 * m10,
+                    g00 * m01 + g01 * m11,
+                    g10 * m00 + g11 * m10,
+                    g10 * m01 + g11 * m11,
+                )
         theta, phi, lam = _u3_angles(m00, m01, m10, m11)
         return decompose_u3(
             self.qubit, theta, phi, lam, make=_emit_tuple, is_zero=is_zero
@@ -442,6 +449,89 @@ class _ReplayNode:
         ctx.node_outputs[id(self)] = tuple(
             param for _gate, _qubits, params in emitted for param in params
         )
+
+    def replay_rows(
+        self, angles: Tuple[np.ndarray, ...], ctx: _BindContext, checked: List
+    ) -> None:
+        """:meth:`replay` for every row of an array context at once, given
+        the node's U3 ``(theta, phi, lam)`` over the rows (:func:`_unitaries`).
+
+        ``decompose_u3`` takes the branches the witness took: the
+        ``is_zero`` hook answers the recorded ``verdicts`` in turn and notes
+        each angle it is asked about in ``checked``, next to its verdict.
+        Each branch path emits its own gate sequence, so a row emits the
+        recorded signature exactly when every noted angle of it takes its
+        verdict; the caller refuses the other rows, as :meth:`replay` would.
+        """
+        verdicts = iter(self.verdicts)
+
+        def is_zero(angle: np.ndarray) -> bool:
+            verdict = next(verdicts)
+            checked.append((angle, verdict))
+            return verdict
+
+        # the emitted angles are wrapped together afterwards; wrapping is
+        # idempotent, so the verdicts on them do not move
+        emitted = decompose_u3(
+            self.qubit, *angles, make=_emit_tuple, is_zero=is_zero, norm=_unwrapped
+        )
+        params = [param for _gate, _qubits, params in emitted for param in params]
+        ctx.node_outputs[id(self)] = (
+            tuple(_normalize_angles(np.array(params))) if params else ()
+        )
+
+
+def _unitaries(
+    nodes: Sequence[_ReplayNode], ctx: _BindContext, n_rows: int
+) -> np.ndarray:
+    """Every node's 2x2 unitary over an array context, ``(nodes, 2, 2, rows)``.
+
+    The product loop of :meth:`_ReplayNode.emit` for all nodes at once: the
+    sources' entries are evaluated gate by gate, and each step multiplies
+    every product by its next source, from the identity, the shorter
+    products padded with identities in front.
+    """
+    sources = [node.sources() for node in nodes]
+    depth = max(len(plan) for plan in sources)
+    #: ``order[k][d]``: the source node ``k`` applies at step ``d``
+    order: List[List[int]] = []
+    const_at: List[int] = [0]
+    const: List[Tuple] = [(1 + 0j, 0j, 0j, 1 + 0j)]  # source 0: the identity
+    by_gate: Dict[str, Tuple[List[int], List[Tuple]]] = {}
+    position = 1
+    for plan in sources:
+        order.append(
+            [0] * (depth - len(plan)) + list(range(position, position + len(plan)))
+        )
+        for entry in plan:
+            if len(entry) == 4:
+                const_at.append(position)
+                const.append(entry)
+            else:
+                gate, exprs = entry
+                at, members = by_gate.setdefault(gate, ([], []))
+                at.append(position)
+                members.append(exprs)
+            position += 1
+    entries = np.empty((position, 2, 2, n_rows), dtype=complex)
+    entries[const_at] = np.reshape(const, (-1, 2, 2, 1))
+    for gate, (at, members) in by_gate.items():
+        params = np.empty((len(members[0]), len(at), n_rows))
+        for member, exprs in enumerate(members):
+            for i, expr in enumerate(exprs):
+                params[i, member] = expr.evaluate(ctx)
+        for (i, j), value in zip(
+            ((0, 0), (0, 1), (1, 0), (1, 1)), _gate_entries_batch(gate, params)
+        ):
+            entries[at, i, j] = value
+    matrix = entries[np.zeros(len(nodes), dtype=np.intp)]
+    for step in np.array(order, dtype=np.intp).T:
+        factor = entries[step]
+        matrix = (
+            factor[:, :, :1] * matrix[:, None, 0]
+            + factor[:, :, 1:] * matrix[:, None, 1]
+        )
+    return matrix
 
 
 class _Guard:
@@ -501,6 +591,21 @@ class _EmissionGuard:
             raise ParametricBindMismatch(
                 "deferred gate crossed the identity-emission branch"
             )
+
+    def holds(self, ctx: _BindContext) -> np.ndarray:
+        """:meth:`check` for every row of an array context: whether each
+        row's emission is empty exactly when the witness's was."""
+        params = tuple(expr.evaluate(ctx) for expr in self.params)
+        if not self.empty and self.gate in self._PERIODIC_1P:
+            wrapped = np.abs(np.fmod(params[0], 2.0 * math.pi))
+            far = 1e-6 < np.minimum(wrapped, 2.0 * math.pi - wrapped)
+            if far.all():
+                return far
+        # the gate is not rz/u3, so _decompose_single_qubit takes its U3
+        # branch, and decompose_u3 emits nothing exactly on its first one
+        theta, phi, lam = _u3_angles_batch(*_gate_entries_batch(self.gate, params))
+        empty = _is_zero_angles(theta) & _is_zero_angles(_normalize_angles(phi + lam))
+        return empty == self.empty
 
 
 def _outer_exprs(instructions: Sequence[_SymbolicInstruction]) -> frozenset:
@@ -811,14 +916,6 @@ class ParametricCompiledCircuit:
             self._affine_const = None
         self._guard_rows = np.asarray(guard_rows, dtype=np.intp)
         self._guard_expected = np.asarray(guard_expected, dtype=bool)
-        self._batch_plan: Optional[_BatchPlan] = None
-
-    def __getstate__(self) -> dict:
-        # the batch plan is derived state, rebuilt by the first bind_batch:
-        # pickles stay lean and a shared template's fingerprint stays put
-        state = self.__dict__.copy()
-        state["_batch_plan"] = None
-        return state
 
     # -- inspection ----------------------------------------------------------
 
@@ -919,8 +1016,8 @@ class ParametricCompiledCircuit:
         ``values`` is a ``(n_rows, >= expected_params())`` matrix.  Every
         affine angle of every row comes from *one* matmul against the
         template's affine plan (where :meth:`bind` runs one matvec per row);
-        the replay nodes, the guards and the slot angles are evaluated for
-        all rows at once by the template's :class:`_BatchPlan`.
+        the replay nodes (:meth:`_ReplayNode.replay_rows`), the guards and
+        the slot angles are then evaluated once, over arrays of all rows.
 
         Returns ``(ok, binding)``: ``ok[i]`` is whether row ``i`` takes the
         template's compile-time branches, and ``binding`` covers exactly the
@@ -942,297 +1039,68 @@ class ParametricCompiledCircuit:
                 f"expected at least {self._width} parameter values per row "
                 f"(got {values.shape[1]})"
             )
+        n_rows = values.shape[0]
         if self._affine_matrix is not None:
             affine = values[:, : self._width] @ self._affine_matrix.T
             affine += self._affine_const
         else:
-            affine = np.empty((values.shape[0], 0))
-        ok = np.ones(values.shape[0], dtype=bool)
+            affine = np.empty((n_rows, 0))
+        ok = np.ones(n_rows, dtype=bool)
         if self._guard_rows.size:
             verdicts = _is_zero_angles(affine[:, self._guard_rows])
             ok &= (verdicts == self._guard_expected).all(axis=1)
-        if self._batch_plan is None:
-            self._batch_plan = _BatchPlan(self)
-        table = self._batch_plan.table(values, affine, ok)
+
+        # every value this context holds is an array over the rows, and so
+        # is every expression, node output and guard angle evaluated on it
+        ctx = _BindContext(values.T, affine.T)
+        #: (angle over rows, the verdict every kept row must give it)
+        checked: List[Tuple] = []
+        nodes = self._nodes + self._aux_nodes
+        if nodes:
+            matrix = _unitaries(nodes, ctx, n_rows)
+            theta, phi, lam = _u3_angles_batch(
+                matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 0], matrix[:, 1, 1]
+            )
+            for k, node in enumerate(nodes):
+                node.replay_rows((theta[k], phi[k], lam[k]), ctx, checked)
+        for guard in self._other_guards:
+            if isinstance(guard, _EmissionGuard):
+                ok &= guard.holds(ctx)
+            else:
+                checked.append((guard.expr.evaluate(ctx), guard.zero))
+        if checked:
+            angles = np.empty((len(checked), n_rows))
+            for position, (angle, _verdict) in enumerate(checked):
+                angles[position] = angle
+            expected = np.array([verdict for _angle, verdict in checked])
+            ok &= (_is_zero_angles(angles) == expected[:, None]).all(axis=0)
+
         kept = np.flatnonzero(ok)
         if kept.size == 0:
             return ok, None
-        return ok, TemplateBatchBinding(
-            self, kept, self._batch_plan.slots(table, kept)
-        )
-
-
-class _BatchPlan:
-    """A template's replay nodes, non-affine guards and slots, over all rows.
-
-    Built by the first :meth:`ParametricCompiledCircuit.bind_batch` of its
-    template.  Every angle a node, guard or slot reads is one row of a
-    per-call ``(columns, rows)`` table ``[affine | other affine | node
-    angles | sums]``:
-
-    * the template's matmul yields the affine columns; the affine
-      expressions outside it (emission-guard angles, parts of sums) are
-      evaluated term by term, as :meth:`_Affine.evaluate` does;
-    * the 2x2 unitaries of every node, and of every deferred gate an
-      emission guard checks, form one complex ``(products, 2, 2, rows)``
-      stack: each step multiplies every product by its next source, from
-      the identity, shorter products padded with identities in front;
-    * :func:`_u3_angles_batch` extracts every product's U3 angles at once,
-      and :func:`decompose_u3` runs over them unchanged, once per branch
-      path the nodes recorded at trace time.  Its ``is_zero`` hook notes the
-      angle it is asked about and answers the recorded verdict, so the
-      emitted angles line up with the template's slots; its ``norm`` hook
-      wraps nothing, and the emitted angles are wrapped together afterwards
-      (wrapping is idempotent, so no verdict moves);
-    * a sum is its parts added left to right, as :meth:`_Sum.evaluate` does;
-    * the noted angles and every non-affine guard's angle are checked in one
-      :func:`_is_zero_angles` call against the recorded verdicts: a row is
-      refused wherever one differs, so exactly where the scalar replay's
-      signature check or a guard refuses it.
-    """
-
-    def __init__(self, template: "ParametricCompiledCircuit") -> None:
-        nodes = template._nodes + template._aux_nodes
-        emission = []
-        guards = []
-        for guard in template._other_guards:
-            (emission if isinstance(guard, _EmissionGuard) else guards).append(guard)
+        # every slot angle is one row of ``angles``; the slots get views
         items = [
             item
-            for slot in template._reduced_slots
+            for slot in self._reduced_slots
             if type(slot) is not Instruction
             for item in slot[2]
         ]
-        sums = {
-            id(expr): expr
-            for expr in [guard.expr for guard in guards] + items
-            if isinstance(expr, _Sum)
-        }
-
-        self.n_affine = (
-            0 if template._affine_matrix is None
-            else template._affine_matrix.shape[0]
-        )
-        extra: List[_Affine] = []
-        extra_column: Dict[int, int] = {}
-
-        def affine_column(expr) -> int:
-            if isinstance(expr, _RowExpr):
-                return expr.row
-            if id(expr) not in extra_column:
-                extra_column[id(expr)] = self.n_affine + len(extra)
-                extra.append(expr)
-            return extra_column[id(expr)]
-
-        # the product stack: source 0 is the identity, then every node's
-        # sources, then every emission guard's gate
-        const_positions: List[int] = [0]
-        const_entries: List[Tuple] = [(1 + 0j, 0j, 0j, 1 + 0j)]
-        by_gate: Dict[str, Tuple[List[int], List[Tuple[int, ...]]]] = {}
-        products: List[List[int]] = []
-        n_sources = 1
-        for sources in [node.sources() for node in nodes] + [
-            [(guard.gate, guard.params)] for guard in emission
-        ]:
-            products.append(list(range(n_sources, n_sources + len(sources))))
-            for source in sources:
-                if len(source) == 4:
-                    const_positions.append(n_sources)
-                    const_entries.append(source)
-                else:
-                    gate, exprs = source
-                    members, columns = by_gate.setdefault(gate, ([], []))
-                    members.append(n_sources)
-                    columns.append([affine_column(e) for e in exprs])
-                n_sources += 1
-        for expr in sums.values():
-            for part in expr.parts:
-                if isinstance(part, _Affine):
-                    affine_column(part)
-        self.n_sources = n_sources
-        self.const_positions = np.asarray(const_positions, dtype=np.intp)
-        self.const_entries = np.asarray(const_entries).reshape(-1, 2, 2, 1)
-        self.by_gate = [
-            (gate, np.asarray(members, dtype=np.intp),
-             np.asarray(columns, dtype=np.intp))
-            for gate, (members, columns) in by_gate.items()
-        ]
-        depth = max((len(product) for product in products), default=0)
-        self.steps = np.zeros((depth, len(products)), dtype=np.intp)
-        for column, product in enumerate(products):
-            self.steps[depth - len(product):, column] = product
-        # term t of every extra expression that has one: (columns, coeffs,
-        # parameter indices)
-        self.n_extra = len(extra)
-        self.extra_const = np.asarray([[e.const] for e in extra])
-        self.extra_terms = []
-        for t in range(max((len(e.terms) for e in extra), default=0)):
-            members = [
-                (i, e.terms[t]) for i, e in enumerate(extra) if len(e.terms) > t
-            ]
-            self.extra_terms.append((
-                np.asarray([i for i, _ in members], dtype=np.intp),
-                np.asarray([[coeff] for _, (_, coeff) in members]),
-                np.asarray([index for _, (index, _) in members], dtype=np.intp),
-            ))
-
-        # node angles: node k's emitted angles are consecutive columns; the
-        # nodes of one branch path emit the same number
-        paths: Dict[Tuple[bool, ...], List[int]] = {}
-        for position, node in enumerate(nodes):
-            paths.setdefault(node.verdicts, []).append(position)
-        offsets: Dict[int, int] = {}
-        width = self.n_affine + self.n_extra
-        self.paths = []
-        #: the verdict each checked angle must reproduce: the paths' hooks'
-        #: angles in the order they are asked, then the non-affine guards'
-        expected: List[bool] = []
-        for verdicts, members in paths.items():
-            expected.extend(v for v in verdicts for _ in members)
-            count = sum(
-                gate_num_params(gate) for gate, _ in nodes[members[0]].signature
+        angles = np.empty((len(items), n_rows))
+        for position, item in enumerate(items):
+            angles[position] = (
+                affine[:, item] if type(item) is int else item.evaluate(ctx)
             )
-            targets = np.arange(width, width + count * len(members), dtype=np.intp)
-            for position, member in enumerate(members):
-                offsets[id(nodes[member])] = width + count * position
-            width += count * len(members)
-            self.paths.append((
-                verdicts, np.asarray(members, dtype=np.intp),
-                targets.reshape(len(members), count),
-            ))
-        self.n_nodes = len(nodes)
-        self.emission_empty = np.asarray(
-            [[guard.empty] for guard in emission], dtype=bool
-        )
-
-        sum_index = {key: width + i for i, key in enumerate(sums)}
-        self.width = width + len(sums)
-
-        def column(expr) -> int:
-            if type(expr) is int:  # a slot's affine row
-                return expr
-            if isinstance(expr, _NodeAngle):
-                return offsets[id(expr.node)] + expr.index
-            if isinstance(expr, _Sum):
-                return sum_index[id(expr)]
-            return affine_column(expr)
-
-        self.sums = [
-            (sum_index[key], [column(part) for part in expr.parts])
-            for key, expr in sums.items()
-        ]
-        self.guard_columns = np.asarray(
-            [column(guard.expr) for guard in guards], dtype=np.intp
-        )
-        expected.extend(guard.zero for guard in guards)
-        self.expected = np.asarray(expected, dtype=bool)[:, None]
-        self.slot_columns = np.asarray([column(item) for item in items], dtype=np.intp)
-        self.reduced_slots = template._reduced_slots
-
-    def table(
-        self, values: np.ndarray, affine: np.ndarray, ok: np.ndarray
-    ) -> np.ndarray:
-        """Every column over every row, ``(columns, rows)``; clears ``ok``
-        where a row crosses a node's, an emission guard's or a non-affine
-        guard's branch."""
-        table = np.empty((self.width, values.shape[0]))
-        table[: self.n_affine] = affine.T
-        if self.n_extra:
-            # _Affine.evaluate, term by term: const + c0 * v0 + c1 * v1 ...
-            extra = table[self.n_affine : self.n_affine + self.n_extra]
-            extra[:] = self.extra_const
-            for columns, coeffs, indices in self.extra_terms:
-                extra[columns] += coeffs * values[:, indices].T
-        checked: List[np.ndarray] = []
-        if self.steps.size:
-            self._replay(table, ok, checked)
-        for target, parts in self.sums:
-            total = 0
-            for part in parts:
-                total = total + table[part]
-            table[target] = total
-        if self.guard_columns.size:
-            checked.append(table[self.guard_columns])
-        if checked:
-            verdicts = _is_zero_angles(np.concatenate(checked))
-            ok &= (verdicts == self.expected).all(axis=0)
-        return table
-
-    def _replay(
-        self, table: np.ndarray, ok: np.ndarray, checked: List[np.ndarray]
-    ) -> None:
-        """Multiply every product, re-emit the nodes' angles into ``table``
-        and append every angle whose verdict must be checked to ``checked``;
-        clear ``ok`` where an emission guard's verdict differs."""
-        matrix = self._products(table)
-        theta, phi, lam = _u3_angles_batch(
-            matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 0], matrix[:, 1, 1]
-        )
-
-        for verdicts, members, targets in self.paths:
-            recorded = iter(verdicts)
-            emitted: List[np.ndarray] = []
-
-            def is_zero(angle: np.ndarray) -> bool:
-                checked.append(angle)
-                return next(recorded)
-
-            def make(gate, qubits, params) -> None:
-                emitted.extend(params)
-
-            decompose_u3(
-                0, theta[members], phi[members], lam[members],
-                make=make, is_zero=is_zero, norm=_unwrapped,
-            )
-            if emitted:
-                table[targets] = _normalize_angles(np.stack(emitted, axis=1))
-
-        if self.emission_empty.size:
-            # an emission is empty exactly on decompose_u3's first branch
-            theta, phi, lam = (
-                angles[self.n_nodes:] for angles in (theta, phi, lam)
-            )
-            empty = _is_zero_angles(theta) & _is_zero_angles(
-                _normalize_angles(phi + lam)
-            )
-            ok &= (empty == self.emission_empty).all(axis=0)
-
-    def _products(self, table: np.ndarray) -> np.ndarray:
-        """Every product's 2x2 unitary, ``(products, 2, 2, rows)``."""
-        entries = np.empty((self.n_sources, 2, 2, table.shape[1]), dtype=complex)
-        entries[self.const_positions] = self.const_entries
-        for gate, members, columns in self.by_gate:
-            values = _gate_entries_batch(gate, np.moveaxis(table[columns], 1, -1))
-            for (i, j), value in zip(((0, 0), (0, 1), (1, 0), (1, 1)), values):
-                entries[members, i, j] = value
-        # from the identity, each source in application order (last
-        # leftmost), as the scalar run flush multiplies
-        matrix = entries[np.zeros(self.steps.shape[1], dtype=np.intp)]
-        for step in self.steps:
-            factor = entries[step]
-            matrix = (
-                factor[:, :, :1] * matrix[:, None, 0]
-                + factor[:, :, 1:] * matrix[:, None, 1]
-            )
-        return matrix
-
-    def slots(self, table: np.ndarray, kept: np.ndarray) -> List:
-        """The reduced slots of the ``kept`` rows: shared instructions, and
-        ``(gate, qubits, (kept, k) angles)`` views of one array."""
-        angles = table[self.slot_columns]
-        if kept.size < table.shape[1]:
-            angles = angles[:, kept]
-        angles = np.ascontiguousarray(angles.T)
+        angles = angles.T[kept]
         slots: List = []
         start = 0
-        for slot in self.reduced_slots:
+        for slot in self._reduced_slots:
             if type(slot) is Instruction:
                 slots.append(slot)
                 continue
             gate, qubits, plan = slot
             slots.append((gate, qubits, angles[:, start : start + len(plan)]))
             start += len(plan)
-        return slots
+        return ok, TemplateBatchBinding(self, kept, slots)
 
 
 class TemplateBatchBinding:

@@ -171,7 +171,8 @@ def test_bind_batch_matches_per_row_bind_over_random_structures(
 def test_rows_reviving_a_dropped_gate_are_refused(yorktown, optimization_level):
     """A witness angle of exactly zero drops its gate at trace time, and
     only that gate's emission guard sees a row bring it back: both binds
-    refuse such a row, and bind what keeps the dropped gates dropped."""
+    refuse such a row, and bind what keeps the dropped gates dropped and
+    the kept ones kept, even a rotation just off a full turn."""
     circuit = ParameterizedCircuit(2)
     circuit.add_trainable("ry", [0])
     circuit.add_fixed("cx", [0, 1])
@@ -188,9 +189,40 @@ def test_rows_reviving_a_dropped_gate_are_refused(yorktown, optimization_level):
         [0.5, 1.1, 0.0],  # revives the ry
         [0.0, 1.1, 0.3],  # revives the u1
         [2.0 * np.pi, 0.8, 0.0],  # a full turn stays dropped
+        [0.0, 1e-7, 0.0],  # the rx stays: inside the guard's shortcut margin
+        [0.0, 2.0 * np.pi - 4e-7, 0.0],
     ])
     ok, binding = template.bind_batch(values)
-    assert list(ok) == [True, True, False, False, True]
+    assert list(ok) == [True, True, False, False, True, True, True]
+    assert [template.try_bind(row) is not None for row in values] == list(ok)
+    for position, row in enumerate(binding.rows):
+        assert_row_matches_bind(binding, position, template.bind(values[row]))
+
+
+@pytest.mark.parametrize("optimization_level", [1, 2, 3])
+def test_rows_cancelling_a_merged_rotation_are_refused(
+    yorktown, optimization_level
+):
+    """At level 1 the RZ after the ry's replay node merges with the node's
+    last emitted angle, and only the guard on that sum sees a row cancel
+    it to a full turn; at levels 2-3 the run's replay node sees it.  Both
+    binds refuse such a row."""
+    circuit = ParameterizedCircuit(2)
+    circuit.add_trainable("ry", [0])
+    circuit.add_trainable("rz", [0])
+    circuit.add_fixed("cx", [0, 1])
+    template = parametric_transpile(
+        circuit, yorktown, optimization_level=optimization_level,
+        witness_values=np.array([0.7, 0.3]),
+    )
+    values = np.array([
+        [0.7, 0.3],
+        [0.7, -np.pi],  # the node emits rz(pi): the merged sum is zero
+        [0.2, 3.0 * np.pi],
+        [0.7, np.pi / 2],
+    ])
+    ok, binding = template.bind_batch(values)
+    assert list(ok) == [True, False, False, True]
     assert [template.try_bind(row) is not None for row in values] == list(ok)
     for position, row in enumerate(binding.rows):
         assert_row_matches_bind(binding, position, template.bind(values[row]))

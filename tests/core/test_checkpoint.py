@@ -25,6 +25,8 @@ from repro.core import (
 from repro.core.pipeline import QMLPipelineConfig, QuantumNASQMLPipeline
 from repro.devices import get_device
 from repro.qml import encoder_for_task
+from repro.quantum.circuit import ParameterizedCircuit
+from repro.transpile.parametric import parametric_transpile
 
 
 def small_config(checkpoint_path=None, iterations=4):
@@ -152,6 +154,37 @@ class TestCheckpointResume:
                     "bound": [],
                     "parametric": {
                         "structures": [(structure_key, ("variant",))],
+                        "bound": [],
+                    },
+                },
+            }, handle)
+        estimator = PerformanceEstimator(yorktown, EstimatorConfig())
+        with pytest.raises(ValueError, match="version"):
+            SearchCheckpointer(path, estimator=estimator).load()
+        assert len(estimator.parametric_transpile_cache) == 0
+
+    def test_version_2_payload_raises(self, yorktown, tmp_path):
+        """Version 2 templates carry replay nodes without the branch
+        verdicts a batch bind answers; loading one must raise, never adopt
+        a template whose first ``bind_batch`` would fail."""
+        circuit = ParameterizedCircuit(2)
+        circuit.add_trainable("ry", [0])
+        circuit.add_trainable("rx", [0])
+        circuit.add_fixed("cx", [0, 1])
+        template = parametric_transpile(circuit, yorktown, seed=0)
+        assert template.num_replay_nodes
+        for node in template._nodes:
+            del node.verdicts  # the version-2 layout of a replay node
+        path = str(tmp_path / "v2.ckpt")
+        with open(path, "wb") as handle:
+            pickle.dump({
+                "version": 2,
+                "estimator_caches": {
+                    "bound": [],
+                    "parametric": {
+                        "structures": [
+                            (("yorktown", 2, None, (), 0), template)
+                        ],
                         "bound": [],
                     },
                 },
