@@ -450,40 +450,52 @@ class _ReplayNode:
             param for _gate, _qubits, params in emitted for param in params
         )
 
-    def replay_rows(
-        self, angles: Tuple[np.ndarray, ...], ctx: _BindContext, checked: List
-    ) -> None:
-        """:meth:`replay` for every row of an array context at once, given
-        the node's U3 ``(theta, phi, lam)`` over the rows (:func:`_unitaries`).
 
-        ``decompose_u3`` takes the branches the witness took: the
-        ``is_zero`` hook answers the recorded ``verdicts`` in turn and notes
-        each angle it is asked about in ``checked``, next to its verdict.
-        Each branch path emits its own gate sequence, so a row emits the
-        recorded signature exactly when every noted angle of it takes its
-        verdict; the caller refuses the other rows, as :meth:`replay` would.
-        """
-        verdicts = iter(self.verdicts)
+def _replay_rows(
+    nodes: Sequence[_ReplayNode], ctx: _BindContext, checked: List
+) -> None:
+    """:meth:`_ReplayNode.replay` for every node and every row of an array
+    context at once.
+
+    :func:`_u3_angles_batch` extracts the U3 angles of every node's product
+    (:func:`_unitaries`), and ``decompose_u3`` re-emits them once per branch
+    path the nodes took at their witness: its ``is_zero`` hook answers the
+    path's recorded verdicts in turn and notes each row of each angle it is
+    asked about in ``checked``, next to its verdict.  Each branch path emits
+    its own gate sequence, so a row emits a node's recorded signature
+    exactly when every noted angle of it takes its verdict; the caller
+    refuses the other rows, as :meth:`~_ReplayNode.replay` would.
+    """
+    matrix = _unitaries(nodes, ctx)
+    theta, phi, lam = _u3_angles_batch(
+        matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 0], matrix[:, 1, 1]
+    )
+    paths: Dict[Tuple[bool, ...], List[int]] = {}
+    for k, node in enumerate(nodes):
+        paths.setdefault(node.verdicts, []).append(k)
+    for verdicts, members in paths.items():
+        answers = iter(verdicts)
 
         def is_zero(angle: np.ndarray) -> bool:
-            verdict = next(verdicts)
-            checked.append((angle, verdict))
+            verdict = next(answers)
+            checked.extend((row, verdict) for row in angle)
             return verdict
 
         # the emitted angles are wrapped together afterwards; wrapping is
         # idempotent, so the verdicts on them do not move
         emitted = decompose_u3(
-            self.qubit, *angles, make=_emit_tuple, is_zero=is_zero, norm=_unwrapped
+            0, theta[members], phi[members], lam[members],
+            make=_emit_tuple, is_zero=is_zero, norm=_unwrapped,
         )
         params = [param for _gate, _qubits, params in emitted for param in params]
-        ctx.node_outputs[id(self)] = (
-            tuple(_normalize_angles(np.array(params))) if params else ()
-        )
+        outputs = _normalize_angles(np.array(params)) if params else ()
+        for position, k in enumerate(members):
+            ctx.node_outputs[id(nodes[k])] = tuple(
+                output[position] for output in outputs
+            )
 
 
-def _unitaries(
-    nodes: Sequence[_ReplayNode], ctx: _BindContext, n_rows: int
-) -> np.ndarray:
+def _unitaries(nodes: Sequence[_ReplayNode], ctx: _BindContext) -> np.ndarray:
     """Every node's 2x2 unitary over an array context, ``(nodes, 2, 2, rows)``.
 
     The product loop of :meth:`_ReplayNode.emit` for all nodes at once: the
@@ -513,6 +525,7 @@ def _unitaries(
                 at.append(position)
                 members.append(exprs)
             position += 1
+    n_rows = ctx.affine.shape[1]
     entries = np.empty((position, 2, 2, n_rows), dtype=complex)
     entries[const_at] = np.reshape(const, (-1, 2, 2, 1))
     for gate, (at, members) in by_gate.items():
@@ -1016,8 +1029,8 @@ class ParametricCompiledCircuit:
         ``values`` is a ``(n_rows, >= expected_params())`` matrix.  Every
         affine angle of every row comes from *one* matmul against the
         template's affine plan (where :meth:`bind` runs one matvec per row);
-        the replay nodes (:meth:`_ReplayNode.replay_rows`), the guards and
-        the slot angles are then evaluated once, over arrays of all rows.
+        the replay nodes (:func:`_replay_rows`), the guards and the slot
+        angles are then evaluated once, over arrays of all rows.
 
         Returns ``(ok, binding)``: ``ok[i]`` is whether row ``i`` takes the
         template's compile-time branches, and ``binding`` covers exactly the
@@ -1057,12 +1070,7 @@ class ParametricCompiledCircuit:
         checked: List[Tuple] = []
         nodes = self._nodes + self._aux_nodes
         if nodes:
-            matrix = _unitaries(nodes, ctx, n_rows)
-            theta, phi, lam = _u3_angles_batch(
-                matrix[:, 0, 0], matrix[:, 0, 1], matrix[:, 1, 0], matrix[:, 1, 1]
-            )
-            for k, node in enumerate(nodes):
-                node.replay_rows((theta[k], phi[k], lam[k]), ctx, checked)
+            _replay_rows(nodes, ctx, checked)
         for guard in self._other_guards:
             if isinstance(guard, _EmissionGuard):
                 ok &= guard.holds(ctx)
