@@ -178,9 +178,7 @@ def cache_report(estimator, elapsed_cold, path):
             "structure_hits": parametric.structure_hits,
             "structure_misses": parametric.structure_misses,
             "structure_hit_rate": parametric.structure_hit_rate,
-            "bind_hits": parametric.bind_hits,
-            "bind_misses": parametric.bind_misses,
-            "bind_hit_rate": parametric.bind_hit_rate,
+            "bind_requests": parametric.bind_requests,
             "variants_compiled": parametric.variants_compiled,
             "fallbacks": parametric.fallbacks,
             "fallback_rate": parametric.fallback_rate,

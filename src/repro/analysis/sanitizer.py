@@ -130,11 +130,8 @@ def verify_cache(cache) -> None:
     ledger = getattr(cache, _LEDGER_ATTR, None)
     if not ledger:
         return
-    bound_entries = getattr(cache, "_entries", None)
-    if bound_entries is None:
-        bound_entries = getattr(cache, "_bound", {})
     entries_by_kind = {
-        "bound": bound_entries,
+        "bound": getattr(cache, "_entries", {}),
         "structure": getattr(cache, "_structures", {}),
     }
     stale: List[Tuple] = []
@@ -162,7 +159,9 @@ def verify_cache(cache) -> None:
 _ORIGINALS: Dict[Tuple[type, str], object] = {}
 
 
-def _wrap_transpile_cache(cls) -> None:
+def _wrap_cache(cls, kind: str, store: str) -> None:
+    """Hook one cache class's share points; ``store`` names its entry LRU
+    and ``kind`` the ledger kind its entries record under."""
     original_export = cls.export_entries
     original_adopt = cls.adopt_entries
     original_clear = cls.clear
@@ -174,57 +173,18 @@ def _wrap_transpile_cache(cls) -> None:
         verify_cache(self)
         entries = original_export(self, exclude)
         for key, entry in entries:
-            _record(self, "bound", key, entry)
+            _record(self, kind, key, entry)
         return entries
 
     def adopt_entries(self, entries):
         verify_cache(self)
         entries = list(entries)
-        present_before = set(self._entries)
+        present = getattr(self, store)
+        present_before = set(present)
         adopted = original_adopt(self, entries)
         for key, entry in entries:
-            if key not in present_before and key in self._entries:
-                _record(self, "bound", key, entry)
-        return adopted
-
-    def clear(self):
-        verify_cache(self)
-        getattr(self, _LEDGER_ATTR, {}).clear()
-        return original_clear(self)
-
-    cls.export_entries = export_entries
-    cls.adopt_entries = adopt_entries
-    cls.clear = clear
-
-
-def _wrap_parametric_cache(cls) -> None:
-    original_export = cls.export_entries
-    original_adopt = cls.adopt_entries
-    original_clear = cls.clear
-    _ORIGINALS[(cls, "export_entries")] = original_export
-    _ORIGINALS[(cls, "adopt_entries")] = original_adopt
-    _ORIGINALS[(cls, "clear")] = original_clear
-
-    def export_entries(self, exclude_structures=(), exclude_bound=()):
-        verify_cache(self)
-        payload = original_export(self, exclude_structures, exclude_bound)
-        for key, template in payload.get("structures", ()):
-            _record(self, "structure", key, template)
-        for key, entry in payload.get("bound", ()):
-            _record(self, "bound", key, entry)
-        return payload
-
-    def adopt_entries(self, payload):
-        verify_cache(self)
-        structures_before = set(self._structures)
-        bound_before = set(self._bound)
-        adopted = original_adopt(self, payload)
-        for key, template in payload.get("structures", ()):
-            if key not in structures_before and key in self._structures:
-                _record(self, "structure", key, template)
-        for key, entry in payload.get("bound", ()):
-            if key not in bound_before and key in self._bound:
-                _record(self, "bound", key, entry)
+            if key not in present_before and key in present:
+                _record(self, kind, key, entry)
         return adopted
 
     def clear(self):
@@ -353,8 +313,8 @@ def install_sanitizer() -> None:
     from ..execution import cache as cache_module
     from ..noise import models as noise_models
 
-    _wrap_transpile_cache(cache_module.TranspileCache)
-    _wrap_parametric_cache(cache_module.ParametricTranspileCache)
+    _wrap_cache(cache_module.TranspileCache, "bound", "_entries")
+    _wrap_cache(cache_module.ParametricTranspileCache, "structure", "_structures")
     _wrap_density_runner(density_module.BatchedDensityRunner, density_module._Batch)
     _wrap_noise_model(noise_models.NoiseModel)
 

@@ -21,14 +21,15 @@ restored exactly, so a search resumed at generation *k* produces the same
 best candidate, scores and history tail as the uninterrupted run — the
 checkpoint tests assert equality, not closeness.
 
-File format (version 3): a single :mod:`pickle` payload ``{"version": 3,
+File format (version 4): a single :mod:`pickle` payload ``{"version": 4,
 "iteration": int, "rng_state": dict, "population": [gene, ...], "cache":
 [(gene, score), ...], "history": [...], "evaluated": int, "best": gene |
 None, "best_score": float, "estimator_caches": {"bound": [(key, compiled),
-...], "parametric": {"structures": [(key, template), ...], "bound": [...]}}
-| None}``.  Version 1 stored a tuple of template variants per structure,
-and version 2 templates whose replay nodes lack the branch verdicts their
-batch binds answer (only a fresh trace records them); neither loads.
+...], "parametric": [(key, template), ...]} | None}``.  Version 1 stored a
+tuple of template variants per structure, version 2 templates whose replay
+nodes lack the branch verdicts their batch binds answer (only a fresh trace
+records them), and version 3 a ``{"structures": ..., "bound": ...}`` dict
+for the parametric part; none of them loads.
 Writes are atomic (temp file + ``os.replace`` in the target directory), so
 a crash mid-write leaves the previous checkpoint intact; unknown versions
 raise instead of resuming wrong, while a truncated/corrupt file (one
@@ -57,7 +58,7 @@ class SearchCheckpointer:
     what it stores.
     """
 
-    VERSION = 3
+    VERSION = 4
 
     def __init__(self, path: str, estimator=None) -> None:
         self.path = str(path)

@@ -37,7 +37,7 @@ from ..vqe.molecules import Molecule
 
 __all__ = ["EstimatorConfig", "PerformanceEstimator"]
 
-#: entries per estimator-owned transpile cache (bound-key and parametric)
+#: entries of the estimator-owned bound-key transpile cache
 _TRANSPILE_CACHE_SIZE = 1024
 
 
@@ -129,8 +129,7 @@ class PerformanceEstimator:
 
         self.transpile_cache = TranspileCache(_TRANSPILE_CACHE_SIZE)
         self.parametric_transpile_cache = ParametricTranspileCache(
-            bound_maxsize=_TRANSPILE_CACHE_SIZE,
-            fallback=self.transpile_cache,
+            fallback=self.transpile_cache
         )
 
     # -- mode resolution ---------------------------------------------------------

@@ -200,26 +200,26 @@ class ParametricCacheStats(MergeableStats):
     """Counters of a :class:`ParametricTranspileCache`.
 
     ``structure_*`` counts lookups of compiled circuit *structures* (one per
-    (circuit structure, device, layout, optimization level)); ``bind_*``
-    counts bound-circuit lookups (one per parameter binding).  ``fallbacks``
-    counts bindings that crossed a compile-time branch of their structure's
-    template and were served by a full concrete transpile instead — the
-    result is still exact, just not amortized.  ``variants_compiled`` counts
-    compiled templates: one per structure miss.
+    (circuit structure, device, layout, optimization level)).
+    ``bind_requests`` counts single-row binds: every
+    :meth:`~ParametricTranspileCache.get_bound` call and every
+    :meth:`~ParametricTranspileCache.bind_rows` row that crossed a branch.
+    ``fallbacks`` counts bindings that crossed a compile-time branch of
+    their structure's template and were served by the bound-key fallback
+    instead — the result is still exact, just not amortized.
+    ``variants_compiled`` counts compiled templates: one per structure miss.
     """
 
     structure_hits: int = 0
     structure_misses: int = 0
     structure_evictions: int = 0
-    bind_hits: int = 0
-    bind_misses: int = 0
-    bind_evictions: int = 0
+    bind_requests: int = 0
     fallbacks: int = 0
     variants_compiled: int = 0
     #: vectorized :meth:`ParametricTranspileCache.bind_rows` calls and the
     #: rows they served straight from the template; rows that crossed a
     #: branch go to the bound-key fallback and count in
-    #: ``bind_misses``/``fallbacks``
+    #: ``bind_requests``/``fallbacks``
     batch_binds: int = 0
     batch_rows: int = 0
     compile_seconds: float = 0.0
@@ -233,15 +233,6 @@ class ParametricCacheStats(MergeableStats):
     def structure_hit_rate(self) -> float:
         requests = self.structure_requests
         return self.structure_hits / requests if requests else 0.0
-
-    @property
-    def bind_requests(self) -> int:
-        return self.bind_hits + self.bind_misses
-
-    @property
-    def bind_hit_rate(self) -> float:
-        requests = self.bind_requests
-        return self.bind_hits / requests if requests else 0.0
 
     @property
     def fallback_rate(self) -> float:
@@ -272,29 +263,19 @@ class ParametricTranspileCache:
     batch) share that one fallback, so a row's template-vs-fallback path is
     a pure function of (row values, structure template); results are
     identical either way.
-
-    Bound results are memoized in a second LRU so duplicated candidates and
-    repeated samples receive the *same* :class:`CompiledCircuit` object,
-    which downstream consumers (the batched density runner) rely on for
-    deduplication.
     """
 
     def __init__(
-        self,
-        maxsize: int = 256,
-        bound_maxsize: int = 1024,
-        fallback: Optional[TranspileCache] = None,
+        self, maxsize: int = 256, fallback: Optional[TranspileCache] = None
     ) -> None:
-        if maxsize < 1 or bound_maxsize < 1:
+        if maxsize < 1:
             raise ValueError("cache maxsize must be positive")
         self.maxsize = int(maxsize)
-        self.bound_maxsize = int(bound_maxsize)
-        self.fallback = fallback if fallback is not None else TranspileCache(bound_maxsize)
+        self.fallback = fallback if fallback is not None else TranspileCache()
         self.stats = ParametricCacheStats()
         self._structures: "OrderedDict[Tuple, ParametricCompiledCircuit]" = (
             OrderedDict()
         )
-        self._bound: "OrderedDict[Tuple, CompiledCircuit]" = OrderedDict()
         # ParameterizedCircuit objects are long-lived (one per genome group);
         # fingerprinting — and deriving the seed-carrying full key, which
         # serializes the structure — per sample would dominate bind time, so
@@ -377,51 +358,25 @@ class ParametricTranspileCache:
             self.stats.structure_evictions += 1
         return template
 
-    def _bound_row(
+    def _fallback_row(
         self, circuit, key, values, n_weights, device, initial_layout,
-        optimization_level, bind_template,
+        optimization_level,
     ) -> CompiledCircuit:
-        """One binding's compiled circuit, memoized in the bound LRU.
+        """A row that crossed one of its template's branches, compiled by
+        the exact bound-key fallback.
 
-        On a miss a ``bind_template`` row is bound through the structure's
-        template.  A row that crosses one of the template's branches — and
-        every row :meth:`bind_rows` passes without ``bind_template``, which
-        its vectorized bind already rejected — is compiled by the exact
-        bound-key fallback.
+        The structure's pinned seed rides along, so SABRE draws (and
+        therefore the compiled result) match what a successful template
+        bind of this structure would have produced.
         """
-        values = np.ascontiguousarray(values, dtype=float)
-        bound_key = (key, values.tobytes())
-        compiled = self._bound.get(bound_key)
-        if compiled is not None:
-            self.stats.bind_hits += 1
-            self._bound.move_to_end(bound_key)
-            return compiled
-        self.stats.bind_misses += 1
-        if bind_template:
-            template = self._template(
-                circuit, key, device, initial_layout, optimization_level,
-                values[:n_weights], values.size - n_weights,
-            )
-            start = clock.monotonic()
-            compiled = template.try_bind(values)
-            self.stats.bind_seconds += clock.monotonic() - start
-        if compiled is None:
-            self.stats.fallbacks += 1
-            # the structure's pinned seed rides along so SABRE draws (and
-            # therefore the compiled result) match what a successful
-            # template bind of this structure would have produced
-            compiled = self.fallback.get(
-                circuit.bind(values[:n_weights], values[n_weights:]),
-                device,
-                initial_layout=initial_layout,
-                optimization_level=optimization_level,
-                seed=key[-1],
-            )
-        self._bound[bound_key] = compiled
-        if len(self._bound) > self.bound_maxsize:
-            self._bound.popitem(last=False)
-            self.stats.bind_evictions += 1
-        return compiled
+        self.stats.fallbacks += 1
+        return self.fallback.get(
+            circuit.bind(values[:n_weights], values[n_weights:]),
+            device,
+            initial_layout=initial_layout,
+            optimization_level=optimization_level,
+            seed=key[-1],
+        )
 
     # -- bound lookups --------------------------------------------------------
 
@@ -436,11 +391,12 @@ class ParametricTranspileCache:
     ) -> CompiledCircuit:
         """The compiled circuit for one parameter binding.
 
-        Identical bindings return the identical object.  Exactness contract:
-        the result always matches ``transpile(circuit.bind(weights, row))``
-        with this cache's pinned seed — via a template bind when the
-        binding takes the template's compile-time branches, via the
-        bound-key fallback cache otherwise.
+        Exactness contract: the result always matches
+        ``transpile(circuit.bind(weights, row))`` with this cache's pinned
+        seed — via a fresh template bind when the binding takes the
+        template's compile-time branches, via the bound-key fallback cache
+        otherwise.  Only fallback rows are memoized, so only they return
+        the identical object for identical bindings.
         """
         if device is None:
             raise ValueError("device is required")
@@ -450,10 +406,20 @@ class ParametricTranspileCache:
             features_row = np.asarray(features_row, dtype=float).ravel()
             values = np.concatenate([weights, features_row])
         key = self.key_for(circuit, device, initial_layout, optimization_level)
-        return self._bound_row(
-            circuit, key, values, weights.shape[0], device, initial_layout,
-            optimization_level, bind_template=True,
+        self.stats.bind_requests += 1
+        template = self._template(
+            circuit, key, device, initial_layout, optimization_level,
+            weights, values.size - weights.shape[0],
         )
+        start = clock.monotonic()
+        compiled = template.try_bind(values)
+        self.stats.bind_seconds += clock.monotonic() - start
+        if compiled is None:
+            compiled = self._fallback_row(
+                circuit, key, values, weights.shape[0], device,
+                initial_layout, optimization_level,
+            )
+        return compiled
 
     def bind_rows(
         self,
@@ -503,12 +469,14 @@ class ParametricTranspileCache:
         start = clock.monotonic()
         ok, binding = template.bind_batch(values)
         self.stats.bind_seconds += clock.monotonic() - start
+        crossed = np.flatnonzero(~ok)
+        self.stats.bind_requests += crossed.size
         fallback = {
-            int(row): self._bound_row(
+            int(row): self._fallback_row(
                 circuit, key, values[row], n_weights, device, initial_layout,
-                optimization_level, bind_template=False,
+                optimization_level,
             )
-            for row in np.flatnonzero(~ok)
+            for row in crossed
         }
         self.stats.batch_binds += 1
         self.stats.batch_rows += int(ok.sum())
@@ -516,62 +484,41 @@ class ParametricTranspileCache:
 
     # -- sharded-worker entry exchange --------------------------------------
 
-    def export_entries(self, exclude_structures=(), exclude_bound=()) -> dict:
-        """Structure templates and bound compilations not yet exported.
+    def export_entries(self, exclude=()) -> list:
+        """``(key, template)`` pairs not in ``exclude``, in LRU order.
 
-        Returns ``{"structures": [(key, template), ...],
-        "bound": [(key, compiled), ...]}`` — everything a worker compiled
-        during one shard task (given the exclusion sets of what it shipped
-        before).  Pickled as one payload, so a bound entry produced by a
-        template bind keeps sharing objects with its template.
+        The structure-side twin of :meth:`TranspileCache.export_entries`;
+        rows that fell back ship with the bound-key cache's entries.
         """
-        exclude_structures = set(exclude_structures)
-        exclude_bound = set(exclude_bound)
-        structures = [(key, template) for key, template in self._structures.items()
-                      if key not in exclude_structures]
-        bound = [(key, entry) for key, entry in self._bound.items()
-                 if key not in exclude_bound]
-        return {"structures": structures, "bound": bound}
+        exclude = set(exclude)
+        return [(key, template) for key, template in self._structures.items()
+                if key not in exclude]
 
-    def adopt_entries(self, payload: dict) -> Tuple[int, int]:
-        """Insert structures/bound compilations produced elsewhere.
+    def export_keys(self) -> set:
+        """Current structure keys — same contract as
+        :meth:`TranspileCache.export_keys`."""
+        return set(self._structures)
 
-        Returns ``(structures_adopted, bound_adopted)``.  Mirrors
-        :meth:`TranspileCache.adopt_entries`: absent keys only, no hit/miss
-        accounting (adoption is not a lookup), evictions recorded.  A
-        structure key already present keeps its local template.
+    def adopt_entries(self, entries) -> int:
+        """Insert templates traced elsewhere (absent keys only).
+
+        Returns the number adopted.  Mirrors
+        :meth:`TranspileCache.adopt_entries`: no hit/miss accounting
+        (adoption is not a lookup), evictions recorded, and a structure key
+        already present keeps its local template.
         """
-        structures_adopted = 0
-        for key, template in payload.get("structures", ()):
+        adopted = 0
+        for key, template in entries:
             if key in self._structures:
                 continue
             self._structures[key] = template
-            structures_adopted += 1
+            adopted += 1
             if len(self._structures) > self.maxsize:
                 self._structures.popitem(last=False)
                 self.stats.structure_evictions += 1
-        bound_adopted = 0
-        for key, entry in payload.get("bound", ()):
-            if key in self._bound:
-                continue
-            self._bound[key] = entry
-            bound_adopted += 1
-            if len(self._bound) > self.bound_maxsize:
-                self._bound.popitem(last=False)
-                self.stats.bind_evictions += 1
-        return structures_adopted, bound_adopted
-
-    def export_keys(self) -> Tuple[set, set]:
-        """Current (structure keys, bound keys) — a worker's exclusion sets.
-
-        Same contract as :meth:`TranspileCache.export_keys`: refreshed after
-        every export so evicted-then-recompiled entries ship again and the
-        sets stay bounded by the cache sizes.
-        """
-        return set(self._structures), set(self._bound)
+        return adopted
 
     def clear(self) -> None:
         self._structures.clear()
-        self._bound.clear()
         self._keys.clear()
         self.stats = ParametricCacheStats()

@@ -95,7 +95,6 @@ class SchedulerStats(MergeableStats):
     flaky_recoveries: int = 0
     adopted_bound_entries: int = 0
     adopted_structures: int = 0
-    adopted_parametric_bound: int = 0
 
 
 # repro: pickle-boundary
@@ -143,7 +142,7 @@ class _ShardResult:
     bound_stats: TranspileCacheStats
     parametric_stats: ParametricCacheStats
     bound_entries: list
-    parametric_entries: dict
+    parametric_entries: list
     elapsed_seconds: float = 0.0
     attempt: int = 0
     #: the worker-side telemetry spans for this shard (always captured —
@@ -167,7 +166,6 @@ class _WorkerContext:
         self.evaluator = evaluator_class(*args)
         self.exported_bound: set = set()
         self.exported_structures: set = set()
-        self.exported_parametric_bound: set = set()
 
     def run(self, task: _ShardTask) -> _ShardResult:
         """Evaluate one shard task, always under a telemetry capture.
@@ -197,16 +195,12 @@ class _WorkerContext:
         parametric_before = parametric.stats.copy()
         values, stats = self.evaluator.evaluate(task)
         bound_entries = bound.export_entries(self.exported_bound)
-        parametric_entries = parametric.export_entries(
-            self.exported_structures, self.exported_parametric_bound
-        )
+        parametric_entries = parametric.export_entries(self.exported_structures)
         # Exclusion sets are refreshed from the caches (not accumulated): an
         # entry evicted worker-side and recompiled later must ship again, and
         # the sets must stay bounded by the cache sizes.
         self.exported_bound = bound.export_keys()
-        self.exported_structures, self.exported_parametric_bound = (
-            parametric.export_keys()
-        )
+        self.exported_structures = parametric.export_keys()
         return _ShardResult(
             shard_index=task.shard_index,
             values=values,
@@ -491,11 +485,9 @@ class ShardRuntime:
         stats = self.scheduler_stats
         bound, parametric = self._caches
         stats.adopted_bound_entries += bound.adopt_entries(result.bound_entries)
-        structures, bound_entries = parametric.adopt_entries(
+        stats.adopted_structures += parametric.adopt_entries(
             result.parametric_entries
         )
-        stats.adopted_structures += structures
-        stats.adopted_parametric_bound += bound_entries
 
     def _degrade(self, exc: RetriesExhausted) -> None:
         """Account a failed generation and prepare the in-process retry.

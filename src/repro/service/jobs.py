@@ -41,7 +41,8 @@ class TenantStats(MergeableStats):
     populations: int = 0
     #: candidates evaluated across those populations
     candidates: int = 0
-    #: transpile-cache hits/misses (bound + parametric structure + bind)
+    #: hits/misses of the two compile memos: bound-key entries and
+    #: parametric structures
     cache_hits: int = 0
     cache_misses: int = 0
     #: wall time spent evaluating: summed worker-side shard seconds when the

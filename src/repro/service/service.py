@@ -203,12 +203,8 @@ class CoSearchService:
         stats.generations += 1
         stats.populations += engine_delta.populations
         stats.candidates += engine_delta.candidates
-        stats.cache_hits += (
-            bound.hits + parametric.structure_hits + parametric.bind_hits
-        )
-        stats.cache_misses += (
-            bound.misses + parametric.structure_misses + parametric.bind_misses
-        )
+        stats.cache_hits += bound.hits + parametric.structure_hits
+        stats.cache_misses += bound.misses + parametric.structure_misses
         stats.worker_failures += sched.worker_failures
         stats.retried_shards += sched.retried_shards
         stats.rebalanced_shards += sched.rebalanced_shards

@@ -12,7 +12,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "seeded_rng", "derive_rng", "stable_seed"]
+__all__ = ["ensure_rng", "stable_seed"]
 
 RngLike = Union[int, np.random.Generator, None]
 
@@ -41,14 +41,3 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(int(rng))
-
-
-def seeded_rng(seed: int) -> np.random.Generator:
-    """A generator with an explicit seed (alias kept for readability)."""
-    return np.random.default_rng(int(seed))
-
-
-def derive_rng(rng: np.random.Generator, stream: int) -> np.random.Generator:
-    """Derive an independent sub-stream from an existing generator."""
-    seed = int(rng.integers(0, 2**31 - 1)) + 7919 * int(stream)
-    return np.random.default_rng(seed)

@@ -228,6 +228,43 @@ def test_rows_cancelling_a_merged_rotation_are_refused(
         assert_row_matches_bind(binding, position, template.bind(values[row]))
 
 
+@pytest.mark.parametrize("optimization_level", [2, 3])
+@pytest.mark.parametrize("gate", ["rx", "ry", "u1"])
+def test_rows_emptying_a_kept_gate_at_a_full_turn_are_refused(
+    yorktown, gate, optimization_level
+):
+    """Just past a full turn the identity-drop guard reads a non-zero angle,
+    but the concrete decomposition of rx, ry or u1 emits nothing, so a fresh
+    compile cancels the CX pair around the gate.  The template keeps the
+    pair, so both binds must refuse the row (the gate's non-empty emission
+    guard and the replay node of its run each see it)."""
+    circuit = ParameterizedCircuit(2)
+    circuit.add_trainable("ry", [1])
+    circuit.add_fixed("cx", [0, 1])
+    circuit.add_trainable(gate, [1])
+    circuit.add_fixed("cx", [0, 1])
+    circuit.add_trainable("ry", [1])
+    witness = np.array([0.4, 1.1, 0.7])
+    row = np.array([0.4, 6.283185308179586, 0.7])
+
+    def two_qubit_gates(values):
+        fresh = transpile(
+            circuit.bind(values), yorktown,
+            optimization_level=optimization_level,
+        )
+        return sum(len(inst.qubits) == 2 for inst in fresh.circuit.instructions)
+
+    assert (two_qubit_gates(witness), two_qubit_gates(row)) == (2, 0)
+    template = parametric_transpile(
+        circuit, yorktown, optimization_level=optimization_level,
+        witness_values=witness,
+    )
+    ok, _binding = template.bind_batch(np.array([witness, row]))
+    assert list(ok) == [True, False]
+    assert template.try_bind(witness) is not None
+    assert template.try_bind(row) is None
+
+
 def assert_row_matches_fresh(binding, position, fresh):
     """Row ``position`` of a batch binding equals a fresh concrete compile:
     the same gates on the same qubits, angles equal modulo ``2*pi``."""

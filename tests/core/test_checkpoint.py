@@ -8,6 +8,7 @@ score cache exactly.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 
@@ -26,6 +27,7 @@ from repro.core.pipeline import QMLPipelineConfig, QuantumNASQMLPipeline
 from repro.devices import get_device
 from repro.qml import encoder_for_task
 from repro.quantum.circuit import ParameterizedCircuit
+from repro.transpile.compiler import transpile
 from repro.transpile.parametric import parametric_transpile
 
 
@@ -45,6 +47,74 @@ def gene_score(config, mapping):
     """A deterministic, content-only score — no simulation needed."""
     gene = config.as_gene() + list(mapping)
     return float(sum((i + 1) * g for i, g in enumerate(gene)) % 97) / 97.0
+
+
+#: the checkpoint format version together with the pickled attribute names
+#: of every class its cache entries reach (templates, compiled circuits,
+#: devices); a change to either half without the other fails the pin
+CHECKPOINT_LAYOUT = (4, {
+    "repro.devices.calibration.Calibration": (
+        "edge_errors", "qubits", "seed", "targets",
+    ),
+    "repro.devices.calibration.CalibrationTargets": (
+        "readout_error", "single_qubit_error", "spread", "t1", "t2",
+        "two_qubit_error",
+    ),
+    "repro.devices.library.Device": (
+        "_noise_model", "basis_gates", "calibration", "name",
+        "quantum_volume", "topology",
+    ),
+    "repro.devices.topology.Topology": ("edges", "n_qubits", "name"),
+    "repro.noise.models.QubitNoiseParameters": (
+        "readout_p01", "readout_p10", "single_qubit_error", "t1", "t2",
+    ),
+    "repro.quantum.circuit.Instruction": ("gate", "params", "qubits"),
+    "repro.quantum.circuit.QuantumCircuit": ("instructions", "n_qubits"),
+    "repro.transpile.compiler.CompiledCircuit": (
+        "_reduced", "_success_rate", "circuit", "device", "final_layout",
+        "initial_layout", "num_swaps", "used_qubits",
+    ),
+    "repro.transpile.parametric.ParametricCompiledCircuit": (
+        "_affine_const", "_affine_matrix", "_aux_nodes", "_guard_expected",
+        "_guard_rows", "_nodes", "_other_guards", "_reduced_slots", "_slots",
+        "_width", "device", "final_layout", "initial_layout", "n_features",
+        "n_weights", "num_swaps", "optimization_level", "used_qubits",
+    ),
+    "repro.transpile.parametric._Affine": ("const", "terms"),
+    "repro.transpile.parametric._EmissionGuard": (
+        "empty", "gate", "params", "qubits",
+    ),
+    "repro.transpile.parametric._Guard": ("expr", "zero"),
+    "repro.transpile.parametric._NodeAngle": ("index", "node"),
+    "repro.transpile.parametric._ReplayNode": (
+        "inputs", "kind", "plan", "qubit", "signature", "verdicts",
+    ),
+    "repro.transpile.parametric._RowExpr": ("expr", "row"),
+    "repro.transpile.parametric._Sum": ("parts",),
+})
+
+
+class _LayoutCollector(pickle.Pickler):
+    """Pickles objects, noting for every ``repro`` class met the attribute
+    names of its instances' pickled state."""
+
+    def __init__(self) -> None:
+        super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+        self.layout = {}
+
+    def persistent_id(self, obj):
+        cls = type(obj)
+        if cls.__module__.startswith("repro."):
+            reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+            state = reduced[2] if len(reduced) > 2 else None
+            # a slotted class pickles a (dict, slots) pair
+            parts = state if isinstance(state, tuple) else (state,)
+            names = self.layout.setdefault(
+                f"{cls.__module__}.{cls.__qualname__}", set()
+            )
+            for part in parts:
+                names.update(part or ())
+        return None  # every object pickles as usual
 
 
 class CrashAfter:
@@ -193,6 +263,69 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="version"):
             SearchCheckpointer(path, estimator=estimator).load()
         assert len(estimator.parametric_transpile_cache) == 0
+
+    def test_version_3_payload_raises(self, yorktown, tmp_path):
+        """Version 3 shipped the parametric part as a ``{"structures",
+        "bound"}`` dict; loading one must raise, never adopt the dict's keys
+        as entries."""
+        circuit = ParameterizedCircuit(2)
+        circuit.add_trainable("ry", [0])
+        circuit.add_fixed("cx", [0, 1])
+        template = parametric_transpile(circuit, yorktown, seed=0)
+        path = str(tmp_path / "v3.ckpt")
+        with open(path, "wb") as handle:
+            pickle.dump({
+                "version": 3,
+                "estimator_caches": {
+                    "bound": [],
+                    "parametric": {
+                        "structures": [
+                            (("yorktown", 2, None, (), 0), template)
+                        ],
+                        "bound": [],
+                    },
+                },
+            }, handle)
+        estimator = PerformanceEstimator(yorktown, EstimatorConfig())
+        with pytest.raises(ValueError, match="version"):
+            SearchCheckpointer(path, estimator=estimator).load()
+        assert len(estimator.parametric_transpile_cache) == 0
+
+    def test_version_pins_the_pickled_layout(self, yorktown,
+                                             u3cu3_supercircuit):
+        """A checkpoint pickles templates, compiled circuits and devices
+        whole, so the classes they reach are part of its format.  Walk what
+        pickling a level-3 mnist-4 template (plus a level-1 one, whose RZ
+        merges build sums), a concrete compile and a device reaches, so a
+        new class is caught as well as a changed one."""
+        evolution = make_engine(yorktown, EvolutionConfig(seed=0))
+        config, mapping = evolution.random_config(), evolution.random_mapping()
+        circuit, _ = u3cu3_supercircuit.build_standalone_circuit(config)
+        weights = u3cu3_supercircuit.inherited_weights(config)
+        summed = ParameterizedCircuit(2)
+        summed.add_trainable("rx", [0])
+        summed.add_trainable("rz", [0])
+        collector = _LayoutCollector()
+        collector.dump([
+            parametric_transpile(
+                circuit, yorktown, initial_layout=mapping, optimization_level=3
+            ),
+            parametric_transpile(summed, yorktown, optimization_level=1),
+            transpile(
+                circuit.bind(weights, np.linspace(0.1, 1.0, 16)), yorktown,
+                initial_layout=mapping,
+            ),
+            yorktown,
+        ])
+        layout = {
+            name: tuple(sorted(names))
+            for name, names in collector.layout.items()
+        }
+        assert (SearchCheckpointer.VERSION, layout) == CHECKPOINT_LAYOUT, (
+            "the pickled layout of a checkpoint changed: bump "
+            "SearchCheckpointer.VERSION, so older files raise instead of "
+            "loading wrong, and re-pin CHECKPOINT_LAYOUT"
+        )
 
     def test_truncated_checkpoint_degrades_to_scratch(self, yorktown,
                                                       tmp_path):

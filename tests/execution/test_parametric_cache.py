@@ -1,8 +1,8 @@
 """The structure-keyed parametric transpile cache and its engine wiring.
 
-Covers the accounting contract (structure vs bind hits, one template per
-structure, fallbacks), object identity for repeated bindings, immutability of cached
-compilations across population evaluations, and the warm-start sharing of one
+Covers the accounting contract (structure hits, bind requests, one template
+per structure, fallbacks), object identity for repeated fallback bindings,
+immutability of cached compilations across population evaluations, and the warm-start sharing of one
 cache instance between engines, pipeline stages and the deploy backend.
 """
 
@@ -38,13 +38,16 @@ def test_structure_and_bind_hit_accounting(u3cu3_supercircuit, yorktown):
 
     first = cache.get_bound(circuit, weights, features, yorktown, candidate.mapping)
     assert cache.stats.structure_misses == 1
-    assert cache.stats.bind_misses == 1
+    assert cache.stats.bind_requests == 1
     assert cache.stats.variants_compiled == 1
 
-    # identical binding: served from the bound LRU, identical object
+    # identical binding: bound again through the template, so an equal
+    # circuit but not the identical object (only fallback rows are memoized)
     second = cache.get_bound(circuit, weights, features, yorktown, candidate.mapping)
-    assert second is first
-    assert cache.stats.bind_hits == 1
+    assert second is not first
+    assert instruction_stream(second) == instruction_stream(first)
+    assert cache.stats.bind_requests == 2
+    assert cache.stats.fallbacks == 0
     assert cache.stats.structure_misses == 1
 
     # new binding, same structure: no recompilation of the structure
@@ -53,8 +56,8 @@ def test_structure_and_bind_hit_accounting(u3cu3_supercircuit, yorktown):
     )
     assert third is not first
     assert cache.stats.structure_misses == 1
-    assert cache.stats.structure_hits >= 1
-    assert cache.stats.bind_misses == 2
+    assert cache.stats.structure_hits == 2
+    assert cache.stats.bind_requests == 3
 
     # different mapping: a different structure entry
     other_mapping = tuple(reversed(candidate.mapping))
@@ -120,9 +123,11 @@ def test_branch_crossings_are_served_by_the_fallback(u3cu3_supercircuit, yorktow
 
     cache, fallback, served = serve(requests)
     assert cache.stats.variants_compiled == 1
-    assert cache.stats.fallbacks == 2
+    assert cache.stats.fallbacks == 4
     assert fallback.stats.misses == 2
-    # a repeated crossing row is the memoized object, not a new compile
+    assert fallback.stats.hits == 2
+    # a repeated crossing row is the bound-key cache's memoized object, not
+    # a new compile
     assert served[2] is served[1] and served[4] is served[3]
     seed = cache.key_for(circuit, yorktown, candidate.mapping, 2)[-1]
     for row, compiled in zip(crossing, (served[1], served[3])):
@@ -233,7 +238,7 @@ def test_population_evaluation_keeps_parametric_compilations_immutable(
         assert np.all(np.abs(wrapped) < ATOL)
 
     # pruning moves the weights off the templates' witness, as training
-    # moves deploy's: these rows cross and the fallback fills the bound LRU
+    # moves deploy's: these rows cross and fill the bound-key fallback
     parameters = supercircuit.parameters.copy()
     parameters[::2] = 0.0
     supercircuit.update_parameters(parameters)
@@ -241,8 +246,8 @@ def test_population_evaluation_keeps_parametric_compilations_immutable(
     assert first_scores[0] == first_scores[2]
     assert cache.stats.fallbacks > 0
 
-    bound = list(cache._bound.values())
-    assert bound, "population evaluation should have populated the bound cache"
+    bound = list(cache.fallback._entries.values())
+    assert bound, "population evaluation should have populated the fallback"
     snapshots = [
         [
             (inst.gate, inst.qubits, inst.params)
@@ -256,7 +261,9 @@ def test_population_evaluation_keeps_parametric_compilations_immutable(
     assert second_scores == first_scores
     # second pass: no recompilation, identical objects, nothing mutated
     assert cache.stats.variants_compiled == variants_before
-    assert {id(c) for c in cache._bound.values()} == {id(c) for c in bound}
+    assert {id(c) for c in cache.fallback._entries.values()} == {
+        id(c) for c in bound
+    }
     for compiled, snapshot in zip(bound, snapshots):
         assert [
             (inst.gate, inst.qubits, inst.params)
@@ -340,5 +347,3 @@ def test_backend_run_parameterized_matches_run(u3cu3_supercircuit, yorktown):
 def test_cache_rejects_invalid_sizes():
     with pytest.raises(ValueError):
         ParametricTranspileCache(maxsize=0)
-    with pytest.raises(ValueError):
-        ParametricTranspileCache(bound_maxsize=0)

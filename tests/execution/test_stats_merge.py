@@ -94,11 +94,11 @@ def test_fallback_rate_divides_by_every_requested_row():
     """Rows a template serves in a batch count only in ``batch_rows``; the
     fallback rate still divides by them, not by single-row lookups alone."""
     assert ParametricCacheStats().fallback_rate == 0.0
-    stats = ParametricCacheStats(batch_rows=147, bind_misses=46, fallbacks=46)
+    stats = ParametricCacheStats(batch_rows=147, bind_requests=46, fallbacks=46)
     assert stats.fallback_rate == pytest.approx(46 / 193)
     total = ParametricCacheStats()
-    total.merge(ParametricCacheStats(batch_rows=6, bind_misses=2, fallbacks=2))
-    total.merge(ParametricCacheStats(bind_hits=1, bind_misses=1))
+    total.merge(ParametricCacheStats(batch_rows=6, bind_requests=2, fallbacks=2))
+    total.merge(ParametricCacheStats(bind_requests=2))
     assert total.fallback_rate == pytest.approx(2 / 10)
 
 

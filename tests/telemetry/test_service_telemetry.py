@@ -88,13 +88,8 @@ class TestTenantLedger:
             stats = service.tenant_stats["solo"]
         bound = estimator.transpile_cache.stats
         parametric = estimator.parametric_transpile_cache.stats
-        assert stats.cache_hits == (
-            bound.hits + parametric.structure_hits + parametric.bind_hits
-        )
-        assert stats.cache_misses == (
-            bound.misses + parametric.structure_misses
-            + parametric.bind_misses
-        )
+        assert stats.cache_hits == bound.hits + parametric.structure_hits
+        assert stats.cache_misses == bound.misses + parametric.structure_misses
         assert stats.cache_misses > 0
         assert stats.candidates == result.evaluated
         assert stats.generations == len(result.history)

@@ -54,7 +54,7 @@ def test_option_surface_is_pinned():
         "shard_backoff_max_seconds",
     ]
     assert constructor_parameters(ParametricTranspileCache) == [
-        "maxsize", "bound_maxsize", "fallback",
+        "maxsize", "fallback",
     ]
     assert constructor_parameters(TranspileCache) == ["maxsize"]
 

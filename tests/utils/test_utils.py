@@ -9,7 +9,7 @@ from repro.core.estimator import EstimatorConfig
 from repro.service import CoSearchService
 from repro.utils.env import env_workers
 from repro.utils.optimizers import Adam, ConstantSchedule, CosineWarmupSchedule, SGD
-from repro.utils.rng import derive_rng, ensure_rng, seeded_rng
+from repro.utils.rng import ensure_rng
 from repro.utils.stats import (
     accuracy,
     cross_entropy_with_logits,
@@ -130,15 +130,8 @@ class TestRng:
         gen = np.random.default_rng(0)
         assert ensure_rng(gen) is gen
         a = ensure_rng(42).integers(0, 100, 5)
-        b = seeded_rng(42).integers(0, 100, 5)
+        b = np.random.default_rng(42).integers(0, 100, 5)
         assert np.array_equal(a, b)
-
-    def test_derive_rng_streams_differ(self):
-        base = seeded_rng(0)
-        a = derive_rng(base, 1).integers(0, 1000, 5)
-        base = seeded_rng(0)
-        b = derive_rng(base, 2).integers(0, 1000, 5)
-        assert not np.array_equal(a, b)
 
 
 class TestEnv:
