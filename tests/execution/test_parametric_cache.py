@@ -2,8 +2,9 @@
 
 Covers the accounting contract (structure hits, bind requests, one template
 per structure, fallbacks), object identity for repeated fallback bindings,
-immutability of cached compilations across population evaluations, and the warm-start sharing of one
-cache instance between engines, pipeline stages and the deploy backend.
+immutability of cached compilations across population evaluations, and the
+warm-start sharing of one cache instance between engines, pipeline stages
+and the deploy backend.
 """
 
 from __future__ import annotations
