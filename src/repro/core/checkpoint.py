@@ -5,31 +5,29 @@ process* died — worker faults are already absorbed by the resilience layer
 (:mod:`repro.execution.resilience`), and this module covers the remaining
 failure domain: the parent process itself.
 
-:class:`SearchCheckpointer` persists, after every completed generation:
+:class:`SearchCheckpointer` persists the search state, and nothing else,
+after every completed generation:
 
 - the iteration index the search should resume at,
 - the evolution rng's exact bit-generator state,
 - the current population and the best candidate as **genes** (plain int
   lists — the stable serialization the design space already defines),
-- the gene→score cache, history and evaluated count,
-- optionally, the owning estimator's merged transpile/parametric cache
-  entries, so a resumed search starts compilation-warm exactly like a
-  surviving parent would have.
+- the gene→score cache, history and evaluated count.
 
 Resume is bitwise: the rng state, cache contents and population are
 restored exactly, so a search resumed at generation *k* produces the same
 best candidate, scores and history tail as the uninterrupted run — the
-checkpoint tests assert equality, not closeness.
+checkpoint tests assert equality, not closeness.  The estimator's compile
+caches are not part of it: each gene is scored once per search, and a
+compilation does not depend on which process's cache made it (contract
+rule 1 of :mod:`repro.execution.shards`), so a resumed search recompiles
+what it scores and scores the same.
 
-File format (version 4): a single :mod:`pickle` payload ``{"version": 4,
-"iteration": int, "rng_state": dict, "population": [gene, ...], "cache":
-[(gene, score), ...], "history": [...], "evaluated": int, "best": gene |
-None, "best_score": float, "estimator_caches": {"bound": [(key, compiled),
-...], "parametric": [(key, template), ...]} | None}``.  Version 1 stored a
-tuple of template variants per structure, version 2 templates whose replay
-nodes lack the branch verdicts their batch binds answer (only a fresh trace
-records them), and version 3 a ``{"structures": ..., "bound": ...}`` dict
-for the parametric part; none of them loads.
+File format (version 5): a single :mod:`pickle` payload of plain data,
+``{"version": 5, "iteration": int, "rng_state": dict, "population":
+[gene, ...], "cache": [(gene, score), ...], "history": [dict, ...],
+"evaluated": int, "best": gene | None, "best_score": float}``.  Older
+versions carried compiled circuits and templates and do not load.
 Writes are atomic (temp file + ``os.replace`` in the target directory), so
 a crash mid-write leaves the previous checkpoint intact; unknown versions
 raise instead of resuming wrong, while a truncated/corrupt file (one
@@ -50,28 +48,20 @@ __all__ = ["SearchCheckpointer"]
 class SearchCheckpointer:
     """Atomic pickle persistence for one search's generation-level state.
 
-    ``estimator`` is optional: when given, every save also exports the
-    estimator's merged transpile/parametric cache entries and every load
-    adopts them back, so resumed searches skip recompilation.  The
-    checkpointer never interprets the search state beyond the version field
-    — the :class:`~repro.core.evolution.EvolutionEngine` owns the schema of
+    The checkpointer never interprets the search state beyond the version
+    field — the :class:`~repro.core.evolution.SearchRun` owns the schema of
     what it stores.
     """
 
-    VERSION = 4
+    VERSION = 5
 
-    def __init__(self, path: str, estimator=None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.estimator = estimator
 
     # -- persistence ---------------------------------------------------------
 
     def load(self) -> Optional[dict]:
-        """The last checkpoint's state, or ``None`` when none exists yet.
-
-        Adopts the checkpoint's estimator cache entries (if both were
-        saved and an estimator is attached) before returning.
-        """
+        """The last checkpoint's state, or ``None`` when none exists yet."""
         if not os.path.exists(self.path):
             return None
         try:
@@ -103,19 +93,12 @@ class SearchCheckpointer:
                 f"checkpoint {self.path!r} has version {version!r}; "
                 f"this build reads version {self.VERSION}"
             )
-        caches = state.get("estimator_caches")
-        if caches is not None and self.estimator is not None:
-            self.estimator.transpile_cache.adopt_entries(caches["bound"])
-            self.estimator.parametric_transpile_cache.adopt_entries(
-                caches["parametric"]
-            )
         return state
 
     def save(self, state: dict) -> None:
-        """Atomically persist ``state`` (plus the estimator's caches)."""
+        """Atomically persist ``state``."""
         payload = dict(state)
         payload["version"] = self.VERSION
-        payload["estimator_caches"] = self._export_caches()
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         # temp file in the same directory so os.replace stays atomic (no
@@ -130,11 +113,3 @@ class SearchCheckpointer:
         finally:
             if os.path.exists(tmp_path):
                 os.remove(tmp_path)
-
-    def _export_caches(self) -> Optional[dict]:
-        if self.estimator is None:
-            return None
-        return {
-            "bound": self.estimator.transpile_cache.export_entries(),
-            "parametric": self.estimator.parametric_transpile_cache.export_entries(),
-        }

@@ -203,13 +203,21 @@ class EvolutionEngine:
         :mod:`repro.service` scheduler) call :meth:`SearchRun.step`
         themselves.  The run restores checkpoint state on construction, so
         suspending after any ``step()`` and rebuilding the run later resumes
-        bitwise.
+        bitwise.  A ``score_fn`` is wrapped as a population scorer that
+        calls it once per pending candidate, in population order.
         """
+        if (score_fn is None) == (population_score_fn is None):
+            raise ValueError(
+                "provide exactly one of score_fn or population_score_fn"
+            )
+        if score_fn is not None:
+            def population_score_fn(candidates):
+                return [score_fn(c.config, c.mapping) for c in candidates]
+
         return SearchRun(
             self,
-            score_fn=score_fn,
+            population_score_fn,
             verbose=verbose,
-            population_score_fn=population_score_fn,
             checkpointer=checkpointer,
         )
 
@@ -261,17 +269,11 @@ class SearchRun:
     def __init__(
         self,
         engine: EvolutionEngine,
-        score_fn: Optional[ScoreFn] = None,
+        population_score_fn: PopulationScoreFn,
         verbose: bool = False,
-        population_score_fn: Optional[PopulationScoreFn] = None,
         checkpointer: Optional["SearchCheckpointer"] = None,
     ) -> None:
-        if (score_fn is None) == (population_score_fn is None):
-            raise ValueError(
-                "provide exactly one of score_fn or population_score_fn"
-            )
         self.engine = engine
-        self.score_fn = score_fn
         self.population_score_fn = population_score_fn
         self.checkpointer = checkpointer
         self.verbose = verbose
@@ -314,33 +316,27 @@ class SearchRun:
             return False
         engine = self.engine
         iteration = self.iteration
-        if self.population_score_fn is not None:
-            pending: List[Candidate] = []
-            seen: set = set()
-            for candidate in self.population:
-                key = tuple(candidate.gene())
-                if key not in self.cache and key not in seen:
-                    seen.add(key)
-                    pending.append(candidate)
-            if pending:
-                scores = self.population_score_fn(pending)
-                if len(scores) != len(pending):
-                    raise ValueError(
-                        "population_score_fn returned "
-                        f"{len(scores)} scores for {len(pending)} candidates"
-                    )
-                for candidate, score in zip(pending, scores):
-                    self.cache[tuple(candidate.gene())] = float(score)
-                self.evaluated += len(pending)
-        scored: List[Tuple[float, Candidate]] = []
+        pending: List[Candidate] = []
+        seen: set = set()
         for candidate in self.population:
             key = tuple(candidate.gene())
-            if key not in self.cache:
-                self.cache[key] = float(
-                    self.score_fn(candidate.config, candidate.mapping)
+            if key not in self.cache and key not in seen:
+                seen.add(key)
+                pending.append(candidate)
+        if pending:
+            scores = self.population_score_fn(pending)
+            if len(scores) != len(pending):
+                raise ValueError(
+                    "population_score_fn returned "
+                    f"{len(scores)} scores for {len(pending)} candidates"
                 )
-                self.evaluated += 1
-            scored.append((self.cache[key], candidate))
+            for candidate, score in zip(pending, scores):
+                self.cache[tuple(candidate.gene())] = float(score)
+            self.evaluated += len(pending)
+        scored = [
+            (self.cache[tuple(candidate.gene())], candidate)
+            for candidate in self.population
+        ]
         scored.sort(key=lambda item: item[0])
         if scored[0][0] < self.best_score:
             self.best_score, self.best = scored[0]

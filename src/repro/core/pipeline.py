@@ -54,17 +54,16 @@ __all__ = [
 ]
 
 
-def _search_checkpointer(config, estimator) -> Optional[SearchCheckpointer]:
+def _search_checkpointer(config) -> Optional[SearchCheckpointer]:
     """The co-search checkpointer named by ``evolution.checkpoint_path``.
 
-    Ties the checkpoint to the pipeline's shared estimator, so merged
-    transpile/parametric cache entries persist alongside the search state
-    and a resumed search starts compilation-warm.
+    It holds the search state only: a resumed search compiles what it
+    scores into the pipeline's estimator, as an uninterrupted one does.
     """
     path = getattr(config.evolution, "checkpoint_path", None)
     if not path:
         return None
-    return SearchCheckpointer(path, estimator=estimator)
+    return SearchCheckpointer(path)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ class QuantumNASQMLPipeline:
                 population_score_fn=execution.qml_population_scorer(
                     self.dataset, self.n_classes
                 ),
-                checkpointer=_search_checkpointer(self.config, self.estimator),
+                checkpointer=_search_checkpointer(self.config),
             )
 
     def co_search_job(
@@ -367,7 +366,7 @@ class QuantumNASVQEPipeline:
         with self.estimator.population_engine(self.supercircuit) as execution:
             return engine.search(
                 population_score_fn=execution.vqe_population_scorer(self.molecule),
-                checkpointer=_search_checkpointer(self.config, self.estimator),
+                checkpointer=_search_checkpointer(self.config),
             )
 
     def co_search_job(

@@ -171,12 +171,10 @@ class _JobRuntime:
             )
         else:
             scorer = self.engine.vqe_population_scorer(job.molecule)
+        # the checkpoint holds the search state only; a resumed job
+        # recompiles into this runtime's estimator what it scores
         path = job.effective_checkpoint_path
-        checkpointer = (
-            SearchCheckpointer(path, estimator=self.estimator)
-            if path
-            else None
-        )
+        checkpointer = SearchCheckpointer(path) if path else None
         self.evolution = EvolutionEngine(
             space, job.n_qubits, device, job.evolution
         )

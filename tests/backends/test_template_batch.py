@@ -229,23 +229,34 @@ def test_rows_cancelling_a_merged_rotation_are_refused(
 
 
 @pytest.mark.parametrize("optimization_level", [2, 3])
-@pytest.mark.parametrize("gate", ["rx", "ry", "u1"])
+@pytest.mark.parametrize("run, fresh_cx", [
+    pytest.param(["rx"], 0, id="rx"),
+    pytest.param(["ry"], 0, id="ry"),
+    pytest.param(["u1"], 0, id="u1"),
+    pytest.param(["ry", "ry"], 2, id="ry-ry"),
+])
 def test_rows_emptying_a_kept_gate_at_a_full_turn_are_refused(
-    yorktown, gate, optimization_level
+    yorktown, run, fresh_cx, optimization_level
 ):
     """Just past a full turn the identity-drop guard reads a non-zero angle,
-    but the concrete decomposition of rx, ry or u1 emits nothing, so a fresh
-    compile cancels the CX pair around the gate.  The template keeps the
-    pair, so both binds must refuse the row (the gate's non-empty emission
-    guard and the replay node of its run each see it)."""
+    but the concrete decomposition of rx, ry or u1 emits nothing.  Alone
+    between the CX pair, the gate's emptiness lets a fresh compile cancel
+    the pair, which the template keeps.  With a second gate in the run, a
+    fresh compile keeps the pair but leaves the emptied gate out of the
+    run's re-synthesis, whose angles the template's replay then misses by
+    about 1e-9.  Either way both binds must refuse the row.  The gate's
+    non-empty emission guard sees it in both circuits, the replay node of
+    its run only when the gate is alone."""
     circuit = ParameterizedCircuit(2)
     circuit.add_trainable("ry", [1])
     circuit.add_fixed("cx", [0, 1])
-    circuit.add_trainable(gate, [1])
+    for gate in run:
+        circuit.add_trainable(gate, [1])
     circuit.add_fixed("cx", [0, 1])
     circuit.add_trainable("ry", [1])
-    witness = np.array([0.4, 1.1, 0.7])
-    row = np.array([0.4, 6.283185308179586, 0.7])
+    others = [0.9] * (len(run) - 1)
+    witness = np.array([0.4, 1.1, *others, 0.7])
+    row = np.array([0.4, 6.283185308179586, *others, 0.7])
 
     def two_qubit_gates(values):
         fresh = transpile(
@@ -254,7 +265,7 @@ def test_rows_emptying_a_kept_gate_at_a_full_turn_are_refused(
         )
         return sum(len(inst.qubits) == 2 for inst in fresh.circuit.instructions)
 
-    assert (two_qubit_gates(witness), two_qubit_gates(row)) == (2, 0)
+    assert (two_qubit_gates(witness), two_qubit_gates(row)) == (2, fresh_cx)
     template = parametric_transpile(
         circuit, yorktown, optimization_level=optimization_level,
         witness_values=witness,

@@ -8,27 +8,20 @@ score cache exactly.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core import (
     EstimatorConfig,
     EvolutionConfig,
     EvolutionEngine,
-    PerformanceEstimator,
     SearchCheckpointer,
     get_design_space,
 )
 from repro.core.pipeline import QMLPipelineConfig, QuantumNASQMLPipeline
-from repro.devices import get_device
 from repro.qml import encoder_for_task
-from repro.quantum.circuit import ParameterizedCircuit
-from repro.transpile.compiler import transpile
-from repro.transpile.parametric import parametric_transpile
 
 
 def small_config(checkpoint_path=None, iterations=4):
@@ -49,72 +42,33 @@ def gene_score(config, mapping):
     return float(sum((i + 1) * g for i, g in enumerate(gene)) % 97) / 97.0
 
 
-#: the checkpoint format version together with the pickled attribute names
-#: of every class its cache entries reach (templates, compiled circuits,
-#: devices); a change to either half without the other fails the pin
-CHECKPOINT_LAYOUT = (4, {
-    "repro.devices.calibration.Calibration": (
-        "edge_errors", "qubits", "seed", "targets",
-    ),
-    "repro.devices.calibration.CalibrationTargets": (
-        "readout_error", "single_qubit_error", "spread", "t1", "t2",
-        "two_qubit_error",
-    ),
-    "repro.devices.library.Device": (
-        "_noise_model", "basis_gates", "calibration", "name",
-        "quantum_volume", "topology",
-    ),
-    "repro.devices.topology.Topology": ("edges", "n_qubits", "name"),
-    "repro.noise.models.QubitNoiseParameters": (
-        "readout_p01", "readout_p10", "single_qubit_error", "t1", "t2",
-    ),
-    "repro.quantum.circuit.Instruction": ("gate", "params", "qubits"),
-    "repro.quantum.circuit.QuantumCircuit": ("instructions", "n_qubits"),
-    "repro.transpile.compiler.CompiledCircuit": (
-        "_reduced", "_success_rate", "circuit", "device", "final_layout",
-        "initial_layout", "num_swaps", "used_qubits",
-    ),
-    "repro.transpile.parametric.ParametricCompiledCircuit": (
-        "_affine_const", "_affine_matrix", "_aux_nodes", "_guard_expected",
-        "_guard_rows", "_nodes", "_other_guards", "_reduced_slots", "_slots",
-        "_width", "device", "final_layout", "initial_layout", "n_features",
-        "n_weights", "num_swaps", "optimization_level", "used_qubits",
-    ),
-    "repro.transpile.parametric._Affine": ("const", "terms"),
-    "repro.transpile.parametric._EmissionGuard": (
-        "empty", "gate", "params", "qubits",
-    ),
-    "repro.transpile.parametric._Guard": ("expr", "zero"),
-    "repro.transpile.parametric._NodeAngle": ("index", "node"),
-    "repro.transpile.parametric._ReplayNode": (
-        "inputs", "kind", "plan", "qubit", "signature", "verdicts",
-    ),
-    "repro.transpile.parametric._RowExpr": ("expr", "row"),
-    "repro.transpile.parametric._Sum": ("parts",),
-})
+#: every key a checkpoint holds: the search state and its version
+SEARCH_STATE_KEYS = {
+    "version", "iteration", "rng_state", "population", "cache", "history",
+    "evaluated", "best", "best_score",
+}
 
 
-class _LayoutCollector(pickle.Pickler):
-    """Pickles objects, noting for every ``repro`` class met the attribute
-    names of its instances' pickled state."""
+class PlainDataUnpickler(pickle.Unpickler):
+    """Loads plain data only: any global the file names is refused."""
 
-    def __init__(self) -> None:
-        super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
-        self.layout = {}
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"checkpoint names {module}.{name}")
 
-    def persistent_id(self, obj):
-        cls = type(obj)
-        if cls.__module__.startswith("repro."):
-            reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-            state = reduced[2] if len(reduced) > 2 else None
-            # a slotted class pickles a (dict, slots) pair
-            parts = state if isinstance(state, tuple) else (state,)
-            names = self.layout.setdefault(
-                f"{cls.__module__}.{cls.__qualname__}", set()
-            )
-            for part in parts:
-                names.update(part or ())
-        return None  # every object pickles as usual
+
+def noise_sim_pipeline(dataset, device, checkpoint_path=None, iterations=4):
+    config = QMLPipelineConfig(
+        evolution=EvolutionConfig(
+            iterations=iterations, population_size=6, parent_size=2,
+            mutation_size=2, crossover_size=2, seed=5,
+            checkpoint_path=checkpoint_path,
+        ),
+        estimator=EstimatorConfig(mode="noise_sim", n_valid_samples=2),
+    )
+    return QuantumNASQMLPipeline(
+        get_design_space("u3cu3"), dataset, 4, device,
+        encoder_for_task("mnist-4"), config=config,
+    )
 
 
 class CrashAfter:
@@ -204,128 +158,15 @@ class TestCheckpointResume:
         assert again.best.gene() == first.best.gene()
         assert again.history == first.history
 
-    def test_unknown_version_raises(self, tmp_path):
-        path = str(tmp_path / "future.ckpt")
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 999])
+    def test_unknown_version_raises(self, tmp_path, version):
+        """Versions 1-4 also carried the estimator's compilations; no other
+        version than the current one loads."""
+        path = str(tmp_path / "other.ckpt")
         with open(path, "wb") as handle:
-            pickle.dump({"version": 999}, handle)
+            pickle.dump({"version": version}, handle)
         with pytest.raises(ValueError, match="version"):
             SearchCheckpointer(path).load()
-
-    def test_version_1_payload_raises(self, yorktown, tmp_path):
-        """Version 1 stored a tuple of template variants per parametric
-        structure; loading one must raise, never adopt the tuple as a
-        template."""
-        path = str(tmp_path / "v1.ckpt")
-        structure_key = ("yorktown", 2, None, (), 0)
-        with open(path, "wb") as handle:
-            pickle.dump({
-                "version": 1,
-                "estimator_caches": {
-                    "bound": [],
-                    "parametric": {
-                        "structures": [(structure_key, ("variant",))],
-                        "bound": [],
-                    },
-                },
-            }, handle)
-        estimator = PerformanceEstimator(yorktown, EstimatorConfig())
-        with pytest.raises(ValueError, match="version"):
-            SearchCheckpointer(path, estimator=estimator).load()
-        assert len(estimator.parametric_transpile_cache) == 0
-
-    def test_version_2_payload_raises(self, yorktown, tmp_path):
-        """Version 2 templates carry replay nodes without the branch
-        verdicts a batch bind answers; loading one must raise, never adopt
-        a template whose first ``bind_batch`` would fail."""
-        circuit = ParameterizedCircuit(2)
-        circuit.add_trainable("ry", [0])
-        circuit.add_trainable("rx", [0])
-        circuit.add_fixed("cx", [0, 1])
-        template = parametric_transpile(circuit, yorktown, seed=0)
-        assert template.num_replay_nodes
-        for node in template._nodes:
-            del node.verdicts  # the version-2 layout of a replay node
-        path = str(tmp_path / "v2.ckpt")
-        with open(path, "wb") as handle:
-            pickle.dump({
-                "version": 2,
-                "estimator_caches": {
-                    "bound": [],
-                    "parametric": {
-                        "structures": [
-                            (("yorktown", 2, None, (), 0), template)
-                        ],
-                        "bound": [],
-                    },
-                },
-            }, handle)
-        estimator = PerformanceEstimator(yorktown, EstimatorConfig())
-        with pytest.raises(ValueError, match="version"):
-            SearchCheckpointer(path, estimator=estimator).load()
-        assert len(estimator.parametric_transpile_cache) == 0
-
-    def test_version_3_payload_raises(self, yorktown, tmp_path):
-        """Version 3 shipped the parametric part as a ``{"structures",
-        "bound"}`` dict; loading one must raise, never adopt the dict's keys
-        as entries."""
-        circuit = ParameterizedCircuit(2)
-        circuit.add_trainable("ry", [0])
-        circuit.add_fixed("cx", [0, 1])
-        template = parametric_transpile(circuit, yorktown, seed=0)
-        path = str(tmp_path / "v3.ckpt")
-        with open(path, "wb") as handle:
-            pickle.dump({
-                "version": 3,
-                "estimator_caches": {
-                    "bound": [],
-                    "parametric": {
-                        "structures": [
-                            (("yorktown", 2, None, (), 0), template)
-                        ],
-                        "bound": [],
-                    },
-                },
-            }, handle)
-        estimator = PerformanceEstimator(yorktown, EstimatorConfig())
-        with pytest.raises(ValueError, match="version"):
-            SearchCheckpointer(path, estimator=estimator).load()
-        assert len(estimator.parametric_transpile_cache) == 0
-
-    def test_version_pins_the_pickled_layout(self, yorktown,
-                                             u3cu3_supercircuit):
-        """A checkpoint pickles templates, compiled circuits and devices
-        whole, so the classes they reach are part of its format.  Walk what
-        pickling a level-3 mnist-4 template (plus a level-1 one, whose RZ
-        merges build sums), a concrete compile and a device reaches, so a
-        new class is caught as well as a changed one."""
-        evolution = make_engine(yorktown, EvolutionConfig(seed=0))
-        config, mapping = evolution.random_config(), evolution.random_mapping()
-        circuit, _ = u3cu3_supercircuit.build_standalone_circuit(config)
-        weights = u3cu3_supercircuit.inherited_weights(config)
-        summed = ParameterizedCircuit(2)
-        summed.add_trainable("rx", [0])
-        summed.add_trainable("rz", [0])
-        collector = _LayoutCollector()
-        collector.dump([
-            parametric_transpile(
-                circuit, yorktown, initial_layout=mapping, optimization_level=3
-            ),
-            parametric_transpile(summed, yorktown, optimization_level=1),
-            transpile(
-                circuit.bind(weights, np.linspace(0.1, 1.0, 16)), yorktown,
-                initial_layout=mapping,
-            ),
-            yorktown,
-        ])
-        layout = {
-            name: tuple(sorted(names))
-            for name, names in collector.layout.items()
-        }
-        assert (SearchCheckpointer.VERSION, layout) == CHECKPOINT_LAYOUT, (
-            "the pickled layout of a checkpoint changed: bump "
-            "SearchCheckpointer.VERSION, so older files raise instead of "
-            "loading wrong, and re-pin CHECKPOINT_LAYOUT"
-        )
 
     def test_truncated_checkpoint_degrades_to_scratch(self, yorktown,
                                                       tmp_path):
@@ -386,30 +227,37 @@ class TestCheckpointResume:
         assert state["version"] == SearchCheckpointer.VERSION
 
 
-class TestEstimatorCacheWarmStart:
-    def test_estimator_caches_round_trip(self, yorktown, u3cu3_supercircuit,
-                                         tiny_dataset, tmp_path):
-        path = str(tmp_path / "warm.ckpt")
-        config = QMLPipelineConfig(
-            evolution=EvolutionConfig(
-                iterations=1, population_size=6, parent_size=2,
-                mutation_size=2, crossover_size=2, seed=5,
-                checkpoint_path=path,
-            ),
-            estimator=EstimatorConfig(mode="noise_sim", n_valid_samples=2),
-        )
-        pipeline = QuantumNASQMLPipeline(
-            get_design_space("u3cu3"), tiny_dataset, 4, yorktown,
-            encoder_for_task("mnist-4"), config=config,
-        )
-        pipeline.co_search()
-        compiled = pipeline.estimator.parametric_transpile_cache.export_keys()
-        assert os.path.exists(path)
+class TestSearchStateOnly:
+    def test_pipeline_checkpoint_is_plain_search_state(self, yorktown,
+                                                       tiny_dataset,
+                                                       tmp_path):
+        """A pipeline's co-search checkpoint holds the search state and
+        nothing the estimator compiled: it loads without importing a
+        single class."""
+        path = str(tmp_path / "state.ckpt")
+        noise_sim_pipeline(tiny_dataset, yorktown, path, iterations=1).co_search()
+        with open(path, "rb") as handle:
+            state = PlainDataUnpickler(handle).load()
+        assert set(state) == SEARCH_STATE_KEYS
+        assert state["version"] == SearchCheckpointer.VERSION
+        assert state["iteration"] == 1
 
-        # a fresh estimator adopts the checkpointed compilations on load
-        fresh = PerformanceEstimator(
-            yorktown, EstimatorConfig(mode="noise_sim", n_valid_samples=2)
+    def test_resume_into_fresh_estimator_is_bitwise(self, yorktown,
+                                                    tiny_dataset, tmp_path):
+        """A noise_sim co-search resumed mid-search by a new pipeline, whose
+        estimator starts empty, recompiles what it scores and finishes
+        exactly as the uninterrupted search."""
+        uninterrupted = noise_sim_pipeline(tiny_dataset, yorktown)
+        reference = uninterrupted.co_search()
+        path = str(tmp_path / "half.ckpt")
+        noise_sim_pipeline(tiny_dataset, yorktown, path, iterations=2).co_search()
+        pipeline = noise_sim_pipeline(tiny_dataset, yorktown, path)
+        resumed = pipeline.co_search()
+        # generations 0-1 came from the file, so only 2-3 compiled here
+        assert 0 < len(pipeline.estimator.parametric_transpile_cache) < len(
+            uninterrupted.estimator.parametric_transpile_cache
         )
-        state = SearchCheckpointer(path, estimator=fresh).load()
-        assert state is not None
-        assert fresh.parametric_transpile_cache.export_keys() == compiled
+        assert resumed.best.gene() == reference.best.gene()
+        assert resumed.best_score == reference.best_score
+        assert resumed.history == reference.history
+        assert resumed.evaluated == reference.evaluated

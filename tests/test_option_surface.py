@@ -1,7 +1,7 @@
 """Pins the engines' option surface.
 
-Every config field and cache constructor parameter below is a mode or knob a
-caller can turn.  The project's rule is that a new one needs a measured
+Every config field and cache or checkpointer constructor parameter below is
+a mode or knob a caller can turn.  The project's rule is that a new one needs a measured
 reason to exist (the ROADMAP north star): adding an entry here should come
 with the measurement that justifies it, and removing one should update the
 pin in the same change.
@@ -14,6 +14,7 @@ import inspect
 
 import pytest
 
+from repro.core.checkpoint import SearchCheckpointer
 from repro.core.estimator import EstimatorConfig
 from repro.execution import ParametricTranspileCache, TranspileCache
 from repro.gradients import GradientEngineConfig
@@ -57,6 +58,8 @@ def test_option_surface_is_pinned():
         "maxsize", "fallback",
     ]
     assert constructor_parameters(TranspileCache) == ["maxsize"]
+    # a checkpoint holds the search state only, never an estimator's caches
+    assert constructor_parameters(SearchCheckpointer) == ["path"]
 
 
 def test_estimator_backend_accepts_only_none():
